@@ -10,14 +10,10 @@
 // 2 MB pages claw some of it back by removing page-walk long stalls, which
 // is why SP still improves 13% at 8 threads in the paper.
 //
-// Uses the engine's explicit task-list API: every (flush, page kind) cell
-// is an independent RunTask carrying its own CostModel, so the whole sweep
-// fans out across --workers= and each distinct cost model gets its own
-// result-cache entry. The tasks are trace-backed (--strategy=live runs
-// everything plain):
-// the flush axis re-simulates only four distinct address streams
-// (threads × page kind), so the kernel numerics run four times, not
-// fourteen.
+// Uses the scheduler's explicit task-list API: every (flush, page kind)
+// cell is an independent RunTask carrying its own CostModel, so the whole
+// sweep fans out across --workers= and each distinct cost model gets its
+// own result-cache entry.
 #include "bench/bench_common.hpp"
 
 using namespace lpomp;
@@ -43,8 +39,6 @@ int main(int argc, char** argv) {
     task.cost.smt_flush = flush;
     task.threads = threads;
     task.page_kind = kind;
-    task.trace_backed =
-        bench::strategy_from(opts) != exec::Strategy::Live;
     return task;
   };
 
@@ -58,8 +52,9 @@ int main(int argc, char** argv) {
     tasks.push_back(task_for(8, PageKind::large2m, flush));
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(tasks);
+  exec::Scheduler scheduler(bench::scheduler_config(opts));
+  const exec::SweepResult result =
+      scheduler.run(tasks, bench::strategy_from(opts));
   bench::require_all_verified(result);
 
   const double t4_4k = result.records[0].simulated_seconds;

@@ -12,12 +12,14 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
+#include "exec/scheduler.hpp"
 #include "npb/npb.hpp"
 #include "paging/policy.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
+#include "trace/recorder.hpp"
+#include "trace/replay.hpp"
 
 namespace lpomp::bench {
 
@@ -64,12 +66,14 @@ inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   return out;
 }
 
+/// Problem class from its name ("S", "W", "A", "B", "R"); throws
+/// OptionError on anything else (a lower-case "s" must not run class R).
 inline npb::Klass klass_by_name(const std::string& name) {
-  if (name == "S") return npb::Klass::S;
-  if (name == "W") return npb::Klass::W;
-  if (name == "A") return npb::Klass::A;
-  if (name == "B") return npb::Klass::B;
-  return npb::Klass::R;
+  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
+                       npb::Klass::B, npb::Klass::R}) {
+    if (name == npb::klass_name(k)) return k;
+  }
+  throw OptionError("unknown class '" + name + "' (valid: S, W, A, B, R)");
 }
 
 /// Canonical comma-joined kernel list ("BT,CG,FT,SP,MG,GUPS,GT,PC") — the
@@ -151,59 +155,54 @@ inline std::string improvement(double t4k, double t2m) {
 
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
 
-/// The sweep's execution strategy from --strategy=live|recorded|multilane|
-/// analytic|auto (default auto). The historical spellings remain as
-/// back-compat aliases — --no-trace → live, --no-multilane → recorded,
-/// --no-analytic → multilane — each printing the --strategy= equivalent so
-/// scripts migrate themselves. Results are bit-identical under every
-/// strategy.
-inline exec::Strategy strategy_from(const Options& opts) {
-  const std::string name = opts.get("strategy", "");
-  if (!name.empty()) {
-    const std::optional<exec::Strategy> s = exec::strategy_from_name(name);
-    if (!s) {
-      std::cerr << "unknown --strategy=" << name
-                << " (valid: live, recorded, multilane, analytic, auto)\n";
+/// Exits 2 on the flags removed with the replay tiers (--no-trace,
+/// --no-multilane, --no-analytic, --trace-store-mb) and on a --strategy= /
+/// LPOMP_STRATEGY other than live or auto.
+inline void reject_removed_flags(const Options& opts) {
+  for (const char* flag :
+       {"no-trace", "no-multilane", "no-analytic", "trace-store-mb"}) {
+    if (!opts.get(flag, "").empty()) {
+      std::cerr << "--" << flag << " was removed with the replay tiers "
+                << "(valid strategies: " << exec::kStrategyNames << ")\n";
       std::exit(2);
     }
-    return *s;
   }
-  const bool no_trace = opts.get_flag("no-trace");
-  const bool no_multilane = opts.get_flag("no-multilane");
-  const bool no_analytic = opts.get_flag("no-analytic");
-  if (!no_trace && !no_multilane && !no_analytic) return exec::Strategy::Auto;
-  const exec::Strategy s = no_trace        ? exec::Strategy::Live
-                           : no_multilane  ? exec::Strategy::Recorded
-                                           : exec::Strategy::Multilane;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::cerr << "note: --no-trace/--no-multilane/--no-analytic are "
-                 "deprecated; this invocation is --strategy="
-              << exec::strategy_name(s) << "\n";
+  const std::string name = opts.get("strategy", "auto");
+  if (!exec::strategy_from_name(name)) {
+    std::cerr << "unknown --strategy=" << name
+              << " (valid: " << exec::kStrategyNames << ")\n";
+    std::exit(2);
   }
-  return s;
 }
 
-/// Engine sized from --workers= / LPOMP_WORKERS (0 → one per host core);
-/// --trace-store-mb= bounds the trace store backing trace-backed sweeps.
-/// The default must fit the largest single class-R stream (a 1-thread
-/// BT/FT trace runs to several hundred MB): a trace larger than the whole
-/// budget is never stored, and its second use silently re-records.
-/// --strategy= picks the execution strategy (strategy_from above);
-/// --store-dir= layers the disk-persistent result store under the LRU so
-/// results survive the process. Results are bit-identical under any
-/// combination.
-inline exec::ExperimentEngine make_engine(const Options& opts) {
-  exec::ExperimentEngine::Config cfg;
-  cfg.workers = static_cast<unsigned>(opts.get_int("workers", 0));
-  cfg.trace_store_bytes =
-      MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
-  cfg.strategy = strategy_from(opts);
+/// The sweep's execution strategy from --strategy=live|auto (default auto;
+/// both run every uncached grid point live).
+inline exec::Strategy strategy_from(const Options& opts) {
+  reject_removed_flags(opts);
+  return *exec::strategy_from_name(opts.get("strategy", "auto"));
+}
+
+/// --workers= / LPOMP_WORKERS: pool size, 0 → one per host core. A
+/// negative count exits 2.
+inline unsigned workers_from(const Options& opts) {
+  const long workers = opts.get_int("workers", 0);
+  if (workers < 0) {
+    std::cerr << "--workers=" << workers
+              << " must be >= 0 (0 = one per host core)\n";
+    std::exit(2);
+  }
+  return static_cast<unsigned>(workers);
+}
+
+/// Scheduler config from --workers= (workers_from), --store-dir= (layers
+/// the disk-persistent result store under the LRU, so results survive the
+/// process) and --topology=SxC (fixes the pool's socket × core shape
+/// independently of the host, e.g. --topology=2x2 in CI identity checks).
+/// Results are bit-identical under any combination.
+inline exec::Scheduler::Config scheduler_config(const Options& opts) {
+  exec::Scheduler::Config cfg;
+  cfg.workers = workers_from(opts);
   cfg.store_dir = opts.get("store-dir", "");
-  // --topology=SxC fixes the pool's socket × core shape (and its worker
-  // count) independently of the host, e.g. --topology=2x2 in CI identity
-  // checks; absent, the shape is detected (flat 1×N fallback).
   const std::string topo = opts.get("topology", "");
   if (!topo.empty()) {
     try {
@@ -213,40 +212,55 @@ inline exec::ExperimentEngine make_engine(const Options& opts) {
       std::exit(2);
     }
   }
-  return exec::ExperimentEngine(cfg);
+  return cfg;
 }
 
-/// Trace provenance counts of a sweep: how many records came from each of
-/// "live", "record", "replay" (interpreted), "analytic" (compiled-plan
-/// fast-forward replay), "lane" (fused multi-lane follower) and "fallback"
-/// (rejected trace re-run live).
-struct TraceProvenance {
-  std::size_t live = 0;
-  std::size_t record = 0;
-  std::size_t replay = 0;
-  std::size_t analytic = 0;
-  std::size_t lane = 0;
-  std::size_t fallback = 0;
-};
+// --- trace plumbing (record a live run, replay it) ---------------------------
 
-inline TraceProvenance trace_provenance(const exec::SweepResult& result) {
-  TraceProvenance p;
-  for (const exec::RunRecord& r : result.records) {
-    if (r.trace_source == "record") {
-      ++p.record;
-    } else if (r.trace_source == "replay") {
-      ++p.replay;
-    } else if (r.trace_source == "analytic") {
-      ++p.analytic;
-    } else if (r.trace_source == "lane") {
-      ++p.lane;
-    } else if (r.trace_source == "fallback") {
-      ++p.fallback;
-    } else {
-      ++p.live;
-    }
+/// Runs `task` live with a TraceRecorder attached. Returns the live result
+/// and stores the recorded stream in `out` (its meta carries the run's
+/// verified/checksum, which replays copy through).
+inline npb::NpbResult record_live(const exec::RunTask& task,
+                                  trace::Trace& out) {
+  trace::TraceRecorder recorder(task.threads);
+  core::RuntimeConfig cfg = task.runtime_config();
+  cfg.trace_sink = &recorder;
+  const npb::NpbResult r = npb::run_kernel(task.kernel, task.klass, cfg);
+  trace::TraceMeta meta;
+  meta.kernel = npb::kernel_name(task.kernel);
+  meta.klass = npb::klass_name(task.klass);
+  meta.threads = task.threads;
+  meta.page_kind = task.page_kind;
+  meta.platform = task.spec.name;
+  meta.code_page_kind = task.code_page_kind;
+  meta.seed = task.seed;
+  meta.verified = r.verified;
+  meta.checksum = r.checksum;
+  out = recorder.finish(std::move(meta));
+  return r;
+}
+
+/// The replay knobs of `task`: platform, cost model, seed, code pages and
+/// paging policy.
+inline trace::ReplayConfig replay_config(const exec::RunTask& task) {
+  trace::ReplayConfig cfg{task.spec, task.cost, task.seed,
+                          task.code_page_kind};
+  cfg.paging = task.paging;
+  return cfg;
+}
+
+/// True when a replay reproduced every profile counter and the simulated
+/// time of a live run.
+inline bool same_counters(const npb::NpbResult& live,
+                          const trace::ReplayOutcome& replay) {
+  const std::vector<prof::Event>& a = live.profile.events();
+  const std::vector<prof::Event>& b = replay.profile.events();
+  bool same = live.simulated_seconds == replay.simulated_seconds &&
+              a.size() == b.size();
+  for (std::size_t i = 0; same && i < a.size(); ++i) {
+    same = a[i].name == b[i].name && a[i].count == b[i].count;
   }
-  return p;
+  return same;
 }
 
 /// Aborts loudly if any run of the sweep failed or mis-verified — the

@@ -5,12 +5,12 @@
 // thread per core is used up to 4 threads; the Xeon's 8-thread point uses
 // two SMT contexts per core.
 //
-// The whole grid runs through the experiment engine: every (kernel,
+// The whole grid runs through the scheduler: every (kernel,
 // platform, threads, page kind) point is an independent task on the
 // work-stealing pool (--workers=, default one per host core), and results
 // are bit-identical for any worker count. --json=fig4.json dumps the
 // per-run records; repeated points already computed this process are
-// served from the engine's result cache.
+// served from the scheduler's result cache.
 //
 // Shape targets (paper §4.4): CG/SP/MG improve ~15-25% at 4 threads on the
 // Opteron with 2 MB pages; BT and FT see no significant change; both
@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
     spec.paging_policies = bench::paging_from(opts);
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(spec);
+  exec::Scheduler scheduler(bench::scheduler_config(opts));
+  const exec::SweepResult result =
+      scheduler.run(spec, bench::strategy_from(opts));
   bench::require_all_verified(result);
 
   std::cout << "Figure 4: Scalability with "

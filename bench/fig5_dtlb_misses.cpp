@@ -3,7 +3,7 @@
 // OProfile "L1 and L2 DTLB miss" event — misses that required a hardware
 // page walk).
 //
-// Runs through the experiment engine (--workers= parallel tasks,
+// Runs through the scheduler (--workers= parallel tasks,
 // --json=fig5.json records); the walk counts come from the per-run JSON
 // counters (dtlb_walks_4k + dtlb_walks_2m).
 //
@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
     spec.paging_policies = bench::paging_from(opts);
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(spec);
+  exec::Scheduler scheduler(bench::scheduler_config(opts));
+  const exec::SweepResult result =
+      scheduler.run(spec, bench::strategy_from(opts));
   bench::require_all_verified(result);
 
   const std::string opteron = sim::ProcessorSpec::opteron270().name;

@@ -1,5 +1,5 @@
 // One parallel invocation that reproduces every headline number of the
-// paper from a single engine sweep over the Figure 4 config grid
+// paper from a single scheduler sweep over the Figure 4 config grid
 // ({BT,CG,FT,SP,MG,GUPS,GT,PC} × {Opteron, Xeon+HT} × {1,2,4,8}T ×
 // {4KB,2MB}):
 //
@@ -9,25 +9,17 @@
 //     extra — the content-keyed cache serves them);
 //   * Figure 3 — aggregate ITLB miss rate at 4 threads (negligible).
 //
-// The sweep is trace-backed by default: each unique address stream
-// (kernel × class × threads × page kind) is served as one fused group —
-// the first grid point runs live while recording, the stream is compiled
-// into a TracePlan once, and every other platform/seed point replays the
-// plan with the analytic fast-forward tier, skipping the kernel numerics
-// without changing a single counter. --strategy= picks the execution
-// strategy explicitly: analytic (the default via auto), multilane
-// (live-leader lane fan-out), recorded (record-then-replay trace store
-// path), live (no traces at all); every choice produces bit-identical
-// grids. The historical --no-trace/--no-multilane/--no-analytic flags
-// remain as aliases that print their --strategy= equivalent.
-// --replay-check runs every recordable task live, interpreted-replayed and
-// analytic-replayed, and verifies three-way bit-identity across the grid.
+// Every uncached grid point runs live (--strategy=live|auto, both the same
+// path). --replay-check instead records each unique address stream
+// (kernel × class × threads × page kind) once with a TraceRecorder,
+// replays it with a ReplayDriver for every grid point sharing it, and
+// verifies every replayed counter against that point's live run.
 // --store-dir= layers the disk-persistent result store under the cache
 // (the same store the sweep daemon serves from).
 //
 // --json-out=BENCH_sweep.json writes the machine-readable perf summary CI
-// trends: cold/warm wall-clock, warm cache-hit rate, lane occupancy, and a
-// per-run wall-time/provenance row for every grid point.
+// trends: cold/warm wall-clock, warm cache-hit rate, and a per-run
+// wall-time/provenance row for every grid point.
 //
 // After the cold sweep the same grid is rerun warm to exercise the result
 // cache: the rerun must be served (≥90 %, in practice 100 %) from cache and
@@ -35,57 +27,52 @@
 // (--json=sweep.json) contains the warm-rerun verdict and every per-run
 // record; by default only deterministic fields are emitted, so
 //   sweep_all --workers=1 --json=a.json && sweep_all --workers=8 --json=b.json
-// produces byte-identical files — the engine's determinism guarantee.
+// produces byte-identical files — the scheduler's determinism guarantee.
 #include <map>
 #include <utility>
 
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
 #include "serve/client.hpp"
-#include "trace/replay.hpp"
+#include "trace/trace.hpp"
 
 using namespace lpomp;
 
 namespace {
 
-/// --replay-check: for every task, a forced live run, a trace-store-fed
-/// interpreted run (record on first sight of the stream, replay
-/// afterwards) and an analytic compiled-plan replay must all agree on
-/// every deterministic counter. Returns the number of mismatches.
-std::size_t replay_check(const std::vector<exec::RunTask>& tasks,
-                         std::size_t trace_store_bytes) {
-  trace::TraceStore store(trace_store_bytes);
+/// --replay-check: the grid grouped by address stream; the first point of
+/// each stream records it live, and every point's replay of the stream must
+/// reproduce that point's live counters. Returns the number of mismatches.
+std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
+  std::vector<std::vector<const exec::RunTask*>> streams;
+  std::map<std::string, std::size_t> stream_of;
+  for (const exec::RunTask& t : tasks) {
+    const auto [it, fresh] = stream_of.try_emplace(
+        trace::trace_key(npb::kernel_name(t.kernel), npb::klass_name(t.klass),
+                         t.threads, t.page_kind),
+        streams.size());
+    if (fresh) streams.emplace_back();
+    streams[it->second].push_back(&t);
+  }
   std::size_t mismatches = 0;
-  std::size_t replays = 0;
-  std::size_t analytic_replays = 0;
-  for (const exec::RunTask& task : tasks) {
-    exec::RunTask traced = task;
-    traced.trace_backed = true;
-    const exec::RunRecord live = exec::ExperimentEngine::execute_task(task);
-    const exec::RunRecord via_store =
-        exec::ExperimentEngine::execute_task(traced, &store, false);
-    // The stream is in the store by now (recorded above if absent), so this
-    // exercises the analytic plan path for every task.
-    const exec::RunRecord via_analytic =
-        exec::ExperimentEngine::execute_task(traced, &store, true);
-    if (via_store.trace_source == "replay") ++replays;
-    if (via_analytic.trace_source == "analytic") ++analytic_replays;
-    if (!live.same_result(via_store)) {
-      ++mismatches;
-      std::cerr << "REPLAY MISMATCH: " << task.label() << " (live vs "
-                << via_store.trace_source << ")\n";
-    }
-    if (!live.same_result(via_analytic)) {
-      ++mismatches;
-      std::cerr << "REPLAY MISMATCH: " << task.label() << " (live vs "
-                << via_analytic.trace_source << ")\n";
+  for (const std::vector<const exec::RunTask*>& stream : streams) {
+    trace::Trace tr;
+    for (const exec::RunTask* task : stream) {
+      const npb::NpbResult live =
+          task == stream.front()
+              ? bench::record_live(*task, tr)
+              : npb::run_kernel(task->kernel, task->klass,
+                                task->runtime_config());
+      const trace::ReplayOutcome replayed =
+          trace::ReplayDriver(bench::replay_config(*task)).run(tr);
+      if (!bench::same_counters(live, replayed)) {
+        ++mismatches;
+        std::cerr << "REPLAY MISMATCH: " << task->label() << "\n";
+      }
     }
   }
-  const trace::TraceStore::Stats s = store.stats();
-  std::cout << "replay check: " << tasks.size() << " tasks, " << replays
-            << " replayed + " << analytic_replays << " analytic from "
-            << s.traces << " recorded streams (" << format_bytes(s.bytes)
-            << ", " << s.plans << " plans), " << mismatches
+  std::cout << "replay check: " << tasks.size() << " tasks replayed from "
+            << streams.size() << " recorded streams, " << mismatches
             << " mismatches\n";
   return mismatches;
 }
@@ -98,15 +85,11 @@ int main(int argc, char** argv) {
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
-  const exec::Strategy strategy =
-      exec::resolve_strategy(bench::strategy_from(opts));
-  spec.trace_backed = strategy != exec::Strategy::Live;
+  const exec::Strategy strategy = bench::strategy_from(opts);
 
   // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis. Every
-  // policy reinterprets the same recorded address stream, so the layout axis
-  // collapses to 4 KB: one stream per kernel × class × threads feeds every
-  // policy column, and the fused groups fan out across policies exactly as
-  // they do across platforms.
+  // policy reinterprets the same address stream, so the layout axis
+  // collapses to 4 KB.
   const bool paging_axis = !opts.get("paging", "").empty();
   if (paging_axis) {
     spec.page_kinds = {PageKind::small4k};
@@ -114,51 +97,26 @@ int main(int argc, char** argv) {
   }
 
   if (opts.get_flag("replay-check")) {
-    const std::size_t bytes =
-        MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
-    return replay_check(spec.expand(), bytes) == 0 ? 0 : 1;
+    return replay_check(spec.expand()) == 0 ? 0 : 1;
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
+  exec::Scheduler scheduler(bench::scheduler_config(opts));
   std::cout << "sweep_all: " << spec.expand().size()
             << " runs over the Figure 4 grid (class " << npb::klass_name(klass)
-            << "), " << engine.workers() << " workers, strategy "
+            << "), " << scheduler.workers() << " workers, strategy "
             << exec::strategy_name(strategy) << "\n";
 
-  const exec::SweepResult cold = engine.run(spec);
+  const exec::SweepResult cold = scheduler.run(spec, strategy);
   bench::require_all_verified(cold);
   std::cout << "cold sweep: " << cold.completed() << "/"
             << cold.records.size() << " runs in "
             << format_seconds(cold.wall_ms / 1e3) << "s wall ("
             << format_seconds(cold.total_simulated_seconds())
             << "s simulated)\n";
-  const bench::TraceProvenance prov = bench::trace_provenance(cold);
-  if (spec.trace_backed) {
-    std::cout << "streams: " << prov.lane + prov.analytic << " lanes in "
-              << cold.fused_groups << " fused groups (" << prov.analytic
-              << " analytic), " << prov.record << " recorded, "
-              << prov.replay << " replayed, " << prov.live << " live";
-    if (prov.fallback > 0) {
-      std::cout << ", " << prov.fallback << " trace fallbacks";
-    }
-    std::cout << "\n";
-    const trace::TraceStore::Stats ts = engine.trace_store().stats();
-    if (ts.insertions > 0 || ts.traces > 0) {
-      std::cout << "trace store: " << ts.released << " streams released, "
-                << ts.traces << " resident (" << format_bytes(ts.bytes)
-                << " of " << format_bytes(ts.budget) << ")";
-      if (ts.rejected > 0) {
-        // An over-budget stream is never stored, so every later task sharing
-        // it silently re-records; raise --trace-store-mb.
-        std::cout << "; " << ts.rejected << " over-budget inserts dropped";
-      }
-      std::cout << "\n";
-    }
-  }
 
   // Warm rerun over the identical grid: every task must be served from the
   // result cache with counters identical to the cold pass.
-  const exec::SweepResult warm = engine.run(spec);
+  const exec::SweepResult warm = scheduler.run(spec, strategy);
   bool identical = warm.records.size() == cold.records.size();
   for (std::size_t i = 0; identical && i < warm.records.size(); ++i) {
     identical = warm.records[i].same_result(cold.records[i]);
@@ -253,20 +211,6 @@ int main(int argc, char** argv) {
   w.field("identical_to_cold", identical);
   if (host) w.field("wall_ms", warm.wall_ms);
   w.end_object();
-  if (host) {
-    // Trace provenance is scheduling-dependent (which task records vs
-    // replays or rides as a lane), so it lives with the host-only fields.
-    w.key("trace");
-    w.begin_object();
-    w.field("enabled", spec.trace_backed);
-    w.field("recorded", static_cast<std::uint64_t>(prov.record));
-    w.field("replayed", static_cast<std::uint64_t>(prov.replay));
-    w.field("analytic", static_cast<std::uint64_t>(prov.analytic));
-    w.field("lanes", static_cast<std::uint64_t>(prov.lane));
-    w.field("fallbacks", static_cast<std::uint64_t>(prov.fallback));
-    w.field("live", static_cast<std::uint64_t>(prov.live));
-    w.end_object();
-  }
   w.key("sweep");
   w.raw(cold.to_json(host));
   w.end_object();
@@ -281,51 +225,12 @@ int main(int argc, char** argv) {
   }
 
   // --- BENCH summary (--json-out) -----------------------------------------
-  // Compact perf-trend document: wall-clock, cache-hit rate and lane
-  // occupancy, plus one wall-time/provenance row per grid point. CI uploads
-  // it and warns (non-blocking) when wall-clock regresses against the
-  // committed reference.
+  // Compact perf-trend document: wall-clock and cache-hit rate, plus one
+  // wall-time/provenance row per grid point. CI uploads it and warns
+  // (non-blocking) when wall-clock regresses against the committed
+  // reference.
   const std::string bench_path = opts.get("json-out", "");
   if (!bench_path.empty()) {
-    // Lane occupancy over *fusable* stream groups (points ≥ 2). A group of
-    // P points always needs one source run (leader or recording), so its
-    // lane capacity is P−1; occupancy = offloaded/(P−1). Singleton groups
-    // (e.g. 8T streams only one platform can host) have no capacity at all
-    // — the old definition (fused_lanes/records) let them drag the overall
-    // number to 0.43 when every fusable group was actually full. They are
-    // reported separately (singleton_points) and excluded from the overall.
-    std::vector<std::string> group_order;
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> groups;
-    for (const exec::RunRecord& r : cold.records) {
-      const std::string stream = r.kernel + "." + r.klass + "/" +
-                                 std::to_string(r.threads) + "T/" +
-                                 r.page_kind;
-      auto [it, fresh] = groups.try_emplace(stream, 0, 0);
-      if (fresh) group_order.push_back(stream);
-      ++it->second.first;
-      if (r.trace_source == "analytic" || r.trace_source == "lane" ||
-          r.trace_source == "replay") {
-        ++it->second.second;
-      }
-    }
-    std::uint64_t fusable_points = 0;
-    std::uint64_t singleton_points = 0;
-    std::uint64_t fusable_capacity = 0;  // Σ (points − 1) over fusable groups
-    std::uint64_t fusable_offloaded = 0;
-    for (const std::string& stream : group_order) {
-      const auto& [points, offloaded] = groups[stream];
-      if (points >= 2) {
-        fusable_points += points;
-        fusable_capacity += points - 1;
-        fusable_offloaded += offloaded;
-      } else {
-        singleton_points += points;
-      }
-    }
-    const double occupancy =
-        fusable_capacity == 0 ? 0.0
-                              : static_cast<double>(fusable_offloaded) /
-                                    static_cast<double>(fusable_capacity);
     // The admission-queue peak is daemon-side state: sweep_all itself runs
     // unqueued, so without --shm= the field reports 0 for schema parity.
     // With --shm=NAME it probes the live daemon's ring via the stats
@@ -345,7 +250,7 @@ int main(int argc, char** argv) {
     }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v5");
+    b.field("schema", "lpomp-bench-sweep-v6");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
     b.field("topology", cold.topology);
@@ -364,7 +269,7 @@ int main(int argc, char** argv) {
     // Persistent-store telemetry (all zero when --store-dir= is not given).
     b.key("store");
     b.begin_object();
-    b.field("enabled", engine.disk_store() != nullptr);
+    b.field("enabled", scheduler.disk_store() != nullptr);
     b.field("hits", cold.store.hits + warm.store.hits);
     b.field("misses", cold.store.misses + warm.store.misses);
     b.field("insertions", cold.store.insertions + warm.store.insertions);
@@ -374,60 +279,8 @@ int main(int argc, char** argv) {
             cold.store.bytes_written + warm.store.bytes_written);
     b.end_object();
     b.field("admission_queue_depth_peak", queue_depth_peak);
-    b.key("lane_stats");
-    b.begin_object();
-    b.field("fused_groups", static_cast<std::uint64_t>(cold.fused_groups));
-    b.field("fused_lanes", static_cast<std::uint64_t>(cold.fused_lanes));
-    b.field("replay_fallbacks",
-            static_cast<std::uint64_t>(cold.replay_fallbacks));
-    b.field("fusable_points", fusable_points);
-    b.field("singleton_points", singleton_points);
-    b.field("lane_occupancy_overall", occupancy);
-    // Substrate-pool provenance over the cold + warm sweeps: reuse > 0 is
-    // the warm-fused-replay fast path actually firing.
-    b.field("substrate_builds", cold.substrate_builds + warm.substrate_builds);
-    b.field("substrate_reuse", cold.substrate_reuse + warm.substrate_reuse);
-    b.field("substrate_scrub_discards",
-            cold.substrate_scrub_discards + warm.substrate_scrub_discards);
     b.field("local_steals", cold.local_steals + warm.local_steals);
     b.field("remote_steals", cold.remote_steals + warm.remote_steals);
-    // Per-stream-group occupancy. A group is one address stream: kernel ×
-    // class × threads × page kind; "offloaded" counts its points served
-    // from the stream as analytic/lane/replay followers; "fusable" groups
-    // (points ≥ 2) have capacity points−1 (the source run is structural).
-    b.key("stream_groups");
-    b.begin_array();
-    for (const std::string& stream : group_order) {
-      const auto& [points, offloaded] = groups[stream];
-      b.begin_object();
-      b.field("stream", stream);
-      b.field("points", points);
-      b.field("offloaded", offloaded);
-      b.field("fusable", points >= 2);
-      b.field("occupancy", points < 2 ? 0.0
-                                      : static_cast<double>(offloaded) /
-                                            static_cast<double>(points - 1));
-      b.end_object();
-    }
-    b.end_array();
-    // Adaptive-chunking decision trace of the cold sweep: per sharded
-    // stream group, the mode it executed under and the governor state
-    // after its imbalance observation.
-    b.key("sharding");
-    b.begin_array();
-    for (const exec::SweepResult::GroupSharding& g : cold.sharding) {
-      b.begin_object();
-      b.field("stream", g.stream);
-      b.field("mode", g.mode);
-      b.field("shards", static_cast<std::uint64_t>(g.shards));
-      b.field("imbalance", g.imbalance);
-      b.field("ewma", g.ewma);
-      b.field("promotions", g.promotions);
-      b.field("demotions", g.demotions);
-      b.end_object();
-    }
-    b.end_array();
-    b.end_object();
     b.key("runs_detail");
     b.begin_array();
     for (const exec::RunRecord& r : cold.records) {
@@ -438,7 +291,6 @@ int main(int argc, char** argv) {
                   (r.paging == "native" ? "" : "/" + r.paging));
       b.field("paging", r.paging);
       b.field("wall_ms", r.wall_ms);
-      b.field("source", r.trace_source);
       b.field("cache_hit", r.cache_hit);
       b.field("store_hit", r.store_hit);
       b.end_object();

@@ -5,7 +5,7 @@
 //                [--pages=4KB,2MB] [--code-pages=4KB]
 //                [--paging=native,hugetlb2m,huge1g,thp] [--seed=N]
 //                [--per-task-seeds]
-//                [--strategy=live|recorded|multilane|analytic|auto]
+//                [--strategy=live|auto]
 //                [--repeat=1] [--timeout-ms=120000] [--json=FILE] [--quiet]
 //   sweep_client --stats [--shm=/lpomp-sweep]
 //

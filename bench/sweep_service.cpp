@@ -1,8 +1,7 @@
 // sweep_service — the persistent sweep daemon.
 //
 //   sweep_service [--shm=/lpomp-sweep] [--store-dir=PATH] [--workers=N]
-//                 [--strategy=live|recorded|multilane|analytic|auto]
-//                 [--slots=8] [--slot-mb=1] [--trace-store-mb=2048]
+//                 [--slots=8] [--slot-mb=1]
 //
 // Creates the shared-memory request ring and serves sweep_client
 // submissions until SIGTERM/SIGINT: each request is decoded, run through
@@ -10,8 +9,7 @@
 // --store-dir= every completed RunRecord is persisted content-addressed on
 // disk, so a repeated grid point — from any client, before or after a
 // daemon restart — is answered from the store in microseconds instead of
-// being re-simulated. The per-request strategy (from the client) overrides
-// the daemon default given here.
+// being re-simulated.
 //
 // On shutdown the daemon prints a one-line stats JSON (requests served,
 // ring queue peak, store hit/miss/byte counters) and exits 0; the ring
@@ -39,10 +37,8 @@ int main(int argc, char** argv) {
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");
   cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
   cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
-  cfg.scheduler.workers = static_cast<unsigned>(opts.get_int("workers", 0));
-  cfg.scheduler.trace_store_bytes =
-      MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
-  cfg.scheduler.strategy = bench::strategy_from(opts);
+  bench::reject_removed_flags(opts);
+  cfg.scheduler.workers = bench::workers_from(opts);
   cfg.scheduler.store_dir = opts.get("store-dir", "");
 
   try {
@@ -53,8 +49,7 @@ int main(int argc, char** argv) {
     std::cout << "sweep_service: serving on " << service.ring().name() << " ("
               << service.ring().slots() << " slots x "
               << format_bytes(service.ring().slot_bytes()) << "), "
-              << service.scheduler().workers() << " workers, strategy "
-              << exec::strategy_name(cfg.scheduler.strategy);
+              << service.scheduler().workers() << " workers";
     if (const exec::DiskResultStore* store =
             service.scheduler().disk_store()) {
       std::cout << ", store " << store->root() << " (" << store->size()

@@ -5,25 +5,22 @@
 //                         --out=cg.lptrace [--platform=opteron] [--seed=N]
 //   trace_tools replay    --in=cg.lptrace [--platform=xeon] [--seed=N]
 //                         [--code-pages=4KB] [--check]
-//                         [--strategy=analytic|recorded]
 //   trace_tools multilane --in=cg.lptrace [--seed=N] [--check]
 //   trace_tools bench     --in=cg_s.lptrace,cg_w.lptrace [--repeat=10]
 //                         [--json-out=FILE]
 //   trace_tools stats     --in=cg.lptrace
 //
 // `record` runs the kernel live with the recorder attached and writes the
-// compressed trace. `replay` re-drives the simulator from the file — by
-// default from a compiled TracePlan with the analytic fast-forward tier,
-// interpreted with --strategy=recorded (--no-analytic remains an alias) —
-// and prints the profile; with --check it
-// also runs the same config live and verifies every counter matches
-// bit-for-bit. `multilane` replays the file once onto the whole platform ×
-// code-page grid — every grid point is a lane of one MultiReplayDriver
-// pass, so the trace is decoded exactly once; with --check each lane is
-// also compared counter-for-counter against its standalone single-lane
-// replay. `bench` times the interpreted and analytic per-replay paths
-// (minimum of --repeat runs each, plan compiled once) and asserts they
-// agree counter-for-counter — the replay micro-benchmark CI gates on.
+// compressed trace. `replay` re-drives the simulator from the file and
+// prints the profile; with --check it also runs the same config live and
+// verifies every counter matches bit-for-bit. `multilane` replays the file
+// once onto the whole platform × code-page grid — every grid point is a
+// lane of one MultiReplayDriver pass, so the trace is decoded exactly
+// once; with --check each lane is also compared counter-for-counter
+// against its standalone single-lane replay. `bench` times a replay of
+// each trace against the live run that recorded it (same platform, seed
+// and code pages; minimum of --repeat runs each) and asserts the two agree
+// counter-for-counter — the replay-over-live ratio CI gates on.
 // `stats` decodes the trace and prints stride histograms, hot-page counts
 // and reuse-distance profiles at 4 KB and 2 MB granularity — the
 // quantities that explain which kernels large pages help.
@@ -34,9 +31,6 @@
 #include "exec/json.hpp"
 #include "trace/io.hpp"
 #include "trace/lane.hpp"
-#include "trace/plan.hpp"
-#include "trace/recorder.hpp"
-#include "trace/replay.hpp"
 #include "trace/stats.hpp"
 
 using namespace lpomp;
@@ -47,6 +41,33 @@ PageKind pages_from(const Options& opts, const char* key) {
   const std::string v = opts.get(key, "4KB");
   if (v == "2MB" || v == "2mb" || v == "large") return PageKind::large2m;
   return PageKind::small4k;
+}
+
+/// The live-run configuration a trace was recorded under (recording
+/// platform, seed and code pages; default cost model and paging). Throws
+/// TraceError when the recording platform is not a built-in one.
+exec::RunTask task_of(const trace::Trace& trace) {
+  exec::RunTask task;
+  task.kernel = trace::kernel_from_name(trace.meta.kernel);
+  task.klass = trace::klass_from_name(trace.meta.klass);
+  bool known = false;
+  for (const sim::ProcessorSpec& spec :
+       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht(),
+        sim::ProcessorSpec::modern()}) {
+    if (spec.name == trace.meta.platform) {
+      task.spec = spec;
+      known = true;
+    }
+  }
+  if (!known) {
+    throw trace::TraceError("trace: recorded on unknown platform '" +
+                            trace.meta.platform + "'");
+  }
+  task.threads = trace.meta.threads;
+  task.page_kind = trace.meta.page_kind;
+  task.code_page_kind = trace.meta.code_page_kind;
+  task.seed = trace.meta.seed;
+  return task;
 }
 
 void print_profile(const prof::ProfileReport& profile, double seconds) {
@@ -60,40 +81,21 @@ int cmd_record(const Options& opts) {
     std::cerr << "record: need --out=<file>\n";
     return 2;
   }
-  const npb::Kernel kernel = trace::kernel_from_name(opts.get("kernel", "CG"));
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "S"));
-  const sim::ProcessorSpec spec =
-      bench::platform_by_name(opts.get("platform", "opteron"));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 4));
-  const PageKind pages = pages_from(opts, "pages");
-  const PageKind code_pages = pages_from(opts, "code-pages");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
+  exec::RunTask task;
+  task.kernel = trace::kernel_from_name(opts.get("kernel", "CG"));
+  task.klass = bench::klass_by_name(opts.get("klass", "S"));
+  task.spec = bench::platform_by_name(opts.get("platform", "opteron"));
+  task.threads = static_cast<unsigned>(opts.get_int("threads", 4));
+  task.page_kind = pages_from(opts, "pages");
+  task.code_page_kind = pages_from(opts, "code-pages");
+  task.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
 
-  trace::TraceRecorder recorder(threads);
-  core::RuntimeConfig cfg;
-  cfg.num_threads = threads;
-  cfg.page_kind = pages;
-  cfg.code_page_kind = code_pages;
-  cfg.sim = core::SimConfig{spec, sim::CostModel{}, seed};
-  cfg.trace_sink = &recorder;
-  const npb::NpbResult r = npb::run_kernel(kernel, klass, cfg);
+  trace::Trace trace;
+  const npb::NpbResult r = bench::record_live(task, trace);
   if (!r.verified) {
     std::cerr << "record: kernel failed verification — not writing a trace\n";
     return 2;
   }
-
-  trace::TraceMeta meta;
-  meta.kernel = npb::kernel_name(kernel);
-  meta.klass = npb::klass_name(klass);
-  meta.threads = threads;
-  meta.page_kind = pages;
-  meta.platform = spec.name;
-  meta.code_page_kind = code_pages;
-  meta.seed = seed;
-  meta.verified = r.verified;
-  meta.checksum = r.checksum;
-  const trace::Trace trace = recorder.finish(std::move(meta));
   trace::save_trace_file(out, trace);
 
   std::size_t bytes = 0;
@@ -120,49 +122,19 @@ int cmd_replay(const Options& opts) {
   cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
   cfg.code_page_kind = pages_from(opts, "code-pages");
-  // For a single-file replay the strategy axis collapses to analytic
-  // (compiled plan + fast-forward) vs recorded (interpreted); the shared
-  // parser still handles the deprecated --no-analytic alias.
-  switch (bench::strategy_from(opts)) {
-    case exec::Strategy::Auto:
-    case exec::Strategy::Analytic:
-      cfg.analytic = true;
-      break;
-    case exec::Strategy::Recorded:
-    case exec::Strategy::Multilane:
-      cfg.analytic = false;
-      break;
-    case exec::Strategy::Live:
-      std::cerr << "replay: --strategy=live makes no sense for a trace "
-                   "replay (use --strategy=analytic or recorded)\n";
-      return 2;
-  }
 
   std::cout << "replaying " << trace.key() << " (recorded on "
-            << trace.meta.platform << ") on " << cfg.spec.name
-            << (cfg.analytic ? " [analytic]" : " [interpreted]") << "\n";
-  const trace::ReplayOutcome out =
-      cfg.analytic
-          ? trace::ReplayDriver(cfg).run(trace,
-                                         *trace::TracePlan::compile(trace))
-          : trace::ReplayDriver(cfg).run(trace);
+            << trace.meta.platform << ") on " << cfg.spec.name << "\n";
+  const trace::ReplayOutcome out = trace::ReplayDriver(cfg).run(trace);
   print_profile(out.profile, out.simulated_seconds);
 
   if (opts.get_flag("check")) {
-    exec::RunTask task;
-    task.kernel = trace::kernel_from_name(trace.meta.kernel);
-    task.klass = trace::klass_from_name(trace.meta.klass);
+    exec::RunTask task = task_of(trace);
     task.spec = cfg.spec;
-    task.cost = cfg.cost;
-    task.threads = trace.meta.threads;
-    task.page_kind = trace.meta.page_kind;
     task.code_page_kind = cfg.code_page_kind;
     task.seed = cfg.seed;
-    const exec::RunRecord live = exec::ExperimentEngine::execute_task(task);
-    const bool same =
-        live.cycles == out.profile.count(prof::ProfileReport::kCycles) &&
-        live.simulated_seconds == out.simulated_seconds &&
-        live.accesses == out.profile.count(prof::ProfileReport::kAccesses);
+    const bool same = bench::same_counters(
+        npb::run_kernel(task.kernel, task.klass, task.runtime_config()), out);
     std::cout << "live check: counters "
               << (same ? "identical" : "DIFFER") << "\n";
     if (!same) return 1;
@@ -251,90 +223,60 @@ int cmd_multilane(const Options& opts) {
   return 0;
 }
 
-/// One trace's bench measurements: min-of-repeat timings for the three
-/// replay tiers, the analytic/interpreted speedup, an interpreted-vs-
-/// analytic counter-identity verdict, and the trace's element-access count
-/// (the scaling axis — the analytic tier's advantage grows with
-/// accesses-per-line, which is why the reference carries both a class S
-/// and a class W entry of the same kernel).
+/// One trace's bench measurements: min-of-repeat wall of the live run
+/// that recorded it and of its replay under the same configuration, their
+/// ratio, a counter-identity verdict, and the trace's element-access count.
 struct BenchEntry {
   std::string trace_key;
+  std::string platform;
   std::uint64_t accesses = 0;
-  double interp_ms = 0.0;
-  double plan_interp_ms = 0.0;
-  double analytic_ms = 0.0;
-  double compile_ms = 0.0;
-  double speedup = 0.0;
+  double live_ms = 0.0;
+  double replay_ms = 0.0;
+  double replay_over_live = 0.0;
   bool identical = false;
 };
 
-BenchEntry bench_one(const std::string& path, const trace::ReplayConfig& cfg,
-                     int repeat) {
+BenchEntry bench_one(const std::string& path, int repeat) {
   const trace::Trace trace = trace::load_trace_file(path);
+  const exec::RunTask task = task_of(trace);
 
   using clock = std::chrono::steady_clock;
-  auto ms_of = [](clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(clock::now() - t0)
-        .count();
+  auto min_ms = [repeat](auto&& fn) {
+    double best = 1e300;
+    for (int r = 0; r < repeat; ++r) {
+      const auto t0 = clock::now();
+      fn();
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                clock::now() - t0)
+                                .count());
+    }
+    return best;
   };
 
   BenchEntry e;
   e.trace_key = trace.key();
+  e.platform = task.spec.name;
   e.accesses = trace::analyze_trace(trace).element_accesses;
-
-  const auto tc = clock::now();
-  const std::shared_ptr<const trace::TracePlan> plan =
-      trace::TracePlan::compile(trace);
-  e.compile_ms = ms_of(tc);
-
-  trace::ReplayConfig interp = cfg;
-  interp.analytic = false;
-  trace::ReplayConfig analytic = cfg;
-  analytic.analytic = true;
-
-  trace::ReplayOutcome out_i = trace::ReplayDriver(interp).run(trace);
-  e.interp_ms = 1e300;
-  for (int r = 0; r < repeat; ++r) {
-    const auto t0 = clock::now();
-    out_i = trace::ReplayDriver(interp).run(trace);
-    e.interp_ms = std::min(e.interp_ms, ms_of(t0));
-  }
-  // Plan + interpretation isolates the decode saving from the analytic
-  // fast-forward saving in the table below.
-  e.plan_interp_ms = 1e300;
-  for (int r = 0; r < repeat; ++r) {
-    const auto t0 = clock::now();
-    trace::ReplayDriver(interp).run(trace, *plan);
-    e.plan_interp_ms = std::min(e.plan_interp_ms, ms_of(t0));
-  }
-  trace::ReplayOutcome out_a = trace::ReplayDriver(analytic).run(trace, *plan);
-  e.analytic_ms = 1e300;
-  for (int r = 0; r < repeat; ++r) {
-    const auto t0 = clock::now();
-    out_a = trace::ReplayDriver(analytic).run(trace, *plan);
-    e.analytic_ms = std::min(e.analytic_ms, ms_of(t0));
-  }
-
-  bool same = out_i.simulated_seconds == out_a.simulated_seconds &&
-              out_i.profile.events().size() == out_a.profile.events().size();
-  for (std::size_t i = 0; same && i < out_i.profile.events().size(); ++i) {
-    same = out_i.profile.events()[i].count == out_a.profile.events()[i].count;
-  }
-  e.identical = same;
-  e.speedup = e.analytic_ms > 0.0 ? e.interp_ms / e.analytic_ms : 0.0;
+  npb::NpbResult live;
+  e.live_ms = min_ms([&] {
+    live = npb::run_kernel(task.kernel, task.klass, task.runtime_config());
+  });
+  trace::ReplayOutcome replayed;
+  e.replay_ms = min_ms([&] {
+    replayed = trace::ReplayDriver(bench::replay_config(task)).run(trace);
+  });
+  e.identical = bench::same_counters(live, replayed);
+  e.replay_over_live = e.replay_ms / e.live_ms;
   return e;
 }
 
-/// Per-replay micro-benchmark: interpreted (stream decode + batched
-/// interpreter) vs analytic (compiled plan + closed-form fast-forward),
-/// minimum of --repeat runs each after one warm-up. The two paths must
-/// agree counter-for-counter — a timing from diverging replays would be
+/// Replay micro-benchmark: each trace's interpreted replay against the
+/// live run that recorded it, minimum of --repeat runs each. The two must
+/// agree counter-for-counter — a timing from diverging runs would be
 /// meaningless — so the bench doubles as an identity check. --in accepts a
-/// comma-separated trace list so one invocation measures the analytic
-/// advantage across problem classes (it grows with accesses-per-line).
-/// --json-out writes the machine-readable rows CI compares against its
-/// committed reference (the speedup ratio is host-independent, so CI gates
-/// on it).
+/// comma-separated trace list (CI measures a class S and a class W
+/// stream). --json-out writes the rows CI compares against its committed
+/// reference: replay_over_live is a same-host ratio, so CI gates on it.
 int cmd_bench(const Options& opts) {
   const std::string in = opts.get("in", "");
   if (in.empty()) {
@@ -350,29 +292,22 @@ int cmd_bench(const Options& opts) {
     start = comma + 1;
   }
   const int repeat = std::max(1, static_cast<int>(opts.get_int("repeat", 10)));
-  trace::ReplayConfig cfg;
-  cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-  cfg.code_page_kind = pages_from(opts, "code-pages");
 
   std::vector<BenchEntry> entries;
   bool all_same = true;
   for (const std::string& path : paths) {
-    const BenchEntry e = bench_one(path, cfg, repeat);
+    const BenchEntry e = bench_one(path, repeat);
     all_same = all_same && e.identical;
-    std::cout << "replay bench " << e.trace_key << " on " << cfg.spec.name
+    std::cout << "replay bench " << e.trace_key << " on " << e.platform
               << " (min of " << repeat << ", " << format_count(e.accesses)
               << " accesses):\n"
-              << "  interpreted        " << format_ratio(e.interp_ms)
-              << " ms/replay (stream decode + batched interpreter)\n"
-              << "  plan+interpreted   " << format_ratio(e.plan_interp_ms)
-              << " ms/replay (decode-free, fast-forward off)\n"
-              << "  analytic           " << format_ratio(e.analytic_ms)
-              << " ms/replay (plan compile " << format_ratio(e.compile_ms)
-              << " ms, once per stream)\n"
-              << "  speedup            " << format_ratio(e.speedup)
-              << "x; counters " << (e.identical ? "identical" : "DIFFER")
-              << "\n";
+              << "  live     " << format_ratio(e.live_ms)
+              << " ms (the run that recorded the trace)\n"
+              << "  replay   " << format_ratio(e.replay_ms)
+              << " ms (stream decode + batched interpreter)\n"
+              << "  ratio    " << format_ratio(e.replay_over_live)
+              << "x replay over live; counters "
+              << (e.identical ? "identical" : "DIFFER") << "\n";
     entries.push_back(e);
   }
 
@@ -380,8 +315,7 @@ int cmd_bench(const Options& opts) {
   if (!json_path.empty()) {
     exec::JsonWriter w;
     w.begin_object();
-    w.field("schema", "lpomp-bench-replay-v2");
-    w.field("platform", cfg.spec.name);
+    w.field("schema", "lpomp-bench-replay-v3");
     w.field("repeat", static_cast<std::uint64_t>(repeat));
     w.field("identical", all_same);
     w.key("entries");
@@ -389,12 +323,11 @@ int cmd_bench(const Options& opts) {
     for (const BenchEntry& e : entries) {
       w.begin_object();
       w.field("trace", e.trace_key);
+      w.field("platform", e.platform);
       w.field("accesses", e.accesses);
-      w.field("interpreted_ms", e.interp_ms);
-      w.field("plan_interpreted_ms", e.plan_interp_ms);
-      w.field("analytic_ms", e.analytic_ms);
-      w.field("plan_compile_ms", e.compile_ms);
-      w.field("speedup", e.speedup);
+      w.field("live_ms", e.live_ms);
+      w.field("replay_ms", e.replay_ms);
+      w.field("replay_over_live", e.replay_over_live);
       w.field("identical", e.identical);
       w.end_object();
     }
@@ -497,6 +430,7 @@ int cmd_stats(const Options& opts) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  bench::reject_removed_flags(opts);
   const std::string cmd =
       opts.positional().empty() ? "" : opts.positional().front();
   try {
@@ -513,8 +447,7 @@ int main(int argc, char** argv) {
                "[options]\n"
                "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
                "--out=FILE\n"
-               "  replay    --in=FILE [--platform=opteron|xeon] [--check] "
-               "[--strategy=analytic|recorded]\n"
+               "  replay    --in=FILE [--platform=opteron|xeon] [--check]\n"
                "  multilane --in=FILE [--seed=N] [--check]\n"
                "  bench     --in=FILE[,FILE...] [--repeat=10] "
                "[--json-out=FILE]\n"

@@ -24,13 +24,14 @@ npb::Kernel kernel_by_name(const std::string& name) {
   for (npb::Kernel k : npb::all_kernels()) {
     if (name == npb::kernel_name(k)) return k;
   }
-  return npb::Kernel::SP;
+  throw OptionError("unknown kernel '" + name + "'");
 }
 
 npb::Klass klass_by_name(const std::string& name) {
   if (name == "S") return npb::Klass::S;
   if (name == "W") return npb::Klass::W;
-  return npb::Klass::R;
+  if (name == "R") return npb::Klass::R;
+  throw OptionError("unknown class '" + name + "' (valid: S, W, R)");
 }
 
 }  // namespace

@@ -80,42 +80,6 @@ bool Cache::access_assoc(std::uint64_t line_addr) {
   return false;
 }
 
-bool Cache::line_present(std::uint64_t line_addr) const {
-  const std::size_t set = static_cast<std::size_t>(
-      pow2_sets_ ? (line_addr & set_mask_) : (line_addr % sets_));
-  const Line* base = &lines_[set * geom_.ways];
-  for (unsigned w = 0; w < geom_.ways; ++w) {
-    if (base[w].valid && base[w].tag == line_addr) return true;
-  }
-  return false;
-}
-
-void Cache::credit_warm_span(const std::uint64_t* lines_final_order,
-                             std::size_t nlines, count_t lookups,
-                             count_t store_lookups, count_t assoc_touches) {
-  stats_.lookups += lookups;
-  stats_.store_lookups += store_lookups;
-  stats_.hits += lookups;  // all-warm by precondition
-  LPOMP_CHECK(assoc_touches >= nlines);
-  clock_ += assoc_touches - nlines;
-  for (std::size_t i = 0; i < nlines; ++i) {
-    const std::uint64_t line_addr = lines_final_order[i];
-    const std::size_t set = static_cast<std::size_t>(
-        pow2_sets_ ? (line_addr & set_mask_) : (line_addr % sets_));
-    Line* base = &lines_[set * geom_.ways];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-      if (base[w].valid && base[w].tag == line_addr) {
-        base[w].last_use = ++clock_;
-        break;
-      }
-    }
-  }
-  if (nlines > 0) {
-    mru_line_ = lines_final_order[nlines - 1];
-    mru_valid_ = true;
-  }
-}
-
 void Cache::flush() {
   for (Line& l : lines_) l.valid = false;
   mru_valid_ = false;

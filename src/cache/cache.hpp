@@ -80,33 +80,6 @@ class Cache {
     stats_.hits += n;
   }
 
-  /// Side-effect-free residency peek: true when line `line_addr` (a byte
-  /// address >> line shift) is cached. The analytic replay tier uses this to
-  /// prove a whole pattern block warm before committing it in closed form;
-  /// unlike access() it must not disturb LRU/MRU/probe state, because the
-  /// proof can fail half-way and leave the interpreter to run the block.
-  bool line_present(std::uint64_t line_addr) const;
-
-  /// Closed-form commit of a span of accesses the caller has proven all-warm
-  /// (every distinct line passed line_present()). `lookups`/`store_lookups`
-  /// count every access; `assoc_touches` counts the accesses that would take
-  /// the associative path (the first access of each same-line run — the rest
-  /// hit the MRU filter, which neither stamps nor advances the clock).
-  /// `lines_final_order` lists the distinct lines ordered by their *last*
-  /// associative touch within the span.
-  ///
-  /// Equivalence: true LRU only observes the relative order of the unique,
-  /// monotonically increasing timestamps. Interpreting the span would stamp
-  /// each line once per associative touch, leaving each line's final stamp
-  /// at its last touch; advancing the clock by assoc_touches and restamping
-  /// the lines in final-touch order reproduces every stamp relation — among
-  /// the span's lines, and against every untouched line (older stamps stay
-  /// older). The last entry of lines_final_order is the span's last access,
-  /// i.e. the MRU filter the interpreter would leave behind.
-  void credit_warm_span(const std::uint64_t* lines_final_order,
-                        std::size_t nlines, count_t lookups,
-                        count_t store_lookups, count_t assoc_touches);
-
   void flush();
 
   const CacheGeometry& geometry() const { return geom_; }

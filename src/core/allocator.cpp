@@ -1,5 +1,6 @@
 #include "core/allocator.hpp"
 
+#include <new>
 #include <stdexcept>
 
 #include "support/error.hpp"
@@ -13,7 +14,8 @@ SharedAllocator::SharedAllocator(mem::AddressSpace& space,
   LPOMP_CHECK_MSG(pool_bytes > 0, "shared pool must be non-empty");
   region_ = space_.map_region(pool_bytes, kind, std::move(name), source);
   pool_bytes_ = region_.length;  // rounded up to the page size
-  host_ = std::make_unique<std::byte[]>(pool_bytes_);
+  host_.reset(static_cast<std::byte*>(std::calloc(pool_bytes_, 1)));
+  if (host_ == nullptr) throw std::bad_alloc();
 }
 
 SharedAllocator::~SharedAllocator() { space_.unmap_region(region_.base); }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,7 +71,12 @@ class SharedAllocator {
   PageKind kind_;
   std::size_t pool_bytes_;
   mem::Region region_;
-  std::unique_ptr<std::byte[]> host_;  // the "memory-mapped file" image
+  struct FreeDeleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  /// The "memory-mapped file" image: calloc'd, so it reads all-zero while
+  /// only the pages the kernels actually write get faulted in.
+  std::unique_ptr<std::byte[], FreeDeleter> host_;
   std::size_t used_ = 0;
   std::vector<std::pair<std::string, std::size_t>> labels_;
 };

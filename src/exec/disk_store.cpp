@@ -1,10 +1,13 @@
 #include "exec/disk_store.hpp"
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unistd.h>
+#include <string_view>
 
 #include "exec/fingerprint.hpp"
 #include "exec/json.hpp"
@@ -27,7 +30,7 @@ std::optional<std::string> read_file(const std::filesystem::path& p) {
 }
 
 /// True when `name` looks like a record file name: 16 hex digits + ".json".
-bool is_record_name(const std::string& name) {
+bool is_record_name(std::string_view name) {
   if (name.size() != kDigestHexLen + 5) return false;
   if (name.compare(kDigestHexLen, 5, ".json") != 0) return false;
   for (std::size_t i = 0; i < kDigestHexLen; ++i) {
@@ -42,8 +45,7 @@ bool is_record_name(const std::string& name) {
 DiskResultStore::DiskResultStore(std::string root)
     : root_(std::move(root)),
       records_dir_(std::filesystem::path(root_) / "records"),
-      quarantine_dir_(std::filesystem::path(root_) / "quarantine"),
-      index_file_(std::filesystem::path(root_) / "index.txt") {
+      quarantine_dir_(std::filesystem::path(root_) / "quarantine") {
   std::error_code ec;
   std::filesystem::create_directories(records_dir_, ec);
   std::filesystem::create_directories(quarantine_dir_, ec);
@@ -52,37 +54,22 @@ DiskResultStore::DiskResultStore(std::string root)
     throw std::runtime_error("DiskResultStore: cannot create store root '" +
                              root_ + "'");
   }
+  // Known entries: one readdir pass over records/ (plain readdir, not
+  // std::filesystem::directory_iterator, which costs a path object per
+  // entry — a restarted daemon's open time grows with the store).
   std::lock_guard lock(mutex_);
-  rebuild_index_locked();
+  if (DIR* dir = ::opendir(records_dir_.c_str())) {
+    while (const dirent* entry = ::readdir(dir)) {
+      const std::string_view name(entry->d_name);
+      if (is_record_name(name)) digests_.emplace(name.substr(0, kDigestHexLen));
+    }
+    ::closedir(dir);
+  }
 }
 
 std::filesystem::path DiskResultStore::record_path(
     const std::string& digest) const {
   return records_dir_ / (digest + ".json");
-}
-
-void DiskResultStore::rebuild_index_locked() {
-  digests_.clear();
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(records_dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (is_record_name(name)) digests_.insert(name.substr(0, kDigestHexLen));
-  }
-  // Atomic rewrite: scan result to a temp file, rename over index.txt. The
-  // index is advisory (the records directory is the truth), so a racing
-  // writer process appending between scan and rename costs nothing worse
-  // than a missing line until the next open.
-  const std::filesystem::path tmp =
-      index_file_.parent_path() /
-      (".index-tmp-" + std::to_string(::getpid()));
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return;  // unwritable index is non-fatal: lookups still work
-    for (const std::string& d : digests_) os << d << '\n';
-  }
-  std::filesystem::rename(tmp, index_file_, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
 }
 
 void DiskResultStore::quarantine_locked(const std::filesystem::path& file) {
@@ -191,12 +178,7 @@ void DiskResultStore::insert(const std::string& key, const RunRecord& record) {
   }
   ++stats_.insertions;
   stats_.bytes_written += content.size();
-  if (digests_.insert(digest).second) {
-    // Single-line O_APPEND write — atomic on POSIX for writes this small,
-    // so concurrent writer processes interleave whole lines at worst.
-    std::ofstream os(index_file_, std::ios::binary | std::ios::app);
-    if (os) os << digest << '\n';
-  }
+  digests_.insert(digest);
 }
 
 std::size_t DiskResultStore::size() const {

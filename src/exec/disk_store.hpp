@@ -16,10 +16,6 @@
 //   records/<digest>.json   one record per file:
 //                             line 1: "lpomp-store-v1 <digest-of-payload>"
 //                             rest:   {"key":"<canonical key>","record":{...}}
-//   index.txt               one digest per line; rebuilt (atomically) from
-//                           the records directory on open, appended on
-//                           insert — a fast entry list for tooling that
-//                           doesn't want to stat the directory
 //   quarantine/             corrupt entries are moved here on load failure
 //                           (bad checksum, truncation, malformed JSON) and
 //                           counted — never a crash, never served
@@ -48,8 +44,8 @@ namespace lpomp::exec {
 class DiskResultStore {
  public:
   /// Opens (creating directories as needed) the store rooted at `root` and
-  /// reconciles index.txt with the records actually on disk. Throws
-  /// std::runtime_error when the root cannot be created.
+  /// lists the records already on disk. Throws std::runtime_error when the
+  /// root cannot be created.
   explicit DiskResultStore(std::string root);
 
   DiskResultStore(const DiskResultStore&) = delete;
@@ -62,9 +58,9 @@ class DiskResultStore {
   /// caller stamps its own hit provenance.
   std::optional<RunRecord> lookup(const std::string& key);
 
-  /// Persists `record` under `key` (atomic write-rename, then index
-  /// append). Failed runs are not persisted — like the LRU, the store only
-  /// holds results worth reusing.
+  /// Persists `record` under `key` (atomic write-rename). Failed runs are
+  /// not persisted — like the LRU, the store only holds results worth
+  /// reusing.
   void insert(const std::string& key, const RunRecord& record);
 
   /// Entries currently known on disk (scanned at open, tracked since).
@@ -89,12 +85,10 @@ class DiskResultStore {
 
  private:
   void quarantine_locked(const std::filesystem::path& file);
-  void rebuild_index_locked();
 
   std::string root_;
   std::filesystem::path records_dir_;
   std::filesystem::path quarantine_dir_;
-  std::filesystem::path index_file_;
 
   mutable std::mutex mutex_;
   std::unordered_set<std::string> digests_;  ///< known entries (by digest)

@@ -131,9 +131,6 @@ void put_cost(std::string& out, const sim::CostModel& cost) {
 }  // namespace
 
 std::string cache_key(const RunTask& task) {
-  // Note: RunTask::trace_backed is deliberately NOT serialised — it selects
-  // an execution strategy (live vs trace replay) with bit-identical
-  // results, so both strategies share one cache entry.
   std::string key;
   key.reserve(640);
   key += "lpomp-run-v1{";

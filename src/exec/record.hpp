@@ -55,13 +55,9 @@ struct RunRecord {
   /// into the LRU, so at most one of cache_hit/store_hit is set).
   bool store_hit = false;
   double wall_ms = 0.0;
-  /// How this result was produced: "live" (full kernel run), "record"
-  /// (live run that also captured a trace), "replay" (interpreted trace
-  /// replay), "analytic" (compiled-plan replay with the analytic
-  /// fast-forward tier), "lane" (lane of a fused multi-lane group tracking
-  /// a live leader) or "fallback" (stored trace rejected, re-run live).
-  /// Scheduling decides which task takes which path, so this is provenance,
-  /// not part of the deterministic result.
+  /// How this result was produced. Every scheduler run is "live" (a full
+  /// kernel run); the field stays in the host-side JSON for readers of
+  /// older records, which may carry the removed replay tiers' labels.
   std::string trace_source = "live";
 
   /// True when every deterministic field above matches — the equality the

@@ -21,25 +21,23 @@
 //     sweep yields a JSON summary (config echo, simulated cycles, walk
 //     counts per PageKind, wall time, cache/store provenance).
 //
-// How tasks execute is a single Strategy axis (strategy.hpp) — live,
-// recorded, multilane, analytic, or auto — identical results either way.
+// Every uncached task runs live: probe the LRU/disk store, run the kernel
+// with the simulator attached, commit. The Strategy axis (strategy.hpp) is
+// kept as the wire/CLI spelling of that one path.
 //
 // This core is deliberately front-end-free: no CLI parsing, no stdout, no
-// benchmark assumptions. ExperimentEngine (engine.hpp) is the thin facade
-// that preserves the historical constructor surface; the sweep daemon
-// (src/serve) is a second front end over the same substrate.
+// benchmark assumptions. The benches and the sweep daemon (src/serve) are
+// front ends over it.
 //
 // Failure isolation: a task that throws is recorded (ok=false, error=what)
 // without poisoning the sweep — all other tasks still run and the sweep
 // returns normally.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,25 +50,11 @@
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/topology.hpp"
-#include "trace/lane.hpp"
-#include "trace/store.hpp"
 
 namespace lpomp::exec {
 
 /// Result of one scheduler sweep: records in task order plus aggregates.
 struct SweepResult {
-  /// One sharded stream group's scheduling decision this sweep (host-side
-  /// telemetry — sharding changes when lanes run, never what they compute).
-  struct GroupSharding {
-    std::string stream;       ///< trace key of the group
-    std::string mode;         ///< "static" or "stealing" (as executed)
-    unsigned shards = 1;      ///< lane chunks the group was split into
-    double imbalance = 1.0;   ///< observed max/mean domain-bucket wall
-    double ewma = 1.0;        ///< governor EWMA after this observation
-    std::uint64_t promotions = 0;  ///< lifetime promotions of this stream
-    std::uint64_t demotions = 0;   ///< lifetime demotions of this stream
-  };
-
   std::vector<RunRecord> records;  ///< task order, independent of scheduling
   unsigned workers = 0;
   unsigned domains = 1;            ///< topology domains (sockets) of the pool
@@ -78,19 +62,7 @@ struct SweepResult {
   double wall_ms = 0.0;
   ResultCache::Stats cache;        ///< LRU activity of THIS sweep only
   DiskResultStore::Stats store;    ///< disk-store activity of THIS sweep only
-  Strategy strategy = Strategy::Auto;  ///< as resolved for this sweep
-
-  // Multi-lane execution provenance (host-side; results are identical with
-  // or without fusion).
-  std::size_t fused_groups = 0;     ///< stream groups served multi-lane
-  std::size_t fused_lanes = 0;      ///< follower grid points covered as lanes
-  std::size_t replay_fallbacks = 0; ///< stored traces rejected → re-run live
-
-  // Topology/substrate provenance of THIS sweep (host-side).
-  std::vector<GroupSharding> sharding;     ///< sorted by stream key
-  std::uint64_t substrate_builds = 0;      ///< substrates constructed
-  std::uint64_t substrate_reuse = 0;       ///< checkouts served from the pool
-  std::uint64_t substrate_scrub_discards = 0;  ///< dirty returns rejected
+  Strategy strategy = Strategy::Auto;  ///< as requested for this sweep
   std::uint64_t local_steals = 0;   ///< same-domain queue steals
   std::uint64_t remote_steals = 0;  ///< cross-domain queue steals
 
@@ -124,12 +96,6 @@ class Scheduler {
   struct Config {
     unsigned workers = 0;             ///< 0 → one per host hardware thread
     std::size_t cache_capacity = 4096;
-    /// Byte budget of the trace store backing trace_backed tasks.
-    std::size_t trace_store_bytes = MiB(512);
-    /// How trace-backed tasks execute (strategy.hpp). Results are
-    /// bit-identical under every choice; Auto currently resolves to
-    /// Analytic. Individual run() calls may override.
-    Strategy strategy = Strategy::Auto;
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
     std::string store_dir = {};
@@ -149,64 +115,30 @@ class Scheduler {
 
   unsigned workers() const { return pool_.workers(); }
   ResultCache& cache() { return cache_; }
-  trace::TraceStore& trace_store() { return trace_store_; }
   /// The disk tier, or nullptr when Config::store_dir was empty.
   DiskResultStore* disk_store() { return disk_store_.get(); }
   const DiskResultStore* disk_store() const { return disk_store_.get(); }
-  Strategy strategy() const { return config_.strategy; }
   void set_task_runner(TaskRunner runner);
 
-  /// Runs a sweep under the configured strategy. Not reentrant: one run()
-  /// at a time per scheduler (callers like the sweep daemon serialise).
-  SweepResult run(const SweepSpec& spec);
-  SweepResult run(const std::vector<RunTask>& tasks);
-  /// Same, overriding the configured strategy for this sweep only — the
-  /// daemon serves per-request strategies from one scheduler this way.
-  SweepResult run(const SweepSpec& spec, Strategy strategy);
-  SweepResult run(const std::vector<RunTask>& tasks, Strategy strategy);
+  /// Runs a sweep. Not reentrant: one run() at a time per scheduler
+  /// (callers like the sweep daemon serialise). `strategy` is echoed in
+  /// the host summary; every strategy runs the same live path.
+  SweepResult run(const SweepSpec& spec, Strategy strategy = Strategy::Auto);
+  SweepResult run(const std::vector<RunTask>& tasks,
+                  Strategy strategy = Strategy::Auto);
 
   /// The default runner: one full simulated kernel run. Aborting on
   /// verification failure is the caller's policy; the record carries
   /// `verified` either way.
   static RunRecord execute_task(const RunTask& task);
 
-  /// Trace-backed execution: when `store` is non-null and the task opts in,
-  /// the task's address stream is replayed from the store if a recording
-  /// exists — through the store's compiled TracePlan with the analytic
-  /// fast-forward tier when `analytic` (trace_source="analytic", compiling
-  /// and caching the plan on first use), interpreted otherwise
-  /// (trace_source="replay"). With no recording the live run records the
-  /// stream for later tasks (trace_source="record"). Results are
-  /// bit-identical to execute_task(task) in every mode. A stored trace the
-  /// plan compile or replay rejects (corrupt bytes, inconsistent stream) is
-  /// erased and the task re-runs live (trace_source="fallback") —
-  /// recoverable, never an abort.
-  static RunRecord execute_task(const RunTask& task, trace::TraceStore* store,
-                                bool analytic = true);
-
   /// Config-echo fields + content-key digest, no run outcome (the skeleton
   /// both execute_task and the failure path start from).
   static RunRecord base_record(const RunTask& task);
 
   const Topology& topology() const { return pool_.topology(); }
-  trace::SubstratePool& substrate_pool() { return substrate_pool_; }
-  const ShardingGovernor& governor() const { return governor_; }
 
  private:
-  /// Shared counters the fused-group jobs report into during one sweep,
-  /// plus the sharding decisions taken (one row per sharded group).
-  struct FusedStats {
-    std::atomic<std::size_t> groups{0};
-    std::atomic<std::size_t> lanes{0};
-    std::atomic<std::size_t> fallbacks{0};
-    std::mutex mu;
-    std::vector<SweepResult::GroupSharding> sharding;
-  };
-
-  /// Mutable state one lane shard shares with its siblings: walls for the
-  /// imbalance observation, completion countdown, success tally.
-  struct ShardGroup;
-
   /// Layered probe: in-memory LRU first, then the disk store (a disk hit
   /// promotes into the LRU). Stamps cache_hit/store_hit provenance; the
   /// caller stamps wall_ms.
@@ -216,53 +148,10 @@ class Scheduler {
 
   RunRecord run_one(const RunTask& task);
 
-  /// Executes one address-stream group as a single fused job: cached points
-  /// are served first; if the store already holds the stream, the rest run
-  /// as lanes of one MultiReplayDriver pass; otherwise the first uncached
-  /// point runs live with a LaneFanout feeding the others as lanes. Any
-  /// point the group strategy cannot serve (lane rejected, leader failed,
-  /// trace rejected with no leader to piggyback on) falls back to a solo
-  /// live run — failure isolation is per grid point, exactly as unfused.
-  void run_fused_group(const std::vector<std::size_t>& group,
-                       const std::vector<RunTask>& planned,
-                       std::vector<RunRecord>& records, const std::string& key,
-                       std::atomic<unsigned>& uses_left, FusedStats& fused,
-                       bool analytic);
-
-  /// Serves `lane_idx` (grid points of one stream group, all fitting their
-  /// platforms) from `tr` by submitting independent lane *shards* to the
-  /// pool — contiguous per-domain chunks under static mode, one stealable
-  /// task per lane once the governor promotes the stream. Each shard leases
-  /// a substrate from the pool, replays its lanes (through `plan` when
-  /// non-null), commits its records and releases its share of `uses_left`;
-  /// the last shard feeds the observed imbalance back to the governor.
-  /// Takes over trace-release responsibility for every index it is given —
-  /// the caller must subtract lane_idx.size() from its own release count.
-  /// Fully asynchronous: returns after submission; run()'s wait_idle() is
-  /// the join.
-  void serve_lane_shards(std::shared_ptr<const trace::Trace> tr,
-                         std::shared_ptr<const trace::TracePlan> plan,
-                         std::vector<std::size_t> lane_idx,
-                         const std::vector<RunTask>& planned,
-                         std::vector<RunRecord>& records,
-                         const std::string& key,
-                         std::atomic<unsigned>& uses_left, FusedStats& fused,
-                         bool analytic);
-
-  /// One shard's work: lease substrate, replay, commit, release, observe.
-  void run_shard(const std::shared_ptr<ShardGroup>& ctx, std::size_t shard);
-
   Config config_;
-  TaskRunner runner_;
-  bool custom_runner_ = false;
-  /// Strategy of the sweep currently inside run() — read by the default
-  /// runner and the fused-group jobs (run() is not reentrant, see above).
-  Strategy active_ = Strategy::Analytic;
+  TaskRunner runner_ = execute_task;
   ResultCache cache_;
   std::unique_ptr<DiskResultStore> disk_store_;
-  trace::TraceStore trace_store_;
-  trace::SubstratePool substrate_pool_;
-  ShardingGovernor governor_;
   WorkStealingPool pool_;
 };
 

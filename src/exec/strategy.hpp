@@ -1,22 +1,15 @@
 // Execution strategies for the scheduler core.
 //
-// Every strategy produces bit-identical deterministic results — the choice
-// only moves wall-clock between recording, decoding and closed-form
-// fast-forwarding. Historically the engine exposed this as an accretion of
-// booleans (Config::multilane, Config::analytic, the benches'
-// --no-trace/--no-multilane/--no-analytic trio); the enum replaces that
-// with one axis threaded uniformly through the library, the sweep daemon
-// and every CLI:
+// Every uncached grid point runs live: the kernel executes with the machine
+// simulator attached, and its record is committed to the result cache. The
+// enum survives as the wire and CLI spelling of that one path:
 //
 //   live      every task runs the full kernel, no traces involved
-//   recorded  record each unique address stream once into the trace store,
-//             replay it (interpreted) for every later task sharing it
-//   multilane fuse a stream group into one job: the leader runs live while
-//             every follower tracks the event stream as a lane (interpreted)
-//   analytic  multilane + compiled TracePlans: followers replay the plan
-//             with the closed-form fast-forward tier
-//   auto      let the scheduler pick (currently: analytic, the fastest
-//             identity-preserving schedule)
+//   auto      the scheduler's choice (today: live)
+//
+// The replay tiers that used to sit here (recorded, multilane, analytic)
+// never beat the live run on a measured grid and were removed; DESIGN.md
+// ("Replay tiers: measured, removed, why") has the numbers.
 #pragma once
 
 #include <optional>
@@ -24,34 +17,21 @@
 
 namespace lpomp::exec {
 
-enum class Strategy { Live, Recorded, Multilane, Analytic, Auto };
+enum class Strategy { Live, Auto };
 
 constexpr const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Live: return "live";
-    case Strategy::Recorded: return "recorded";
-    case Strategy::Multilane: return "multilane";
-    case Strategy::Analytic: return "analytic";
-    case Strategy::Auto: return "auto";
-  }
-  return "auto";
+  return s == Strategy::Live ? "live" : "auto";
 }
 
-/// Parses the CLI spelling ("live", "recorded", "multilane", "analytic",
-/// "auto"); nullopt for anything else — callers print their own usage.
+/// Parses the CLI/wire spelling ("live", "auto"); nullopt for anything
+/// else, including the removed tiers — callers print their own usage.
 inline std::optional<Strategy> strategy_from_name(std::string_view name) {
   if (name == "live") return Strategy::Live;
-  if (name == "recorded") return Strategy::Recorded;
-  if (name == "multilane") return Strategy::Multilane;
-  if (name == "analytic") return Strategy::Analytic;
   if (name == "auto") return Strategy::Auto;
   return std::nullopt;
 }
 
-/// Auto resolves to the scheduler's current best identity-preserving
-/// schedule. Kept in one place so "what does auto mean" has one answer.
-constexpr Strategy resolve_strategy(Strategy s) {
-  return s == Strategy::Auto ? Strategy::Analytic : s;
-}
+/// The valid spellings, for usage and error messages.
+constexpr const char* kStrategyNames = "live, auto";
 
 }  // namespace lpomp::exec

@@ -19,6 +19,16 @@ std::string RunTask::label() const {
   return s;
 }
 
+core::RuntimeConfig RunTask::runtime_config() const {
+  core::RuntimeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.page_kind = page_kind;
+  cfg.code_page_kind = code_page_kind;
+  cfg.paging = paging;
+  cfg.sim = core::SimConfig{spec, cost, seed};
+  return cfg;
+}
+
 std::vector<RunTask> SweepSpec::expand() const {
   std::vector<RunTask> tasks;
   std::uint64_t index = 0;
@@ -39,7 +49,6 @@ std::vector<RunTask> SweepSpec::expand() const {
             task.seed =
                 per_task_seeds ? splitmix64(base_seed + index) : base_seed;
             task.paging = policy;
-            task.trace_backed = trace_backed;
             tasks.push_back(std::move(task));
             ++index;
           }

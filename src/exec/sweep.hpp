@@ -47,21 +47,16 @@ struct RunTask {
   std::uint64_t seed = 0x5eedULL;
 
   /// Paging-policy overlay (see paging/policy.hpp). Part of the result's
-  /// identity (and cache key) but NOT of the stream identity: tasks that
-  /// differ only in policy share one recorded trace.
+  /// identity (and cache key).
   paging::PolicySpec paging{};
-
-  /// Run through the engine's trace store: record this task's address
-  /// stream on first use and replay it for every later task that shares it
-  /// (same kernel/class/threads/page kind — see src/trace). Replayed
-  /// results are bit-identical to live runs, so this is an execution
-  /// strategy, not part of the result's identity (it is deliberately NOT in
-  /// the cache key).
-  bool trace_backed = false;
 
   /// Human-readable tag, e.g. "CG.R/opteron270/4T/2MB" (plus "/thp" etc.
   /// when a non-native paging policy is set).
   std::string label() const;
+
+  /// The simulated-runtime configuration this task runs under (no trace
+  /// sink attached).
+  core::RuntimeConfig runtime_config() const;
 };
 
 /// A declarative run grid; expand() produces kernels × platforms × threads
@@ -78,20 +73,13 @@ struct SweepSpec {
   PageKind code_page_kind = PageKind::small4k;
 
   /// Paging-policy axis (innermost grid dimension). The default single
-  /// native entry reproduces the historical grids exactly; a multi-policy
-  /// sweep replays one recorded stream per (kernel, class, threads, page
-  /// kind) point under every policy.
+  /// native entry reproduces the historical grids exactly.
   std::vector<paging::PolicySpec> paging_policies = {{}};
 
   std::uint64_t base_seed = 0x5eedULL;
   /// false → every task runs with base_seed (bit-identical to the serial
   /// harnesses); true → per-task seeds via splitmix64(base_seed + index).
   bool per_task_seeds = false;
-
-  /// Expanded tasks record/replay address traces through the engine's
-  /// trace store (default: a sweep's platform axis re-simulates identical
-  /// streams, which is exactly what traces amortise).
-  bool trace_backed = true;
 
   /// Grid order: kernel-major, then platform, threads, page kind.
   std::vector<RunTask> expand() const;

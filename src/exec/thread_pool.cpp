@@ -28,7 +28,6 @@ WorkStealingPool::WorkStealingPool(unsigned workers, Topology topology)
     near.insert(near.end(), far.begin(), far.end());
     steal_order_[self] = std::move(near);
   }
-  next_in_domain_.assign(topology_.domains(), 0);
   threads_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -45,14 +44,6 @@ WorkStealingPool::~WorkStealingPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkStealingPool::enqueue(std::function<void()> fn, std::size_t target) {
-  {
-    std::lock_guard lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(fn));
-  }
-  work_cv_.notify_one();
-}
-
 void WorkStealingPool::submit(std::function<void()> fn) {
   std::size_t target;
   {
@@ -61,21 +52,11 @@ void WorkStealingPool::submit(std::function<void()> fn) {
     target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
   }
-  enqueue(std::move(fn), target);
-}
-
-void WorkStealingPool::submit_to_domain(std::function<void()> fn,
-                                        unsigned domain) {
-  domain %= topology_.domains();
-  const unsigned per = topology_.cores_per_socket;
-  std::size_t target;
   {
-    std::lock_guard lock(state_mutex_);
-    ++unfinished_;
-    target = std::size_t{domain} * per + next_in_domain_[domain];
-    next_in_domain_[domain] = (next_in_domain_[domain] + 1) % per;
+    std::lock_guard lock(queues_[target]->mutex);
+    queues_[target]->tasks.push_back(std::move(fn));
   }
-  enqueue(std::move(fn), target);
+  work_cv_.notify_one();
 }
 
 void WorkStealingPool::wait_idle() {
@@ -113,10 +94,10 @@ void WorkStealingPool::worker_loop(std::size_t self) {
     std::function<void()> task;
     if (pop_own(self, task) || steal_other(self, task)) {
       task();
-      // Destroy the closure (and anything it owns — e.g. the last refs to a
-      // fused group's trace and compiled plan) BEFORE signalling completion:
-      // wait_idle() returning must mean all task state is gone, not merely
-      // executed, or the teardown cost leaks into whatever runs next.
+      // Destroy the closure (and anything it owns) BEFORE signalling
+      // completion: wait_idle() returning must mean all task state is gone,
+      // not merely executed, or the teardown cost leaks into whatever runs
+      // next.
       task = nullptr;
       std::lock_guard lock(state_mutex_);
       if (--unfinished_ == 0) idle_cv_.notify_all();

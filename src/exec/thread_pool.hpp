@@ -9,10 +9,8 @@
 // are deliberately skipped in favour of small, obviously-correct locking.
 //
 // The pool is topology-aware: workers are grouped into domains (sockets) by
-// an exec::Topology, victim scan order prefers same-domain deques before
-// crossing sockets, and submit() can target a domain so a lane shard and
-// the worker that first-touches its state land on the same memory node.
-// local/remote steal counts are exported so sweeps can report how often
+// an exec::Topology, and victim scan order prefers same-domain deques before
+// crossing sockets. local/remote steal counts are exported so sweeps can report how often
 // work actually crossed a socket.
 //
 // The pool only schedules; determinism of results is the submitter's
@@ -63,11 +61,6 @@ class WorkStealingPool {
   /// throw (the engine's task wrapper catches and records task failures).
   void submit(std::function<void()> fn);
 
-  /// Enqueues `fn` on a worker of `domain % domains()` (round-robin within
-  /// the domain). The task still participates in stealing — the hint places
-  /// its first touch, it does not pin execution.
-  void submit_to_domain(std::function<void()> fn, unsigned domain);
-
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
 
@@ -82,7 +75,6 @@ class WorkStealingPool {
     std::deque<std::function<void()>> tasks;
   };
 
-  void enqueue(std::function<void()> fn, std::size_t target);
   bool pop_own(std::size_t self, std::function<void()>& out);
   bool steal_other(std::size_t self, std::function<void()>& out);
   void worker_loop(std::size_t self);
@@ -103,7 +95,6 @@ class WorkStealingPool {
   std::condition_variable idle_cv_;  ///< wait_idle() sleeps here
   std::size_t unfinished_ = 0;       ///< submitted but not yet completed
   std::size_t next_queue_ = 0;
-  std::vector<std::size_t> next_in_domain_;  ///< per-domain round-robin cursor
   bool stopping_ = false;
 };
 

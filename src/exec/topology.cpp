@@ -69,43 +69,4 @@ Topology Topology::resolve(const Topology& requested, unsigned workers) {
   return detect(workers);
 }
 
-bool ShardingGovernor::stealing(const std::string& stream) const {
-  std::lock_guard lock(mu_);
-  const auto it = groups_.find(stream);
-  return it != groups_.end() && it->second.stealing;
-}
-
-ShardingGovernor::Group ShardingGovernor::observe(const std::string& stream,
-                                                  double imbalance) {
-  if (!(imbalance >= 1.0)) imbalance = 1.0;  // also catches NaN
-  std::lock_guard lock(mu_);
-  Group& g = groups_[stream];
-  g.last = imbalance;
-  g.ewma = g.observations == 0
-               ? imbalance
-               : policy_.alpha * imbalance + (1.0 - policy_.alpha) * g.ewma;
-  ++g.observations;
-  if (!g.stealing && g.ewma > policy_.promote) {
-    g.stealing = true;
-    ++g.promotions;
-  } else if (g.stealing && g.ewma < policy_.demote) {
-    g.stealing = false;
-    ++g.demotions;
-  }
-  return g;
-}
-
-ShardingGovernor::Group ShardingGovernor::group(
-    const std::string& stream) const {
-  std::lock_guard lock(mu_);
-  const auto it = groups_.find(stream);
-  return it != groups_.end() ? it->second : Group{};
-}
-
-std::vector<std::pair<std::string, ShardingGovernor::Group>>
-ShardingGovernor::snapshot() const {
-  std::lock_guard lock(mu_);
-  return {groups_.begin(), groups_.end()};
-}
-
 }  // namespace lpomp::exec

@@ -1,11 +1,9 @@
-// Topology — the socket × core shape the scheduler and pool reason about,
-// plus the adaptive-chunking governor built on top of it.
+// Topology — the socket × core shape the pool reasons about.
 //
 // The pool's workers are grouped into *domains* (one per socket): steals
-// prefer same-domain victims so a lane shard's working set stays on the
-// memory node that first touched it, and the scheduler shards the lanes of
-// one stream group contiguously across domains. The shape comes from one of
-// two places:
+// prefer same-domain victims so a task's working set tends to stay on the
+// memory node that first touched it. The shape comes from one of two
+// places:
 //
 //   * `--topology=SxC` (tests, CI, benchmarks) — an explicit, deterministic
 //     shape independent of the host, so identity checks like
@@ -14,24 +12,9 @@
 //   * detection — sysfs physical_package_id enumeration, falling back to a
 //     flat 1×N shape when sysfs is absent (containers) or the worker count
 //     does not divide evenly across packages.
-//
-// ShardingGovernor is the adaptive-chunking policy (the promote/demote idea
-// of the fine-grained dynamic-load-balancing literature): each stream group
-// starts under static contiguous chunking; when the observed shard-wall
-// imbalance EWMA (max/mean over domain-sized buckets) crosses `promote`,
-// the group's lanes are resubmitted as individually stealable tasks, and
-// when the EWMA settles below `demote` the group returns to static chunks.
-// The hysteresis band (demote < promote) keeps a group from flapping on
-// noise. Decisions are per stream key and live for the scheduler's
-// lifetime, so warm re-sweeps inherit what the cold sweep learned.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace lpomp::exec {
 
@@ -60,48 +43,6 @@ struct Topology {
   /// explicit request wins (and fixes the worker count); otherwise the
   /// worker count is resolved (0 → host hardware threads) and detected.
   static Topology resolve(const Topology& requested, unsigned workers);
-};
-
-/// Per-stream-group promote/demote state machine for adaptive chunking.
-/// Thread-safe; one instance per scheduler.
-class ShardingGovernor {
- public:
-  struct Policy {
-    double promote = 1.5;  ///< EWMA above this → work-stealing chunks
-    double demote = 1.15;  ///< EWMA below this → back to static chunks
-    double alpha = 0.5;    ///< EWMA weight of the newest observation
-  };
-
-  struct Group {
-    double ewma = 1.0;          ///< smoothed max/mean shard-wall imbalance
-    double last = 1.0;          ///< most recent observation
-    bool stealing = false;      ///< current mode
-    std::uint64_t promotions = 0;
-    std::uint64_t demotions = 0;
-    std::uint64_t observations = 0;
-  };
-
-  ShardingGovernor() = default;
-  explicit ShardingGovernor(Policy policy) : policy_(policy) {}
-
-  /// Mode the next execution of `stream` should run under.
-  bool stealing(const std::string& stream) const;
-
-  /// Feeds one observed imbalance (max/mean of domain-bucketed shard
-  /// walls, ≥ 1.0) and applies the promote/demote thresholds. Returns the
-  /// group's state after the update.
-  Group observe(const std::string& stream, double imbalance);
-
-  Group group(const std::string& stream) const;
-  const Policy& policy() const { return policy_; }
-
-  /// All groups ever observed, sorted by stream key.
-  std::vector<std::pair<std::string, Group>> snapshot() const;
-
- private:
-  Policy policy_;
-  mutable std::mutex mu_;
-  std::map<std::string, Group> groups_;
 };
 
 }  // namespace lpomp::exec

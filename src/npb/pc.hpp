@@ -1,7 +1,7 @@
 // PC: pointer-chasing over a linked list laid out as a single-cycle
 // permutation (Sattolo's algorithm). Every load's address is the value of
 // the previous load, so the stride-RLE encoder degenerates to singleton
-// runs and no prefetcher or analytic warm proof can look ahead — the pure
+// runs and no prefetcher can look ahead — the pure
 // dependent-chain limit of the irregular-workload axis.
 #pragma once
 

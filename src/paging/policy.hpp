@@ -41,10 +41,10 @@
 // compaction_interval picks a point in the sawtooth, fragmentation =
 // frag_base + frag_growth * phase, and the promotion succeeds when a
 // splitmix64 draw keyed by (frag_seed, chunk) lands under 1 - fragmentation.
-// Purity is what keeps every execution strategy bit-identical: the decision
-// for a chunk does not depend on access order, thread count, or which lane
-// asks first, so live, recorded, multi-lane and analytic runs agree, and
-// the promotion rate is reproducible for a fixed seed.
+// Purity is what keeps live runs and trace replays bit-identical: the
+// decision for a chunk does not depend on access order, thread count, or
+// which lane asks first, and the promotion rate is reproducible for a
+// fixed seed.
 #pragma once
 
 #include <cstdint>

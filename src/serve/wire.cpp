@@ -185,7 +185,10 @@ SweepRequest decode_request(const std::string& text) {
       request.per_task_seeds = value == "1";
     } else if (key == "strategy") {
       const std::optional<exec::Strategy> s = exec::strategy_from_name(value);
-      if (!s) throw WireError("unknown strategy '" + value + "'");
+      if (!s) {
+        throw WireError("unknown strategy '" + value + "' (valid: " +
+                        exec::kStrategyNames + ")");
+      }
       request.strategy = *s;
     } else {
       throw WireError("unknown field '" + key + "'");

@@ -43,7 +43,8 @@ class WireError : public std::runtime_error {
 
 /// A client's sweep submission: the SweepSpec axes by name (platforms stay
 /// symbolic — "opteron"/"xeon" — so the daemon owns the ProcessorSpec
-/// tables) plus the execution strategy.
+/// tables) plus the execution strategy ("live" or "auto"; both run the same
+/// live path, see exec/strategy.hpp).
 struct SweepRequest {
   std::vector<npb::Kernel> kernels = npb::all_kernels();
   npb::Klass klass = npb::Klass::S;

@@ -26,7 +26,6 @@
 #include "cache/cache.hpp"
 #include "mem/address_space.hpp"
 #include "paging/policy.hpp"
-#include "sim/block_summary.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/replay_slot.hpp"
 #include "sim/trace_sink.hpp"
@@ -114,18 +113,6 @@ class ThreadSim {
   /// re-recording a replay reproduces the original stream.
   void replay_pattern(const ReplaySlot* slots, std::size_t count,
                       std::uint64_t periods);
-
-  /// Analytic fast-forward of a pattern block (DESIGN.md §9): commit the
-  /// precomputed `summary` deltas in closed form when the block — or single
-  /// periods of it — can be proven warm (all lines L1-resident, all pages
-  /// L1-DTLB-resident, no instruction jump due); everything else is issued
-  /// through replay_pattern. Counter-for-counter identical to
-  /// replay_pattern(slots, count, periods) — the four-way differential
-  /// oracle's invariant. `summary` must describe exactly (slots, count,
-  /// periods). Ineligible configurations (reference mode, attached sink,
-  /// non-64-byte lines) degrade to plain interpretation.
-  void replay_analytic(const ReplaySlot* slots, std::size_t count,
-                       std::uint64_t periods, const BlockSummary& summary);
 
   /// Attach (or detach, with nullptr) an access-trace sink. Every subsequent
   /// touch/touch_run/add_compute is reported as thread `tid` of the sink.
@@ -243,24 +230,6 @@ class ThreadSim {
                  PageKind kind, Access access);
 
   void instruction_jump();
-
-  // --- analytic fast-forward internals (sim/block_summary.cpp) -------------
-  /// Side-effect-free warmth proofs: every line in [lines, lines+n) is
-  /// L1-resident and every page in [pages, pages+np) is L1-DTLB-resident.
-  /// Lines are peeked back-to-front (the most recently first-touched line
-  /// of a cold streaming block is the most likely absentee — fail fast).
-  bool analytic_warm(const std::uint64_t* lines, std::size_t nlines,
-                     const tlb::Tlb::WarmPage* pages, std::size_t npages) const;
-  /// Closed-form commit of one proven-warm span (whole block or one
-  /// period). `entry_corner` applies the runtime MRU-entry adjustment: when
-  /// the machine's cache MRU already covers the span's first line, the
-  /// entry access is a filter hit, not a switch event.
-  void analytic_commit(const std::uint64_t* lines, std::size_t nlines,
-                       const tlb::Tlb::WarmPage* pages, std::size_t npages,
-                       count_t accesses, count_t stores, cycles_t compute,
-                       count_t lookups4k, count_t lookups2m,
-                       count_t assoc_touches, std::uint64_t first_line,
-                       bool first_line_reappears, bool entry_corner);
 
   /// Stream-prefetcher probe for an L2 miss on `line_addr` (byte address >>
   /// 6) inside page `page_id`. Returns true when the line continues an

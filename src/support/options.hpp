@@ -2,23 +2,41 @@
 // "--key=value" / "--flag" command-line arguments with environment-variable
 // fallbacks (LPOMP_<KEY>), so `for b in build/bench/*; do $b; done` runs with
 // sensible defaults while still being steerable.
+//
+// Malformed values are rejected, never guessed: the typed getters throw
+// OptionError, and a program built on the command-line constructor exits
+// with status 2 and the error message when it does not catch one.
 #pragma once
 
 #include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lpomp {
 
+/// A command-line option or LPOMP_* env value that does not parse.
+class OptionError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class Options {
  public:
   Options() = default;
 
+  /// Parses argv and installs a terminate handler that turns an uncaught
+  /// OptionError into its message on stderr plus exit status 2 (any other
+  /// uncaught exception still prints and aborts).
   Options(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) parse_arg(argv[i]);
+    std::set_terminate(exit_on_option_error);
   }
 
   /// Parses one "--key=value" or "--flag" token; other tokens are kept as
@@ -53,14 +71,29 @@ class Options {
     return def;
   }
 
+  /// Decimal integer; throws OptionError on an empty, out-of-range or
+  /// trailing-garbage value ("", "4x", "1e3").
   long get_int(const std::string& key, long def) const {
     const std::string v = get(key, std::to_string(def));
-    return std::strtol(v.c_str(), nullptr, 10);
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno == ERANGE) {
+      throw OptionError("--" + key + "=" + v + ": expected an integer");
+    }
+    return n;
   }
 
+  /// Floating-point number; throws OptionError like get_int.
   double get_double(const std::string& key, double def) const {
     const std::string v = get(key, std::to_string(def));
-    return std::strtod(v.c_str(), nullptr);
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || errno == ERANGE) {
+      throw OptionError("--" + key + "=" + v + ": expected a number");
+    }
+    return x;
   }
 
   bool get_flag(const std::string& key, bool def = false) const {
@@ -72,6 +105,21 @@ class Options {
   bool has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
+  [[noreturn]] static void exit_on_option_error() {
+    try {
+      if (const std::exception_ptr e = std::current_exception()) {
+        std::rethrow_exception(e);
+      }
+    } catch (const OptionError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::_Exit(2);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "terminate: uncaught exception: %s\n", e.what());
+    } catch (...) {
+    }
+    std::abort();
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -57,48 +57,6 @@ bool Tlb::lookup_assoc(Bank& b, vpn_t vpn) {
   return false;
 }
 
-bool Tlb::present(vpn_t vpn, PageKind kind) const {
-  const Bank& b = bank(kind);
-  if (!b.geom.present()) return false;
-  const unsigned set = static_cast<unsigned>(
-      b.pow2_sets ? (vpn & b.set_mask) : (vpn % b.sets));
-  const Entry* base = &b.entries[static_cast<std::size_t>(set) * b.geom.ways];
-  for (unsigned w = 0; w < b.geom.ways; ++w) {
-    if (base[w].valid && base[w].vpn == vpn) return true;
-  }
-  return false;
-}
-
-void Tlb::credit_warm_span(const WarmPage* pages_final_order,
-                           std::size_t npages, count_t lookups4k,
-                           count_t lookups2m) {
-  stats_.lookups[static_cast<std::size_t>(PageKind::small4k)] += lookups4k;
-  stats_.hits[static_cast<std::size_t>(PageKind::small4k)] += lookups4k;
-  stats_.lookups[static_cast<std::size_t>(PageKind::large2m)] += lookups2m;
-  stats_.hits[static_cast<std::size_t>(PageKind::large2m)] += lookups2m;
-  const count_t total = lookups4k + lookups2m;
-  LPOMP_CHECK(total >= npages);
-  clock_ += total - npages;
-  for (std::size_t i = 0; i < npages; ++i) {
-    Bank& b = bank(pages_final_order[i].kind);
-    const vpn_t vpn = pages_final_order[i].vpn;
-    const unsigned set = static_cast<unsigned>(
-        b.pow2_sets ? (vpn & b.set_mask) : (vpn % b.sets));
-    const std::size_t base_index =
-        static_cast<std::size_t>(set) * b.geom.ways;
-    Entry* base = &b.entries[base_index];
-    for (unsigned w = 0; w < b.geom.ways; ++w) {
-      if (base[w].valid && base[w].vpn == vpn) {
-        base[w].last_use = ++clock_;
-        b.mru_vpn = vpn;
-        b.mru_index = base_index + w;
-        b.mru_valid = true;
-        break;
-      }
-    }
-  }
-}
-
 void Tlb::insert(vpn_t vpn, PageKind kind) {
   Bank& b = bank(kind);
   if (!b.geom.present()) return;

@@ -121,35 +121,6 @@ class Tlb {
     b.entries[b.mru_index].last_use = clock_;
   }
 
-  /// Side-effect-free residency peek: true when a lookup of `vpn` would hit
-  /// this level. The analytic replay tier proves a whole pattern block warm
-  /// with these before committing it in closed form; unlike lookup() the
-  /// peek must not disturb LRU/MRU/probe state, since a failed proof leaves
-  /// the block to the interpreter.
-  bool present(vpn_t vpn, PageKind kind) const;
-
-  /// One distinct page of a warm span, in final-touch order.
-  struct WarmPage {
-    vpn_t vpn = 0;
-    PageKind kind = PageKind::small4k;
-  };
-
-  /// Closed-form commit of a span of lookups the caller has proven all-warm
-  /// (every distinct page passed present()). `lookups4k`/`lookups2m` count
-  /// every lookup by kind; `pages_final_order` lists the distinct pages
-  /// ordered by their *last* lookup within the span.
-  ///
-  /// Equivalence: every hit path (MRU bypass, probe hint, set scan) stamps
-  /// last_use = ++clock_, so interpreting the span advances the clock once
-  /// per lookup and leaves each page's final stamp at its last lookup.
-  /// Advancing the clock by the total lookups and restamping the pages in
-  /// final-touch order reproduces every LRU-observable stamp relation (true
-  /// LRU only compares relative order; untouched entries keep older stamps
-  /// on both sides). The last page of each bank becomes that bank's MRU
-  /// filter, exactly as the interpreter's last hit would leave it.
-  void credit_warm_span(const WarmPage* pages_final_order, std::size_t npages,
-                        count_t lookups4k, count_t lookups2m);
-
   /// Install a translation (evicting the set's LRU victim if full).
   /// No-op if the level has no entries for this kind.
   void insert(vpn_t vpn, PageKind kind);

@@ -46,22 +46,6 @@ class TlbHierarchy {
     l1d_.credit_mru_run(kind, n);
   }
 
-  /// Side-effect-free peek: true when a data access to `vpn` would hit the
-  /// L1 DTLB (DtlbHit::l1, no L2 probe, no walk) — the analytic replay
-  /// tier's warmth predicate.
-  bool data_l1_present(vpn_t vpn, PageKind kind) const {
-    return l1d_.present(vpn, kind);
-  }
-
-  /// Closed-form commit of an all-L1-warm span (see Tlb::credit_warm_span).
-  /// The L2 DTLB and ITLB are untouched, exactly as interpreting a span of
-  /// pure L1 hits would leave them.
-  void credit_data_warm_span(const Tlb::WarmPage* pages_final_order,
-                             std::size_t npages, count_t lookups4k,
-                             count_t lookups2m) {
-    l1d_.credit_warm_span(pages_final_order, npages, lookups4k, lookups2m);
-  }
-
   /// Probes for an instruction translation; returns true on a hit and fills
   /// on a miss.
   bool instr_access(vpn_t vpn, PageKind kind);

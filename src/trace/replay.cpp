@@ -11,9 +11,4 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
   return MultiReplayDriver({config_}).run(trace).front();
 }
 
-ReplayOutcome ReplayDriver::run(const Trace& trace,
-                                const TracePlan& plan) const {
-  return MultiReplayDriver({config_}).run(trace, plan).front();
-}
-
 }  // namespace lpomp::trace

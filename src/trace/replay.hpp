@@ -36,13 +36,6 @@ struct ReplayConfig {
   /// under any policy — the policy rides here, per lane.
   paging::PolicySpec paging{};
 
-  /// Use the analytic fast-forward tier for this lane when a compiled
-  /// TracePlan is supplied (plan-less replays always interpret). Purely an
-  /// execution strategy: counters are bit-identical either way (the
-  /// four-way differential oracle's invariant); --no-analytic in the
-  /// benches flips it.
-  bool analytic = true;
-
   /// Optional sink observing the replayed stream. The replay reports events
   /// with *live framing* — a decoded pattern block surfaces as the same
   /// touch/run/strided/compute sequence a live run would have reported, one
@@ -62,8 +55,6 @@ struct ReplayOutcome {
   double checksum = 0.0;
 };
 
-class TracePlan;
-
 class ReplayDriver {
  public:
   explicit ReplayDriver(ReplayConfig config) : config_(std::move(config)) {}
@@ -72,11 +63,6 @@ class ReplayDriver {
   /// TraceError if the trace is malformed or does not fit the platform
   /// (more threads than hardware contexts).
   ReplayOutcome run(const Trace& trace) const;
-
-  /// Same replay served from a precompiled plan of the same trace: no
-  /// decode, and pattern blocks the lane can prove warm are fast-forwarded
-  /// analytically (when config().analytic). Bit-identical to run(trace).
-  ReplayOutcome run(const Trace& trace, const TracePlan& plan) const;
 
   const ReplayConfig& config() const { return config_; }
 

@@ -55,7 +55,7 @@ struct Trace {
 
   std::string key() const;
 
-  /// Approximate in-memory footprint — what the TraceStore budgets by.
+  /// Approximate in-memory footprint of the encoded streams.
   std::size_t bytes() const;
 };
 

@@ -36,6 +36,19 @@ TEST_F(AllocatorTest, BlocksCarvedSequentially) {
   EXPECT_EQ(alloc.allocation_count(), 2u);
 }
 
+// The pool image is zeroed on demand (calloc) rather than written up
+// front; kernels rely on fresh blocks reading as zero either way.
+TEST_F(AllocatorTest, FreshBlocksReadAllZeroBeforeFirstWrite) {
+  SharedAllocator alloc(space_, nullptr, PageKind::small4k, MiB(4), "pool");
+  const auto head = alloc.allocate(KiB(64), 64, "head");
+  const auto tail = alloc.allocate(MiB(3), 4096, "tail");
+  for (const auto& block : {head, tail}) {
+    for (std::size_t i = 0; i < block.bytes; ++i) {
+      ASSERT_EQ(block.host[i], std::byte{0}) << "offset " << i;
+    }
+  }
+}
+
 TEST_F(AllocatorTest, AlignmentHonoured) {
   SharedAllocator alloc(space_, nullptr, PageKind::small4k, MiB(1), "pool");
   alloc.allocate(3, 64, "odd");

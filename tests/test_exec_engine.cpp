@@ -1,4 +1,4 @@
-// Tests for the parallel experiment engine: scheduling determinism (the
+// Tests for the parallel sweep scheduler: scheduling determinism (the
 // same sweep on 1 worker and N workers yields identical results), the
 // content-keyed result cache (hits, eviction, key sensitivity), failure
 // isolation, and the JSON observability layer.
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
+#include "exec/scheduler.hpp"
 #include "exec/json.hpp"
 
 namespace lpomp::exec {
@@ -30,7 +30,7 @@ SweepSpec small_sweep() {
 /// Cheap fake runner for cache/scheduling tests that don't need a real
 /// simulation: marks the record ok and stamps a value derived from the task.
 RunRecord fake_runner(const RunTask& task) {
-  RunRecord r = ExperimentEngine::base_record(task);
+  RunRecord r = Scheduler::base_record(task);
   r.ok = true;
   r.verified = true;
   r.cycles = 1000 + task.threads;
@@ -92,9 +92,9 @@ TEST(CacheKey, IdenticalTasksShareAKeyDifferentTasksDoNot) {
 // The tentpole guarantee: worker count changes wall-clock behaviour only.
 // Every deterministic field — simulated seconds, checksums, all counters —
 // must be identical between a serial and a maximally parallel sweep.
-TEST(ExperimentEngine, OneWorkerAndManyWorkersAgreeExactly) {
-  ExperimentEngine serial({.workers = 1});
-  ExperimentEngine wide({.workers = 4});
+TEST(Scheduler, OneWorkerAndManyWorkersAgreeExactly) {
+  Scheduler serial({.workers = 1});
+  Scheduler wide({.workers = 4});
   const SweepSpec spec = small_sweep();
 
   const SweepResult a = serial.run(spec);
@@ -114,8 +114,8 @@ TEST(ExperimentEngine, OneWorkerAndManyWorkersAgreeExactly) {
             b.to_json(/*include_host=*/false));
 }
 
-TEST(ExperimentEngine, RepeatedSweepIsServedFromCache) {
-  ExperimentEngine engine({.workers = 2});
+TEST(Scheduler, RepeatedSweepIsServedFromCache) {
+  Scheduler engine({.workers = 2});
   std::atomic<int> executions{0};
   engine.set_task_runner([&](const RunTask& t) {
     ++executions;
@@ -139,10 +139,10 @@ TEST(ExperimentEngine, RepeatedSweepIsServedFromCache) {
   }
 }
 
-TEST(ExperimentEngine, OverlappingGridsShareCacheEntries) {
+TEST(Scheduler, OverlappingGridsShareCacheEntries) {
   // Figure 5's grid is a subset of Figure 4's: after a Figure 4 sweep, a
   // Figure 5 sweep must be fully cache-served.
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   engine.set_task_runner(fake_runner);
   SweepSpec fig4 = SweepSpec::figure4(npb::Klass::S);
   fig4.kernels = {npb::Kernel::CG};
@@ -170,8 +170,8 @@ TEST(ResultCache, LruEvictionAndRecencyRefresh) {
   EXPECT_EQ(cache.stats().insertions, 3u);
 }
 
-TEST(ExperimentEngine, EvictedEntriesAreRecomputed) {
-  ExperimentEngine engine({.workers = 1, .cache_capacity = 2});
+TEST(Scheduler, EvictedEntriesAreRecomputed) {
+  Scheduler engine({.workers = 1, .cache_capacity = 2});
   std::atomic<int> executions{0};
   engine.set_task_runner([&](const RunTask& t) {
     ++executions;
@@ -193,8 +193,8 @@ TEST(ExperimentEngine, EvictedEntriesAreRecomputed) {
   for (const RunRecord& r : again.records) EXPECT_TRUE(r.ok);
 }
 
-TEST(ExperimentEngine, ThrowingTaskDoesNotPoisonTheSweep) {
-  ExperimentEngine engine({.workers = 2});
+TEST(Scheduler, ThrowingTaskDoesNotPoisonTheSweep) {
+  Scheduler engine({.workers = 2});
   engine.set_task_runner([](const RunTask& t) -> RunRecord {
     if (t.threads == 2) throw std::runtime_error("injected task failure");
     return fake_runner(t);
@@ -224,10 +224,10 @@ TEST(ExperimentEngine, ThrowingTaskDoesNotPoisonTheSweep) {
   EXPECT_EQ(retries.load(), static_cast<int>(result.failed()));
 }
 
-TEST(ExperimentEngine, RealInfeasibleTaskIsIsolatedToo) {
+TEST(Scheduler, RealInfeasibleTaskIsIsolatedToo) {
   // End-to-end failure path through the default runner: 16 threads exceed
   // the Opteron's 4 hardware contexts, so the Machine constructor throws.
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   std::vector<RunTask> tasks(2);
   tasks[0].klass = npb::Klass::S;
   tasks[0].threads = 1;
@@ -263,7 +263,7 @@ TEST(Json, WriterEscapesAndNestsDeterministically) {
 TEST(Json, RecordRoundTripsItsDeterministicFields) {
   RunTask task;
   task.klass = npb::Klass::S;
-  const RunRecord r = ExperimentEngine::base_record(task);
+  const RunRecord r = Scheduler::base_record(task);
   const std::string det = r.to_json(/*include_host=*/false);
   EXPECT_NE(det.find("\"kernel\":\"CG\""), std::string::npos);
   EXPECT_NE(det.find("\"key_digest\":\"" + digest_hex(cache_key(task)) + "\""),

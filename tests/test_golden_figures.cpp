@@ -1,5 +1,5 @@
 // Golden-file regression tests for the reproduced figures: small-class
-// Figure 4 / Figure 5 grids run through the experiment engine, and the
+// Figure 4 / Figure 5 grids run through the sweep scheduler, and the
 // deterministic JSON projection is compared byte-for-byte against
 // checked-in tests/golden/*.json. Any change to the simulator, the
 // kernels, the cost model or the JSON schema that shifts a reproduced
@@ -14,7 +14,7 @@
 #include <sstream>
 #include <string>
 
-#include "exec/engine.hpp"
+#include "exec/scheduler.hpp"
 #include "paging/policy.hpp"
 #include "sim/thread_sim.hpp"
 
@@ -75,8 +75,8 @@ TEST(GoldenFigures, Figure4SmallClass) {
   SweepSpec spec = SweepSpec::figure4(npb::Klass::S);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.paging_policies = golden_paging_axis();
-  ExperimentEngine engine({.workers = 2});
-  const SweepResult result = engine.run(spec);
+  Scheduler scheduler({.workers = 2});
+  const SweepResult result = scheduler.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
   compare_against_golden("fig4_small.json", deterministic_json(result));
@@ -86,8 +86,8 @@ TEST(GoldenFigures, Figure5SmallClass) {
   SweepSpec spec = SweepSpec::figure5(npb::Klass::S, /*threads=*/4);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.paging_policies = golden_paging_axis();
-  ExperimentEngine engine({.workers = 2});
-  const SweepResult result = engine.run(spec);
+  Scheduler scheduler({.workers = 2});
+  const SweepResult result = scheduler.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
   compare_against_golden("fig5_small.json", deterministic_json(result));
@@ -108,8 +108,8 @@ TEST(GoldenFigures, IrregularKernelsSmallClassPagingGrid) {
   hugetlb2m.policy = paging::Policy::hugetlb2m;
   spec.paging_policies = golden_paging_axis();
   spec.paging_policies.insert(spec.paging_policies.begin() + 1, hugetlb2m);
-  ExperimentEngine engine({.workers = 2});
-  const SweepResult result = engine.run(spec);
+  Scheduler scheduler({.workers = 2});
+  const SweepResult result = scheduler.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
   compare_against_golden("irregular_S.json", deterministic_json(result));
@@ -128,8 +128,8 @@ TEST(GoldenFigures, FullGridClassSPinnedToReferenceModel) {
   if (update_mode()) {
     sim::ThreadSim::set_default_fast_path(false);
   }
-  ExperimentEngine engine({.workers = 2});
-  const SweepResult result = engine.run(spec);
+  Scheduler scheduler({.workers = 2});
+  const SweepResult result = scheduler.run(spec);
   sim::ThreadSim::set_default_fast_path(true);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);

@@ -319,11 +319,11 @@ TEST(PagingFingerprint, PoliciesAndThpParamsKeyTheResult) {
   EXPECT_NE(exec::cache_key(interval_tweak), thp_key);
 }
 
-// --- four-strategy identity -------------------------------------------------
+// --- strategy identity -------------------------------------------------------
 
 // The subsystem's acceptance property, scaled to a unit test: one class-S
 // grid point per policy must produce byte-identical deterministic JSON
-// under every execution strategy. A fresh scheduler per strategy keeps the
+// under both strategy spellings. A fresh scheduler per strategy keeps the
 // caches from serving one strategy's records to another.
 TEST(PagingStrategyIdentity, OneGridPointPerPolicyAllStrategiesAgree) {
   exec::SweepSpec spec;
@@ -339,9 +339,7 @@ TEST(PagingStrategyIdentity, OneGridPointPerPolicyAllStrategiesAgree) {
                           make_policy(paging::Policy::thp)};
 
   std::string reference;
-  for (const exec::Strategy s :
-       {exec::Strategy::Live, exec::Strategy::Recorded,
-        exec::Strategy::Multilane, exec::Strategy::Analytic}) {
+  for (const exec::Strategy s : {exec::Strategy::Live, exec::Strategy::Auto}) {
     exec::Scheduler::Config cfg;
     cfg.workers = 2;
     exec::Scheduler sched(cfg);

@@ -106,7 +106,7 @@ TEST(ServeWire, RequestRoundTrip) {
   request.code_page_kind = PageKind::large2m;
   request.base_seed = 0xdeadbeef;
   request.per_task_seeds = true;
-  request.strategy = exec::Strategy::Recorded;
+  request.strategy = exec::Strategy::Live;
 
   const std::string text = serve::encode_request(request);
   const serve::SweepRequest decoded = serve::decode_request(text);
@@ -145,6 +145,26 @@ TEST(ServeWire, RejectsMalformedRequests) {
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, std::string::npos, "strategy=warp");
   EXPECT_THROW(serve::decode_request(tampered), serve::WireError);
+}
+
+// The removed replay tiers are not silently mapped onto live: a request
+// naming one is rejected in the doorway, and the error names the valid
+// spellings.
+TEST(ServeWire, RejectsRemovedStrategies) {
+  const std::string good = serve::encode_request(small_request());
+  const std::size_t pos = good.find("strategy=");
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* removed : {"analytic", "multilane", "recorded"}) {
+    std::string text = good;
+    text.replace(pos, std::string::npos, std::string("strategy=") + removed);
+    try {
+      serve::decode_request(text);
+      ADD_FAILURE() << removed << " was accepted";
+    } catch (const serve::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("live, auto"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServeWire, ErrorResponseDocument) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "bench/bench_common.hpp"
 #include "support/format.hpp"
 #include "support/types.hpp"
 #include "support/options.hpp"
@@ -230,6 +231,80 @@ TEST(Options, DoubleParsing) {
   const char* argv[] = {"prog", "--alpha=0.25"};
   Options opts(2, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(opts.get_double("alpha", 0.0), 0.25);
+}
+
+// Malformed numbers are rejected, never truncated to whatever prefix
+// strtol/strtod could read (the old behaviour turned "4x" into 4 and ""
+// into 0).
+TEST(Options, RejectsEmptyAndTrailingGarbageNumbers) {
+  const char* argv[] = {"prog",       "--n=",     "--m=4x", "--k= 7 ",
+                        "--big=99999999999999999999", "--x=0.5s", "--y=",
+                        "--ok=-3",    "--hex=0x10"};
+  Options opts(9, const_cast<char**>(argv));
+  EXPECT_THROW(opts.get_int("n", 1), OptionError);
+  EXPECT_THROW(opts.get_int("m", 1), OptionError);
+  EXPECT_THROW(opts.get_int("k", 1), OptionError);
+  EXPECT_THROW(opts.get_int("big", 1), OptionError);
+  EXPECT_THROW(opts.get_int("hex", 1), OptionError);
+  EXPECT_THROW(opts.get_double("x", 1.0), OptionError);
+  EXPECT_THROW(opts.get_double("y", 1.0), OptionError);
+  EXPECT_EQ(opts.get_int("ok", 1), -3);
+  EXPECT_EQ(opts.get_int("absent", 5), 5);
+}
+
+TEST(Options, EnvValuesAreValidatedToo) {
+  ::setenv("LPOMP_TEST_BAD_KNOB", "12abc", 1);
+  Options opts;
+  EXPECT_THROW(opts.get_int("test-bad-knob", 0), OptionError);
+  ::unsetenv("LPOMP_TEST_BAD_KNOB");
+}
+
+// An uncaught OptionError in a command-line program exits 2 with its
+// message instead of aborting. (The noexcept lambda stands in for main:
+// the exception escapes into std::terminate instead of gtest's catch.)
+TEST(OptionsDeathTest, UncaughtOptionErrorExitsTwo) {
+  const char* argv[] = {"prog", "--workers=4x"};
+  EXPECT_EXIT(
+      [&]() noexcept {
+        const Options opts(2, const_cast<char**>(argv));
+        opts.get_int("workers", 0);
+      }(),
+      ::testing::ExitedWithCode(2), "expected an integer");
+}
+
+TEST(BenchOptions, KlassByNameRejectsUnknownClasses) {
+  EXPECT_EQ(bench::klass_by_name("S"), npb::Klass::S);
+  EXPECT_EQ(bench::klass_by_name("R"), npb::Klass::R);
+  EXPECT_THROW(bench::klass_by_name("s"), OptionError);
+  EXPECT_THROW(bench::klass_by_name(""), OptionError);
+  EXPECT_THROW(bench::klass_by_name("C"), OptionError);
+}
+
+TEST(BenchOptionsDeathTest, NegativeWorkersExitTwo) {
+  const char* argv[] = {"prog", "--workers=-1"};
+  const Options opts(2, const_cast<char**>(argv));
+  EXPECT_EXIT(bench::workers_from(opts), ::testing::ExitedWithCode(2),
+              "must be >= 0");
+}
+
+TEST(BenchOptionsDeathTest, RemovedStrategiesAndFlagsExitTwo) {
+  for (const char* arg :
+       {"--strategy=analytic", "--strategy=multilane", "--strategy=recorded",
+        "--no-trace", "--no-multilane", "--no-analytic",
+        "--trace-store-mb=64"}) {
+    const char* argv[] = {"prog", arg};
+    const Options opts(2, const_cast<char**>(argv));
+    EXPECT_EXIT(bench::strategy_from(opts), ::testing::ExitedWithCode(2),
+                "valid.*live, auto")
+        << arg;
+  }
+  for (const char* name : {"live", "auto"}) {
+    const std::string arg = std::string("--strategy=") + name;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Options opts(2, const_cast<char**>(argv));
+    EXPECT_EQ(exec::strategy_name(bench::strategy_from(opts)),
+              std::string(name));
+  }
 }
 
 }  // namespace
