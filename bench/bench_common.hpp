@@ -182,7 +182,8 @@ inline exec::Strategy strategy_from(const Options& opts) {
   return *exec::strategy_from_name(opts.get("strategy", "auto"));
 }
 
-/// --workers= / LPOMP_WORKERS: pool size, 0 → one per host core. A
+/// --workers= / LPOMP_WORKERS: grid points that always run at once (narrow
+/// points may add more, see exec::WidthGate), 0 → one per host core. A
 /// negative count exits 2.
 inline unsigned workers_from(const Options& opts) {
   const long workers = opts.get_int("workers", 0);

@@ -281,6 +281,8 @@ int main(int argc, char** argv) {
     b.field("admission_queue_depth_peak", queue_depth_peak);
     b.field("local_steals", cold.local_steals + warm.local_steals);
     b.field("remote_steals", cold.remote_steals + warm.remote_steals);
+    b.field("peak_tasks_in_flight", cold.peak_tasks_in_flight);
+    b.field("peak_host_threads", cold.peak_host_threads);
     b.key("runs_detail");
     b.begin_array();
     for (const exec::RunRecord& r : cold.records) {

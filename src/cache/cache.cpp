@@ -19,8 +19,9 @@ CacheGeometry CacheGeometry::shared_slice(unsigned sharers) const {
 Cache::Cache(std::string name, CacheGeometry geom)
     : name_(std::move(name)), geom_(geom) {
   LPOMP_CHECK_MSG(geom_.present(), "cache must have nonzero size");
-  LPOMP_CHECK_MSG(std::has_single_bit(geom_.line_bytes),
-                  "line size must be a power of two");
+  LPOMP_CHECK_MSG(
+      std::has_single_bit(geom_.line_bytes) && geom_.line_bytes > 1,
+      "line size must be a power of two above one byte");
   line_shift_ = static_cast<std::size_t>(std::countr_zero(geom_.line_bytes));
   sets_ = geom_.sets();  // sets need not be 2^k (modulo fallback below)
   pow2_sets_ = std::has_single_bit(sets_);
@@ -37,10 +38,9 @@ bool Cache::access_assoc(std::uint64_t line_addr) {
       static_cast<std::size_t>(line_addr) & (kProbeSlots - 1);
   {
     Line& h = lines_[probe_[slot]];
-    if (h.valid && h.tag == line_addr) {
+    if (h.tag == line_addr) {
       h.last_use = ++clock_;
       mru_line_ = line_addr;
-      mru_valid_ = true;
       ++stats_.hits;
       return true;
     }
@@ -54,35 +54,32 @@ bool Cache::access_assoc(std::uint64_t line_addr) {
   Line* victim = &base[0];
   for (unsigned w = 0; w < geom_.ways; ++w) {
     Line& l = base[w];
-    if (l.valid && l.tag == line_addr) {
+    if (l.tag == line_addr) {
       l.last_use = ++clock_;
       mru_line_ = line_addr;
-      mru_valid_ = true;
       probe_[slot] = static_cast<std::uint32_t>(base_index + w);
       ++stats_.hits;
       return true;
     }
-    if (!l.valid) {
+    if (l.tag == kEmpty) {
       victim = &l;
-    } else if (victim->valid && l.last_use < victim->last_use) {
+    } else if (victim->tag != kEmpty && l.last_use < victim->last_use) {
       victim = &l;
     }
   }
 
   // Miss: allocate (write-allocate policy covers stores too).
-  victim->valid = true;
   victim->tag = line_addr;
   victim->last_use = ++clock_;
   mru_line_ = line_addr;
-  mru_valid_ = true;
   probe_[slot] =
       static_cast<std::uint32_t>(base_index + static_cast<std::size_t>(victim - base));
   return false;
 }
 
 void Cache::flush() {
-  for (Line& l : lines_) l.valid = false;
-  mru_valid_ = false;
+  for (Line& l : lines_) l.tag = kEmpty;
+  mru_line_ = kEmpty;
 }
 
 }  // namespace lpomp::cache

@@ -56,7 +56,7 @@ class Cache {
     ++stats_.lookups;
     if (is_store) ++stats_.store_lookups;
     const std::uint64_t line_addr = addr >> line_shift_;
-    if (mru_valid_ && mru_line_ == line_addr) {
+    if (mru_line_ == line_addr) {
       ++stats_.hits;
       return true;
     }
@@ -67,7 +67,7 @@ class Cache {
   /// therefore a guaranteed hit with no LRU side effects — the bulk fast
   /// path's precondition).
   bool mru_hit(vaddr_t addr) const {
-    return mru_valid_ && mru_line_ == (addr >> line_shift_);
+    return mru_line_ == (addr >> line_shift_);
   }
 
   /// Bulk accounting for `n` accesses the caller has proven would each hit
@@ -100,10 +100,14 @@ class Cache {
   void reset_stats() { stats_ = {}; }
 
  private:
+  /// Tag of an empty line (and of an empty MRU filter). No line address
+  /// reaches it: line_shift_ >= 1 leaves the top bit of addr >> line_shift_
+  /// clear.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
   struct Line {
-    std::uint64_t tag = 0;
+    std::uint64_t tag = kEmpty;
     std::uint64_t last_use = 0;
-    bool valid = false;
   };
 
   /// The associative path of access(): probe-hint check, then set scan,
@@ -120,8 +124,7 @@ class Cache {
   std::vector<Line> lines_;  // sets() * ways, set-major
   std::uint64_t clock_ = 0;
   // MRU filter: repeated touches of the current line skip the set search.
-  std::uint64_t mru_line_ = ~std::uint64_t{0};
-  bool mru_valid_ = false;
+  std::uint64_t mru_line_ = kEmpty;
   // Direct-mapped slot hints (line_addr → index into lines_). Every hint is
   // verified against the tag before use, so stale entries are harmless.
   static constexpr std::size_t kProbeSlots = 2048;

@@ -1,5 +1,6 @@
 #include "exec/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -120,6 +121,8 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("topology", topology);
     w.field("local_steals", local_steals);
     w.field("remote_steals", remote_steals);
+    w.field("peak_tasks_in_flight", peak_tasks_in_flight);
+    w.field("peak_host_threads", peak_host_threads);
   }
   w.end_object();
   return w.str();
@@ -192,15 +195,23 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   result.topology = pool_.topology().name();
   result.strategy = strategy;
   result.records.resize(tasks.size());
+  unsigned widest = 1;
+  for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
+  WidthGate gate(pool_.workers(), widest, Topology::host_threads());
+  // Threads beyond what the gate admits would only wait in it.
+  pool_.start_helpers(static_cast<unsigned>(
+      std::min<std::size_t>(tasks.size(), gate.max_in_flight())));
   // Each task writes its own pre-assigned slot, so the result order is the
-  // task order no matter how the pool schedules. `tasks` and `result`
-  // outlive every job: wait_idle() below is the join.
+  // task order no matter how the pool schedules. `tasks`, `result` and
+  // `gate` outlive every job: wait_idle() below is the join.
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    pool_.submit([this, slot = &result.records[i], task = &tasks[i]] {
-      *slot = run_one(*task);
+    pool_.submit([this, &gate, slot = &result.records[i], task = &tasks[i]] {
+      *slot = run_one(*task, gate);
     });
   }
   pool_.wait_idle();
+  result.peak_tasks_in_flight = gate.peak_tasks();
+  result.peak_host_threads = gate.peak_host_threads();
 
   result.wall_ms = ms_since(t0);
   result.cache = stats_delta(cache_.stats(), before);
@@ -213,13 +224,18 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   return result;
 }
 
-RunRecord Scheduler::run_one(const RunTask& task) {
-  const auto t0 = std::chrono::steady_clock::now();
+RunRecord Scheduler::run_one(const RunTask& task, WidthGate& gate) {
+  auto t0 = std::chrono::steady_clock::now();
   const std::string key = cache_key(task);
   if (std::optional<RunRecord> hit = probe(key)) {
     hit->wall_ms = ms_since(t0);
     return *hit;
   }
+  // wall_ms covers the probe and the run, not the wait for admission.
+  const double probe_ms = ms_since(t0);
+  const unsigned width = std::max(1u, task.threads);
+  gate.enter(width);
+  t0 = std::chrono::steady_clock::now();
   RunRecord record;
   try {
     record = runner_(task);
@@ -232,9 +248,10 @@ RunRecord Scheduler::run_one(const RunTask& task) {
     record.ok = false;
     record.error = "unknown exception";
   }
+  gate.leave(width);
   record.cache_hit = false;
   record.store_hit = false;
-  record.wall_ms = ms_since(t0);
+  record.wall_ms = probe_ms + ms_since(t0);
   if (record.ok) commit(key, record);
   return record;
 }

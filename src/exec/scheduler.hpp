@@ -50,6 +50,7 @@
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/topology.hpp"
+#include "exec/width_gate.hpp"
 
 namespace lpomp::exec {
 
@@ -65,6 +66,10 @@ struct SweepResult {
   Strategy strategy = Strategy::Auto;  ///< as requested for this sweep
   std::uint64_t local_steals = 0;   ///< same-domain queue steals
   std::uint64_t remote_steals = 0;  ///< cross-domain queue steals
+  /// Most live runs in flight at once, and most host threads they asked
+  /// for (the sum of their team widths); see Scheduler::run.
+  unsigned peak_tasks_in_flight = 0;
+  std::uint64_t peak_host_threads = 0;
 
   std::size_t completed() const;  ///< records with ok
   std::size_t failed() const;
@@ -94,7 +99,9 @@ struct SweepResult {
 class Scheduler {
  public:
   struct Config {
-    unsigned workers = 0;             ///< 0 → one per host hardware thread
+    /// Live runs that always start at once (P); narrow ones may add more,
+    /// see run(). 0 → one per host hardware thread.
+    unsigned workers = 0;
     std::size_t cache_capacity = 4096;
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
@@ -123,6 +130,12 @@ class Scheduler {
   /// Runs a sweep. Not reentrant: one run() at a time per scheduler
   /// (callers like the sweep daemon serialise). `strategy` is echoed in
   /// the host summary; every strategy runs the same live path.
+  ///
+  /// Live runs are admitted by team width (WidthGate): with P =
+  /// workers(), W = the widest task's `threads` and H = the host's
+  /// hardware threads, a run of width w starts while fewer than P runs are
+  /// in flight, or while the in-flight widths plus w stay within
+  /// min(P × W, H).
   SweepResult run(const SweepSpec& spec, Strategy strategy = Strategy::Auto);
   SweepResult run(const std::vector<RunTask>& tasks,
                   Strategy strategy = Strategy::Auto);
@@ -146,7 +159,7 @@ class Scheduler {
   /// Write-through commit of a successful record to LRU + disk.
   void commit(const std::string& key, const RunRecord& record);
 
-  RunRecord run_one(const RunTask& task);
+  RunRecord run_one(const RunTask& task, WidthGate& gate);
 
   Config config_;
   TaskRunner runner_ = execute_task;

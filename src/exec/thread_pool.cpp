@@ -1,5 +1,6 @@
 #include "exec/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 namespace lpomp::exec {
@@ -28,7 +29,16 @@ WorkStealingPool::WorkStealingPool(unsigned workers, Topology topology)
     near.insert(near.end(), far.begin(), far.end());
     steal_order_[self] = std::move(near);
   }
-  threads_.reserve(n);
+  const unsigned total = std::max(n, Topology::host_threads());
+  for (unsigned self = n; self < total; ++self) {
+    const unsigned partner = self % n;
+    std::vector<std::size_t> order{partner};
+    order.insert(order.end(), steal_order_[partner].begin(),
+                 steal_order_[partner].end());
+    steal_order_.push_back(std::move(order));
+    same_domain_.push_back(same_domain_[partner] + 1);
+  }
+  threads_.reserve(total);
   for (unsigned i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -42,6 +52,14 @@ WorkStealingPool::~WorkStealingPool() {
   }
   work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
+}
+
+void WorkStealingPool::start_helpers(unsigned n) {
+  n = std::min(n, max_threads());
+  while (threads_.size() < n) {
+    const std::size_t self = threads_.size();
+    threads_.emplace_back([this, self] { worker_loop(self); });
+  }
 }
 
 void WorkStealingPool::submit(std::function<void()> fn) {
@@ -65,6 +83,7 @@ void WorkStealingPool::wait_idle() {
 }
 
 bool WorkStealingPool::pop_own(std::size_t self, std::function<void()>& out) {
+  if (self >= queues_.size()) return false;  // helpers own no deque
   Queue& q = *queues_[self];
   std::lock_guard lock(q.mutex);
   if (q.tasks.empty()) return false;

@@ -13,6 +13,13 @@
 // crossing sockets. local/remote steal counts are exported so sweeps can report how often
 // work actually crossed a socket.
 //
+// Besides its `workers()` deque owners the pool can start helper threads
+// that own no deque and only steal, up to max(workers, host hardware
+// threads) threads in all (start_helpers()). The pool runs as many tasks
+// at once as it has threads; a submitter that needs fewer bounds them
+// inside its tasks (the Scheduler admits tasks by team width, DESIGN.md
+// §10).
+//
 // The pool only schedules; determinism of results is the submitter's
 // problem and is solved by making every task self-contained (see
 // sweep.hpp) and writing each result to a pre-assigned slot.
@@ -43,8 +50,9 @@ class WorkStealingPool {
 
   /// `workers == 0` → one per host hardware thread (min 1). An explicit
   /// `topology` overrides `workers` (the pool gets exactly
-  /// sockets × cores_per_socket threads); an unspecified one is detected
-  /// from the host and degrades to a flat single-domain shape.
+  /// sockets × cores_per_socket deques and worker threads); an unspecified
+  /// one is detected from the host and degrades to a flat single-domain
+  /// shape.
   explicit WorkStealingPool(unsigned workers = 0, Topology topology = {});
 
   /// Drains remaining work, then joins all workers.
@@ -54,6 +62,17 @@ class WorkStealingPool {
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
   unsigned workers() const { return static_cast<unsigned>(queues_.size()); }
+  /// max(workers(), Topology::host_threads()): the most threads the pool
+  /// starts, and so the most tasks it runs at once.
+  unsigned max_threads() const {
+    return static_cast<unsigned>(steal_order_.size());
+  }
+
+  /// Starts helper threads until min(n, max_threads()) threads run.
+  /// Helpers stay until the pool is destroyed. Call from the submitting
+  /// thread, not from a task.
+  void start_helpers(unsigned n);
+
   const Topology& topology() const { return topology_; }
   unsigned domains() const { return topology_.domains(); }
 
@@ -82,9 +101,12 @@ class WorkStealingPool {
   Topology topology_;
   std::vector<std::unique_ptr<Queue>> queues_;
   /// steal_order_[self]: victim indices, same-domain workers first; the
-  /// first same_domain_[self] entries share self's domain.
+  /// first same_domain_[self] entries share self's domain. A helper thread
+  /// (self >= workers()) scans its partner worker self % workers() first,
+  /// then that worker's victims.
   std::vector<std::vector<std::size_t>> steal_order_;
   std::vector<std::size_t> same_domain_;
+  /// Workers first, then helpers as start_helpers() starts them.
   std::vector<std::thread> threads_;
 
   std::atomic<std::uint64_t> local_steals_{0};

@@ -62,11 +62,12 @@ Topology Topology::detect(unsigned workers) {
 
 Topology Topology::resolve(const Topology& requested, unsigned workers) {
   if (requested.specified()) return requested;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  return detect(workers);
+  return detect(workers == 0 ? host_threads() : workers);
+}
+
+unsigned Topology::host_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
 }
 
 }  // namespace lpomp::exec

@@ -43,6 +43,8 @@ struct Topology {
   /// explicit request wins (and fixes the worker count); otherwise the
   /// worker count is resolved (0 → host hardware threads) and detected.
   static Topology resolve(const Topology& requested, unsigned workers);
+  /// std::thread::hardware_concurrency(), or 1 when the host won't say.
+  static unsigned host_threads();
 };
 
 }  // namespace lpomp::exec

@@ -34,7 +34,16 @@ void SweepService::serve_slot(std::uint32_t i) {
   std::string response;
   std::uint32_t status = 0;
   try {
-    const std::string text(payload, slot->request_bytes);
+    // request_bytes is written by another process: read it once and never
+    // past the slot this daemon mapped.
+    const std::size_t request_bytes = slot->request_bytes;
+    if (request_bytes > config_.slot_bytes) {
+      throw WireError("request header claims " +
+                      std::to_string(request_bytes) +
+                      " bytes but a slot holds " +
+                      std::to_string(config_.slot_bytes));
+    }
+    const std::string text(payload, request_bytes);
     if (is_stats_request(text)) {
       // Telemetry probe: answer from the ring header without running a
       // sweep, so clients can read queue-depth/throughput counters from a

@@ -17,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lpomp {
@@ -48,11 +49,10 @@ class Options {
     }
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "1";
-    } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
-    }
+    // A bare flag is "1". body.substr(0, npos) is the whole body.
+    std::string value =
+        eq == std::string::npos ? std::string(1, '1') : body.substr(eq + 1);
+    values_[body.substr(0, eq)] = std::move(value);
   }
 
   /// Lookup order: command line, then LPOMP_<KEY> env (key uppercased,

@@ -1,13 +1,20 @@
 // Tests for the parallel sweep scheduler: scheduling determinism (the
 // same sweep on 1 worker and N workers yields identical results), the
 // content-keyed result cache (hits, eviction, key sensitivity), failure
-// isolation, and the JSON observability layer.
+// isolation, width-aware admission of live runs, and the JSON
+// observability layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/scheduler.hpp"
@@ -239,6 +246,229 @@ TEST(Scheduler, RealInfeasibleTaskIsIsolatedToo) {
   EXPECT_TRUE(result.records[0].verified);
   EXPECT_FALSE(result.records[1].ok);
   EXPECT_FALSE(result.records[1].error.empty());
+}
+
+/// One task per entry of `widths` (team threads), each with its own seed so
+/// every task has its own cache key.
+std::vector<RunTask> tasks_of_widths(const std::vector<unsigned>& widths) {
+  std::vector<RunTask> tasks(widths.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].klass = npb::Klass::S;
+    tasks[i].threads = widths[i];
+    tasks[i].seed = 1000 + i;
+  }
+  return tasks;
+}
+
+/// Counting TaskRunner state: live runs and host threads in flight, their
+/// peaks, and executions per task seed. A run holds `hold` so runs
+/// overlap; it first waits (at most 5 s) until `meet` runs have been in
+/// flight at once, which makes "more than one run at a time" a
+/// deterministic outcome rather than a race.
+struct InFlight {
+  unsigned workers = 1;                 ///< P of the scheduler under test
+  unsigned budget = 0;                  ///< min(P × W, H) of the sweep
+  unsigned meet = 1;
+  std::chrono::milliseconds hold{2};
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  unsigned tasks = 0;
+  unsigned host_threads = 0;
+  unsigned peak_tasks = 0;
+  unsigned peak_host_threads = 0;
+  bool over_budget = false;  ///< more than P runs while over the budget
+  std::map<std::uint64_t, int> runs;
+
+  Scheduler::TaskRunner runner() {
+    return [this](const RunTask& task) {
+      {
+        std::unique_lock lock(mutex);
+        ++tasks;
+        host_threads += task.threads;
+        ++runs[task.seed];
+        peak_tasks = std::max(peak_tasks, tasks);
+        peak_host_threads = std::max(peak_host_threads, host_threads);
+        if (tasks > workers && host_threads > budget) over_budget = true;
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(5),
+                    [this] { return peak_tasks >= meet; });
+      }
+      std::this_thread::sleep_for(hold);
+      {
+        std::lock_guard lock(mutex);
+        --tasks;
+        host_threads -= task.threads;
+      }
+      return fake_runner(task);
+    };
+  }
+};
+
+/// Every task ran exactly once and its record sits in its task's slot.
+void expect_each_once_in_order(const std::vector<RunTask>& tasks,
+                               const SweepResult& result,
+                               const InFlight& state) {
+  ASSERT_EQ(result.records.size(), tasks.size());
+  EXPECT_EQ(state.runs.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(state.runs.at(tasks[i].seed), 1) << "task " << i;
+    EXPECT_EQ(result.records[i].seed, tasks[i].seed) << "task " << i;
+    EXPECT_EQ(result.records[i].threads, tasks[i].threads) << "task " << i;
+    EXPECT_TRUE(result.records[i].ok);
+  }
+}
+
+// No sweep asks for more host threads than P runs of its widest team, and
+// runs beyond P only start within min(P × W, H).
+TEST(Admission, HostThreadsNeverExceedWorkersTimesWidest) {
+  const std::vector<RunTask> tasks =
+      tasks_of_widths({1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1});
+  InFlight state;
+  state.workers = 2;
+  state.budget = std::min(2u * 2u, Topology::host_threads());
+  Scheduler engine({.workers = 2});
+  engine.set_task_runner(state.runner());
+
+  const SweepResult result = engine.run(tasks);
+  expect_each_once_in_order(tasks, result, state);
+  EXPECT_LE(state.peak_host_threads, 2u * 2u);
+  EXPECT_FALSE(state.over_budget);
+  EXPECT_LE(result.peak_host_threads, 2u * 2u);
+  EXPECT_GE(result.peak_tasks_in_flight, state.peak_tasks);
+}
+
+// At one worker, a sweep whose widest team is 4T runs its 1T points side
+// by side on a multi-core host: those host threads are already budgeted.
+// The 4T point is served from the cache, so it sets W without queueing
+// ahead of the 1T runs (a queued 4T run would rightly hold them back).
+TEST(Admission, NarrowRunsShareTheHostAtOneWorker) {
+  const unsigned host = Topology::host_threads();
+  const std::vector<RunTask> tasks = tasks_of_widths({1, 1, 1, 1, 1, 1, 4});
+  InFlight state;
+  state.workers = 1;
+  state.budget = std::min(4u, host);
+  Scheduler engine({.workers = 1});
+  engine.set_task_runner(state.runner());
+  engine.run(std::vector<RunTask>{tasks.back()});
+
+  state.meet = host > 1 ? 2 : 1;
+  const SweepResult result = engine.run(tasks);
+  EXPECT_EQ(result.cache_hits(), 1u);
+  expect_each_once_in_order(tasks, result, state);
+  EXPECT_FALSE(state.over_budget);
+  if (host > 1) {
+    EXPECT_GE(state.peak_tasks, 2u);
+    EXPECT_GE(result.peak_tasks_in_flight, 2u);
+  } else {
+    EXPECT_EQ(result.peak_tasks_in_flight, 1u);
+  }
+  EXPECT_LE(result.peak_host_threads, 4u);
+}
+
+// Wide teams are not capped at the host's threads: two 4T runs at two
+// workers still run at once, as they did before admission by width.
+TEST(Admission, WideRunsStillFillEveryWorker) {
+  const std::vector<RunTask> tasks = tasks_of_widths({4, 4, 4, 4});
+  InFlight state;
+  state.workers = 2;
+  state.budget = std::min(2u * 4u, Topology::host_threads());
+  state.meet = 2;
+  Scheduler engine({.workers = 2});
+  engine.set_task_runner(state.runner());
+
+  const SweepResult result = engine.run(tasks);
+  expect_each_once_in_order(tasks, result, state);
+  EXPECT_EQ(result.peak_tasks_in_flight, 2u);
+  EXPECT_EQ(result.peak_host_threads, 8u);
+}
+
+// A wide point queued among many narrow ones at one worker still runs.
+TEST(Admission, WideTaskQueuedBehindNarrowOnesStillRuns) {
+  std::vector<unsigned> widths(24, 1);
+  widths.push_back(4);
+  widths.insert(widths.end(), 8, 1);
+  const std::vector<RunTask> tasks = tasks_of_widths(widths);
+  InFlight state;
+  state.workers = 1;
+  state.budget = std::min(4u, Topology::host_threads());
+  Scheduler engine({.workers = 1});
+  engine.set_task_runner(state.runner());
+
+  const SweepResult result = engine.run(tasks);
+  expect_each_once_in_order(tasks, result, state);
+  EXPECT_FALSE(state.over_budget);
+}
+
+/// Polls `done` for up to 5 s.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The paging-S shape (P = 2, W = 2, H = 4): four 1T runs fit at once, and
+// a fifth waits until one leaves.
+TEST(WidthGate, AdmitsNarrowRunsUpToTheBudget) {
+  WidthGate gate(/*workers=*/2, /*widest=*/2, /*host_threads=*/4);
+  EXPECT_EQ(gate.max_in_flight(), 4u);
+  for (int i = 0; i < 4; ++i) gate.enter(1);
+  EXPECT_EQ(gate.peak_tasks(), 4u);
+  EXPECT_EQ(gate.peak_host_threads(), 4u);
+
+  std::thread fifth([&] {
+    gate.enter(1);
+    gate.leave(1);
+  });
+  ASSERT_TRUE(eventually([&] { return gate.queued() == 1; }));
+  gate.leave(1);
+  fifth.join();
+  EXPECT_EQ(gate.peak_tasks(), 4u);
+  for (int i = 0; i < 3; ++i) gate.leave(1);
+}
+
+// The most runs at once: P, or one per budgeted host thread. The Figure-4
+// default (P = H = 4, W = 8) keeps P; more workers than host threads keep
+// P; a 1-worker 1T/2T sweep may pair its 1T runs.
+TEST(WidthGate, MaxInFlightIsWorkersOrTheBudget) {
+  EXPECT_EQ(WidthGate(4, 8, 4).max_in_flight(), 4u);
+  EXPECT_EQ(WidthGate(8, 1, 4).max_in_flight(), 8u);
+  EXPECT_EQ(WidthGate(1, 2, 4).max_in_flight(), 2u);
+  EXPECT_EQ(WidthGate(1, 1, 4).max_in_flight(), 1u);
+  EXPECT_EQ(WidthGate(2, 8, 1).max_in_flight(), 2u);
+}
+
+// A wide run waiting for a slot is not overtaken by a narrow run that
+// arrived after it, even though the narrow one alone would fit.
+TEST(WidthGate, WaitingWideRunIsNotOvertakenByLaterNarrowRuns) {
+  WidthGate gate(/*workers=*/1, /*widest=*/2, /*host_threads=*/2);
+  gate.enter(1);  // one run in flight: P reached, one host thread spare
+
+  std::atomic<int> order{0};
+  int wide_at = -1;
+  int narrow_at = -1;
+  std::thread wide([&] {
+    gate.enter(2);  // 1 + 2 > 2: waits for the running run to leave
+    wide_at = order++;
+    gate.leave(2);
+  });
+  ASSERT_TRUE(eventually([&] { return gate.queued() == 1; }));
+  std::thread narrow([&] {
+    gate.enter(1);  // 1 + 1 <= 2 would fit, but the wide run came first
+    narrow_at = order++;
+    gate.leave(1);
+  });
+  ASSERT_TRUE(eventually([&] { return gate.queued() == 2; }));
+  gate.leave(1);
+  wide.join();
+  narrow.join();
+  EXPECT_EQ(wide_at, 0);
+  EXPECT_EQ(narrow_at, 1);
 }
 
 TEST(Json, WriterEscapesAndNestsDeterministically) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -323,6 +324,47 @@ TEST(ServeService, DaemonErrorResponse) {
   EXPECT_EQ(summary_counter(exec::json_parse(ok), "completed"), 4u);
 }
 
+// A slot header that claims more request bytes than the slot holds (a
+// buggy or hostile client) is answered with an error response, never read
+// past the payload region; the next slot is served normally.
+TEST(ServeService, OversizedRequestHeaderIsRejected) {
+  const std::string name = shm_name("oversize");
+  serve::SweepService::Config cfg;
+  cfg.shm_name = name;
+  cfg.slots = 2;
+  cfg.slot_bytes = 64 * 1024;
+  cfg.scheduler.workers = 1;
+  serve::SweepService service(cfg);
+
+  serve::ShmRing ring = serve::ShmRing::open(name);
+  for (const std::uint32_t claimed :
+       {std::uint32_t{64 * 1024 + 1}, ~std::uint32_t{0}}) {
+    serve::SlotHeader* slot = ring.slot(0);
+    ASSERT_EQ(slot->state.load(), serve::kSlotFree);
+    slot->request_bytes = claimed;
+    slot->state.store(serve::kSlotRequest, std::memory_order_release);
+    EXPECT_EQ(service.poll_once(), 1u);
+
+    ASSERT_EQ(slot->state.load(), serve::kSlotResponse);
+    EXPECT_EQ(slot->status, 1u);
+    const exec::JsonValue doc = exec::json_parse(
+        std::string(ring.payload(0), slot->response_bytes));
+    EXPECT_EQ(doc.at("status").as_string(), "error");
+    EXPECT_NE(doc.at("message").as_string().find("slot holds"),
+              std::string::npos);
+    slot->state.store(serve::kSlotFree, std::memory_order_release);
+  }
+
+  // The ring is not poisoned: a well-formed stats probe still answers.
+  const std::string probe = serve::encode_stats_request();
+  serve::SlotHeader* slot = ring.slot(1);
+  std::memcpy(ring.payload(1), probe.data(), probe.size());
+  slot->request_bytes = static_cast<std::uint32_t>(probe.size());
+  slot->state.store(serve::kSlotRequest, std::memory_order_release);
+  EXPECT_EQ(service.poll_once(), 1u);
+  EXPECT_EQ(slot->status, 0u);
+}
+
 // With no daemon on the segment, the client constructor fails with
 // RingError — fast, reasoned, no hang.
 TEST(ServeService, NoDaemonIsCleanFailure) {
@@ -387,7 +429,9 @@ TEST(ServeService, TwoForkedDaemonsShareOneStore) {
     pids[i] = ::fork();
     ASSERT_GE(pids[i], 0);
     if (pids[i] == 0) {
-      // Child: serve the ring until the parent drops the flag file.
+      // Child: serve the ring until the parent drops the flag file. The
+      // service is destroyed before _exit so its ring segment is unlinked.
+      int code = 0;
       try {
         serve::SweepService::Config cfg;
         cfg.shm_name = names[i];
@@ -399,10 +443,10 @@ TEST(ServeService, TwoForkedDaemonsShareOneStore) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
         }
-        ::_exit(0);
       } catch (...) {
-        ::_exit(2);
+        code = 2;
       }
+      ::_exit(code);
     }
   }
 

@@ -13,7 +13,7 @@ namespace lpomp::tlb {
 namespace {
 
 Tlb::Config small_fa(unsigned n4k, unsigned n2m) {
-  return {"t", {n4k, n4k}, {n2m, n2m}};
+  return {"t", {n4k, n4k}, {n2m, n2m}, {}};
 }
 
 TEST(TlbGeometry, ReachAndSets) {
@@ -62,7 +62,7 @@ TEST(Tlb, BanksAreIndependent) {
 }
 
 TEST(Tlb, AbsentBankNeverHits) {
-  Tlb t({"t", {4, 4}, {0, 0}});
+  Tlb t({"t", {4, 4}, {0, 0}, {}});
   EXPECT_FALSE(t.supports(PageKind::large2m));
   t.insert(1, PageKind::large2m);  // no-op
   EXPECT_FALSE(t.lookup(1, PageKind::large2m));
@@ -95,7 +95,7 @@ TEST(Tlb, CyclicSweepThrashesFullyAssociative) {
 }
 
 TEST(Tlb, SetAssociativeMapsBySetIndex) {
-  Tlb t({"t", {8, 2}, {0, 0}});  // 4 sets × 2 ways
+  Tlb t({"t", {8, 2}, {0, 0}, {}});  // 4 sets × 2 ways
   // VPNs 0, 4, 8 all map to set 0; two fit, the third evicts the LRU.
   t.insert(0, PageKind::small4k);
   t.insert(4, PageKind::small4k);
@@ -135,7 +135,8 @@ TEST(Tlb, StatsPerKind) {
 }
 
 TEST(Tlb, InvalidGeometryRejected) {
-  EXPECT_THROW(Tlb({"bad", {5, 2}, {0, 0}}), std::logic_error);  // 5 % 2 != 0
+  // 5 % 2 != 0
+  EXPECT_THROW(Tlb({"bad", {5, 2}, {0, 0}, {}}), std::logic_error);
 }
 
 // Reference model: per-set std::list LRU, most recent at front.
@@ -184,7 +185,7 @@ class TlbLruProperty : public ::testing::TestWithParam<LruCase> {};
 
 TEST_P(TlbLruProperty, MatchesReferenceLru) {
   const LruCase c = GetParam();
-  Tlb t({"prop", {c.entries, c.ways}, {0, 0}});
+  Tlb t({"prop", {c.entries, c.ways}, {0, 0}, {}});
   ReferenceLru ref(c.entries, c.ways);
   Rng rng(c.seed);
   for (int i = 0; i < 20000; ++i) {

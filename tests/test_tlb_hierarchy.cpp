@@ -7,14 +7,14 @@ namespace lpomp::tlb {
 namespace {
 
 TlbHierarchy opteron_like() {
-  return TlbHierarchy({"itlb", {32, 32}, {8, 8}},
-                      {"l1d", {4, 4}, {2, 2}},
-                      Tlb::Config{"l2d", {16, 4}, {0, 0}});
+  return TlbHierarchy({"itlb", {32, 32}, {8, 8}, {}},
+                      {"l1d", {4, 4}, {2, 2}, {}},
+                      Tlb::Config{"l2d", {16, 4}, {0, 0}, {}});
 }
 
 TlbHierarchy xeon_like() {
-  return TlbHierarchy({"itlb", {64, 64}, {16, 16}},
-                      {"dtlb", {8, 8}, {4, 4}}, std::nullopt);
+  return TlbHierarchy({"itlb", {64, 64}, {16, 16}, {}},
+                      {"dtlb", {8, 8}, {4, 4}, {}}, std::nullopt);
 }
 
 TEST(TlbHierarchy, FirstAccessWalksAndFills) {

@@ -71,7 +71,10 @@ class TlbProperty : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(TlbProperty, OccupancyNeverExceedsConfiguredEntries) {
   const Geometry g = GetParam();
-  Tlb t({"prop", {g.entries, g.ways}, {g.entries / 2 + 1, g.entries / 2 + 1}});
+  Tlb t({"prop",
+         {g.entries, g.ways},
+         {g.entries / 2 + 1, g.entries / 2 + 1},
+         {}});
   Rng rng(0xacce55ULL + g.entries * 131 + g.ways);
   for (int i = 0; i < 20000; ++i) {
     const PageKind kind =
@@ -88,7 +91,7 @@ TEST_P(TlbProperty, OccupancyNeverExceedsConfiguredEntries) {
 
 TEST_P(TlbProperty, MatchesExactLruModelAndNeverEvictsRecentlyTouched) {
   const Geometry g = GetParam();
-  Tlb t({"prop", {g.entries, g.ways}, {}});
+  Tlb t({"prop", {g.entries, g.ways}, {}, {}});
   LruModel model(g.entries / g.ways, g.ways);
   Rng rng(0x1405eedULL + g.entries * 31 + g.ways);
   for (int i = 0; i < 20000; ++i) {
@@ -123,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TlbProperty,
 
 TEST(TlbProperty, UnsupportedKindStaysEmpty) {
   // Opteron L2 DTLB shape: no 2 MB entries at all.
-  Tlb t({"l2d", {512, 4}, {}});
+  Tlb t({"l2d", {512, 4}, {}, {}});
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(touch(t, rng.next_below(1 << 20), PageKind::large2m));
@@ -134,9 +137,9 @@ TEST(TlbProperty, UnsupportedKindStaysEmpty) {
 
 TEST(TlbHierarchyProperty, FlushZeroesOccupancyButPreservesWalkCounts) {
   // The Opteron shape: L1 with both kinds, 4 KB-only L2.
-  TlbHierarchy h({"itlb", {32, 32}, {8, 8}},
-                 {"l1d", {32, 32}, {8, 8}},
-                 Tlb::Config{"l2d", {512, 4}, {}});
+  TlbHierarchy h({"itlb", {32, 32}, {8, 8}, {}},
+                 {"l1d", {32, 32}, {8, 8}, {}},
+                 Tlb::Config{"l2d", {512, 4}, {}, {}});
   Rng rng(0xf1005ULL);
   const int kRounds = 50;
   count_t last_walks = 0;

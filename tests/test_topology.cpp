@@ -6,6 +6,7 @@
 // non-native paging policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -73,6 +74,7 @@ TEST(Topology, ZeroWorkersResolveToAtLeastOne) {
 TEST(WorkStealingPool, RunsEveryTaskUnderAnExplicitTopology) {
   WorkStealingPool pool(0, Topology::parse("2x2"));
   EXPECT_EQ(pool.workers(), 4u);
+  EXPECT_EQ(pool.max_threads(), std::max(4u, Topology::host_threads()));
   EXPECT_EQ(pool.domains(), 2u);
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
