@@ -5,10 +5,12 @@
 // LPOMP_* environment overrides.
 #pragma once
 
-#include <cstdio>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,10 +25,28 @@
 
 namespace lpomp::bench {
 
+/// Platform from --platform= ("opteron", "xeon", "modern"); throws
+/// OptionError on anything else.
 inline sim::ProcessorSpec platform_by_name(const std::string& name) {
+  if (name == "opteron") return sim::ProcessorSpec::opteron270();
   if (name == "xeon") return sim::ProcessorSpec::xeon_ht();
   if (name == "modern") return sim::ProcessorSpec::modern();
-  return sim::ProcessorSpec::opteron270();
+  throw OptionError("unknown platform '" + name +
+                    "' (valid: opteron, xeon, modern)");
+}
+
+/// --thp-seed= as a decimal or 0x-prefixed hex 64-bit value; throws
+/// OptionError on an empty, negative, out-of-range or trailing-garbage
+/// value.
+inline std::uint64_t thp_seed_from(const Options& opts, std::uint64_t def) {
+  const std::string v = opts.get("thp-seed", std::to_string(def));
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long seed = std::strtoull(v.c_str(), &end, 0);
+  if (v.empty() || v.front() == '-' || *end != '\0' || errno == ERANGE) {
+    throw OptionError("--thp-seed=" + v + ": expected an unsigned integer");
+  }
+  return seed;
 }
 
 /// Parses --paging= as a comma-separated paging-policy list ("native,
@@ -34,17 +54,20 @@ inline sim::ProcessorSpec platform_by_name(const std::string& name) {
 /// absent flag yields the single native (identity) policy, preserving
 /// historical behaviour. --thp-seed/--thp-frag/--thp-growth/--thp-interval
 /// override the THP fragmentation model for every thp entry in the list
-/// (all four are part of the result fingerprint).
+/// (all four are part of the result fingerprint); a malformed value, or an
+/// interval outside [0, 2^32), throws OptionError.
 inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   const std::string list = opts.get("paging", "native");
   paging::ThpParams thp;
-  // base 0: --thp-seed accepts decimal or 0x-prefixed hex.
-  thp.frag_seed = std::strtoull(
-      opts.get("thp-seed", std::to_string(thp.frag_seed)).c_str(), nullptr, 0);
+  thp.frag_seed = thp_seed_from(opts, thp.frag_seed);
   thp.frag_base = opts.get_double("thp-frag", thp.frag_base);
   thp.frag_growth = opts.get_double("thp-growth", thp.frag_growth);
-  thp.compaction_interval = static_cast<std::uint32_t>(
-      opts.get_int("thp-interval", thp.compaction_interval));
+  const long interval = opts.get_int("thp-interval", thp.compaction_interval);
+  if (interval < 0 || interval > std::numeric_limits<std::uint32_t>::max()) {
+    throw OptionError("--thp-interval=" + std::to_string(interval) +
+                      ": must be in [0, 4294967295]");
+  }
+  thp.compaction_interval = static_cast<std::uint32_t>(interval);
   std::vector<paging::PolicySpec> out;
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -156,8 +179,9 @@ inline std::string improvement(double t4k, double t2m) {
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
 
 /// Exits 2 on the flags removed with the replay tiers (--no-trace,
-/// --no-multilane, --no-analytic, --trace-store-mb) and on a --strategy= /
-/// LPOMP_STRATEGY other than live or auto.
+/// --no-multilane, --no-analytic, --trace-store-mb) and with the socket
+/// shapes (--topology), and on a --strategy= / LPOMP_STRATEGY other than
+/// live or auto.
 inline void reject_removed_flags(const Options& opts) {
   for (const char* flag :
        {"no-trace", "no-multilane", "no-analytic", "trace-store-mb"}) {
@@ -166,6 +190,11 @@ inline void reject_removed_flags(const Options& opts) {
                 << "(valid strategies: " << exec::kStrategyNames << ")\n";
       std::exit(2);
     }
+  }
+  if (!opts.get("topology", "").empty()) {
+    std::cerr << "--topology was removed: the pool is flat, size it with "
+                 "--workers=N\n";
+    std::exit(2);
   }
   const std::string name = opts.get("strategy", "auto");
   if (!exec::strategy_from_name(name)) {
@@ -195,24 +224,13 @@ inline unsigned workers_from(const Options& opts) {
   return static_cast<unsigned>(workers);
 }
 
-/// Scheduler config from --workers= (workers_from), --store-dir= (layers
-/// the disk-persistent result store under the LRU, so results survive the
-/// process) and --topology=SxC (fixes the pool's socket × core shape
-/// independently of the host, e.g. --topology=2x2 in CI identity checks).
-/// Results are bit-identical under any combination.
+/// Scheduler config from --workers= (workers_from) and --store-dir=
+/// (layers the disk-persistent result store under the LRU, so results
+/// survive the process). Results are bit-identical under any combination.
 inline exec::Scheduler::Config scheduler_config(const Options& opts) {
   exec::Scheduler::Config cfg;
   cfg.workers = workers_from(opts);
   cfg.store_dir = opts.get("store-dir", "");
-  const std::string topo = opts.get("topology", "");
-  if (!topo.empty()) {
-    try {
-      cfg.topology = exec::Topology::parse(topo);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(2);
-    }
-  }
   return cfg;
 }
 

@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
   const exec::Strategy strategy = bench::strategy_from(opts);
+  const bool host = opts.get_flag("json-host");
 
   // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis. Every
   // policy reinterprets the same address stream, so the layout axis
@@ -199,7 +200,6 @@ int main(int argc, char** argv) {
 
   // --- JSON document ------------------------------------------------------
   const std::string path = opts.get("json", "");
-  const bool host = opts.get_flag("json-host");
   exec::JsonWriter w;
   w.begin_object();
   w.field("schema", "lpomp-sweep-all-v1");
@@ -250,11 +250,9 @@ int main(int argc, char** argv) {
     }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v6");
+    b.field("schema", "lpomp-bench-sweep-v7");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
-    b.field("topology", cold.topology);
-    b.field("domains", static_cast<std::uint64_t>(cold.domains));
     b.field("strategy", exec::strategy_name(strategy));
     b.key("paging");
     b.begin_array();
@@ -279,8 +277,6 @@ int main(int argc, char** argv) {
             cold.store.bytes_written + warm.store.bytes_written);
     b.end_object();
     b.field("admission_queue_depth_peak", queue_depth_peak);
-    b.field("local_steals", cold.local_steals + warm.local_steals);
-    b.field("remote_steals", cold.remote_steals + warm.remote_steals);
     b.field("peak_tasks_in_flight", cold.peak_tasks_in_flight);
     b.field("peak_host_threads", cold.peak_host_threads);
     b.key("runs_detail");

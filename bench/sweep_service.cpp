@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
   cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
   bench::reject_removed_flags(opts);
-  cfg.scheduler.workers = bench::workers_from(opts);
-  cfg.scheduler.store_dir = opts.get("store-dir", "");
+  cfg.scheduler = bench::scheduler_config(opts);
 
   try {
     serve::SweepService service(cfg);

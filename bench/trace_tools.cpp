@@ -5,7 +5,6 @@
 //                         --out=cg.lptrace [--platform=opteron] [--seed=N]
 //   trace_tools replay    --in=cg.lptrace [--platform=xeon] [--seed=N]
 //                         [--code-pages=4KB] [--check]
-//   trace_tools multilane --in=cg.lptrace [--seed=N] [--check]
 //   trace_tools bench     --in=cg_s.lptrace,cg_w.lptrace [--repeat=10]
 //                         [--json-out=FILE]
 //   trace_tools stats     --in=cg.lptrace
@@ -13,11 +12,7 @@
 // `record` runs the kernel live with the recorder attached and writes the
 // compressed trace. `replay` re-drives the simulator from the file and
 // prints the profile; with --check it also runs the same config live and
-// verifies every counter matches bit-for-bit. `multilane` replays the file
-// once onto the whole platform × code-page grid — every grid point is a
-// lane of one MultiReplayDriver pass, so the trace is decoded exactly
-// once; with --check each lane is also compared counter-for-counter
-// against its standalone single-lane replay. `bench` times a replay of
+// verifies every counter matches bit-for-bit. `bench` times a replay of
 // each trace against the live run that recorded it (same platform, seed
 // and code pages; minimum of --repeat runs each) and asserts the two agree
 // counter-for-counter — the replay-over-live ratio CI gates on.
@@ -30,7 +25,6 @@
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
 #include "trace/io.hpp"
-#include "trace/lane.hpp"
 #include "trace/stats.hpp"
 
 using namespace lpomp;
@@ -138,87 +132,6 @@ int cmd_replay(const Options& opts) {
     std::cout << "live check: counters "
               << (same ? "identical" : "DIFFER") << "\n";
     if (!same) return 1;
-  }
-  return 0;
-}
-
-int cmd_multilane(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "multilane: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-
-  // The full replay-knob grid: both platforms × both code page kinds.
-  // A platform without enough hardware contexts for the recorded thread
-  // count cannot host a lane; it is skipped, not an error.
-  std::vector<trace::ReplayConfig> cfgs;
-  std::vector<std::string> skipped;
-  for (const sim::ProcessorSpec& spec :
-       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht()}) {
-    for (const PageKind code : {PageKind::small4k, PageKind::large2m}) {
-      if (trace.meta.threads > spec.total_contexts()) {
-        skipped.push_back(spec.name);
-        continue;
-      }
-      trace::ReplayConfig c;
-      c.spec = spec;
-      c.seed = seed;
-      c.code_page_kind = code;
-      cfgs.push_back(c);
-    }
-  }
-  if (cfgs.empty()) {
-    std::cerr << "multilane: " << trace.meta.threads
-              << " recorded threads fit no platform\n";
-    return 2;
-  }
-
-  std::cout << "multi-lane replay of " << trace.key() << ": " << cfgs.size()
-            << " lanes, one decode pass";
-  if (!skipped.empty()) {
-    std::cout << " (" << skipped.size() / 2 << " platform(s) skipped: too "
-              << "few contexts)";
-  }
-  std::cout << "\n";
-
-  const std::vector<trace::ReplayOutcome> outs =
-      trace::MultiReplayDriver(cfgs).run(trace);
-
-  const bool check = opts.get_flag("check");
-  std::size_t mismatches = 0;
-  std::vector<std::string> headers = {"platform", "code pages", "cycles",
-                                      "simulated s"};
-  if (check) headers.push_back("vs solo replay");
-  TextTable table(headers);
-  for (std::size_t lane = 0; lane < cfgs.size(); ++lane) {
-    const trace::ReplayOutcome& out = outs[lane];
-    std::vector<std::string> row = {
-        cfgs[lane].spec.name,
-        std::string(page_kind_name(cfgs[lane].code_page_kind)),
-        format_count(out.profile.count(prof::ProfileReport::kCycles)),
-        format_seconds(out.simulated_seconds)};
-    if (check) {
-      const trace::ReplayOutcome solo =
-          trace::ReplayDriver(cfgs[lane]).run(trace);
-      bool same = solo.simulated_seconds == out.simulated_seconds &&
-                  solo.profile.events().size() == out.profile.events().size();
-      for (std::size_t i = 0; same && i < solo.profile.events().size(); ++i) {
-        same = solo.profile.events()[i].count == out.profile.events()[i].count;
-      }
-      if (!same) ++mismatches;
-      row.push_back(same ? "identical" : "DIFFER");
-    }
-    table.add_row(row);
-  }
-  table.print();
-  if (mismatches > 0) {
-    std::cerr << "FAIL: " << mismatches
-              << " lane(s) diverged from single-lane replay\n";
-    return 1;
   }
   return 0;
 }
@@ -436,19 +349,16 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "record") return cmd_record(opts);
     if (cmd == "replay") return cmd_replay(opts);
-    if (cmd == "multilane") return cmd_multilane(opts);
     if (cmd == "bench") return cmd_bench(opts);
     if (cmd == "stats") return cmd_stats(opts);
   } catch (const trace::TraceError& e) {
     std::cerr << "trace error: " << e.what() << "\n";
     return 2;
   }
-  std::cerr << "usage: trace_tools <record|replay|multilane|bench|stats> "
-               "[options]\n"
+  std::cerr << "usage: trace_tools <record|replay|bench|stats> [options]\n"
                "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
                "--out=FILE\n"
                "  replay    --in=FILE [--platform=opteron|xeon] [--check]\n"
-               "  multilane --in=FILE [--seed=N] [--check]\n"
                "  bench     --in=FILE[,FILE...] [--repeat=10] "
                "[--json-out=FILE]\n"
                "  stats     --in=FILE\n";

@@ -117,10 +117,6 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("store_quarantined", store.quarantined);
     w.field("store_bytes_read", store.bytes_read);
     w.field("store_bytes_written", store.bytes_written);
-    w.field("domains", domains);
-    w.field("topology", topology);
-    w.field("local_steals", local_steals);
-    w.field("remote_steals", remote_steals);
     w.field("peak_tasks_in_flight", peak_tasks_in_flight);
     w.field("peak_host_threads", peak_host_threads);
   }
@@ -145,7 +141,7 @@ std::string SweepResult::to_json(bool include_host) const {
 Scheduler::Scheduler(Config config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity),
-      pool_(config_.workers, config_.topology) {
+      pool_(config_.workers) {
   if (!config_.store_dir.empty()) {
     disk_store_ = std::make_unique<DiskResultStore>(config_.store_dir);
   }
@@ -187,17 +183,14 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   const ResultCache::Stats before = cache_.stats();
   const DiskResultStore::Stats store_before =
       disk_store_ != nullptr ? disk_store_->stats() : DiskResultStore::Stats{};
-  const WorkStealingPool::StealStats steals_before = pool_.steal_stats();
 
   SweepResult result;
   result.workers = pool_.workers();
-  result.domains = pool_.domains();
-  result.topology = pool_.topology().name();
   result.strategy = strategy;
   result.records.resize(tasks.size());
   unsigned widest = 1;
   for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
-  WidthGate gate(pool_.workers(), widest, Topology::host_threads());
+  WidthGate gate(pool_.workers(), widest, host_threads());
   // Threads beyond what the gate admits would only wait in it.
   pool_.start_helpers(static_cast<unsigned>(
       std::min<std::size_t>(tasks.size(), gate.max_in_flight())));
@@ -218,9 +211,6 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   if (disk_store_ != nullptr) {
     result.store = stats_delta(disk_store_->stats(), store_before);
   }
-  const WorkStealingPool::StealStats steals_after = pool_.steal_stats();
-  result.local_steals = steals_after.local - steals_before.local;
-  result.remote_steals = steals_after.remote - steals_before.remote;
   return result;
 }
 

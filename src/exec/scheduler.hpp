@@ -49,7 +49,6 @@
 #include "exec/strategy.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "exec/topology.hpp"
 #include "exec/width_gate.hpp"
 
 namespace lpomp::exec {
@@ -58,14 +57,10 @@ namespace lpomp::exec {
 struct SweepResult {
   std::vector<RunRecord> records;  ///< task order, independent of scheduling
   unsigned workers = 0;
-  unsigned domains = 1;            ///< topology domains (sockets) of the pool
-  std::string topology;            ///< pool shape, e.g. "2x2"
   double wall_ms = 0.0;
   ResultCache::Stats cache;        ///< LRU activity of THIS sweep only
   DiskResultStore::Stats store;    ///< disk-store activity of THIS sweep only
   Strategy strategy = Strategy::Auto;  ///< as requested for this sweep
-  std::uint64_t local_steals = 0;   ///< same-domain queue steals
-  std::uint64_t remote_steals = 0;  ///< cross-domain queue steals
   /// Most live runs in flight at once, and most host threads they asked
   /// for (the sum of their team widths); see Scheduler::run.
   unsigned peak_tasks_in_flight = 0;
@@ -106,10 +101,6 @@ class Scheduler {
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
     std::string store_dir = {};
-    /// Socket × core shape of the pool. An explicit shape overrides
-    /// `workers` and fixes the domain layout (deterministic tests, CI);
-    /// unspecified → detected from the host, flat 1×N fallback.
-    Topology topology = {};
   };
 
   /// Maps a task to its record; the default runs npb::run_kernel. Tests
@@ -148,8 +139,6 @@ class Scheduler {
   /// Config-echo fields + content-key digest, no run outcome (the skeleton
   /// both execute_task and the failure path start from).
   static RunRecord base_record(const RunTask& task);
-
-  const Topology& topology() const { return pool_.topology(); }
 
  private:
   /// Layered probe: in-memory LRU first, then the disk store (a disk hit

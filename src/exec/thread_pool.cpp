@@ -3,42 +3,18 @@
 #include <algorithm>
 #include <chrono>
 
+#include "exec/width_gate.hpp"
+
 namespace lpomp::exec {
 
-WorkStealingPool::WorkStealingPool(unsigned workers, Topology topology)
-    : topology_(Topology::resolve(topology, workers)) {
-  const unsigned n = topology_.workers();
+WorkStealingPool::WorkStealingPool(unsigned workers)
+    : max_threads_(std::max(workers, host_threads())) {
+  const unsigned n = workers == 0 ? host_threads() : workers;
   queues_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<Queue>());
   }
-  // Victim order per worker: same-domain deques first (rotating from the
-  // next neighbour so siblings don't all hammer the same victim), then the
-  // remaining workers in the same rotated order.
-  steal_order_.resize(n);
-  same_domain_.resize(n);
-  for (unsigned self = 0; self < n; ++self) {
-    std::vector<std::size_t> near;
-    std::vector<std::size_t> far;
-    const unsigned home = topology_.domain_of(self);
-    for (unsigned d = 1; d < n; ++d) {
-      const unsigned victim = (self + d) % n;
-      (topology_.domain_of(victim) == home ? near : far).push_back(victim);
-    }
-    same_domain_[self] = near.size();
-    near.insert(near.end(), far.begin(), far.end());
-    steal_order_[self] = std::move(near);
-  }
-  const unsigned total = std::max(n, Topology::host_threads());
-  for (unsigned self = n; self < total; ++self) {
-    const unsigned partner = self % n;
-    std::vector<std::size_t> order{partner};
-    order.insert(order.end(), steal_order_[partner].begin(),
-                 steal_order_[partner].end());
-    steal_order_.push_back(std::move(order));
-    same_domain_.push_back(same_domain_[partner] + 1);
-  }
-  threads_.reserve(total);
+  threads_.reserve(max_threads_);
   for (unsigned i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -94,15 +70,18 @@ bool WorkStealingPool::pop_own(std::size_t self, std::function<void()>& out) {
 
 bool WorkStealingPool::steal_other(std::size_t self,
                                    std::function<void()>& out) {
-  const std::vector<std::size_t>& order = steal_order_[self];
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    Queue& victim = *queues_[order[k]];
+  // One rotated ring: a worker scans the other deques from its right-hand
+  // neighbour on; a helper scans every deque from its partner worker on.
+  const std::size_t n = queues_.size();
+  const bool helper = self >= n;
+  const std::size_t first = helper ? self % n : self + 1;
+  const std::size_t victims = helper ? n : n - 1;
+  for (std::size_t k = 0; k < victims; ++k) {
+    Queue& victim = *queues_[(first + k) % n];
     std::lock_guard lock(victim.mutex);
     if (victim.tasks.empty()) continue;
     out = std::move(victim.tasks.front());  // FIFO from the victim's end
     victim.tasks.pop_front();
-    (k < same_domain_[self] ? local_steals_ : remote_steals_)
-        .fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;

@@ -8,27 +8,25 @@
 // are seconds-long, so uncontended-pop micro-optimisations (Chase-Lev)
 // are deliberately skipped in favour of small, obviously-correct locking.
 //
-// The pool is topology-aware: workers are grouped into domains (sockets) by
-// an exec::Topology, and victim scan order prefers same-domain deques before
-// crossing sockets. local/remote steal counts are exported so sweeps can report how often
-// work actually crossed a socket.
+// The pool is flat: every worker steals from the others in one rotated
+// ring order, starting at its right-hand neighbour so idle workers do not
+// all hammer the same victim.
 //
 // Besides its `workers()` deque owners the pool can start helper threads
 // that own no deque and only steal, up to max(workers, host hardware
-// threads) threads in all (start_helpers()). The pool runs as many tasks
-// at once as it has threads; a submitter that needs fewer bounds them
-// inside its tasks (the Scheduler admits tasks by team width, DESIGN.md
-// §10).
+// threads) threads in all (start_helpers()). A helper scans its partner
+// worker (its index modulo workers()) first, then the partner's ring. The
+// pool runs as many tasks at once as it has threads; a submitter that
+// needs fewer bounds them inside its tasks (the Scheduler admits tasks by
+// team width, DESIGN.md §10).
 //
 // The pool only schedules; determinism of results is the submitter's
 // problem and is solved by making every task self-contained (see
 // sweep.hpp) and writing each result to a pre-assigned slot.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,24 +34,12 @@
 #include <thread>
 #include <vector>
 
-#include "exec/topology.hpp"
-
 namespace lpomp::exec {
 
 class WorkStealingPool {
  public:
-  /// Steal provenance: same-domain vs cross-domain victim queues.
-  struct StealStats {
-    std::uint64_t local = 0;
-    std::uint64_t remote = 0;
-  };
-
-  /// `workers == 0` → one per host hardware thread (min 1). An explicit
-  /// `topology` overrides `workers` (the pool gets exactly
-  /// sockets × cores_per_socket deques and worker threads); an unspecified
-  /// one is detected from the host and degrades to a flat single-domain
-  /// shape.
-  explicit WorkStealingPool(unsigned workers = 0, Topology topology = {});
+  /// `workers == 0` → one per host hardware thread (min 1).
+  explicit WorkStealingPool(unsigned workers = 0);
 
   /// Drains remaining work, then joins all workers.
   ~WorkStealingPool();
@@ -62,19 +48,14 @@ class WorkStealingPool {
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
   unsigned workers() const { return static_cast<unsigned>(queues_.size()); }
-  /// max(workers(), Topology::host_threads()): the most threads the pool
-  /// starts, and so the most tasks it runs at once.
-  unsigned max_threads() const {
-    return static_cast<unsigned>(steal_order_.size());
-  }
+  /// max(workers(), host_threads()): the most threads the pool starts,
+  /// and so the most tasks it runs at once.
+  unsigned max_threads() const { return max_threads_; }
 
   /// Starts helper threads until min(n, max_threads()) threads run.
   /// Helpers stay until the pool is destroyed. Call from the submitting
   /// thread, not from a task.
   void start_helpers(unsigned n);
-
-  const Topology& topology() const { return topology_; }
-  unsigned domains() const { return topology_.domains(); }
 
   /// Enqueues `fn`; round-robin across all worker deques. `fn` must not
   /// throw (the engine's task wrapper catches and records task failures).
@@ -82,11 +63,6 @@ class WorkStealingPool {
 
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
-
-  StealStats steal_stats() const {
-    return {local_steals_.load(std::memory_order_relaxed),
-            remote_steals_.load(std::memory_order_relaxed)};
-  }
 
  private:
   struct Queue {
@@ -98,19 +74,10 @@ class WorkStealingPool {
   bool steal_other(std::size_t self, std::function<void()>& out);
   void worker_loop(std::size_t self);
 
-  Topology topology_;
   std::vector<std::unique_ptr<Queue>> queues_;
-  /// steal_order_[self]: victim indices, same-domain workers first; the
-  /// first same_domain_[self] entries share self's domain. A helper thread
-  /// (self >= workers()) scans its partner worker self % workers() first,
-  /// then that worker's victims.
-  std::vector<std::vector<std::size_t>> steal_order_;
-  std::vector<std::size_t> same_domain_;
+  const unsigned max_threads_;
   /// Workers first, then helpers as start_helpers() starts them.
   std::vector<std::thread> threads_;
-
-  std::atomic<std::uint64_t> local_steals_{0};
-  std::atomic<std::uint64_t> remote_steals_{0};
 
   std::mutex state_mutex_;
   std::condition_variable work_cv_;  ///< workers sleep here when the bag is dry

@@ -17,8 +17,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <thread>
 
 namespace lpomp::exec {
+
+/// std::thread::hardware_concurrency(), or 1 when the host won't say.
+inline unsigned host_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
 
 class WidthGate {
  public:

@@ -43,7 +43,7 @@
 // splitmix64 draw keyed by (frag_seed, chunk) lands under 1 - fragmentation.
 // Purity is what keeps live runs and trace replays bit-identical: the
 // decision for a chunk does not depend on access order, thread count, or
-// which lane asks first, and the promotion rate is reproducible for a
+// which thread asks first, and the promotion rate is reproducible for a
 // fixed seed.
 #pragma once
 

@@ -271,8 +271,7 @@ void ThreadSim::replay_slots(const ReplaySlot* slots, std::size_t count,
   // Each slot is copied to a local before issuing: touch_impl's stores could
   // alias the slot array for all the compiler knows, and the reloads that
   // would force are a measurable per-event cost. The caller's slot array is
-  // never written, so several lane simulators can consume one decoded
-  // block. An attached sink (re-recording a replay) sees each slot with
+  // never written. An attached sink (re-recording a replay) sees each slot with
   // live framing: one run/strided event, not n singles.
   auto issue = [this](const ReplaySlot& s) {
     if (s.is_compute) {

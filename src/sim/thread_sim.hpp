@@ -106,9 +106,8 @@ class ThreadSim {
   /// Drive `periods` repetitions of a periodic pattern through the machine
   /// model — semantically identical to issuing every touch/run/compute
   /// individually, without the per-event call overhead. The slots are read
-  /// only (per-period address advance happens in a local copy), so one
-  /// decoded block can be applied to any number of independent lane
-  /// simulators. An attached trace sink observes the same events, with the
+  /// only (per-period address advance happens in a local copy). An
+  /// attached trace sink observes the same events, with the
   /// same framing, a live run issuing these slots would report —
   /// re-recording a replay reproduces the original stream.
   void replay_pattern(const ReplaySlot* slots, std::size_t count,
@@ -269,8 +268,8 @@ class ThreadSim {
   SinkHooks sink_{};
   unsigned trace_tid_ = 0;
 
-  /// Mutable working copy of a multi-period replay block (the shared block
-  /// storage stays read-only so lanes can share it). Grows to the largest
+  /// Mutable working copy of a multi-period replay block (the caller's
+  /// block storage stays read-only). Grows to the largest
   /// block seen (≤ the codec batch size) and is reused across calls.
   std::vector<ReplaySlot> replay_scratch_;
 

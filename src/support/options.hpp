@@ -96,9 +96,18 @@ class Options {
     return x;
   }
 
+  /// Boolean: 1/true/yes/on or 0/false/no/off (a bare --flag is "1");
+  /// throws OptionError on anything else ("maybe", "").
   bool get_flag(const std::string& key, bool def = false) const {
     const std::string v = get(key, def ? "1" : "0");
-    return v == "1" || v == "true" || v == "yes" || v == "on";
+    for (const char* yes : {"1", "true", "yes", "on"}) {
+      if (v == yes) return true;
+    }
+    for (const char* no : {"0", "false", "no", "off"}) {
+      if (v == no) return false;
+    }
+    throw OptionError("--" + key + "=" + v +
+                      ": expected 1/0, true/false, yes/no or on/off");
   }
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -31,9 +31,9 @@ struct ReplayConfig {
   std::uint64_t seed = 0x5eedULL;
   PageKind code_page_kind = PageKind::small4k;
 
-  /// Paging-policy overlay for this lane's simulator. Streams are recorded
-  /// against the layout, not the policy, so one recorded trace replays
-  /// under any policy — the policy rides here, per lane.
+  /// Paging-policy overlay for the replay's simulator. Streams are
+  /// recorded against the layout, not the policy, so one recorded trace
+  /// replays under any policy.
   paging::PolicySpec paging{};
 
   /// Optional sink observing the replayed stream. The replay reports events
@@ -60,8 +60,11 @@ class ReplayDriver {
   explicit ReplayDriver(ReplayConfig config) : config_(std::move(config)) {}
 
   /// Replays `trace` through a freshly built machine stack. Throws
-  /// TraceError if the trace is malformed or does not fit the platform
-  /// (more threads than hardware contexts).
+  /// TraceError if the trace is malformed (no threads, a stream count
+  /// other than the thread count, a stream that ends before its last
+  /// boundary or runs past it), does not fit the platform (more threads
+  /// than hardware contexts), or is rejected by the simulator mid-replay
+  /// (a corrupt but well-framed trace) — never a bare logic_error.
   ReplayOutcome run(const Trace& trace) const;
 
   const ReplayConfig& config() const { return config_; }

@@ -1,5 +1,6 @@
 // Tests for the parallel sweep scheduler: scheduling determinism (the
-// same sweep on 1 worker and N workers yields identical results), the
+// same sweep on 1 worker and on randomized worker counts yields identical
+// results, under both strategy spellings and a paging overlay), the
 // content-keyed result cache (hits, eviction, key sensitivity), failure
 // isolation, width-aware admission of live runs, and the JSON
 // observability layer.
@@ -11,14 +12,16 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/scheduler.hpp"
 #include "exec/json.hpp"
+#include "exec/scheduler.hpp"
+#include "paging/policy.hpp"
 
 namespace lpomp::exec {
 namespace {
@@ -96,9 +99,34 @@ TEST(CacheKey, IdenticalTasksShareAKeyDifferentTasksDoNot) {
   EXPECT_NE(cache_key(base), cache_key(spec_tweak));
 }
 
+/// The worker-identity grid: two kernels × both platforms × {1,2,4}
+/// threads × both page kinds at class S.
+SweepSpec identity_sweep() {
+  SweepSpec spec = small_sweep();
+  spec.platforms = {sim::ProcessorSpec::opteron270(),
+                    sim::ProcessorSpec::xeon_ht()};
+  spec.threads = {1, 2, 4};
+  return spec;
+}
+
+/// Counter-identity of two sweeps: every record same_result() and the
+/// deterministic JSON projections byte-identical (what CI diffs).
+void expect_identical(const SweepResult& a, const SweepResult& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.records.size(), b.records.size()) << label;
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_TRUE(a.records[i].same_result(b.records[i]))
+        << label << " diverged at " << a.records[i].kernel << " "
+        << a.records[i].threads << "T " << a.records[i].page_kind;
+  }
+  EXPECT_EQ(a.to_json(false), b.to_json(false)) << label;
+}
+
 // The tentpole guarantee: worker count changes wall-clock behaviour only.
 // Every deterministic field — simulated seconds, checksums, all counters —
-// must be identical between a serial and a maximally parallel sweep.
+// must be identical between a serial and a maximally parallel sweep, and
+// so must the deterministic JSON projections (what `sweep_all
+// --workers=1` vs `--workers=N` diffs).
 TEST(Scheduler, OneWorkerAndManyWorkersAgreeExactly) {
   Scheduler serial({.workers = 1});
   Scheduler wide({.workers = 4});
@@ -107,18 +135,64 @@ TEST(Scheduler, OneWorkerAndManyWorkersAgreeExactly) {
   const SweepResult a = serial.run(spec);
   const SweepResult b = wide.run(spec);
 
-  ASSERT_EQ(a.records.size(), b.records.size());
   EXPECT_EQ(a.failed(), 0u);
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_TRUE(a.records[i].same_result(b.records[i]))
-        << "diverged at " << a.records[i].kernel << " "
-        << a.records[i].threads << "T " << a.records[i].page_kind;
-    EXPECT_TRUE(a.records[i].verified);
+  for (const RunRecord& r : a.records) EXPECT_TRUE(r.verified);
+  expect_identical(a, b, "4 workers");
+}
+
+// Randomized worker counts must change nothing but wall-clock behaviour:
+// both strategy spellings produce records counter-identical to the
+// single-worker baseline.
+TEST(WorkerIdentity, RandomWorkerCountsMatchSingleWorkerUnderEveryStrategy) {
+  const SweepSpec spec = identity_sweep();
+  std::mt19937 rng(0x70b0);  // fixed seed: reproducible worker counts
+  std::uniform_int_distribution<unsigned> workers(2, 9);
+
+  for (const Strategy strategy : {Strategy::Live, Strategy::Auto}) {
+    Scheduler baseline({.workers = 1});
+    const SweepResult want = baseline.run(spec, strategy);
+    EXPECT_EQ(want.failed(), 0u);
+
+    for (int round = 0; round < 2; ++round) {
+      const unsigned n = workers(rng);
+      Scheduler scheduler({.workers = n});
+      EXPECT_EQ(scheduler.workers(), n);
+      const SweepResult got = scheduler.run(spec, strategy);
+      expect_identical(want, got,
+                       std::string(strategy_name(strategy)) + " @ " +
+                           std::to_string(n) + " workers");
+    }
   }
-  // The deterministic JSON projections are byte-identical too (this is
-  // what `sweep_all --workers=1` vs `--workers=N` diffs).
-  EXPECT_EQ(a.to_json(/*include_host=*/false),
-            b.to_json(/*include_host=*/false));
+}
+
+// Paging-policy overlays must stay identical across worker counts too.
+TEST(WorkerIdentity, PagingPolicySweepMatchesSingleWorker) {
+  SweepSpec spec = identity_sweep();
+  spec.kernels = {npb::Kernel::CG};
+  paging::PolicySpec thp;
+  ASSERT_TRUE(paging::policy_from_name("thp", thp.policy));
+  spec.paging_policies = {paging::PolicySpec{}, thp};
+
+  Scheduler baseline({.workers = 1});
+  const SweepResult want = baseline.run(spec);
+  EXPECT_EQ(want.failed(), 0u);
+
+  Scheduler scheduler({.workers = 4});
+  expect_identical(want, scheduler.run(spec), "paging @ 4 workers");
+}
+
+// Helpers steal alongside the deque owners; every task still runs once.
+// Zero workers means one per host hardware thread.
+TEST(WorkStealingPool, HelpersAndWorkersRunEveryTask) {
+  EXPECT_EQ(WorkStealingPool(0).workers(), host_threads());
+  WorkStealingPool pool(4);
+  EXPECT_EQ(pool.workers(), 4u);
+  EXPECT_EQ(pool.max_threads(), std::max(4u, host_threads()));
+  pool.start_helpers(pool.max_threads());
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(Scheduler, RepeatedSweepIsServedFromCache) {
@@ -326,7 +400,7 @@ TEST(Admission, HostThreadsNeverExceedWorkersTimesWidest) {
       tasks_of_widths({1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1});
   InFlight state;
   state.workers = 2;
-  state.budget = std::min(2u * 2u, Topology::host_threads());
+  state.budget = std::min(2u * 2u, host_threads());
   Scheduler engine({.workers = 2});
   engine.set_task_runner(state.runner());
 
@@ -343,7 +417,7 @@ TEST(Admission, HostThreadsNeverExceedWorkersTimesWidest) {
 // The 4T point is served from the cache, so it sets W without queueing
 // ahead of the 1T runs (a queued 4T run would rightly hold them back).
 TEST(Admission, NarrowRunsShareTheHostAtOneWorker) {
-  const unsigned host = Topology::host_threads();
+  const unsigned host = host_threads();
   const std::vector<RunTask> tasks = tasks_of_widths({1, 1, 1, 1, 1, 1, 4});
   InFlight state;
   state.workers = 1;
@@ -372,7 +446,7 @@ TEST(Admission, WideRunsStillFillEveryWorker) {
   const std::vector<RunTask> tasks = tasks_of_widths({4, 4, 4, 4});
   InFlight state;
   state.workers = 2;
-  state.budget = std::min(2u * 4u, Topology::host_threads());
+  state.budget = std::min(2u * 4u, host_threads());
   state.meet = 2;
   Scheduler engine({.workers = 2});
   engine.set_task_runner(state.runner());
@@ -391,7 +465,7 @@ TEST(Admission, WideTaskQueuedBehindNarrowOnesStillRuns) {
   const std::vector<RunTask> tasks = tasks_of_widths(widths);
   InFlight state;
   state.workers = 1;
-  state.budget = std::min(4u, Topology::host_threads());
+  state.budget = std::min(4u, host_threads());
   Scheduler engine({.workers = 1});
   engine.set_task_runner(state.runner());
 

@@ -22,10 +22,11 @@
 // names a file to which every exercised (platform, stream, seed) triple is
 // appended (CI uploads it as the differential seed corpus artifact).
 //
-// The lane-identity property rides the same harness: for
-// randomized recorded streams, every lane of an N-lane MultiReplayDriver
-// pass must equal its standalone single-lane replay counter-for-counter.
-// LPOMP_LANE_STREAMS scales that test's stream count independently.
+// The replay path rides the same harness: for randomized recorded streams
+// (REPEAT blocks, strided runs), a ReplayDriver replay on the batched fast
+// path must equal the same replay with set_default_fast_path(false)
+// counter-for-counter. LPOMP_REPLAY_STREAMS scales that test's stream
+// count independently.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,7 +46,6 @@
 #include "sim/thread_sim.hpp"
 #include "support/rng.hpp"
 #include "trace/codec.hpp"
-#include "trace/lane.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -574,22 +574,21 @@ TEST(SimDifferential, Huge1gZeroCapacityBankMatchesReference) {
   run_platform(sim::ProcessorSpec::opteron270(), &spec, policy_stream_count());
 }
 
-// --- lane identity ----------------------------------------------------------
+// --- replay fast path ---------------------------------------------------------
 //
-// Property: for a randomized recorded stream, every lane of an N-lane
-// MultiReplayDriver pass equals its standalone single-lane replay
-// counter-for-counter. The lanes deliberately differ in every replay knob
-// (platform, seed, code page kind), so any cross-lane state leak — shared
-// structure, misapplied event, boundary skew — shows up as a counter
-// divergence against the lane's solo run.
+// Property: for a randomized recorded stream, a replay through
+// ThreadSim::replay_pattern on the batched fast path equals the same replay
+// on the per-event path counter-for-counter. The replays vary every replay
+// knob (platform, seed, code page kind), so the pattern interpreter is
+// checked under both TLB geometries and both ITLB layouts.
 
-constexpr int kDefaultLaneStreams = 25;
+constexpr int kDefaultReplayStreams = 25;
 
-int lane_stream_count() {
-  if (const char* env = std::getenv("LPOMP_LANE_STREAMS")) {
+int replay_stream_count() {
+  if (const char* env = std::getenv("LPOMP_REPLAY_STREAMS")) {
     return std::atoi(env);
   }
-  return kDefaultLaneStreams;
+  return kDefaultReplayStreams;
 }
 
 ::testing::AssertionResult outcomes_identical(const trace::ReplayOutcome& a,
@@ -630,8 +629,8 @@ int lane_stream_count() {
 /// mix covers every encoder framing: single touches, unit-stride runs,
 /// strided runs (forward/backward/page-striding), compute charges, and a
 /// periodic motif long enough to close into a REPEAT block with periods —
-/// the pattern path MultiReplayDriver shares across lanes.
-trace::Trace make_lane_trace(std::uint64_t seed, PageKind kind,
+/// the pattern path ThreadSim::replay_pattern interprets.
+trace::Trace make_replay_trace(std::uint64_t seed, PageKind kind,
                              vaddr_t pool_base, std::size_t window) {
   constexpr unsigned kThreads = 2;
   Rng gen(seed);
@@ -685,7 +684,7 @@ trace::Trace make_lane_trace(std::uint64_t seed, PageKind kind,
         // Hot motif: the identical small sweep issued back-to-back. It
         // encodes into a REPEAT block with period_inc 0 whose span is
         // L1/DTLB-resident after the first pass, so the mix exercises
-        // multi-period blocks inside one lane group.
+        // multi-period blocks the fast path can credit in bulk.
         const unsigned reps = 3 + static_cast<unsigned>(gen.next_below(4));
         const vaddr_t hot = pool_base + 8 * gen.next_below((window / 2) / 8);
         const auto hn =
@@ -733,9 +732,19 @@ trace::Trace make_lane_trace(std::uint64_t seed, PageKind kind,
   return tr;
 }
 
-TEST(SimDifferential, LaneIdentityMatchesSingleLaneReplay) {
+/// Restores the process-wide fast-path default on scope exit, so a failed
+/// assertion cannot leave later tests on the per-event path.
+class PerEventDefault {
+ public:
+  PerEventDefault() { sim::ThreadSim::set_default_fast_path(false); }
+  ~PerEventDefault() { sim::ThreadSim::set_default_fast_path(true); }
+  PerEventDefault(const PerEventDefault&) = delete;
+  PerEventDefault& operator=(const PerEventDefault&) = delete;
+};
+
+TEST(SimDifferential, BatchedReplayMatchesPerEventReplay) {
   const std::uint64_t seed0 = base_seed();
-  const int streams = lane_stream_count();
+  const int streams = replay_stream_count();
 
   // Pool base per page kind: the substrate maps the shared pool first, so
   // it lands at the arena base a fresh address space reports.
@@ -752,47 +761,41 @@ TEST(SimDifferential, LaneIdentityMatchesSingleLaneReplay) {
                MiB(2));
   ASSERT_GE(window, KiB(128));
 
+  // Four replay configs spanning both platforms, distinct seeds, both code
+  // page kinds — every replay knob varies across the set.
+  std::vector<trace::ReplayConfig> cfgs(4);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    cfgs[i].spec = i % 2 == 0 ? sim::ProcessorSpec::opteron270()
+                              : sim::ProcessorSpec::xeon_ht();
+    cfgs[i].seed = seed0 + 0x9e37 * (i % 3);
+    cfgs[i].code_page_kind = i < 2 ? PageKind::small4k : PageKind::large2m;
+  }
+
   std::ostringstream corpus;
   for (int stream = 0; stream < streams; ++stream) {
     const std::uint64_t seed =
         seed0 ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(stream + 1));
-    corpus << "lane " << stream << " 0x" << std::hex << seed << std::dec
+    corpus << "replay " << stream << " 0x" << std::hex << seed << std::dec
            << '\n';
     const PageKind kind =
         stream % 2 == 0 ? PageKind::small4k : PageKind::large2m;
     const trace::Trace tr =
-        make_lane_trace(seed, kind, base_of[stream % 2], window);
+        make_replay_trace(seed, kind, base_of[stream % 2], window);
 
-    // Four lanes spanning both platforms, distinct seeds, both code page
-    // kinds — every replay knob varies across the set.
-    std::vector<trace::ReplayConfig> cfgs(4);
-    cfgs[0].spec = sim::ProcessorSpec::opteron270();
-    cfgs[1].spec = sim::ProcessorSpec::xeon_ht();
-    cfgs[2].spec = sim::ProcessorSpec::opteron270();
-    cfgs[3].spec = sim::ProcessorSpec::xeon_ht();
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      cfgs[i].seed = seed0 + 0x9e37 * (i % 3);
-      cfgs[i].code_page_kind =
-          i < 2 ? PageKind::small4k : PageKind::large2m;
-    }
-
-    // The multi-lane replay of the stream must match each lane's solo
-    // replay counter-for-counter.
-    const std::vector<trace::ReplayOutcome> multi =
-        trace::MultiReplayDriver(cfgs).run(tr);
-    ASSERT_EQ(multi.size(), cfgs.size());
-    for (std::size_t lane = 0; lane < cfgs.size(); ++lane) {
-      const trace::ReplayOutcome solo = trace::ReplayDriver(cfgs[lane]).run(tr);
-      const auto context = [&](const char* mode) {
-        std::ostringstream os;
-        os << mode << " lane=" << lane << " spec=" << cfgs[lane].spec.name
-           << " stream=" << stream << " page_kind=" << static_cast<int>(kind)
-           << " stream_seed=0x" << std::hex << seed << " base_seed=0x" << seed0
-           << std::dec << " (rerun with LPOMP_DIFF_SEED=0x" << std::hex
-           << seed0 << std::dec << ")";
-        return os.str();
-      };
-      ASSERT_TRUE(outcomes_identical(multi[lane], solo)) << context("multi");
+    for (const trace::ReplayConfig& cfg : cfgs) {
+      const trace::ReplayOutcome fast = trace::ReplayDriver(cfg).run(tr);
+      trace::ReplayOutcome slow;
+      {
+        const PerEventDefault per_event;
+        slow = trace::ReplayDriver(cfg).run(tr);
+      }
+      ASSERT_TRUE(outcomes_identical(fast, slow))
+          << "spec=" << cfg.spec.name << " code_pages="
+          << page_kind_name(cfg.code_page_kind) << " stream=" << stream
+          << " page_kind=" << page_kind_name(kind) << " stream_seed=0x"
+          << std::hex << seed << " base_seed=0x" << seed0 << std::dec
+          << " (rerun with LPOMP_DIFF_SEED=0x" << std::hex << seed0
+          << std::dec << ")";
     }
   }
 

@@ -280,22 +280,42 @@ TEST(BenchOptions, KlassByNameRejectsUnknownClasses) {
   EXPECT_THROW(bench::klass_by_name("C"), OptionError);
 }
 
+/// Reads every option a scheduler-backed bench parses. Noexcept, so an
+/// OptionError reaches the Options terminate handler (exit 2) the way it
+/// does from a bench's main.
+void parse_bench_options(const Options& opts) noexcept {
+  bench::workers_from(opts);
+  bench::paging_from(opts);
+  bench::platform_by_name(opts.get("platform", "opteron"));
+  opts.get_flag("json-host");
+}
+
+// A negative worker count and malformed values at the other bench
+// boundaries (THP model, platform, boolean flags) all exit 2.
 TEST(BenchOptionsDeathTest, NegativeWorkersExitTwo) {
-  const char* argv[] = {"prog", "--workers=-1"};
-  const Options opts(2, const_cast<char**>(argv));
-  EXPECT_EXIT(bench::workers_from(opts), ::testing::ExitedWithCode(2),
-              "must be >= 0");
+  for (const auto& [arg, message] :
+       {std::pair{"--workers=-1", "must be >= 0"},
+        std::pair{"--thp-seed=abc", "expected an unsigned integer"},
+        std::pair{"--thp-interval=-1", "must be in"},
+        std::pair{"--json-host=maybe", "expected 1/0"},
+        std::pair{"--platform=foo", "unknown platform 'foo'"}}) {
+    const char* argv[] = {"prog", arg};
+    const Options opts(2, const_cast<char**>(argv));
+    EXPECT_EXIT(parse_bench_options(opts), ::testing::ExitedWithCode(2),
+                message)
+        << arg;
+  }
 }
 
 TEST(BenchOptionsDeathTest, RemovedStrategiesAndFlagsExitTwo) {
   for (const char* arg :
        {"--strategy=analytic", "--strategy=multilane", "--strategy=recorded",
         "--no-trace", "--no-multilane", "--no-analytic",
-        "--trace-store-mb=64"}) {
+        "--trace-store-mb=64", "--topology=2x2"}) {
     const char* argv[] = {"prog", arg};
     const Options opts(2, const_cast<char**>(argv));
     EXPECT_EXIT(bench::strategy_from(opts), ::testing::ExitedWithCode(2),
-                "valid.*live, auto")
+                "valid.*live, auto|was removed")
         << arg;
   }
   for (const char* name : {"live", "auto"}) {
