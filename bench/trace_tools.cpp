@@ -217,7 +217,7 @@ int cmd_bench(const Options& opts) {
               << "  live     " << format_ratio(e.live_ms)
               << " ms (the run that recorded the trace)\n"
               << "  replay   " << format_ratio(e.replay_ms)
-              << " ms (stream decode + batched interpreter)\n"
+              << " ms (stream decode + per-event replay)\n"
               << "  ratio    " << format_ratio(e.replay_over_live)
               << "x replay over live; counters "
               << (e.identical ? "identical" : "DIFFER") << "\n";

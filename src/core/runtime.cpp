@@ -54,11 +54,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
     machine_ = std::make_unique<sim::Machine>(
         config_.sim->spec, config_.sim->cost, *space_, config_.num_threads,
         config_.sim->seed, config_.paging);
-    if (config_.trace_hooks.armed()) {
-      machine_->set_trace_hooks(config_.trace_hooks);
-    } else if (config_.trace_sink != nullptr) {
-      machine_->set_trace_sink(config_.trace_sink);
-    }
+    machine_->set_trace_sink(config_.trace_sink);
   }
 
   channel_ = std::make_unique<dsm::MsgChannel>(config_.num_threads);

@@ -82,14 +82,9 @@ struct RuntimeConfig {
 
   /// When non-null (and a sim is attached), every simulated access, compute
   /// charge and fork-join boundary of the run is reported to this sink —
-  /// the hook src/trace's recorder captures address traces through. The
-  /// sink must outlive the Runtime.
+  /// how src/trace's recorder captures address traces. The sink must
+  /// outlive the Runtime.
   sim::TraceSink* trace_sink = nullptr;
-
-  /// Pre-bound flat sink hooks (sim/trace_sink.hpp). When armed these take
-  /// precedence over trace_sink and skip the virtual dispatch — the bound
-  /// object must outlive the Runtime.
-  sim::SinkHooks trace_hooks{};
 };
 
 /// Simulated physical-memory size a Runtime built from `cfg` would use

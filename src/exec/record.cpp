@@ -1,5 +1,7 @@
 #include "exec/record.hpp"
 
+#include <limits>
+
 #include "exec/json.hpp"
 
 namespace lpomp::exec {
@@ -72,7 +74,11 @@ RunRecord record_from_json_value(const JsonValue& doc) {
   r.kernel = doc.at("kernel").as_string();
   r.klass = doc.at("klass").as_string();
   r.platform = doc.at("platform").as_string();
-  r.threads = static_cast<unsigned>(doc.at("threads").as_uint64());
+  const std::uint64_t threads = doc.at("threads").as_uint64();
+  if (threads > std::numeric_limits<unsigned>::max()) {
+    throw JsonError("record threads out of range");
+  }
+  r.threads = static_cast<unsigned>(threads);
   r.page_kind = doc.at("page_kind").as_string();
   r.code_page_kind = doc.at("code_page_kind").as_string();
   // Lenient: records persisted before the paging subsystem lack the field

@@ -71,7 +71,7 @@ ShmRing ShmRing::create(const std::string& name, std::uint32_t slots,
   std::atomic_thread_fence(std::memory_order_release);
   header->magic = kMagic;
 
-  return ShmRing(name, base, bytes, /*owner=*/true);
+  return ShmRing(name, base, bytes, slots, slot_bytes, /*owner=*/true);
 }
 
 ShmRing ShmRing::open(const std::string& name) {
@@ -93,22 +93,29 @@ ShmRing ShmRing::open(const std::string& name) {
   ::close(fd);
   if (base == MAP_FAILED) fail("mmap('" + name + "')");
 
+  // Read the geometry once: the values validated are the values used.
   const RingHeader* header = static_cast<const RingHeader*>(base);
-  if (header->magic != kMagic || header->version != kVersion ||
-      header->slots == 0 ||
-      bytes < ring_bytes(header->slots,
-                         static_cast<std::size_t>(header->slot_bytes))) {
+  const std::uint32_t slots = header->slots;
+  const std::uint64_t slot_bytes = header->slot_bytes;
+  // Division form of bytes >= ring_bytes(slots, slot_bytes): a hostile
+  // header cannot overflow it.
+  if (header->magic != kMagic || header->version != kVersion || slots == 0 ||
+      slot_bytes > bytes ||
+      (bytes - kLine) / (kLine + slot_bytes) < slots) {
     ::munmap(base, bytes);
     throw RingError("ShmRing::open('" + name +
                     "'): not a compatible lpomp sweep ring");
   }
-  return ShmRing(name, base, bytes, /*owner=*/false);
+  return ShmRing(name, base, bytes, slots,
+                 static_cast<std::size_t>(slot_bytes), /*owner=*/false);
 }
 
 ShmRing::ShmRing(ShmRing&& other) noexcept
     : name_(std::move(other.name_)),
       base_(other.base_),
       bytes_(other.bytes_),
+      slots_(other.slots_),
+      slot_bytes_(other.slot_bytes_),
       owner_(other.owner_) {
   other.base_ = nullptr;
   other.owner_ = false;

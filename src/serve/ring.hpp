@@ -23,7 +23,10 @@
 // The segment is created (and unlinked) by the daemon; clients open it
 // read-write and allocate themselves an id from the header. The magic and
 // version fields make a stale segment from an older build an explicit
-// error instead of a corrupt conversation.
+// error instead of a corrupt conversation. Each side reads the geometry
+// (slot count and size) once, at create/open, and keeps a private copy:
+// another process rewriting the header cannot move this side's slot and
+// payload addresses.
 #pragma once
 
 #include <atomic>
@@ -104,22 +107,28 @@ class ShmRing {
 
   bool valid() const { return base_ != nullptr; }
   const std::string& name() const { return name_; }
-  std::uint32_t slots() const { return header()->slots; }
-  std::size_t slot_bytes() const {
-    return static_cast<std::size_t>(header()->slot_bytes);
-  }
+  std::uint32_t slots() const { return slots_; }
+  std::size_t slot_bytes() const { return slot_bytes_; }
 
   RingHeader* header() const;
   SlotHeader* slot(std::uint32_t i) const;
   char* payload(std::uint32_t i) const;
 
  private:
-  ShmRing(std::string name, void* base, std::size_t bytes, bool owner)
-      : name_(std::move(name)), base_(base), bytes_(bytes), owner_(owner) {}
+  ShmRing(std::string name, void* base, std::size_t bytes,
+          std::uint32_t slots, std::size_t slot_bytes, bool owner)
+      : name_(std::move(name)),
+        base_(base),
+        bytes_(bytes),
+        slots_(slots),
+        slot_bytes_(slot_bytes),
+        owner_(owner) {}
 
   std::string name_;
   void* base_ = nullptr;
   std::size_t bytes_ = 0;
+  std::uint32_t slots_ = 0;      ///< geometry as validated at create/open
+  std::size_t slot_bytes_ = 0;
   bool owner_ = false;  ///< creator unlinks the segment on destruction
 };
 

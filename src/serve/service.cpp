@@ -126,8 +126,8 @@ std::string SweepService::stats_json() const {
   w.begin_object();
   w.field("schema", "lpomp-serve-stats-v1");
   w.field("shm_name", ring_.name());
-  w.field("slots", header->slots);
-  w.field("slot_bytes", header->slot_bytes);
+  w.field("slots", ring_.slots());
+  w.field("slot_bytes", static_cast<std::uint64_t>(ring_.slot_bytes()));
   w.field("requests",
           header->requests.load(std::memory_order_relaxed));
   w.field("responses",

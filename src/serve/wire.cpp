@@ -1,6 +1,7 @@
 #include "serve/wire.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "exec/json.hpp"
 #include "sim/processor_spec.hpp"
@@ -165,7 +166,11 @@ SweepRequest decode_request(const std::string& text) {
       request.threads = parse_list<unsigned>(
           value,
           [](const std::string& t) {
-            return static_cast<unsigned>(parse_u64(t, "threads"));
+            const std::uint64_t n = parse_u64(t, "threads");
+            if (n > std::numeric_limits<unsigned>::max()) {
+              throw WireError("bad threads '" + t + "'");
+            }
+            return static_cast<unsigned>(n);
           },
           "threads");
     } else if (key == "pages") {

@@ -82,7 +82,7 @@ Placement Machine::placement(unsigned tid) const {
 
 void Machine::begin_parallel() {
   LPOMP_CHECK_MSG(!in_parallel_, "nested parallel regions are not simulated");
-  if (hooks_.ctx != nullptr) hooks_.boundary(hooks_.ctx, BoundaryKind::begin_parallel);
+  if (sink_ != nullptr) sink_->on_boundary(BoundaryKind::begin_parallel);
   // Serial phase since the last boundary ran on the master thread.
   const ThreadCounters serial =
       threads_[0].counters().minus(serial_mark_);
@@ -96,7 +96,7 @@ void Machine::begin_parallel() {
 
 void Machine::end_parallel() {
   LPOMP_CHECK_MSG(in_parallel_, "end_parallel without begin_parallel");
-  if (hooks_.ctx != nullptr) hooks_.boundary(hooks_.ctx, BoundaryKind::end_parallel);
+  if (sink_ != nullptr) sink_->on_boundary(BoundaryKind::end_parallel);
   in_parallel_ = false;
 
   // Group region deltas by physical core and combine with the SMT model.
@@ -142,7 +142,7 @@ void Machine::end_parallel() {
 
 void Machine::end_run() {
   LPOMP_CHECK_MSG(!in_parallel_, "end_run inside a parallel region");
-  if (hooks_.ctx != nullptr) hooks_.boundary(hooks_.ctx, BoundaryKind::end_run);
+  if (sink_ != nullptr) sink_->on_boundary(BoundaryKind::end_run);
   const ThreadCounters serial = threads_[0].counters().minus(serial_mark_);
   total_cycles_ += serial.total_cycles();
   serial_mark_ = threads_[0].counters();
@@ -161,12 +161,11 @@ void Machine::attach_code_all(vaddr_t base, std::size_t size, PageKind kind,
   }
 }
 
-void Machine::set_trace_hooks(const SinkHooks& hooks) {
-  hooks_ = hooks;
+void Machine::set_trace_sink(TraceSink* sink) {
+  sink_ = sink;
   for (unsigned t = 0; t < threads_.size(); ++t) {
-    threads_[t].set_sink_hooks(hooks, t);
+    threads_[t].set_trace_sink(sink, t);
   }
 }
-
 
 }  // namespace lpomp::sim

@@ -85,11 +85,7 @@ class Machine {
   /// Attach (or detach, with nullptr) an access-trace sink: every thread
   /// reports its events under its tid, and the fork-join boundaries are
   /// reported in machine order. See sim/trace_sink.hpp for the contract.
-  void set_trace_sink(TraceSink* sink) { set_trace_hooks(bind_sink(sink)); }
-
-  /// Same attachment with pre-bound flat hooks (bind_sink<ConcreteSink>
-  /// devirtualises the per-event reporting). Disarmed hooks detach.
-  void set_trace_hooks(const SinkHooks& hooks);
+  void set_trace_sink(TraceSink* sink);
 
  private:
   ProcessorSpec spec_;
@@ -100,7 +96,7 @@ class Machine {
   ThreadCounters serial_mark_;                // master snapshot at last boundary
   bool in_parallel_ = false;
   cycles_t total_cycles_ = 0;
-  SinkHooks hooks_{};
+  TraceSink* sink_ = nullptr;
 };
 
 }  // namespace lpomp::sim

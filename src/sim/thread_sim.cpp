@@ -236,9 +236,7 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
 
 void ThreadSim::touch_run(vaddr_t addr, std::size_t n, PageKind kind,
                           Access access) {
-  if (sink_.ctx != nullptr) {
-    sink_.touch_run(sink_.ctx, trace_tid_, addr, n, kind, access);
-  }
+  if (sink_ != nullptr) sink_->on_touch_run(trace_tid_, addr, n, kind, access);
   run_elems(addr, n, sizeof(double), kind, access);
 }
 
@@ -249,83 +247,10 @@ void ThreadSim::touch_strided(vaddr_t addr, std::size_t n,
     touch_run(addr, n, kind, access);
     return;
   }
-  if (sink_.ctx != nullptr) {
-    sink_.touch_strided(sink_.ctx, trace_tid_, addr, n, stride_bytes, kind,
-                        access);
+  if (sink_ != nullptr) {
+    sink_->on_touch_strided(trace_tid_, addr, n, stride_bytes, kind, access);
   }
   run_elems(addr, n, stride_bytes, kind, access);
-}
-
-void ThreadSim::replay_pattern(const ReplaySlot* slots, std::size_t count,
-                               std::uint64_t periods) {
-  if (sink_.ctx != nullptr) {
-    replay_slots<true>(slots, count, periods);
-  } else {
-    replay_slots<false>(slots, count, periods);
-  }
-}
-
-template <bool kSinked>
-void ThreadSim::replay_slots(const ReplaySlot* slots, std::size_t count,
-                             std::uint64_t periods) {
-  // Each slot is copied to a local before issuing: touch_impl's stores could
-  // alias the slot array for all the compiler knows, and the reloads that
-  // would force are a measurable per-event cost. The caller's slot array is
-  // never written. An attached sink (re-recording a replay) sees each slot with
-  // live framing: one run/strided event, not n singles.
-  auto issue = [this](const ReplaySlot& s) {
-    if (s.is_compute) {
-      if constexpr (kSinked) sink_.compute(sink_.ctx, trace_tid_, s.cycles);
-      counters_.exec_cycles += s.cycles;
-      return;
-    }
-    if constexpr (kSinked) {
-      if (s.n == 1) {
-        sink_.touch(sink_.ctx, trace_tid_, s.addr, s.page, s.access);
-        account_one(s.addr, s.page, s.access);
-      } else if (s.stride == sizeof(double)) {
-        touch_run(s.addr, s.n, s.page, s.access);
-      } else {
-        touch_strided(s.addr, s.n, s.stride, s.page, s.access);
-      }
-    } else {
-      // The replay hot path: no sink tests, no public-entry re-dispatch.
-      // run_elems(n == 1) is exactly account_one, so singles stay on the
-      // single-event fast path.
-      if (s.n == 1) {
-        account_one(s.addr, s.page, s.access);
-      } else {
-        run_elems(s.addr, s.n, s.stride, s.page, s.access);
-      }
-    }
-  };
-
-  // Single-period batches (literal stretches of a poorly compressing
-  // stream, the dominant block shape) issue straight off the shared
-  // storage.
-  if (periods == 1) {
-    for (std::size_t j = 0; j < count; ++j) {
-      const ReplaySlot s = slots[j];
-      issue(s);
-    }
-    return;
-  }
-
-  // Multi-period block: one copy into the per-thread scratch, then the
-  // per-period address advance mutates the copy in place — the repeated
-  // addition a live run performs, without a per-(period, slot) multiply on
-  // the hot path and without touching the caller's storage.
-  replay_scratch_.assign(slots, slots + count);
-  ReplaySlot* const work = replay_scratch_.data();
-  for (std::uint64_t rep = 0; rep < periods; ++rep) {
-    for (std::size_t j = 0; j < count; ++j) {
-      const ReplaySlot s = work[j];
-      issue(s);
-      if (!s.is_compute) {
-        work[j].addr = s.addr + static_cast<vaddr_t>(s.period_inc);
-      }
-    }
-  }
 }
 
 void ThreadSim::attach_code(vaddr_t base, std::size_t size, PageKind kind,

@@ -9,6 +9,10 @@
 // accounting independent of host scheduling, so every figure regenerates
 // deterministically.
 //
+// Events enter only through touch, touch_run, touch_strided and add_compute.
+// A live kernel and a trace replay make the same calls, and an attached
+// TraceSink observes each call once, in the framing it was made with.
+//
 // Fast path (DESIGN.md §7): touch/touch_run/touch_strided batch the
 // accesses of a cache-line segment into closed-form bulk updates whenever
 // the per-event outcome is *provably* the L1-TLB-MRU-hit + L1-cache-MRU-hit
@@ -21,13 +25,10 @@
 // reference configuration used for golden generation and the oracle).
 #pragma once
 
-#include <vector>
-
 #include "cache/cache.hpp"
 #include "mem/address_space.hpp"
 #include "paging/policy.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/replay_slot.hpp"
 #include "sim/trace_sink.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
@@ -80,9 +81,7 @@ class ThreadSim {
   /// Account one data access to simulated address `addr`, living in a region
   /// backed by pages of `kind`.
   void touch(vaddr_t addr, PageKind kind, Access access) {
-    if (sink_.ctx != nullptr) {
-      sink_.touch(sink_.ctx, trace_tid_, addr, kind, access);
-    }
+    if (sink_ != nullptr) sink_->on_touch(trace_tid_, addr, kind, access);
     account_one(addr, kind, access);
   }
 
@@ -99,32 +98,15 @@ class ThreadSim {
 
   /// Charge pure compute work (FP arithmetic etc.) that does not touch memory.
   void add_compute(cycles_t cycles) {
-    if (sink_.ctx != nullptr) sink_.compute(sink_.ctx, trace_tid_, cycles);
+    if (sink_ != nullptr) sink_->on_compute(trace_tid_, cycles);
     counters_.exec_cycles += cycles;
   }
 
-  /// Drive `periods` repetitions of a periodic pattern through the machine
-  /// model — semantically identical to issuing every touch/run/compute
-  /// individually, without the per-event call overhead. The slots are read
-  /// only (per-period address advance happens in a local copy). An
-  /// attached trace sink observes the same events, with the
-  /// same framing, a live run issuing these slots would report —
-  /// re-recording a replay reproduces the original stream.
-  void replay_pattern(const ReplaySlot* slots, std::size_t count,
-                      std::uint64_t periods);
-
   /// Attach (or detach, with nullptr) an access-trace sink. Every subsequent
-  /// touch/touch_run/add_compute is reported as thread `tid` of the sink.
-  /// Calls route through SinkHooks thunks that carry the virtual dispatch;
-  /// set_sink_hooks with bind_sink<ConcreteSink> avoids it entirely.
+  /// touch/touch_run/touch_strided/add_compute is reported as thread `tid`
+  /// of the sink.
   void set_trace_sink(TraceSink* sink, unsigned tid) {
-    set_sink_hooks(bind_sink(sink), tid);
-  }
-
-  /// Attach pre-bound flat sink hooks (see sim/trace_sink.hpp). A disarmed
-  /// SinkHooks{} detaches.
-  void set_sink_hooks(const SinkHooks& hooks, unsigned tid) {
-    sink_ = hooks;
+    sink_ = sink;
     trace_tid_ = tid;
   }
 
@@ -181,15 +163,6 @@ class ThreadSim {
   /// element through here so the machine-model behaviour is unchanged).
   void touch_impl(vaddr_t addr, PageKind kind, Access access);
 
-  /// Body of replay_pattern, compiled separately for the sinked and
-  /// sink-free cases: the replay hot path (kSinked = false, the common
-  /// case) carries no per-slot sink tests and dispatches every data slot
-  /// straight into run_elems — no virtual calls, no re-canonicalisation
-  /// through the public entry points.
-  template <bool kSinked>
-  void replay_slots(const ReplaySlot* slots, std::size_t count,
-                    std::uint64_t periods);
-
   /// One access with the single-event fast path: when the L1 DTLB MRU and
   /// L1 cache MRU both cover `addr` and no instruction jump is due, the
   /// whole touch_impl reduces to the closed-form credit below (proof: the
@@ -220,7 +193,7 @@ class ThreadSim {
     if (jump_period_ != 0) until_jump_ -= n;
   }
 
-  /// Shared body of touch_run/touch_strided/replay slots: `n` accesses at
+  /// Shared body of touch_run/touch_strided: `n` accesses at
   /// `addr`, `addr + stride`, ... Leads each cache-line segment through
   /// account_one, then bulk-credits the followers that provably stay on the
   /// lead's line (falling back per event at every line/page boundary, MRU
@@ -265,13 +238,8 @@ class ThreadSim {
   Stream streams_[kStreams];
   unsigned stream_rr_ = 0;
 
-  SinkHooks sink_{};
+  TraceSink* sink_ = nullptr;
   unsigned trace_tid_ = 0;
-
-  /// Mutable working copy of a multi-period replay block (the caller's
-  /// block storage stays read-only). Grows to the largest
-  /// block seen (≤ the codec batch size) and is reused across calls.
-  std::vector<ReplaySlot> replay_scratch_;
 
   bool fast_path_ = default_fast_path_;
   inline static bool default_fast_path_ = true;

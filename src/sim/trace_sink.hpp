@@ -12,13 +12,16 @@
 //
 // The interface lives in sim (not src/trace) so the hot simulation layer
 // depends only on this abstract class; all encoding machinery stays in the
-// lpomp_trace module. A null sink costs one predictable branch per event.
+// lpomp_trace module. ThreadSim and Machine hold a plain TraceSink*: a null
+// sink costs one predictable branch per event, an attached one a virtual
+// call.
 //
-// Threading contract: on_touch/on_touch_run/on_compute for thread `tid` are
-// called only from the host thread driving simulated thread `tid`;
-// on_boundary is called only while all simulated threads are quiescent at a
-// barrier or fork/join point (the same contract under which Machine reads
-// per-thread counters), so per-thread sink state needs no locking.
+// Threading contract: on_touch/on_touch_run/on_touch_strided/on_compute for
+// thread `tid` are called only from the host thread driving simulated
+// thread `tid`; on_boundary is called only while all simulated threads are
+// quiescent at a barrier or fork/join point (the same contract under which
+// Machine reads per-thread counters), so per-thread sink state needs no
+// locking.
 #pragma once
 
 #include <cstddef>
@@ -60,56 +63,5 @@ class TraceSink {
   /// A Machine begin_parallel/end_parallel/end_run boundary.
   virtual void on_boundary(BoundaryKind kind) = 0;
 };
-
-/// Flat function-pointer form of the sink interface — what ThreadSim and
-/// Machine actually store and call on the per-event hot path. A hook call
-/// is one predictable null test plus one indirect call; when the hooks are
-/// bound to a concrete `final` sink type via bind_sink<S>, the sink's
-/// method body is compiled (and typically inlined) straight into the thunk,
-/// so event reporting pays no vtable indirection at all.
-struct SinkHooks {
-  void* ctx = nullptr;
-  void (*touch)(void*, unsigned, vaddr_t, PageKind, Access) = nullptr;
-  void (*touch_run)(void*, unsigned, vaddr_t, std::size_t, PageKind,
-                    Access) = nullptr;
-  void (*touch_strided)(void*, unsigned, vaddr_t, std::size_t, std::int64_t,
-                        PageKind, Access) = nullptr;
-  void (*compute)(void*, unsigned, cycles_t) = nullptr;
-  void (*boundary)(void*, BoundaryKind) = nullptr;
-
-  bool armed() const { return ctx != nullptr; }
-};
-
-/// Binds `sink` into SinkHooks thunks. With S a concrete (ideally `final`)
-/// sink class the calls devirtualise; with S = TraceSink the thunks carry
-/// the virtual dispatch, which keeps arbitrary sink implementations working
-/// through the same hook slots. bind_sink(nullptr) yields disarmed hooks.
-template <typename S>
-SinkHooks bind_sink(S* sink) {
-  SinkHooks h;
-  if (sink == nullptr) return h;
-  h.ctx = sink;
-  h.touch = [](void* c, unsigned tid, vaddr_t addr, PageKind kind,
-               Access access) {
-    static_cast<S*>(c)->on_touch(tid, addr, kind, access);
-  };
-  h.touch_run = [](void* c, unsigned tid, vaddr_t addr, std::size_t n,
-                   PageKind kind, Access access) {
-    static_cast<S*>(c)->on_touch_run(tid, addr, n, kind, access);
-  };
-  h.touch_strided = [](void* c, unsigned tid, vaddr_t addr, std::size_t n,
-                       std::int64_t stride_bytes, PageKind kind,
-                       Access access) {
-    static_cast<S*>(c)->on_touch_strided(tid, addr, n, stride_bytes, kind,
-                                         access);
-  };
-  h.compute = [](void* c, unsigned tid, cycles_t cycles) {
-    static_cast<S*>(c)->on_compute(tid, cycles);
-  };
-  h.boundary = [](void* c, BoundaryKind kind) {
-    static_cast<S*>(c)->on_boundary(kind);
-  };
-  return h;
-}
 
 }  // namespace lpomp::sim

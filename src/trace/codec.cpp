@@ -283,178 +283,100 @@ void ThreadEncoder::flush_repeat() {
 Event ThreadDecoder::apply(std::uint8_t tag, std::uint8_t flags,
                            std::int64_t delta, std::uint64_t arg,
                            std::int64_t stride) {
-  ring_[ring_len_ % ThreadEncoder::kRing] =
-      RingSymbol{tag, flags, delta, arg, stride};
+  RingSymbol s;
+  s.arg = arg;
+  if (tag != kOpCompute) {
+    const std::uint8_t f = (tag & kOpTouchBit) != 0
+                               ? static_cast<std::uint8_t>(tag & 0x3f)
+                               : flags;
+    s.page = flags_kind(f);
+    s.access = flags_access(f);
+    s.head = static_cast<std::uint8_t>((f >> 3) & 0x7);
+    s.delta = delta;
+    // Unsigned products: the head arithmetic wraps exactly like the
+    // encoder's, and a corrupt count cannot overflow a signed multiply.
+    const std::uint64_t last = arg > 0 ? arg - 1 : 0;
+    if (tag == kOpRun) {
+      s.kind = Event::Kind::run;
+      s.span = last * sizeof(double);
+    } else if (tag == kOpStrided) {
+      s.kind = Event::Kind::strided;
+      s.stride = stride;
+      s.span = last * static_cast<std::uint64_t>(stride);
+    } else {
+      s.kind = Event::Kind::touch;
+    }
+  }
+  ring_[ring_len_ % ThreadEncoder::kRing] = s;
   ++ring_len_;
-  if (tag == kOpCompute) return Event::compute_ev(arg);
-
-  const std::uint8_t f = (tag & kOpTouchBit) != 0
-                             ? static_cast<std::uint8_t>(tag & 0x3f)
-                             : flags;
-  const unsigned h = (f >> 3) & 0x7;
-  const vaddr_t addr = static_cast<vaddr_t>(
-      static_cast<std::int64_t>(heads_[h]) + delta);
-  if (tag == kOpRun) {
-    heads_[h] = addr + (arg > 0 ? (arg - 1) * sizeof(double) : 0);
-    return Event::run_ev(addr, arg, flags_kind(f), flags_access(f));
-  }
-  if (tag == kOpStrided) {
-    heads_[h] = addr + static_cast<vaddr_t>(
-                           arg > 0
-                               ? static_cast<std::int64_t>(arg - 1) * stride
-                               : 0);
-    return Event::strided_ev(addr, arg, stride, flags_kind(f),
-                             flags_access(f));
-  }
-  heads_[h] = addr;
-  return Event::touch_ev(addr, flags_kind(f), flags_access(f));
+  return place(s);
 }
 
-ThreadDecoder::Item ThreadDecoder::next() {
+void ThreadDecoder::close_repeat() {
+  // Appending the repeat's symbols one by one would leave the period's
+  // ((pos - ring_len_) % p)-th symbol at every position pos; only the last
+  // kRing positions survive in the ring.
+  const std::uint64_t p = repeat_period_;
+  const std::uint64_t end = ring_len_ + repeat_count_;
+  std::uint64_t pos = repeat_count_ > ThreadEncoder::kRing
+                          ? end - ThreadEncoder::kRing
+                          : ring_len_;
+  for (std::uint64_t j = (pos - ring_len_) % p; pos < end; ++pos) {
+    ring_[pos % ThreadEncoder::kRing] = period_[j];
+    if (++j == p) j = 0;
+  }
+  ring_len_ = end;
+  repeat_count_ = 0;
+}
+
+ThreadDecoder::Item ThreadDecoder::next_record() {
   if (done_) throw TraceError("trace: read past end of stream");
-
-  if (repeat_remaining_ > 0) {
-    --repeat_remaining_;
-    const RingSymbol s = ring_[(ring_len_ - repeat_period_) %
-                               ThreadEncoder::kRing];
-    return Item{ItemKind::event,
-                apply(s.tag, s.flags, s.delta, s.arg, s.stride)};
+  if (repeat_count_ > 0) close_repeat();
+  if (pos_ >= bytes_.size()) {
+    throw TraceError("trace: stream truncated (no END marker)");
   }
+  const std::uint8_t op = static_cast<std::uint8_t>(bytes_[pos_++]);
 
-  while (true) {
-    if (pos_ >= bytes_.size()) {
-      throw TraceError("trace: stream truncated (no END marker)");
-    }
-    const std::uint8_t op = static_cast<std::uint8_t>(bytes_[pos_++]);
-
-    if ((op & kOpTouchBit) != 0) {
-      const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
-      return Item{ItemKind::event, apply(op, 0, delta, 0, 0)};
-    }
-    switch (op) {
-      case kOpRepeat: {
-        const std::uint64_t p = get_varint(bytes_, &pos_);
-        const std::uint64_t n = get_varint(bytes_, &pos_);
-        if (p < 1 || p > ThreadEncoder::kRing || p > ring_len_ || n == 0) {
-          throw TraceError("trace: invalid repeat record");
-        }
-        repeat_period_ = p;
-        repeat_remaining_ = n - 1;
-        const RingSymbol s = ring_[(ring_len_ - p) % ThreadEncoder::kRing];
-        return Item{ItemKind::event,
-                    apply(s.tag, s.flags, s.delta, s.arg, s.stride)};
-      }
-      case kOpSegment:
-        return Item{ItemKind::segment, Event{}};
-      case kOpEnd:
-        if (pos_ != bytes_.size()) {
-          throw TraceError("trace: bytes after END marker");
-        }
-        done_ = true;
-        return Item{ItemKind::end, Event{}};
-      case kOpCompute: {
-        const std::uint64_t cycles = get_varint(bytes_, &pos_);
-        return Item{ItemKind::event, apply(kOpCompute, 0, 0, cycles, 0)};
-      }
-      case kOpRun: {
-        if (pos_ >= bytes_.size()) throw TraceError("trace: truncated run");
-        const std::uint8_t flags = static_cast<std::uint8_t>(bytes_[pos_++]);
-        const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
-        const std::uint64_t n = get_varint(bytes_, &pos_);
-        return Item{ItemKind::event, apply(kOpRun, flags, delta, n, 8)};
-      }
-      case kOpStrided: {
-        if (pos_ >= bytes_.size()) {
-          throw TraceError("trace: truncated strided run");
-        }
-        const std::uint8_t flags = static_cast<std::uint8_t>(bytes_[pos_++]);
-        const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
-        const std::uint64_t n = get_varint(bytes_, &pos_);
-        const std::int64_t stride = unzigzag(get_varint(bytes_, &pos_));
-        return Item{ItemKind::event, apply(kOpStrided, flags, delta, n,
-                                           stride)};
-      }
-      default:
-        throw TraceError("trace: unknown opcode " + std::to_string(op));
-    }
+  if ((op & kOpTouchBit) != 0) {
+    const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
+    return Item{ItemKind::event, apply(op, 0, delta, 0, 0)};
   }
-}
-
-void ThreadDecoder::append_slot(Block& out, const Event& ev) {
-  PatternSlot slot;
-  if (ev.kind == Event::Kind::compute) {
-    slot.is_compute = true;
-    slot.cycles = ev.arg;
-  } else {
-    slot.addr = ev.addr;
-    slot.n = ev.kind == Event::Kind::touch ? 1 : ev.arg;
-    slot.stride = ev.stride;
-    slot.page = ev.page;
-    slot.access = ev.access;
-  }
-  out.pattern.push_back(slot);
-}
-
-bool ThreadDecoder::next_block(Block& out) {
-  if (done_) throw TraceError("trace: read past end of stream");
-
-  out.pattern.clear();
-  out.periods = 1;
-
-  // Tail of a repeat (a partial final period, or a repeat too short for the
-  // closed-form jump): one single-period batch, fully applied.
-  if (repeat_remaining_ > 0) {
-    const std::uint64_t r = repeat_remaining_;
-    repeat_remaining_ = 0;
-    for (std::uint64_t i = 0; i < r; ++i) {
-      const RingSymbol s = ring_[(ring_len_ - repeat_period_) %
-                                 ThreadEncoder::kRing];
-      append_slot(out, apply(s.tag, s.flags, s.delta, s.arg, s.stride));
-    }
-    out.kind = Block::Kind::pattern;
-    return true;
-  }
-
-  // Batch consecutive literal events (poorly compressing streams are almost
-  // all literals) into one single-period block so the replay loop pays block
-  // dispatch once per kBatchSlots events, not per event.
-  while (true) {
-    if (pos_ >= bytes_.size()) {
-      throw TraceError("trace: stream truncated (no END marker)");
-    }
-    const std::uint8_t op = static_cast<std::uint8_t>(bytes_[pos_++]);
-
-    if ((op & kOpTouchBit) != 0) {
-      const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
-      append_slot(out, apply(op, 0, delta, 0, 0));
-      if (out.pattern.size() >= kBatchSlots) {
-        out.kind = Block::Kind::pattern;
-        return true;
+  switch (op) {
+    case kOpRepeat: {
+      const std::uint64_t p = get_varint(bytes_, &pos_);
+      const std::uint64_t n = get_varint(bytes_, &pos_);
+      if (p < 1 || p > ThreadEncoder::kRing || p > ring_len_ || n == 0) {
+        throw TraceError("trace: invalid repeat record");
       }
-      continue;
+      for (std::uint64_t j = 0; j < p; ++j) {
+        period_[j] = ring_[(ring_len_ - p + j) % ThreadEncoder::kRing];
+      }
+      repeat_period_ = p;
+      repeat_phase_ = 0;
+      repeat_remaining_ = n;
+      repeat_count_ = n;
+      return Item{ItemKind::event, repeat_step()};
     }
-    if (op == kOpCompute) {
+    case kOpSegment:
+      return Item{ItemKind::segment, Event{}};
+    case kOpEnd:
+      if (pos_ != bytes_.size()) {
+        throw TraceError("trace: bytes after END marker");
+      }
+      done_ = true;
+      return Item{ItemKind::end, Event{}};
+    case kOpCompute: {
       const std::uint64_t cycles = get_varint(bytes_, &pos_);
-      append_slot(out, apply(kOpCompute, 0, 0, cycles, 0));
-      if (out.pattern.size() >= kBatchSlots) {
-        out.kind = Block::Kind::pattern;
-        return true;
-      }
-      continue;
+      return Item{ItemKind::event, apply(kOpCompute, 0, 0, cycles, 0)};
     }
-    if (op == kOpRun) {
+    case kOpRun: {
       if (pos_ >= bytes_.size()) throw TraceError("trace: truncated run");
       const std::uint8_t flags = static_cast<std::uint8_t>(bytes_[pos_++]);
       const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
       const std::uint64_t n = get_varint(bytes_, &pos_);
-      append_slot(out, apply(kOpRun, flags, delta, n, 8));
-      if (out.pattern.size() >= kBatchSlots) {
-        out.kind = Block::Kind::pattern;
-        return true;
-      }
-      continue;
+      return Item{ItemKind::event, apply(kOpRun, flags, delta, n, 8)};
     }
-    if (op == kOpStrided) {
+    case kOpStrided: {
       if (pos_ >= bytes_.size()) {
         throw TraceError("trace: truncated strided run");
       }
@@ -462,104 +384,11 @@ bool ThreadDecoder::next_block(Block& out) {
       const std::int64_t delta = unzigzag(get_varint(bytes_, &pos_));
       const std::uint64_t n = get_varint(bytes_, &pos_);
       const std::int64_t stride = unzigzag(get_varint(bytes_, &pos_));
-      append_slot(out, apply(kOpStrided, flags, delta, n, stride));
-      if (out.pattern.size() >= kBatchSlots) {
-        out.kind = Block::Kind::pattern;
-        return true;
-      }
-      continue;
+      return Item{ItemKind::event, apply(kOpStrided, flags, delta, n,
+                                         stride)};
     }
-
-    // Non-literal opcode: flush any open batch first (the opcode is a single
-    // byte, so it can simply be un-read).
-    if (!out.pattern.empty()) {
-      --pos_;
-      out.kind = Block::Kind::pattern;
-      return true;
-    }
-
-    switch (op) {
-      case kOpRepeat: {
-        const std::uint64_t p = get_varint(bytes_, &pos_);
-        const std::uint64_t n = get_varint(bytes_, &pos_);
-        if (p < 1 || p > ThreadEncoder::kRing || p > ring_len_ || n == 0) {
-          throw TraceError("trace: invalid repeat record");
-        }
-        const std::uint64_t q = n / p;
-        if (q < 2) {
-          // Shorter than two whole periods: apply every event directly.
-          repeat_period_ = p;
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const RingSymbol s = ring_[(ring_len_ - p) % ThreadEncoder::kRing];
-            append_slot(out, apply(s.tag, s.flags, s.delta, s.arg, s.stride));
-          }
-          out.kind = Block::Kind::pattern;
-          return true;
-        }
-
-      // Collapse q whole periods into one pattern block. Applying the first
-      // period both yields each slot's first-period event and tells us how
-      // far every head moves per period; the remaining q-1 periods then
-      // reduce to a closed-form state jump (heads advance linearly, and the
-      // ring ends holding the same cyclic window element-wise replay would
-      // leave behind).
-      const std::uint64_t len0 = ring_len_;
-      const std::array<vaddr_t, ThreadEncoder::kHeads> heads_before = heads_;
-      std::array<RingSymbol, ThreadEncoder::kRing> period_syms;
-      for (std::uint64_t j = 0; j < p; ++j) {
-        const RingSymbol s = ring_[(ring_len_ - p) % ThreadEncoder::kRing];
-        period_syms[j] = s;
-        append_slot(out, apply(s.tag, s.flags, s.delta, s.arg, s.stride));
-      }
-      std::array<std::int64_t, ThreadEncoder::kHeads> inc;
-      for (unsigned h = 0; h < ThreadEncoder::kHeads; ++h) {
-        inc[h] = static_cast<std::int64_t>(heads_[h]) -
-                 static_cast<std::int64_t>(heads_before[h]);
-      }
-      for (std::uint64_t j = 0; j < p; ++j) {
-        PatternSlot& slot = out.pattern[j];
-        if (slot.is_compute) continue;
-        const RingSymbol& s = period_syms[j];
-        const std::uint8_t f = (s.tag & kOpTouchBit) != 0
-                                   ? static_cast<std::uint8_t>(s.tag & 0x3f)
-                                   : s.flags;
-        slot.period_inc = inc[(f >> 3) & 0x7];
-      }
-      // State jump for periods 2..q (wrapping arithmetic matches the
-      // element-wise head evolution exactly).
-      for (unsigned h = 0; h < ThreadEncoder::kHeads; ++h) {
-        heads_[h] += (q - 1) * static_cast<std::uint64_t>(inc[h]);
-      }
-      const std::uint64_t final_len = len0 + q * p;
-      for (std::uint64_t pos = final_len > ThreadEncoder::kRing
-                                   ? std::max(ring_len_,
-                                              final_len - ThreadEncoder::kRing)
-                                   : ring_len_;
-           pos < final_len; ++pos) {
-        ring_[pos % ThreadEncoder::kRing] = period_syms[(pos - len0) % p];
-      }
-      ring_len_ = final_len;
-      // Any partial trailing period is delivered by the next call as a
-      // single-period batch.
-      repeat_period_ = p;
-      repeat_remaining_ = n - q * p;
-      out.kind = Block::Kind::pattern;
-      out.periods = q;
-      return true;
-      }
-      case kOpSegment:
-        out.kind = Block::Kind::segment;
-        return true;
-      case kOpEnd:
-        if (pos_ != bytes_.size()) {
-          throw TraceError("trace: bytes after END marker");
-        }
-        done_ = true;
-        out.kind = Block::Kind::end;
-        return false;
-      default:
-        throw TraceError("trace: unknown opcode " + std::to_string(op));
-    }
+    default:
+      throw TraceError("trace: unknown opcode " + std::to_string(op));
   }
 }
 

@@ -17,7 +17,9 @@
 //
 // The decoder is purely mechanical: head choice is encoded explicitly, so
 // only the encoder carries heuristics and any policy change stays
-// backward-compatible within the format version.
+// backward-compatible within the format version. It yields one event at a
+// time (ThreadDecoder::next); the replay driver passes each through the
+// ThreadSim entry point of the same name.
 //
 // Wire grammar (one byte of opcode/flags, then varint payloads):
 //   0x00                REPEAT   varint period (1..64), varint count
@@ -36,9 +38,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "sim/replay_slot.hpp"
 #include "support/types.hpp"
 
 namespace lpomp::trace {
@@ -319,64 +319,76 @@ class ThreadDecoder {
 
   /// Next stream item. Returns end exactly once (at the END marker); calling
   /// again afterwards throws. Throws TraceError on malformed input.
-  Item next();
-
-  /// One slot of a periodic pattern (see Block): the simulator's bulk-replay
-  /// slot type, produced here directly so the replay driver feeds decoder
-  /// output straight into ThreadSim::replay_pattern with no conversion.
-  /// Addresses advance by a constant per period because every head update is
-  /// affine in the head.
-  using PatternSlot = sim::ReplaySlot;
-
-  /// Bulk view of the stream: identical event sequence to next(), delivered
-  /// as slot batches so a replay driver never pays per-event decode or
-  /// dispatch. A long REPEAT collapses into one `pattern` block of `periods`
-  /// whole periods; everything else (literal stretches, short repeats,
-  /// repeat tails) arrives as single-period batches of up to kBatchSlots
-  /// slots. Do not mix next() and next_block() on one decoder.
-  struct Block {
-    enum class Kind : std::uint8_t { pattern, segment, end };
-    Kind kind = Kind::end;
-    std::vector<PatternSlot> pattern;  ///< when kind == pattern
-    std::uint64_t periods = 0;
-  };
-
-  /// Literal batching limit per block (bounds the slot vector).
-  static constexpr std::size_t kBatchSlots = 128;
-
-  /// Fills `out` with the next block (reusing its pattern storage) and
-  /// returns false once after the END marker; throws like next().
-  bool next_block(Block& out);
+  ///
+  /// The continuation of an open REPEAT is inline: the per-event price of
+  /// the stencil kernels' long repeats is one symbol lookup and a head
+  /// update.
+  Item next() {
+    if (repeat_remaining_ > 0) return Item{ItemKind::event, repeat_step()};
+    return next_record();
+  }
 
  private:
-  using Symbol = struct {
-    std::uint8_t tag;
-    std::uint8_t flags;
-    std::int64_t delta;
-    std::uint64_t arg;
+  /// A decoded symbol as the ring keeps it: the event without its address,
+  /// plus the head-relative terms the address is rebuilt from.
+  struct RingSymbol {
+    Event::Kind kind = Event::Kind::compute;
+    PageKind page = PageKind::small4k;
+    Access access = Access::load;
+    std::uint8_t head = 0;
+    std::int64_t delta = 0;   ///< address minus heads_[head]
+    std::uint64_t arg = 0;    ///< Event::arg
+    std::int64_t stride = 8;  ///< Event::stride
+    vaddr_t span = 0;         ///< last element's offset: the head's advance
   };
 
+  /// Reads one wire record (everything next() does not inline).
+  Item next_record();
+
+  /// Validates and decodes one literal symbol, appends it to the ring and
+  /// places it.
   Event apply(std::uint8_t tag, std::uint8_t flags, std::int64_t delta,
               std::uint64_t arg, std::int64_t stride);
-  static void append_slot(Block& out, const Event& ev);
+
+  /// The event of `s` at the current head; advances the head past it.
+  Event place(const RingSymbol& s) {
+    vaddr_t addr = 0;
+    if (s.kind != Event::Kind::compute) {
+      addr = heads_[s.head] + static_cast<vaddr_t>(s.delta);
+      heads_[s.head] = addr + s.span;
+    }
+    return Event{s.kind, s.page, s.access, addr, s.arg, s.stride};
+  }
+
+  /// One event of an open REPEAT: the period's next symbol. The ring is
+  /// not written while the repeat runs; close_repeat() brings it up to
+  /// date afterwards.
+  Event repeat_step() {
+    --repeat_remaining_;
+    const RingSymbol& s = period_[repeat_phase_];
+    if (++repeat_phase_ == repeat_period_) repeat_phase_ = 0;
+    return place(s);
+  }
+
+  /// Leaves the ring as appending each of the repeat's events would have.
+  void close_repeat();
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
 
   std::array<vaddr_t, ThreadEncoder::kHeads> heads_{};
 
-  struct RingSymbol {
-    std::uint8_t tag = 0;
-    std::uint8_t flags = 0;
-    std::int64_t delta = 0;
-    std::uint64_t arg = 0;
-    std::int64_t stride = 0;  ///< STRIDED symbols only
-  };
   std::array<RingSymbol, ThreadEncoder::kRing> ring_{};
   std::uint64_t ring_len_ = 0;
 
+  // The open (or last, until closed) REPEAT: its period's symbols in
+  // order, the period, the position within it, the events still to
+  // deliver, and its total length (0 once closed).
+  std::array<RingSymbol, ThreadEncoder::kRing> period_{};
   std::uint64_t repeat_period_ = 0;
+  std::uint64_t repeat_phase_ = 0;
   std::uint64_t repeat_remaining_ = 0;
+  std::uint64_t repeat_count_ = 0;
 
   bool done_ = false;
 };

@@ -120,22 +120,34 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
 
     // Drain each thread's stream up to its next SEGMENT marker, then apply
     // the global boundary — the exact order the recording run's Machine
-    // observed its counter snapshots in.
-    ThreadDecoder::Block block;
-    auto feed_segment = [&block](ThreadDecoder& dec, sim::ThreadSim& sim) {
+    // observed its counter snapshots in. Every event enters the simulator
+    // through the public entry point a live kernel uses, so an attached
+    // resink sees live framing.
+    auto feed_segment = [](ThreadDecoder& dec, sim::ThreadSim& sim) {
       while (true) {
-        if (!dec.next_block(block)) {
-          throw TraceError("trace: stream ended before its last boundary");
-        }
-        switch (block.kind) {
-          case ThreadDecoder::Block::Kind::segment:
+        const ThreadDecoder::Item item = dec.next();
+        const Event& ev = item.event;
+        switch (item.kind) {
+          case ThreadDecoder::ItemKind::segment:
             return;
-          case ThreadDecoder::Block::Kind::pattern:
-            sim.replay_pattern(block.pattern.data(), block.pattern.size(),
-                               block.periods);
-            break;
-          case ThreadDecoder::Block::Kind::end:
+          case ThreadDecoder::ItemKind::end:
             throw TraceError("trace: stream ended before its last boundary");
+          case ThreadDecoder::ItemKind::event:
+            break;
+        }
+        switch (ev.kind) {
+          case Event::Kind::touch:
+            sim.touch(ev.addr, ev.page, ev.access);
+            break;
+          case Event::Kind::run:
+            sim.touch_run(ev.addr, ev.arg, ev.page, ev.access);
+            break;
+          case Event::Kind::strided:
+            sim.touch_strided(ev.addr, ev.arg, ev.stride, ev.page, ev.access);
+            break;
+          case Event::Kind::compute:
+            sim.add_compute(ev.arg);
+            break;
         }
       }
     };
@@ -147,8 +159,7 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
       apply_boundary(machine, boundary);
     }
     for (ThreadDecoder& dec : decoders) {
-      if (dec.next_block(block) ||
-          block.kind != ThreadDecoder::Block::Kind::end) {
+      if (dec.next().kind != ThreadDecoder::ItemKind::end) {
         throw TraceError("trace: events recorded after the last boundary");
       }
     }

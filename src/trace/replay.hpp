@@ -1,8 +1,9 @@
 // ReplayDriver — re-drives the machine simulator from a recorded trace.
 //
 // A replay builds the same Runtime substrate a live run would (page tables,
-// hugetlbfs pool, machine topology, code-region mapping), then feeds the
-// decoded per-thread event streams through the per-thread simulators,
+// hugetlbfs pool, machine topology, code-region mapping), then feeds each
+// decoded event of each thread's stream through that thread's simulator —
+// the touch/touch_run/touch_strided/add_compute call a live kernel makes —
 // applying the recorded fork-join boundaries in machine order. Because the
 // simulator state evolves only from the touch stream and the boundary
 // snapshots (see sim/trace_sink.hpp), every profile counter and the
@@ -36,12 +37,12 @@ struct ReplayConfig {
   /// replays under any policy.
   paging::PolicySpec paging{};
 
-  /// Optional sink observing the replayed stream. The replay reports events
-  /// with *live framing* — a decoded pattern block surfaces as the same
-  /// touch/run/strided/compute sequence a live run would have reported, one
-  /// run event per run rather than n singles — so attaching a TraceRecorder
-  /// here re-records a trace byte-identical to the one being replayed (the
-  /// framing invariant tests/test_trace_replay.cpp pins).
+  /// Optional sink observing the replayed stream. The replay passes each
+  /// decoded event through the ThreadSim entry point a live run calls, so
+  /// the sink sees *live framing* by construction — one run event per run
+  /// rather than n singles — and attaching a TraceRecorder here re-records
+  /// a trace byte-identical to the one being replayed (the framing
+  /// invariant tests/test_trace_replay.cpp pins).
   sim::TraceSink* resink = nullptr;
 };
 

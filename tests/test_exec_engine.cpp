@@ -577,5 +577,59 @@ TEST(Json, RecordRoundTripsItsDeterministicFields) {
   EXPECT_NE(host.find("wall_ms"), std::string::npos);
 }
 
+// Every truncation and every single-bit flip of a valid record document
+// either parses or throws JsonError — the contract the disk store's
+// quarantine relies on. Any other exception, or a crash, fails the test.
+TEST(RunRecordFuzz, TruncationsAndBitFlipsParseOrThrowJsonError) {
+  RunTask task;
+  task.klass = npb::Klass::S;
+  task.threads = 2;
+  RunRecord ok = Scheduler::base_record(task);
+  ok.ok = true;
+  ok.verified = true;
+  ok.checksum = 1.0 / 3.0;
+  ok.simulated_seconds = 0.25;
+  ok.cycles = 123456789;
+  ok.accesses = 987654321;
+  ok.dtlb_walks_1g = 7;
+  ok.pwc_hits = 11;
+  ok.wall_ms = 3.5;
+  RunRecord failed = Scheduler::base_record(task);
+  failed.error = "boom \"quoted\"\n";
+
+  for (const RunRecord& r : {ok, failed}) {
+    const std::string doc = r.to_json(/*include_host=*/true);
+    ASSERT_TRUE(RunRecord::from_json(doc).same_result(r));
+    std::size_t parsed = 0;
+    auto probe = [&parsed](const std::string& bytes) {
+      try {
+        RunRecord::from_json(bytes);
+        ++parsed;
+      } catch (const JsonError&) {
+      }
+    };
+    for (std::size_t cut = 0; cut < doc.size(); ++cut) {
+      probe(doc.substr(0, cut));
+    }
+    for (std::size_t off = 0; off < doc.size(); ++off) {
+      for (unsigned bit = 0; bit < 8; ++bit) {
+        std::string bad = doc;
+        bad[off] = static_cast<char>(static_cast<unsigned char>(bad[off]) ^
+                                     (1u << bit));
+        probe(bad);
+      }
+    }
+    // Some flips (a digit of a counter, whitespace) still parse.
+    EXPECT_GT(parsed, 0u);
+
+    // A thread count that does not fit `unsigned` is not truncated.
+    std::string wide = doc;
+    const std::size_t at = wide.find("\"threads\":2");
+    ASSERT_NE(at, std::string::npos);
+    wide.replace(at, 11, "\"threads\":4294967298");
+    EXPECT_THROW(RunRecord::from_json(wide), JsonError);
+  }
+}
+
 }  // namespace
 }  // namespace lpomp::exec

@@ -146,6 +146,49 @@ TEST(ServeWire, RejectsMalformedRequests) {
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, std::string::npos, "strategy=warp");
   EXPECT_THROW(serve::decode_request(tampered), serve::WireError);
+
+  // A thread count that does not fit `unsigned` is not truncated.
+  std::string wide = good;
+  const std::size_t threads = wide.find("threads=1,2");
+  ASSERT_NE(threads, std::string::npos);
+  wide.replace(threads, 11, "threads=4294967297");
+  EXPECT_THROW(serve::decode_request(wide), serve::WireError);
+}
+
+// Every truncation and every single-bit flip of a valid request either
+// decodes or throws WireError, so a damaged request becomes an error
+// response, never a crash or a stray exception type.
+TEST(ServeWireFuzz, TruncationsAndBitFlipsDecodeOrThrowWireError) {
+  serve::SweepRequest request = small_request();
+  request.kernels = {npb::Kernel::MG, npb::Kernel::CG};
+  request.platforms = {"opteron", "xeon"};
+  request.threads = {1, 2, 4};
+  request.paging = {"native", "thp"};
+  request.per_task_seeds = true;
+  const std::string text = serve::encode_request(request);
+  ASSERT_EQ(serve::encode_request(serve::decode_request(text)), text);
+
+  std::size_t decoded = 0;
+  auto probe = [&decoded](const std::string& bytes) {
+    try {
+      serve::decode_request(bytes);
+      ++decoded;
+    } catch (const serve::WireError&) {
+    }
+  };
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    probe(text.substr(0, cut));
+  }
+  for (std::size_t off = 0; off < text.size(); ++off) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string bad = text;
+      bad[off] = static_cast<char>(static_cast<unsigned char>(bad[off]) ^
+                                   (1u << bit));
+      probe(bad);
+    }
+  }
+  // Cutting whole trailing fields leaves a valid request.
+  EXPECT_GT(decoded, 0u);
 }
 
 // The removed replay tiers are not silently mapped onto live: a request
@@ -363,6 +406,50 @@ TEST(ServeService, OversizedRequestHeaderIsRejected) {
   slot->state.store(serve::kSlotRequest, std::memory_order_release);
   EXPECT_EQ(service.poll_once(), 1u);
   EXPECT_EQ(slot->status, 0u);
+}
+
+// The ring geometry lives in shared memory, where any client can write it.
+// A client that rewrites the slot count and slot size must not move the
+// daemon's slot or payload addresses: the daemon keeps the geometry it
+// created the ring with, keeps serving, and reports that geometry.
+TEST(ServeService, RewrittenRingGeometryIsIgnored) {
+  const std::string name = shm_name("geometry");
+  serve::SweepService::Config cfg;
+  cfg.shm_name = name;
+  cfg.slots = 2;
+  cfg.slot_bytes = 64 * 1024;
+  cfg.scheduler.workers = 1;
+  serve::SweepService service(cfg);
+  const serve::ShmRing& daemon_ring = service.ring();
+  char* const payload1 = daemon_ring.payload(1);
+
+  serve::ShmRing ring = serve::ShmRing::open(name);
+  ring.header()->slots = 1u << 20;
+  ring.header()->slot_bytes = std::uint64_t{1} << 40;
+
+  EXPECT_EQ(daemon_ring.slots(), 2u);
+  EXPECT_EQ(daemon_ring.slot_bytes(), 64u * 1024u);
+  EXPECT_EQ(daemon_ring.payload(1), payload1);
+  EXPECT_EQ(ring.slots(), 2u);
+  EXPECT_EQ(ring.slot_bytes(), 64u * 1024u);
+
+  // The daemon scans its two slots only and answers a stats probe.
+  const std::string probe = serve::encode_stats_request();
+  serve::SlotHeader* slot = ring.slot(1);
+  std::memcpy(ring.payload(1), probe.data(), probe.size());
+  slot->request_bytes = static_cast<std::uint32_t>(probe.size());
+  slot->state.store(serve::kSlotRequest, std::memory_order_release);
+  EXPECT_EQ(service.poll_once(), 1u);
+  ASSERT_EQ(slot->state.load(), serve::kSlotResponse);
+  EXPECT_EQ(slot->status, 0u);
+  const exec::JsonValue doc = exec::json_parse(
+      std::string(ring.payload(1), slot->response_bytes));
+  EXPECT_EQ(doc.at("stats").at("slots").as_uint64(), 2u);
+  EXPECT_EQ(doc.at("stats").at("slot_bytes").as_uint64(), 64u * 1024u);
+
+  // A later client reads the rewritten header and is refused: the claimed
+  // geometry does not fit the segment.
+  EXPECT_THROW(serve::ShmRing::open(name), serve::RingError);
 }
 
 // With no daemon on the segment, the client constructor fails with

@@ -12,7 +12,7 @@
 // After every stream, every counter — ThreadCounters plus the TLB and
 // cache structure stats — must agree across all three. The generator mixes
 // strides crossing 4 KB and 2 MB boundaries, page-kind mixes, periodic
-// multi-slot pattern blocks (the replay decoder's shape), TLB flushes
+// multi-slot blocks (the shape REPEAT records decode into), TLB flushes
 // (SMT context switches on pre-ASID hardware), and in-place superpage
 // promotion; streams run on both of the paper's platforms.
 //
@@ -42,7 +42,6 @@
 #include "oracle/reference_sim.hpp"
 #include "paging/policy.hpp"
 #include "sim/processor_spec.hpp"
-#include "sim/replay_slot.hpp"
 #include "sim/thread_sim.hpp"
 #include "support/rng.hpp"
 #include "trace/codec.hpp"
@@ -208,6 +207,52 @@ bool diff_cache(const cache::Cache::Stats& a, const oracle::RefCache::Stats& b,
   return ::testing::AssertionFailure() << os.str();
 }
 
+/// One access (or compute charge) of a generated multi-event shape: a
+/// burst, a chain or a periodic block. The address advances by
+/// `period_inc` each period.
+struct Slot {
+  vaddr_t addr = 0;
+  std::int64_t period_inc = 0;
+  std::uint64_t n = 1;       ///< element count (1 = single touch)
+  std::int64_t stride = 8;   ///< byte advance per element within a run
+  cycles_t cycles = 0;       ///< compute slots only
+  bool is_compute = false;
+  PageKind page = PageKind::small4k;
+  Access access = Access::load;
+};
+
+/// Drives `periods` repetitions of `slots` through the public entry points,
+/// exactly as a live kernel or a trace replay would.
+template <typename Sim>
+void drive_slots(Sim& sim, const std::vector<Slot>& slots,
+                 std::uint64_t periods) {
+  for (std::uint64_t p = 0; p < periods; ++p) {
+    for (const Slot& s : slots) {
+      if (s.is_compute) {
+        sim.add_compute(s.cycles);
+        continue;
+      }
+      const auto a = static_cast<vaddr_t>(
+          static_cast<std::int64_t>(s.addr) +
+          s.period_inc * static_cast<std::int64_t>(p));
+      if (s.n == 1) {
+        sim.touch(a, s.page, s.access);
+      } else if (s.stride == 8) {
+        sim.touch_run(a, s.n, s.page, s.access);
+      } else {
+        sim.touch_strided(a, s.n, s.stride, s.page, s.access);
+      }
+    }
+  }
+}
+
+void drive_slots(Trio& t, const std::vector<Slot>& slots,
+                 std::uint64_t periods) {
+  drive_slots(t.fast, slots, periods);
+  drive_slots(t.slow, slots, periods);
+  drive_slots(t.ref, slots, periods);
+}
+
 /// Shared memory image for one platform's streams: a promotable small-page
 /// region (2 MB-aligned chunks, mapped first so chunk bases stay aligned),
 /// a plain small-page region, and a huge-page region.
@@ -314,24 +359,16 @@ void run_platform(const sim::ProcessorSpec& spec,
       } else if (roll < 23) {
         // Random-access burst — the GUPS stream shape: a block of
         // uncorrelated singleton touches, exactly what stride-RLE
-        // degenerates to. fast takes the batched pattern path, slow/ref
-        // expand per event.
+        // degenerates to.
         const std::size_t m = 4 + static_cast<std::size_t>(gen.next_below(37));
-        std::vector<sim::ReplaySlot> slots(m);
-        for (sim::ReplaySlot& s : slots) {
+        std::vector<Slot> slots(m);
+        for (Slot& s : slots) {
           s.addr = base + 8 * gen.next_below(limit / 8);
           s.n = 1;
           s.page = kind;
           s.access = gen.next_below(4) == 0 ? Access::store : Access::load;
         }
-        for (int w = 0; w < 2; ++w) {
-          Trio& t = trios[static_cast<std::size_t>(w)];
-          t.fast.replay_pattern(slots.data(), slots.size(), 1);
-          for (const sim::ReplaySlot& s : slots) {
-            t.slow.touch(s.addr, s.page, s.access);
-            t.ref.touch(s.addr, s.page, s.access);
-          }
-        }
+        for (Trio& t : trios) drive_slots(t, slots, 1);
       } else if (roll < 30) {
         // Dependent chain — the pointer-chase shape: a hash-walk of
         // singleton loads revisited for several passes (period_inc = 0),
@@ -339,8 +376,8 @@ void run_platform(const sim::ProcessorSpec& spec,
         const std::size_t m = 4 + static_cast<std::size_t>(gen.next_below(21));
         const std::uint64_t periods = 1 + gen.next_below(3);
         std::uint64_t idx = gen.next_below(limit / 8);
-        std::vector<sim::ReplaySlot> slots(m);
-        for (sim::ReplaySlot& s : slots) {
+        std::vector<Slot> slots(m);
+        for (Slot& s : slots) {
           s.addr = base + 8 * idx;
           s.n = 1;
           s.page = kind;
@@ -348,16 +385,7 @@ void run_platform(const sim::ProcessorSpec& spec,
           idx = (idx * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL) %
                 (limit / 8);
         }
-        for (int w = 0; w < 2; ++w) {
-          Trio& t = trios[static_cast<std::size_t>(w)];
-          t.fast.replay_pattern(slots.data(), slots.size(), periods);
-          for (std::uint64_t p = 0; p < periods; ++p) {
-            for (const sim::ReplaySlot& s : slots) {
-              t.slow.touch(s.addr, s.page, s.access);
-              t.ref.touch(s.addr, s.page, s.access);
-            }
-          }
-        }
+        for (Trio& t : trios) drive_slots(t, slots, periods);
       } else if (roll < 50) {
         // Unit-stride run crossing line/page (and, in the 2 MB region,
         // huge-page) boundaries.
@@ -400,15 +428,14 @@ void run_platform(const sim::ProcessorSpec& spec,
           t.ref.touch_strided(addr, n, stride, kind, access);
         }
       } else if (roll < 80) {
-        // Periodic multi-slot pattern block — the shape REPEAT blocks
-        // decode into. fast takes the batched interpreter
-        // (replay_pattern), slow and ref expand per event.
+        // Periodic multi-slot block — the shape REPEAT records decode
+        // into.
         const std::uint64_t periods = 2 + gen.next_below(7);
         const std::size_t nslots =
             1 + static_cast<std::size_t>(gen.next_below(3));
-        std::vector<sim::ReplaySlot> slots;
+        std::vector<Slot> slots;
         for (std::size_t si = 0; si < nslots; ++si) {
-          sim::ReplaySlot s;
+          Slot s;
           if (gen.next_below(5) == 0) {
             s.is_compute = true;
             s.cycles = static_cast<cycles_t>(1 + gen.next_below(60));
@@ -450,32 +477,7 @@ void run_platform(const sim::ProcessorSpec& spec,
           slots.push_back(s);
         }
         if (slots.empty()) continue;
-        for (int w = 0; w < 2; ++w) {
-          Trio& t = trios[static_cast<std::size_t>(w)];
-          t.fast.replay_pattern(slots.data(), slots.size(), periods);
-          for (std::uint64_t p = 0; p < periods; ++p) {
-            for (const sim::ReplaySlot& s : slots) {
-              if (s.is_compute) {
-                t.slow.add_compute(s.cycles);
-                t.ref.add_compute(s.cycles);
-                continue;
-              }
-              const auto a = static_cast<vaddr_t>(
-                  static_cast<std::int64_t>(s.addr) +
-                  s.period_inc * static_cast<std::int64_t>(p));
-              if (s.n == 1) {
-                t.slow.touch(a, s.page, s.access);
-                t.ref.touch(a, s.page, s.access);
-              } else if (s.stride == 8) {
-                t.slow.touch_run(a, s.n, s.page, s.access);
-                t.ref.touch_run(a, s.n, s.page, s.access);
-              } else {
-                t.slow.touch_strided(a, s.n, s.stride, s.page, s.access);
-                t.ref.touch_strided(a, s.n, s.stride, s.page, s.access);
-              }
-            }
-          }
-        }
+        for (Trio& t : trios) drive_slots(t, slots, periods);
       } else if (roll < 88) {
         const auto cycles = static_cast<cycles_t>(gen.next_below(500));
         for (int w = 0; w < 2; ++w) {
@@ -576,11 +578,11 @@ TEST(SimDifferential, Huge1gZeroCapacityBankMatchesReference) {
 
 // --- replay fast path ---------------------------------------------------------
 //
-// Property: for a randomized recorded stream, a replay through
-// ThreadSim::replay_pattern on the batched fast path equals the same replay
-// on the per-event path counter-for-counter. The replays vary every replay
-// knob (platform, seed, code page kind), so the pattern interpreter is
-// checked under both TLB geometries and both ITLB layouts.
+// Property: for a randomized recorded stream, a ReplayDriver replay on the
+// batched fast path equals the same replay on the per-event path
+// counter-for-counter. The replays vary every replay knob (platform, seed,
+// code page kind), so the decoded streams are checked under both TLB
+// geometries and both ITLB layouts.
 
 constexpr int kDefaultReplayStreams = 25;
 
@@ -628,8 +630,7 @@ int replay_stream_count() {
 /// shared pool the replay substrate rebuilds for (CG, S, `kind`). The event
 /// mix covers every encoder framing: single touches, unit-stride runs,
 /// strided runs (forward/backward/page-striding), compute charges, and a
-/// periodic motif long enough to close into a REPEAT block with periods —
-/// the pattern path ThreadSim::replay_pattern interprets.
+/// periodic motif long enough to close into a multi-period REPEAT record.
 trace::Trace make_replay_trace(std::uint64_t seed, PageKind kind,
                              vaddr_t pool_base, std::size_t window) {
   constexpr unsigned kThreads = 2;

@@ -194,58 +194,6 @@ TEST(TraceCodec, RandomStreamsRoundTrip) {
   }
 }
 
-// next_block() must deliver exactly the stream next() does, just batched:
-// expanding every pattern block (each period advances a slot's address by
-// its period_inc) reproduces the per-event decode. Events are compared in
-// simulator semantics — a touch and a 1-element run are the same access.
-TEST(TraceCodec, BlockDecodeMatchesEventDecode) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const std::string bytes = encode(random_stream(seed));
-    ThreadDecoder by_event(bytes);
-    ThreadDecoder by_block(bytes);
-
-    auto expect_access = [&by_event](vaddr_t addr, std::uint64_t n,
-                                     std::int64_t stride, PageKind page,
-                                     Access access) {
-      const ThreadDecoder::Item ref = by_event.next();
-      ASSERT_EQ(ref.kind, ThreadDecoder::ItemKind::event);
-      ASSERT_NE(ref.event.kind, Event::Kind::compute);
-      ASSERT_EQ(ref.event.addr, addr);
-      ASSERT_EQ(ref.event.kind == Event::Kind::touch ? 1 : ref.event.arg, n);
-      ASSERT_EQ(ref.event.kind == Event::Kind::strided ? ref.event.stride : 8,
-                stride);
-      ASSERT_EQ(ref.event.page, page);
-      ASSERT_EQ(ref.event.access, access);
-    };
-
-    ThreadDecoder::Block block;
-    while (by_block.next_block(block)) {
-      if (block.kind == ThreadDecoder::Block::Kind::segment) {
-        ASSERT_EQ(by_event.next().kind, ThreadDecoder::ItemKind::segment);
-        continue;
-      }
-      ASSERT_EQ(block.kind, ThreadDecoder::Block::Kind::pattern);
-      ASSERT_GE(block.periods, 1u);
-      std::vector<ThreadDecoder::PatternSlot> slots = block.pattern;
-      for (std::uint64_t rep = 0; rep < block.periods; ++rep) {
-        for (ThreadDecoder::PatternSlot& s : slots) {
-          if (s.is_compute) {
-            const ThreadDecoder::Item ref = by_event.next();
-            ASSERT_EQ(ref.kind, ThreadDecoder::ItemKind::event);
-            ASSERT_EQ(ref.event.kind, Event::Kind::compute);
-            ASSERT_EQ(ref.event.arg, s.cycles);
-          } else {
-            expect_access(s.addr, s.n, s.stride, s.page, s.access);
-            s.addr += static_cast<vaddr_t>(s.period_inc);
-          }
-        }
-      }
-    }
-    ASSERT_EQ(block.kind, ThreadDecoder::Block::Kind::end);
-    EXPECT_EQ(by_event.next().kind, ThreadDecoder::ItemKind::end);
-  }
-}
-
 TEST(TraceCodec, PeriodicPatternsCompress) {
   // A period-3 stencil-like pattern over 30k touches must collapse to well
   // under a byte per access.
@@ -321,8 +269,7 @@ TEST(TraceCodec, ZeroLengthRunsRoundTrip) {
 
 // A stream whose period is exactly kRing (64, the maximum the encoder's
 // ring can discover): 64 distinct touch symbols repeating with a constant
-// per-period advance must collapse into one REPEAT record and round-trip
-// through both decode paths.
+// per-period advance must collapse into one REPEAT record and round-trip.
 TEST(TraceCodec, MaxPeriodRleRoundTrip) {
   std::vector<RefItem> items;
   constexpr int kPeriod = 64;
@@ -348,7 +295,7 @@ TEST(TraceCodec, MaxPeriodRleRoundTrip) {
 // More concurrently live address sequences than the encoder has heads (8):
 // every event evicts a head (all bases are > 1 MiB apart, the far-head
 // threshold), which is the worst case for delta prediction. Must still
-// round-trip exactly through both decode paths.
+// round-trip exactly.
 TEST(TraceCodec, HeadEvictionChurnRoundTrip) {
   std::vector<RefItem> items;
   constexpr int kSequences = 13;  // > kHeads == 8
@@ -363,20 +310,6 @@ TEST(TraceCodec, HeadEvictionChurnRoundTrip) {
     cursor[s] += 8;
   }
   expect_roundtrip(items);
-
-  // Same churn through the block decoder.
-  const std::string bytes = encode(items);
-  ThreadDecoder by_block(bytes);
-  ThreadDecoder::Block block;
-  std::size_t accesses = 0;
-  while (by_block.next_block(block)) {
-    ASSERT_EQ(block.kind, ThreadDecoder::Block::Kind::pattern);
-    for (const ThreadDecoder::PatternSlot& s : block.pattern) {
-      ASSERT_FALSE(s.is_compute);
-      accesses += static_cast<std::size_t>(s.n) * block.periods;
-    }
-  }
-  EXPECT_EQ(accesses, items.size());
 }
 
 // stride == 8 is canonicalised to RUN framing at the encoder entry point:
@@ -441,7 +374,8 @@ TEST(TraceCodec, TruncatedStridedRunThrows) {
   // + count + stride; cutting any of them is a truncation, and the missing
   // END marker makes even the full first record unterminated).
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ThreadDecoder dec(bytes.substr(0, cut));
+    const std::string prefix = bytes.substr(0, cut);  // outlives `dec`
+    ThreadDecoder dec(prefix);
     EXPECT_THROW(
         {
           while (dec.next().kind != ThreadDecoder::ItemKind::end) {

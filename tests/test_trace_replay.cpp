@@ -193,8 +193,9 @@ void expect_corrupt_falls_back(const exec::RunTask& task,
   EXPECT_EQ(live.to_json(false), swept.records[0].to_json(false)) << what;
 }
 
-// Case 1: a genuine recorded stream truncated mid-pattern-block — the tail
-// (END marker and trailing segments) is gone, so decode runs off the end.
+// Case 1: a genuine recorded stream truncated in the middle of its REPEAT
+// records — the tail (END marker and trailing segments) is gone, so decode
+// runs off the end.
 TEST(TraceReplay, TruncatedPatternBlockFallsBack) {
   exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 2);
   spec.kernels = {npb::Kernel::MG};
@@ -297,6 +298,45 @@ TEST(TraceReplay, RejectsImpossibleReplay) {
   trace::ReplayDriver xeon_driver(trace::ReplayConfig{
       sim::ProcessorSpec::xeon_ht(), {}, 0x5eedULL, PageKind::small4k});
   EXPECT_THROW(xeon_driver.run(broken), trace::TraceError);
+
+  // Each check below must fire for its own reason.
+  auto rejects = [&xeon_driver](const trace::Trace& t, const char* why) {
+    try {
+      xeon_driver.run(t);
+      ADD_FAILURE() << "replay accepted a trace that should fail: " << why;
+    } catch (const trace::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+
+  trace::Trace no_threads = live.trace;
+  no_threads.meta.threads = 0;
+  no_threads.streams.clear();
+  rejects(no_threads, "at least one thread");
+
+  // Every recorded stream ends with the end_run SEGMENT (0x01) and the END
+  // marker (0x02); the cases below edit thread 0's tail.
+  const std::string& tail = live.trace.streams[0];
+  ASSERT_GE(tail.size(), 2u);
+  ASSERT_EQ(tail.substr(tail.size() - 2), std::string("\x01\x02", 2));
+  auto with_tail = [&live](const std::string& new_tail) {
+    trace::Trace t = live.trace;
+    std::string& stream = t.streams[0];
+    stream.replace(stream.size() - 2, 2, new_tail);
+    return t;
+  };
+  // The stream ends before its last boundary.
+  rejects(with_tail(std::string("\x02", 1)), "ended before its last boundary");
+  // A COMPUTE event (5 cycles) after the last boundary.
+  rejects(with_tail(std::string("\x01\x03\x05\x02", 4)),
+          "after the last boundary");
+  // An extra SEGMENT after the last boundary.
+  rejects(with_tail(std::string("\x01\x01\x02", 3)),
+          "after the last boundary");
+  // The unedited tail replays.
+  const std::string intact("\x01\x02", 2);
+  EXPECT_NO_THROW(xeon_driver.run(with_tail(intact)));
 }
 
 // --- event framing ----------------------------------------------------------
@@ -347,11 +387,12 @@ TEST(TraceFraming, LiveEntryPointsReportSingleEvents) {
   EXPECT_EQ(dec.next().kind, trace::ThreadDecoder::ItemKind::end);
 }
 
-// The replay side of the same invariant: ReplayDriver's pattern-block
-// decode must report the identical event sequence, with identical framing,
-// to an attached sink — so re-recording a replay reproduces the original
-// trace byte-for-byte. CG covers runs and gathers; FT covers strided
-// framing (its root-table scan records STRIDED events).
+// The replay side of the same invariant: ReplayDriver passes each decoded
+// event through the live entry points, so an attached sink sees the
+// identical event sequence with identical framing, and re-recording a
+// replay reproduces the original trace byte-for-byte. CG covers runs and
+// gathers; FT covers strided framing (its root-table scan records STRIDED
+// events).
 TEST(TraceFraming, ReplayReRecordsIdenticalBytes) {
   for (npb::Kernel kernel : {npb::Kernel::CG, npb::Kernel::FT}) {
     const LiveRun live =
