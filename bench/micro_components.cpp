@@ -4,12 +4,16 @@
 // drives billions of times, plus the runtime primitives.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/cache.hpp"
 #include "core/runtime.hpp"
 #include "dsm/msg_channel.hpp"
 #include "mem/hugetlbfs.hpp"
 #include "sim/machine.hpp"
+#include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
+#include "tlb/pwc.hpp"
 #include "tlb/tlb_hierarchy.hpp"
 
 using namespace lpomp;
@@ -44,6 +48,45 @@ void BM_CacheAccessSequential(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheAccessSequential);
+
+// Random 8-byte loads over 8 MiB against the sequential bench's 1 MiB
+// 16-way geometry: most accesses miss and pay the full victim scan.
+void BM_CacheAccessRandom(benchmark::State& state) {
+  cache::Cache c("bench", {MiB(1), 64, 16});
+  std::vector<vaddr_t> stream(std::size_t{1} << 16);
+  Rng rng(17);
+  for (vaddr_t& a : stream) a = rng.next_below(MiB(8) / 8) * 8;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(c.access(stream[i], false));
+    i = (i + 1) % stream.size();
+  }
+}
+BENCHMARK(BM_CacheAccessRandom);
+
+// The page-walk cache on the modern spec's geometry, driven the way
+// ThreadSim drives it on a 4-level walk: probe for the deepest cached
+// interior level, then install the walk's interior entries. The stream
+// walks 4 KB pages in runs of 16 and jumps to a random page of an 8 GiB
+// span between runs, so the PMD level misses at each jump.
+void BM_PwcProbe(benchmark::State& state) {
+  tlb::Pwc pwc(sim::ProcessorSpec::modern().pwc);
+  std::vector<vaddr_t> stream(4096);
+  Rng rng(13);
+  vaddr_t page = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    page = i % 16 == 0 ? rng.next_below(GiB(8) / KiB(4)) : page + 1;
+    stream[i] = page * KiB(4);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const vaddr_t addr = stream[i];
+    i = (i + 1) % stream.size();
+    benchmark::DoNotOptimize(pwc.deepest_cached(addr, 3));
+    pwc.insert(addr, 3);
+  }
+}
+BENCHMARK(BM_PwcProbe);
 
 void BM_PageWalk(benchmark::State& state) {
   mem::PhysMem pm(MiB(64));

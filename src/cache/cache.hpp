@@ -12,17 +12,14 @@
 // walk per cache probe.
 //
 // Hot-path layout: access() is the single most-called function of the whole
-// simulator, so its MRU-filter check is inlined here and only the
-// associative search lives out of line. The search itself is fronted by a
-// direct-mapped probe table of line→slot hints; a verified hint performs
-// exactly the side effects of the associative hit (timestamp, MRU, stats),
-// so the hint table is invisible in every counter — it only skips the scan.
+// simulator, so it stays inline down to the tag store's MRU-filter check;
+// the tag store itself is the shared LruSets engine (cache/lru_sets.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "cache/lru_sets.hpp"
 #include "support/error.hpp"
 #include "support/types.hpp"
 
@@ -36,7 +33,8 @@ struct CacheGeometry {
   bool present() const { return size_bytes > 0; }
   std::size_t lines() const { return size_bytes / line_bytes; }
   std::size_t sets() const {
-    LPOMP_CHECK(present() && lines() % ways == 0);
+    LPOMP_CHECK(present() && ways > 0 && lines() >= ways &&
+                lines() % ways == 0);
     return lines() / ways;
   }
   /// Geometry with capacity divided among `sharers` co-resident threads —
@@ -55,32 +53,29 @@ class Cache {
   bool access(vaddr_t addr, bool is_store) {
     ++stats_.lookups;
     if (is_store) ++stats_.store_lookups;
-    const std::uint64_t line_addr = addr >> line_shift_;
-    if (mru_line_ == line_addr) {
-      ++stats_.hits;
-      return true;
-    }
-    return access_assoc(line_addr);
+    if (!tags_.access(addr >> line_shift_)) return false;
+    ++stats_.hits;
+    return true;
   }
 
   /// True when an access to `addr` would hit the 1-entry MRU filter (and is
   /// therefore a guaranteed hit with no LRU side effects — the bulk fast
   /// path's precondition).
   bool mru_hit(vaddr_t addr) const {
-    return mru_line_ == (addr >> line_shift_);
+    return tags_.mru_hit(addr >> line_shift_);
   }
 
   /// Bulk accounting for `n` accesses the caller has proven would each hit
   /// the MRU filter (mru_hit(addr) for every one). Identical to n access()
-  /// calls taking the filter path: stats only — the filter path neither
-  /// advances the LRU clock nor restamps the line.
+  /// calls taking the filter path.
   void credit_mru_run(bool is_store, count_t n) {
     stats_.lookups += n;
     if (is_store) stats_.store_lookups += n;
     stats_.hits += n;
+    tags_.credit_mru(n);
   }
 
-  void flush();
+  void flush() { tags_.flush(); }
 
   const CacheGeometry& geometry() const { return geom_; }
   const std::string& name() const { return name_; }
@@ -100,35 +95,13 @@ class Cache {
   void reset_stats() { stats_ = {}; }
 
  private:
-  /// Tag of an empty line (and of an empty MRU filter). No line address
-  /// reaches it: line_shift_ >= 1 leaves the top bit of addr >> line_shift_
-  /// clear.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  struct Line {
-    std::uint64_t tag = kEmpty;
-    std::uint64_t last_use = 0;
-  };
-
-  /// The associative path of access(): probe-hint check, then set scan,
-  /// then allocation on miss. The lookup itself is already counted; a hit
-  /// here still owes ++hits (and, unlike the MRU path, stamps the line).
-  bool access_assoc(std::uint64_t line_addr);
+  /// Hint-table slots of a cache's tag store.
+  static constexpr std::size_t kHintSlots = 2048;
 
   std::string name_;
   CacheGeometry geom_;
   std::size_t line_shift_;
-  std::size_t sets_;
-  std::size_t set_mask_;  ///< sets_ - 1 when sets_ is a power of two
-  bool pow2_sets_;
-  std::vector<Line> lines_;  // sets() * ways, set-major
-  std::uint64_t clock_ = 0;
-  // MRU filter: repeated touches of the current line skip the set search.
-  std::uint64_t mru_line_ = kEmpty;
-  // Direct-mapped slot hints (line_addr → index into lines_). Every hint is
-  // verified against the tag before use, so stale entries are harmless.
-  static constexpr std::size_t kProbeSlots = 2048;
-  std::vector<std::uint32_t> probe_;
+  LruSets tags_;  ///< line addresses (addr >> line_shift_)
   Stats stats_;
 };
 

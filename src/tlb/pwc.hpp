@@ -10,17 +10,18 @@
 // Model: for interior level l (0 = root, kLevels-2 = deepest interior),
 // the tag is the virtual-address prefix that selects the level-l entry,
 // addr >> (12 + 9 * (kLevels-1-l)). Each level is an independent
-// set-associative true-LRU tag cache. On a walk the simulator asks for the
-// deepest cached interior level d; levels 0..d are skipped (their reads
-// are PWC hits, not memory references) and charging starts at d+1. The
-// leaf entry is never cached — real PWCs cache PDE/PUD/PML4 entries only.
+// set-associative true-LRU tag store (cache::LruSets). On a walk the
+// simulator asks for the deepest cached interior level d; levels 0..d are
+// skipped (their reads are PWC hits, not memory references) and charging
+// starts at d+1. The leaf entry is never cached — real PWCs cache
+// PDE/PUD/PML4 entries only.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "cache/lru_sets.hpp"
 #include "mem/page_table.hpp"
-#include "support/error.hpp"
 #include "support/types.hpp"
 
 namespace lpomp::tlb {
@@ -46,10 +47,9 @@ class Pwc {
   Pwc() = default;
   explicit Pwc(const PwcConfig& config) : config_(config) {
     if (!config_.present()) return;
-    LPOMP_CHECK_MSG(config_.ways > 0 && config_.entries % config_.ways == 0,
-                    "PWC entries must divide evenly into ways");
-    sets_ = config_.entries / config_.ways;
-    for (auto& level : levels_) level.assign(config_.entries, Entry{});
+    for (unsigned l = 0; l + 1 < mem::PageTable::kLevels; ++l) {
+      levels_.emplace_back(config_.entries, config_.ways, kHintSlots);
+    }
   }
 
   bool present() const { return config_.present(); }
@@ -62,7 +62,8 @@ class Pwc {
   int deepest_cached(vaddr_t addr, unsigned interior_levels) {
     ++stats_.lookups;
     for (int l = static_cast<int>(interior_levels) - 1; l >= 0; --l) {
-      if (touch(static_cast<unsigned>(l), tag(addr, static_cast<unsigned>(l)))) {
+      if (levels_[static_cast<std::size_t>(l)].find(
+              tag(addr, static_cast<unsigned>(l)))) {
         ++stats_.hits;
         return l;
       }
@@ -74,25 +75,20 @@ class Pwc {
   /// per-level LRU victims as needed.
   void insert(vaddr_t addr, unsigned interior_levels) {
     for (unsigned l = 0; l < interior_levels; ++l) {
-      insert_in(l, tag(addr, l));
+      levels_[l].fill(tag(addr, l));
     }
   }
 
   void flush() {
-    for (auto& level : levels_) {
-      for (Entry& e : level) e.valid = false;
-    }
+    for (cache::LruSets& level : levels_) level.flush();
   }
 
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
  private:
-  struct Entry {
-    std::uint64_t tag = 0;
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
+  /// Hint-table slots of each level's tag store.
+  static constexpr std::size_t kHintSlots = 256;
 
   /// Virtual-address prefix selecting the level-l entry: level l resolves
   /// bits [12 + 9*(kLevels-1-l), 48), so l=0 → addr>>39, l=2 → addr>>21.
@@ -103,47 +99,10 @@ class Pwc {
     return addr >> shift;
   }
 
-  Entry* set_base(unsigned l, std::uint64_t t) {
-    const unsigned set = static_cast<unsigned>(t % sets_);
-    return &levels_[l][static_cast<std::size_t>(set) * config_.ways];
-  }
-
-  bool touch(unsigned l, std::uint64_t t) {
-    Entry* base = set_base(l, t);
-    for (unsigned w = 0; w < config_.ways; ++w) {
-      if (base[w].valid && base[w].tag == t) {
-        base[w].last_use = ++clock_;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void insert_in(unsigned l, std::uint64_t t) {
-    Entry* base = set_base(l, t);
-    Entry* victim = &base[0];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-      Entry& e = base[w];
-      if (e.valid && e.tag == t) {
-        e.last_use = ++clock_;
-        return;
-      }
-      if (!e.valid) {
-        victim = &e;
-        break;
-      }
-      if (e.last_use < victim->last_use) victim = &e;
-    }
-    victim->valid = true;
-    victim->tag = t;
-    victim->last_use = ++clock_;
-  }
-
   PwcConfig config_;
-  unsigned sets_ = 0;
-  // One tag cache per interior level (root, PUD, PMD for kLevels == 4).
-  std::vector<Entry> levels_[mem::PageTable::kLevels - 1];
-  std::uint64_t clock_ = 0;
+  // One tag store per interior level (root, PUD, PMD for kLevels == 4);
+  // empty when the PWC is absent.
+  std::vector<cache::LruSets> levels_;
   Stats stats_;
 };
 

@@ -7,18 +7,16 @@
 // the model keeps one set-associative structure per page kind, each with
 // true-LRU replacement within a set.
 //
-// Hot-path layout mirrors cache::Cache: lookup()'s MRU-filter check is
-// inlined, the associative search is out of line behind a direct-mapped
-// probe table of vpn→entry hints (verified before use, so hints never
-// change an outcome — every hit they serve performs exactly the associative
-// hit's side effects).
+// Each present structure is one cache::LruSets tag store keyed by vpn, the
+// engine behind the data caches too: lookup() is inline down to its
+// MRU-filter check.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
+#include "cache/lru_sets.hpp"
 #include "support/error.hpp"
 #include "support/types.hpp"
 
@@ -46,6 +44,7 @@ struct TlbGeometry {
   TlbGeometry shared_slice(unsigned sharers) const {
     LPOMP_CHECK(sharers > 0);
     if (sharers == 1 || !present()) return *this;
+    LPOMP_CHECK(ways > 0);
     TlbGeometry slice = *this;
     if (ways >= entries) {
       // Fully associative: shrink the single set.
@@ -84,41 +83,27 @@ class Tlb {
 
   /// Probe for a translation. A hit refreshes LRU state.
   bool lookup(vpn_t vpn, PageKind kind) {
-    Bank& b = bank(kind);
     const auto i = static_cast<std::size_t>(kind);
     ++stats_.lookups[i];
-    if (b.mru_valid && b.mru_vpn == vpn) {
-      // Bypass hit still counts as a use, so the timestamp invariant holds
-      // unconditionally (see the Bank comment below).
-      b.entries[b.mru_index].last_use = ++clock_;
-      ++stats_.hits[i];
-      return true;
-    }
-    if (lookup_assoc(b, vpn)) {
-      ++stats_.hits[i];
-      return true;
-    }
-    return false;
+    if (!banks_[i] || !banks_[i]->find(vpn)) return false;
+    ++stats_.hits[i];
+    return true;
   }
 
   /// True when a lookup of `vpn` would hit the bank's 1-entry MRU filter —
   /// the bulk fast path's precondition for a guaranteed hit.
   bool mru_hit(vpn_t vpn, PageKind kind) const {
-    const Bank& b = bank(kind);
-    return b.mru_valid && b.mru_vpn == vpn;
+    const auto& b = banks_[static_cast<std::size_t>(kind)];
+    return b && b->mru_hit(vpn);
   }
 
   /// Bulk accounting for `n` lookups the caller has proven would each hit
-  /// the MRU filter. Identical to n lookup() calls taking the bypass path:
-  /// each stamps last_use = ++clock_, so the final state is the clock
-  /// advanced by n with the MRU entry stamped at the final value.
+  /// the MRU filter. Identical to n lookup() calls taking the filter path.
   void credit_mru_run(PageKind kind, count_t n) {
-    Bank& b = bank(kind);
     const auto i = static_cast<std::size_t>(kind);
     stats_.lookups[i] += n;
     stats_.hits[i] += n;
-    clock_ += n;
-    b.entries[b.mru_index].last_use = clock_;
+    banks_[i]->credit_mru(n);
   }
 
   /// Install a translation (evicting the set's LRU victim if full).
@@ -165,63 +150,12 @@ class Tlb {
   void reset_stats() { stats_ = {}; }
 
  private:
-  struct Entry {
-    vpn_t vpn = 0;
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
-  struct Bank {
-    TlbGeometry geom;
-    std::vector<Entry> entries;  // sets() * ways, set-major
-    unsigned sets = 0;       ///< cached geom.sets() (0 when not present)
-    vpn_t set_mask = 0;      ///< sets - 1 when sets is a power of two
-    bool pow2_sets = false;
-    // 1-entry MRU filter: re-touching the most recent translation is a
-    // guaranteed hit and can bypass the associative search. The bypass
-    // refreshes the entry's timestamp through mru_index (O(1)), keeping the
-    // "every hit stamps last_use" invariant locally true — the property
-    // tests check true LRU against an exact reference model, and this way
-    // the guarantee doesn't rest on a subtle argument about what can
-    // interleave inside a bypass chain.
-    vpn_t mru_vpn = ~vpn_t{0};
-    std::size_t mru_index = 0;
-    bool mru_valid = false;
-    // Direct-mapped entry hints (vpn → index), verified before use.
-    static constexpr std::size_t kProbeSlots = 256;
-    std::array<std::uint32_t, kProbeSlots> probe{};
-  };
-
-  Bank& bank(PageKind kind) {
-    switch (kind) {
-      case PageKind::small4k:
-        return bank4k_;
-      case PageKind::large2m:
-        return bank2m_;
-      case PageKind::huge1g:
-        return bank1g_;
-    }
-    return bank4k_;
-  }
-  const Bank& bank(PageKind kind) const {
-    switch (kind) {
-      case PageKind::small4k:
-        return bank4k_;
-      case PageKind::large2m:
-        return bank2m_;
-      case PageKind::huge1g:
-        return bank1g_;
-    }
-    return bank4k_;
-  }
-
-  bool lookup_assoc(Bank& b, vpn_t vpn);
-  void insert_in(Bank& b, vpn_t vpn);
+  /// Hint-table slots of each bank's tag store.
+  static constexpr std::size_t kHintSlots = 256;
 
   Config config_;
-  Bank bank4k_;
-  Bank bank2m_;
-  Bank bank1g_;
-  std::uint64_t clock_ = 0;  // LRU timestamp source
+  /// Indexed by PageKind; empty for a kind the level cannot hold.
+  std::optional<cache::LruSets> banks_[kPageKindCount];
   Stats stats_;
 };
 

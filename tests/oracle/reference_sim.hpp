@@ -8,21 +8,22 @@
 // results; test_sim_differential drives randomized access streams through
 // both and asserts equality after every stream.
 //
-// Two deliberate, provably observation-equivalent simplifications:
+// One deliberate, provably observation-equivalent simplification:
 //
-//  * TLB hits stamp `last_use = ++clock` on every hit. The production MRU
-//    bypass does exactly the same (tlb.hpp keeps the invariant explicitly),
-//    so this is not even a simplification — it is the production policy.
-//
-//  * Cache hits stamp on every hit, whereas the production MRU bypass
-//    advances neither the clock nor the line's timestamp. Equivalent
-//    because a bypass chain is a contiguous run of accesses to one line:
-//    re-stamping the line that is already the set's most recent use changes
-//    no relative last_use order, and LRU victim selection (unique,
-//    monotonic timestamps — no ties) depends only on relative order.
-//    Likewise the victim's *slot* within a set (production prefers the last
-//    invalid way, this model the first) is unobservable: hits scan the
-//    whole set and set contents are a multiset.
+//  * TLB, cache and PWC hits here stamp `last_use = ++clock` on every hit.
+//    Production keeps all three in one tag store (cache::LruSets), whose
+//    1-entry MRU-filter hit advances neither the clock nor the slot's
+//    timestamp. Equivalent because every production stamp — a hint hit, a
+//    scan hit, a fill of a present tag, a fill of a victim — moves the
+//    filter to the stamped tag, so the filter's tag always holds the newest
+//    stamp of its set: re-stamping the set's most recent use changes no
+//    relative last_use order, and LRU victim selection (unique, monotonic
+//    timestamps — no ties) depends only on relative order. The same
+//    argument covers a bulk credit of n filter hits, and a clock shared by
+//    a TLB's banks here versus one clock per bank in production (only the
+//    order within a set matters).
+//    Likewise the victim's *slot* within a set is unobservable: hits scan
+//    the whole set and set contents are a multiset.
 #pragma once
 
 #include <algorithm>
@@ -275,8 +276,7 @@ class RefCache {
       }
     }
     // Miss: fill the first invalid way, else the true-LRU victim. (The slot
-    // choice differs from the production scan order; see the header comment
-    // for why that is unobservable.)
+    // choice is unobservable anyway; see the header comment.)
     Line* victim = nullptr;
     for (unsigned w = 0; w < geom_.ways; ++w) {
       Line& l = base[w];

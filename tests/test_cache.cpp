@@ -89,6 +89,16 @@ TEST(Cache, RejectsZeroSize) {
   EXPECT_THROW(Cache("bad", CacheGeometry{0, 64, 2}), std::logic_error);
 }
 
+TEST(Cache, RejectsZeroWaysAndPartialSets) {
+  // The first two used to crash: zero ways divided by zero, and a cache
+  // smaller than one line built zero sets and faulted on its first access.
+  EXPECT_THROW(Cache("bad", CacheGeometry{KiB(1), 64, 0}), std::logic_error);
+  EXPECT_THROW(Cache("bad", CacheGeometry{32, 64, 1}), std::logic_error);
+  EXPECT_THROW(Cache("bad", CacheGeometry{KiB(1), 64, 3}), std::logic_error);
+  const CacheGeometry no_ways{KiB(1), 64, 0};
+  EXPECT_THROW((void)no_ways.sets(), std::logic_error);
+}
+
 TEST(Cache, RejectsNonPowerOfTwoLine) {
   EXPECT_THROW(Cache("bad", CacheGeometry{KiB(1), 48, 2}), std::logic_error);
 }

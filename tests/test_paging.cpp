@@ -5,13 +5,16 @@
 // leaves at exactly 2 levels) and synthetic-PTE extension (a 4 KB effective
 // view of a 2 MB layout), the deterministic THP fragmentation model
 // (seed-keyed reproducibility, sawtooth probabilities), the page-walk
-// cache's hit/LRU/flush behaviour, the fingerprint's conditional paging
-// segment, and the end-to-end guarantee the subsystem was built around:
-// one grid point per policy is bit-identical under all four execution
-// strategies.
+// cache's hit/LRU/flush behaviour (and exact LRU against a model), the
+// fingerprint's conditional paging segment, and the end-to-end guarantee
+// the subsystem was built around: one grid point per policy is
+// bit-identical under all four execution strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "mem/page_table.hpp"
 #include "paging/policy.hpp"
 #include "sim/processor_spec.hpp"
+#include "support/rng.hpp"
 #include "support/types.hpp"
 #include "tlb/pwc.hpp"
 
@@ -271,6 +275,85 @@ TEST(Pwc, FlushDropsAllLevels) {
   pwc.flush();
   EXPECT_EQ(pwc.deepest_cached(a, 3), -1);
 }
+
+TEST(Pwc, InvalidGeometryRejected) {
+  EXPECT_THROW(tlb::Pwc(tlb::PwcConfig{8, 0}), std::logic_error);
+  EXPECT_THROW(tlb::Pwc(tlb::PwcConfig{2, 4}), std::logic_error);
+  EXPECT_THROW(tlb::Pwc(tlb::PwcConfig{5, 2}), std::logic_error);
+}
+
+// Exact per-level LRU model of the PWC: level l keeps, per set, at most
+// `ways` tags addr >> (12 + 9 * (3 - l)), most recent first.
+class PwcModel {
+ public:
+  PwcModel(unsigned entries, unsigned ways) : ways_(ways) {
+    for (auto& level : levels_) level.resize(entries / ways);
+  }
+
+  int deepest_cached(vaddr_t addr, unsigned interior_levels) {
+    for (int l = static_cast<int>(interior_levels) - 1; l >= 0; --l) {
+      if (touch(static_cast<unsigned>(l), addr, false)) return l;
+    }
+    return -1;
+  }
+
+  void insert(vaddr_t addr, unsigned interior_levels) {
+    for (unsigned l = 0; l < interior_levels; ++l) touch(l, addr, true);
+  }
+
+ private:
+  bool touch(unsigned l, vaddr_t addr, bool fill) {
+    const std::uint64_t tag = addr >> (12 + 9 * (3 - l));
+    auto& set = levels_[l][tag % levels_[l].size()];
+    auto it = std::find(set.begin(), set.end(), tag);
+    const bool hit = it != set.end();
+    if (hit) set.erase(it);
+    if (hit || fill) set.push_front(tag);
+    if (set.size() > ways_) set.pop_back();
+    return hit;
+  }
+
+  std::size_t ways_;
+  std::vector<std::list<std::uint64_t>> levels_[3];
+};
+
+struct PwcCase {
+  unsigned entries;
+  unsigned ways;
+  std::uint64_t seed;
+};
+
+class PwcLruProperty : public ::testing::TestWithParam<PwcCase> {};
+
+// The walker's sequence: probe, then install every interior level the walk
+// read — so present tags are refilled all the time.
+TEST_P(PwcLruProperty, MatchesReferenceLru) {
+  const PwcCase c = GetParam();
+  tlb::Pwc pwc(tlb::PwcConfig{c.entries, c.ways});
+  PwcModel ref(c.entries, c.ways);
+  Rng rng(c.seed);
+  for (int i = 0; i < 20000; ++i) {
+    // Few root and PUD spans, many PMD spans: every level sees reuse and
+    // the deeper ones capacity pressure.
+    const vaddr_t addr =
+        (rng.next_below(3) << 39) | (rng.next_below(6) << 30) |
+        (rng.next_below(40) << 21) | (rng.next_below(512) << 12);
+    const unsigned interior = 1 + static_cast<unsigned>(rng.next_below(3));
+    const int d = pwc.deepest_cached(addr, interior);
+    ASSERT_EQ(d, ref.deepest_cached(addr, interior))
+        << "divergence at step " << i << " addr " << addr;
+    pwc.insert(addr, interior);
+    ref.insert(addr, interior);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PwcLruProperty,
+    ::testing::Values(PwcCase{8, 8, 1},     // fully associative
+                      PwcCase{64, 8, 2},    // the modern spec's geometry
+                      PwcCase{16, 1, 3},    // direct-mapped
+                      PwcCase{12, 2, 4},    // non-power-of-two sets
+                      PwcCase{32, 4, 5}));
 
 // --- fingerprint ------------------------------------------------------------
 

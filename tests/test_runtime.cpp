@@ -1,5 +1,6 @@
 // Tests for the Runtime facade: construction with both page sizes, the
-// fork-join API, reductions, simulation attachment and accounting.
+// fork-join API, single/master, reductions, simulation attachment and
+// accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -182,6 +183,36 @@ TEST(Runtime, SamePoolServesManyArrays) {
   EXPECT_EQ(rt.shared_allocator().allocation_count(), 3u);
   EXPECT_LT(a.sim_addr(0), b.sim_addr(0));
   EXPECT_LT(b.sim_addr(0), c.sim_addr(0));
+}
+
+// The single/master work-sharing constructs.
+
+TEST(ThreadCtx, SingleRunsExactlyOnce) {
+  RuntimeConfig cfg;
+  cfg.num_threads = 4;
+  cfg.shared_pool_bytes = MiB(1);
+  Runtime rt(cfg);
+  std::atomic<int> runs{0};
+  std::atomic<int> observers{0};
+  rt.parallel([&](ThreadCtx& ctx) {
+    ctx.single([&runs] { runs.fetch_add(1); });
+    // The trailing barrier guarantees everyone sees the effect.
+    if (runs.load() == 1) observers.fetch_add(1);
+  });
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(observers.load(), 4);
+}
+
+TEST(ThreadCtx, MasterRunsOnTidZeroOnly) {
+  RuntimeConfig cfg;
+  cfg.num_threads = 4;
+  cfg.shared_pool_bytes = MiB(1);
+  Runtime rt(cfg);
+  std::atomic<unsigned> who{99};
+  rt.parallel([&](ThreadCtx& ctx) {
+    ctx.master([&who, &ctx] { who.store(ctx.tid()); });
+  });
+  EXPECT_EQ(who.load(), 0u);
 }
 
 }  // namespace

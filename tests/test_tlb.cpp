@@ -137,6 +137,10 @@ TEST(Tlb, StatsPerKind) {
 TEST(Tlb, InvalidGeometryRejected) {
   // 5 % 2 != 0
   EXPECT_THROW(Tlb({"bad", {5, 2}, {0, 0}, {}}), std::logic_error);
+  // Zero ways, and fewer entries than one set, in any bank.
+  EXPECT_THROW(Tlb({"bad", {8, 0}, {0, 0}, {}}), std::logic_error);
+  EXPECT_THROW(Tlb({"bad", {8, 8}, {2, 4}, {}}), std::logic_error);
+  EXPECT_THROW(Tlb({"bad", {8, 8}, {8, 8}, {1, 0}}), std::logic_error);
 }
 
 // Reference model: per-set std::list LRU, most recent at front.
