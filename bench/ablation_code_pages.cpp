@@ -10,7 +10,8 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels"});
+  const npb::Klass klass = bench::klass_from(opts, "R");
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
 
   std::cout << "Ablation (paper §4.3): application binary in 4KB pages vs "

@@ -90,6 +90,7 @@ RunResult allreduce(PageKind kind, std::size_t n, int rounds) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"rounds"});
   const int rounds = static_cast<int>(opts.get_int("rounds", 4));
 
   std::cout << "Future work (paper §6): large pages for intra-node MPI\n"

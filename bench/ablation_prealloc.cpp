@@ -108,6 +108,7 @@ TrialResult pool_trial(std::size_t requests) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"requests"});
   const auto requests = static_cast<std::size_t>(opts.get_int("requests", 64));
 
   std::cout << "Ablation (paper §3.3): preallocated hugetlbfs pool vs "

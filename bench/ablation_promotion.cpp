@@ -127,6 +127,7 @@ RunResult run_policy(std::optional<PageKind> static_kind,
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"rounds"});
   const auto rounds = static_cast<count_t>(opts.get_int("rounds", 3));
 
   std::cout << "Ablation (paper §5 related work): startup preallocation vs "

@@ -20,7 +20,9 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels"}, bench::kSchedulerKeys,
+                     bench::kJsonKeys, bench::kStrategyKeys);
+  const npb::Klass klass = bench::klass_from(opts, "R");
   const npb::Kernel kernel =
       bench::kernels_from(opts).empty() ? npb::Kernel::SP
                                         : bench::kernels_from(opts).front();

@@ -21,6 +21,7 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"region-mb", "accesses"});
   const auto region_bytes =
       static_cast<std::size_t>(opts.get_int("region-mb", 64)) * MiB(1);
   const auto accesses = static_cast<count_t>(opts.get_int("accesses", 2000000));

@@ -5,13 +5,14 @@
 // LPOMP_* environment overrides.
 #pragma once
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/scheduler.hpp"
@@ -25,41 +26,51 @@
 
 namespace lpomp::bench {
 
-/// Platform from --platform= ("opteron", "xeon", "modern"); throws
-/// OptionError on anything else.
-inline sim::ProcessorSpec platform_by_name(const std::string& name) {
-  if (name == "opteron") return sim::ProcessorSpec::opteron270();
-  if (name == "xeon") return sim::ProcessorSpec::xeon_ht();
-  if (name == "modern") return sim::ProcessorSpec::modern();
-  throw OptionError("unknown platform '" + name +
-                    "' (valid: opteron, xeon, modern)");
+// Option keys, for Options::require_known: a driver declares the keys it
+// reads itself plus the group of each helper below that it calls.
+/// Read by paging_from.
+inline constexpr std::string_view kPagingKeys[] = {
+    "paging", "thp-seed", "thp-frag", "thp-growth", "thp-interval"};
+/// Read by strategy_from and reject_removed_flags: the removed flags are
+/// known keys, so they still exit 2 with their own message.
+inline constexpr std::string_view kStrategyKeys[] = {
+    "strategy",    "no-trace",       "no-multilane",
+    "no-analytic", "trace-store-mb", "topology"};
+/// Read by scheduler_config.
+inline constexpr std::string_view kSchedulerKeys[] = {"workers", "store-dir"};
+/// Read by write_json.
+inline constexpr std::string_view kJsonKeys[] = {"json", "json-host"};
+
+/// Platform from --platform= (default "opteron"), through
+/// ProcessorSpec::from_key; throws OptionError on anything else.
+inline sim::ProcessorSpec platform_from(const Options& opts) {
+  return opts.get_name("platform", "opteron", sim::ProcessorSpec::from_key,
+                       sim::kPlatformKeys);
 }
 
-/// --thp-seed= as a decimal or 0x-prefixed hex 64-bit value; throws
-/// OptionError on an empty, negative, out-of-range or trailing-garbage
-/// value.
-inline std::uint64_t thp_seed_from(const Options& opts, std::uint64_t def) {
-  const std::string v = opts.get("thp-seed", std::to_string(def));
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long seed = std::strtoull(v.c_str(), &end, 0);
-  if (v.empty() || v.front() == '-' || *end != '\0' || errno == ERANGE) {
-    throw OptionError("--thp-seed=" + v + ": expected an unsigned integer");
-  }
-  return seed;
+/// Problem class from --klass= (default `def`); throws OptionError on
+/// anything else (a lower-case "s" must not run class R).
+inline npb::Klass klass_from(const Options& opts, const char* def) {
+  return opts.get_name("klass", def, npb::klass_from_name, npb::kKlasses);
+}
+
+/// Layout page kind from --<key>= (default 4KB): 4KB or 2MB. Throws
+/// OptionError on anything else, 1GB included: 1 GB pages are the huge1g
+/// paging policy (--paging=), not a layout.
+inline PageKind page_kind_from(const Options& opts, const std::string& key) {
+  return opts.get_name(key, "4KB", page_kind_from_name, kLayoutPageKinds);
 }
 
 /// Parses --paging= as a comma-separated paging-policy list ("native,
-/// hugetlb2m,huge1g,thp"). Unknown tokens abort with the valid set; an
-/// absent flag yields the single native (identity) policy, preserving
-/// historical behaviour. --thp-seed/--thp-frag/--thp-growth/--thp-interval
-/// override the THP fragmentation model for every thp entry in the list
-/// (all four are part of the result fingerprint); a malformed value, or an
-/// interval outside [0, 2^32), throws OptionError.
+/// hugetlb2m,huge1g,thp"); an unknown token throws OptionError with the
+/// valid set, and an absent flag yields the single native (identity)
+/// policy. --thp-seed/--thp-frag/--thp-growth/--thp-interval override the
+/// THP fragmentation model for every thp entry in the list (all four are
+/// part of the result fingerprint); a malformed value, or an interval
+/// outside [0, 2^32), throws OptionError.
 inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
-  const std::string list = opts.get("paging", "native");
   paging::ThpParams thp;
-  thp.frag_seed = thp_seed_from(opts, thp.frag_seed);
+  thp.frag_seed = opts.get_unsigned("thp-seed", thp.frag_seed);
   thp.frag_base = opts.get_double("thp-frag", thp.frag_base);
   thp.frag_growth = opts.get_double("thp-growth", thp.frag_growth);
   const long interval = opts.get_int("thp-interval", thp.compaction_interval);
@@ -69,18 +80,9 @@ inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   }
   thp.compaction_interval = static_cast<std::uint32_t>(interval);
   std::vector<paging::PolicySpec> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(start, comma - start);
-    start = comma + 1;
-    paging::Policy p;
-    if (!paging::policy_from_name(token, p)) {
-      std::cerr << "unknown paging policy '" << token << "' in --paging="
-                << list << " (valid: native,base4k,hugetlb2m,huge1g,thp)\n";
-      std::exit(2);
-    }
+  for (const paging::Policy p : opts.get_names("paging", "native",
+                                               paging::policy_from_name,
+                                               paging::kPolicies)) {
     paging::PolicySpec spec;
     spec.policy = p;
     if (p == paging::Policy::thp) spec.thp = thp;
@@ -89,58 +91,28 @@ inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   return out;
 }
 
-/// Problem class from its name ("S", "W", "A", "B", "R"); throws
-/// OptionError on anything else (a lower-case "s" must not run class R).
-inline npb::Klass klass_by_name(const std::string& name) {
-  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
-                       npb::Klass::B, npb::Klass::R}) {
-    if (name == npb::klass_name(k)) return k;
-  }
-  throw OptionError("unknown class '" + name + "' (valid: S, W, A, B, R)");
+/// --paging= adds the paging-policy axis (paging_from) to `spec`, whose
+/// layout axis then collapses to 4 KB: every policy reinterprets the same
+/// address stream. Returns whether it did.
+inline bool add_paging_axis(const Options& opts, exec::SweepSpec& spec) {
+  if (opts.get("paging", "").empty()) return false;
+  spec.page_kinds = {PageKind::small4k};
+  spec.paging_policies = paging_from(opts);
+  return true;
 }
 
-/// Canonical comma-joined kernel list ("BT,CG,FT,SP,MG,GUPS,GT,PC") — the
-/// --kernels= default and the valid set shown on a parse error.
-inline std::string all_kernel_names() {
-  std::string names;
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (!names.empty()) names += ',';
-    names += npb::kernel_name(k);
-  }
-  return names;
-}
-
-/// Parses --kernels= as an exact comma-separated list ("CG,FT"). Unknown or
-/// empty tokens abort with a clear message instead of being silently
-/// dropped; kernels run in canonical (all_kernels) order, deduplicated.
+/// Parses --kernels= as an exact comma-separated list ("CG,FT"; default all
+/// kernels). An unknown or empty token throws OptionError with the valid
+/// set; kernels run in canonical (all_kernels) order, deduplicated.
 inline std::vector<npb::Kernel> kernels_from(const Options& opts) {
-  const std::string list = opts.get("kernels", all_kernel_names());
-  std::vector<bool> wanted(npb::all_kernels().size(), false);
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(start, comma - start);
-    start = comma + 1;
-    bool known = false;
-    const std::vector<npb::Kernel> all = npb::all_kernels();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (token == npb::kernel_name(all[i])) {
-        wanted[i] = true;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::cerr << "unknown kernel '" << token << "' in --kernels=" << list
-                << " (valid: " << all_kernel_names() << ")\n";
-      std::exit(2);
-    }
-  }
+  const std::vector<npb::Kernel> wanted =
+      opts.get_names("kernels", npb::kKernels.list(","),
+                     npb::kernel_from_name, npb::kKernels);
   std::vector<npb::Kernel> out;
-  const std::vector<npb::Kernel> all = npb::all_kernels();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (wanted[i]) out.push_back(all[i]);
+  for (const npb::Kernel k : npb::all_kernels()) {
+    if (std::find(wanted.begin(), wanted.end(), k) != wanted.end()) {
+      out.push_back(k);
+    }
   }
   return out;
 }
@@ -187,7 +159,7 @@ inline void reject_removed_flags(const Options& opts) {
        {"no-trace", "no-multilane", "no-analytic", "trace-store-mb"}) {
     if (!opts.get(flag, "").empty()) {
       std::cerr << "--" << flag << " was removed with the replay tiers "
-                << "(valid strategies: " << exec::kStrategyNames << ")\n";
+                << "(valid strategies: " << exec::kStrategies.list() << ")\n";
       std::exit(2);
     }
   }
@@ -199,7 +171,7 @@ inline void reject_removed_flags(const Options& opts) {
   const std::string name = opts.get("strategy", "auto");
   if (!exec::strategy_from_name(name)) {
     std::cerr << "unknown --strategy=" << name
-              << " (valid: " << exec::kStrategyNames << ")\n";
+              << " (valid: " << exec::kStrategies.list() << ")\n";
     std::exit(2);
   }
 }
@@ -213,13 +185,12 @@ inline exec::Strategy strategy_from(const Options& opts) {
 
 /// --workers= / LPOMP_WORKERS: grid points that always run at once (narrow
 /// points may add more, see exec::WidthGate), 0 → one per host core. A
-/// negative count exits 2.
+/// negative count throws OptionError.
 inline unsigned workers_from(const Options& opts) {
   const long workers = opts.get_int("workers", 0);
   if (workers < 0) {
-    std::cerr << "--workers=" << workers
-              << " must be >= 0 (0 = one per host core)\n";
-    std::exit(2);
+    throw OptionError("--workers=" + std::to_string(workers) +
+                      " must be >= 0 (0 = one per host core)");
   }
   return static_cast<unsigned>(workers);
 }

@@ -15,7 +15,8 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels", "threads"});
+  const npb::Klass klass = bench::klass_from(opts, "R");
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
 

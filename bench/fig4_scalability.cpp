@@ -23,7 +23,10 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels"}, bench::kPagingKeys,
+                     bench::kSchedulerKeys, bench::kJsonKeys,
+                     bench::kStrategyKeys);
+  const npb::Klass klass = bench::klass_from(opts, "R");
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
@@ -32,11 +35,7 @@ int main(int argc, char** argv) {
   // for paging-policy columns: the layout axis collapses to 4 KB (every
   // policy reinterprets the same address stream) and each sub-table shows
   // run time per policy with improvement vs the first policy listed.
-  const bool paging_axis = !opts.get("paging", "").empty();
-  if (paging_axis) {
-    spec.page_kinds = {PageKind::small4k};
-    spec.paging_policies = bench::paging_from(opts);
-  }
+  const bool paging_axis = bench::add_paging_axis(opts, spec);
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
   const exec::SweepResult result =

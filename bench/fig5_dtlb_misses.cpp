@@ -15,7 +15,10 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels", "threads"}, bench::kPagingKeys,
+                     bench::kSchedulerKeys, bench::kJsonKeys,
+                     bench::kStrategyKeys);
+  const npb::Klass klass = bench::klass_from(opts, "R");
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
 
   exec::SweepSpec spec = exec::SweepSpec::figure5(klass, threads);
@@ -24,11 +27,7 @@ int main(int argc, char** argv) {
   // --paging= swaps the 4KB/2MB columns for one walk-count column per
   // policy, normalised to the first policy listed (layout axis fixed at
   // 4 KB — every policy reinterprets the same address stream).
-  const bool paging_axis = !opts.get("paging", "").empty();
-  if (paging_axis) {
-    spec.page_kinds = {PageKind::small4k};
-    spec.paging_policies = bench::paging_from(opts);
-  }
+  const bool paging_axis = bench::add_paging_axis(opts, spec);
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
   const exec::SweepResult result =

@@ -81,21 +81,18 @@ std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"klass", "kernels", "json-out", "shm", "replay-check"},
+                     bench::kPagingKeys, bench::kSchedulerKeys,
+                     bench::kJsonKeys, bench::kStrategyKeys);
+  const npb::Klass klass = bench::klass_from(opts, "R");
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
   const exec::Strategy strategy = bench::strategy_from(opts);
   const bool host = opts.get_flag("json-host");
 
-  // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis. Every
-  // policy reinterprets the same address stream, so the layout axis
-  // collapses to 4 KB.
-  const bool paging_axis = !opts.get("paging", "").empty();
-  if (paging_axis) {
-    spec.page_kinds = {PageKind::small4k};
-    spec.paging_policies = bench::paging_from(opts);
-  }
+  // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis.
+  const bool paging_axis = bench::add_paging_axis(opts, spec);
 
   if (opts.get_flag("replay-check")) {
     return replay_check(spec.expand()) == 0 ? 0 : 1;

@@ -30,24 +30,12 @@
 
 using namespace lpomp;
 
-namespace {
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t pos = text.find(',', start);
-    if (pos == std::string::npos) pos = text.size();
-    out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"stats", "shm", "timeout-ms", "kernels", "klass",
+                      "platforms", "threads", "pages", "code-pages", "paging",
+                      "seed", "per-task-seeds", "repeat", "json", "quiet"},
+                     bench::kStrategyKeys);
 
   if (opts.get_flag("stats")) {
     try {
@@ -64,29 +52,18 @@ int main(int argc, char** argv) {
 
   serve::SweepRequest request;
   request.kernels = bench::kernels_from(opts);
-  request.klass = bench::klass_by_name(opts.get("klass", "S"));
-  request.platforms = split_csv(opts.get("platforms", "opteron,xeon"));
+  request.klass = bench::klass_from(opts, "S");
+  request.platforms = split_list(opts.get("platforms", "opteron,xeon"));
   request.threads.clear();
-  for (const std::string& t : split_csv(opts.get("threads", "1,2,4,8"))) {
-    request.threads.push_back(static_cast<unsigned>(std::stoul(t)));
+  for (const std::string& t : split_list(opts.get("threads", "1,2,4,8"))) {
+    request.threads.push_back(static_cast<unsigned>(Options::to_unsigned(
+        "threads", t, std::numeric_limits<unsigned>::max())));
   }
-  request.page_kinds.clear();
-  for (const std::string& p : split_csv(opts.get("pages", "4KB,2MB"))) {
-    if (p == "4KB") {
-      request.page_kinds.push_back(PageKind::small4k);
-    } else if (p == "2MB") {
-      request.page_kinds.push_back(PageKind::large2m);
-    } else {
-      std::cerr << "unknown page kind '" << p << "' (valid: 4KB, 2MB)\n";
-      return 2;
-    }
-  }
-  request.code_page_kind =
-      opts.get("code-pages", "4KB") == "2MB" ? PageKind::large2m
-                                             : PageKind::small4k;
-  request.paging = split_csv(opts.get("paging", "native"));
-  request.base_seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
+  request.page_kinds = opts.get_names("pages", "4KB,2MB", page_kind_from_name,
+                                      kLayoutPageKinds);
+  request.code_page_kind = bench::page_kind_from(opts, "code-pages");
+  request.paging = split_list(opts.get("paging", "native"));
+  request.base_seed = opts.get_unsigned("seed", 0x5eed);
   request.per_task_seeds = opts.get_flag("per-task-seeds");
   request.strategy = bench::strategy_from(opts);
 
@@ -95,6 +72,7 @@ int main(int argc, char** argv) {
       opts.get_int("timeout-ms", 120000));
 
   try {
+    (void)request.to_spec();  // a bad platform or policy exits 2 here
     serve::SweepClient client(opts.get("shm", "/lpomp-sweep"));
     std::string response;
     double min_us = 0.0;

@@ -32,6 +32,8 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"shm", "slots", "slot-mb"}, bench::kSchedulerKeys,
+                     bench::kStrategyKeys);
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");

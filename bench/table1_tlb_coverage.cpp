@@ -15,7 +15,8 @@ std::string entries_or_dash(const tlb::TlbGeometry& g) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Options(argc, argv).require_known({});
   const sim::ProcessorSpec xeon = sim::ProcessorSpec::xeon_ht();
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
 

@@ -31,37 +31,35 @@ using namespace lpomp;
 
 namespace {
 
-PageKind pages_from(const Options& opts, const char* key) {
-  const std::string v = opts.get(key, "4KB");
-  if (v == "2MB" || v == "2mb" || v == "large") return PageKind::large2m;
-  return PageKind::small4k;
-}
-
 /// The live-run configuration a trace was recorded under (recording
 /// platform, seed and code pages; default cost model and paging). Throws
 /// TraceError when the recording platform is not a built-in one.
 exec::RunTask task_of(const trace::Trace& trace) {
+  const trace::TraceMeta& meta = trace.meta;
   exec::RunTask task;
-  task.kernel = trace::kernel_from_name(trace.meta.kernel);
-  task.klass = trace::klass_from_name(trace.meta.klass);
-  bool known = false;
-  for (const sim::ProcessorSpec& spec :
-       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht(),
-        sim::ProcessorSpec::modern()}) {
-    if (spec.name == trace.meta.platform) {
-      task.spec = spec;
-      known = true;
-    }
-  }
-  if (!known) {
+  task.kernel = or_unknown<trace::TraceError>(
+      npb::kernel_from_name(meta.kernel), npb::kKernels, meta.kernel);
+  task.klass = or_unknown<trace::TraceError>(npb::klass_from_name(meta.klass),
+                                             npb::kKlasses, meta.klass);
+  const std::optional<sim::ProcessorSpec> spec =
+      sim::ProcessorSpec::from_name(meta.platform);
+  if (!spec) {
     throw trace::TraceError("trace: recorded on unknown platform '" +
-                            trace.meta.platform + "'");
+                            meta.platform + "'");
   }
-  task.threads = trace.meta.threads;
-  task.page_kind = trace.meta.page_kind;
-  task.code_page_kind = trace.meta.code_page_kind;
-  task.seed = trace.meta.seed;
+  task.spec = *spec;
+  task.threads = meta.threads;
+  task.page_kind = meta.page_kind;
+  task.code_page_kind = meta.code_page_kind;
+  task.seed = meta.seed;
   return task;
+}
+
+/// --key's value; throws OptionError when it is absent or empty.
+std::string required(const Options& opts, const char* key) {
+  const std::string v = opts.get(key, "");
+  if (v.empty()) throw OptionError(std::string("need --") + key + "=<file>");
+  return v;
 }
 
 void print_profile(const prof::ProfileReport& profile, double seconds) {
@@ -70,19 +68,20 @@ void print_profile(const prof::ProfileReport& profile, double seconds) {
 }
 
 int cmd_record(const Options& opts) {
-  const std::string out = opts.get("out", "");
-  if (out.empty()) {
-    std::cerr << "record: need --out=<file>\n";
-    return 2;
-  }
+  opts.require_known({"kernel", "klass", "platform", "threads", "pages",
+                      "code-pages", "seed", "out"},
+                     bench::kStrategyKeys);
+  const std::string out = required(opts, "out");
   exec::RunTask task;
-  task.kernel = trace::kernel_from_name(opts.get("kernel", "CG"));
-  task.klass = bench::klass_by_name(opts.get("klass", "S"));
-  task.spec = bench::platform_by_name(opts.get("platform", "opteron"));
-  task.threads = static_cast<unsigned>(opts.get_int("threads", 4));
-  task.page_kind = pages_from(opts, "pages");
-  task.code_page_kind = pages_from(opts, "code-pages");
-  task.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
+  task.kernel = opts.get_name("kernel", "CG", npb::kernel_from_name,
+                              npb::kKernels);
+  task.klass = bench::klass_from(opts, "S");
+  task.spec = bench::platform_from(opts);
+  task.threads = static_cast<unsigned>(
+      opts.get_unsigned("threads", 4, std::numeric_limits<unsigned>::max()));
+  task.page_kind = bench::page_kind_from(opts, "pages");
+  task.code_page_kind = bench::page_kind_from(opts, "code-pages");
+  task.seed = opts.get_unsigned("seed", 0x5eed);
 
   trace::Trace trace;
   const npb::NpbResult r = bench::record_live(task, trace);
@@ -106,16 +105,13 @@ int cmd_record(const Options& opts) {
 }
 
 int cmd_replay(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "replay: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
+  opts.require_known({"in", "platform", "seed", "code-pages", "check"},
+                     bench::kStrategyKeys);
+  const trace::Trace trace = trace::load_trace_file(required(opts, "in"));
   trace::ReplayConfig cfg;
-  cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-  cfg.code_page_kind = pages_from(opts, "code-pages");
+  cfg.spec = bench::platform_from(opts);
+  cfg.seed = opts.get_unsigned("seed", 0x5eed);
+  cfg.code_page_kind = bench::page_kind_from(opts, "code-pages");
 
   std::cout << "replaying " << trace.key() << " (recorded on "
             << trace.meta.platform << ") on " << cfg.spec.name << "\n";
@@ -191,19 +187,8 @@ BenchEntry bench_one(const std::string& path, int repeat) {
 /// stream). --json-out writes the rows CI compares against its committed
 /// reference: replay_over_live is a same-host ratio, so CI gates on it.
 int cmd_bench(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "bench: need --in=<file>[,<file>...]\n";
-    return 2;
-  }
-  std::vector<std::string> paths;
-  std::size_t start = 0;
-  while (start <= in.size()) {
-    std::size_t comma = in.find(',', start);
-    if (comma == std::string::npos) comma = in.size();
-    if (comma > start) paths.push_back(in.substr(start, comma - start));
-    start = comma + 1;
-  }
+  opts.require_known({"in", "repeat", "json-out"}, bench::kStrategyKeys);
+  const std::vector<std::string> paths = split_list(required(opts, "in"));
   const int repeat = std::max(1, static_cast<int>(opts.get_int("repeat", 10)));
 
   std::vector<BenchEntry> entries;
@@ -273,12 +258,8 @@ void print_histogram(const char* title, const std::vector<std::uint64_t>& h,
 }
 
 int cmd_stats(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "stats: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
+  opts.require_known({"in"}, bench::kStrategyKeys);
+  const trace::Trace trace = trace::load_trace_file(required(opts, "in"));
   std::cout << "trace " << trace.key() << " recorded on "
             << trace.meta.platform << " (seed " << trace.meta.seed
             << ", code pages "
@@ -358,7 +339,8 @@ int main(int argc, char** argv) {
   std::cerr << "usage: trace_tools <record|replay|bench|stats> [options]\n"
                "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
                "--out=FILE\n"
-               "  replay    --in=FILE [--platform=opteron|xeon] [--check]\n"
+               "  replay    --in=FILE [--platform=opteron|xeon|modern] "
+               "[--check]\n"
                "  bench     --in=FILE[,FILE...] [--repeat=10] "
                "[--json-out=FILE]\n"
                "  stats     --in=FILE\n";

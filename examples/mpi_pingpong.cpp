@@ -58,6 +58,7 @@ double run(PageKind kind, std::size_t n, int rounds, count_t* walks) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"mb", "rounds"});
   const std::size_t bytes =
       static_cast<std::size_t>(opts.get_int("mb", 8)) * MiB(1);
   const int rounds = static_cast<int>(opts.get_int("rounds", 4));

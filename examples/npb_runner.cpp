@@ -2,11 +2,12 @@
 // at any class on either simulated platform with either page size, print
 // verification, simulated time and the full OProfile-style event report.
 //
-//   $ ./npb_runner CG --klass=R --platform=opteron --threads=4 --pages=2m
+//   $ ./npb_runner CG --klass=R --platform=opteron --threads=4 --pages=2MB
 //   $ ./npb_runner all --klass=S        # smoke-run every kernel
 #include <iostream>
 
 #include "npb/npb.hpp"
+#include "sim/processor_spec.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
 
@@ -18,19 +19,14 @@ int run_one(npb::Kernel kernel, const Options& opts) {
   core::RuntimeConfig cfg;
   cfg.num_threads = static_cast<unsigned>(opts.get_int("threads", 4));
   cfg.page_kind =
-      opts.get("pages", "4k") == "2m" ? PageKind::large2m : PageKind::small4k;
+      opts.get_name("pages", "4KB", page_kind_from_name, kLayoutPageKinds);
   cfg.use_msg_channel_barrier = opts.get_flag("msg-barrier");
-  cfg.sim = core::SimConfig{opts.get("platform", "opteron") == "xeon"
-                                ? sim::ProcessorSpec::xeon_ht()
-                                : sim::ProcessorSpec::opteron270(),
+  cfg.sim = core::SimConfig{opts.get_name("platform", "opteron",
+                                          sim::ProcessorSpec::from_key,
+                                          sim::kPlatformKeys),
                             sim::CostModel{}, 0x5eedULL};
-
-  const std::string klass_name = opts.get("klass", "S");
-  npb::Klass klass = npb::Klass::S;
-  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
-                       npb::Klass::B, npb::Klass::R}) {
-    if (klass_name == npb::klass_name(k)) klass = k;
-  }
+  const npb::Klass klass =
+      opts.get_name("klass", "S", npb::klass_from_name, npb::kKlasses);
 
   std::cout << "Running " << npb::kernel_name(kernel) << " class "
             << npb::klass_name(klass) << " on " << cfg.sim->spec.name << ", "
@@ -51,21 +47,18 @@ int run_one(npb::Kernel kernel, const Options& opts) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  std::string which = "all";
-  if (!opts.positional().empty()) which = opts.positional().front();
-
+  opts.require_known(
+      {"threads", "pages", "msg-barrier", "platform", "klass", "profile"});
+  const std::string which =
+      opts.positional().empty() ? "all" : opts.positional().front();
   if (which == "all") {
     int rc = 0;
     for (npb::Kernel k : npb::all_kernels()) rc |= run_one(k, opts);
     return rc;
   }
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (which == npb::kernel_name(k)) return run_one(k, opts);
+  if (const std::optional<npb::Kernel> k = npb::kernel_from_name(which)) {
+    return run_one(*k, opts);
   }
-  std::cerr << "unknown kernel '" << which << "' (expected";
-  for (npb::Kernel k : npb::all_kernels()) {
-    std::cerr << " " << npb::kernel_name(k) << ",";
-  }
-  std::cerr << " or all)\n";
+  std::cerr << npb::kKernels.unknown(which) << " or all\n";
   return 2;
 }

@@ -60,6 +60,7 @@ double run_sum(PageKind kind, std::size_t elements, unsigned threads,
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  opts.require_known({"elements", "threads"});
   const auto elements = static_cast<std::size_t>(
       opts.get_int("elements", 8000000));
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));

@@ -18,28 +18,13 @@
 
 using namespace lpomp;
 
-namespace {
-
-npb::Kernel kernel_by_name(const std::string& name) {
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (name == npb::kernel_name(k)) return k;
-  }
-  throw OptionError("unknown kernel '" + name + "'");
-}
-
-npb::Klass klass_by_name(const std::string& name) {
-  if (name == "S") return npb::Klass::S;
-  if (name == "W") return npb::Klass::W;
-  if (name == "R") return npb::Klass::R;
-  throw OptionError("unknown class '" + name + "' (valid: S, W, R)");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Kernel kernel = kernel_by_name(opts.get("kernel", "SP"));
-  const npb::Klass klass = klass_by_name(opts.get("klass", "R"));
+  opts.require_known({"kernel", "klass", "msg-barrier"});
+  const npb::Kernel kernel =
+      opts.get_name("kernel", "SP", npb::kernel_from_name, npb::kKernels);
+  const npb::Klass klass =
+      opts.get_name("klass", "R", npb::klass_from_name, npb::kKlasses);
   const bool msg_barrier = opts.get_flag("msg-barrier");
 
   std::cout << "smt_scaling: " << npb::kernel_name(kernel) << " class "

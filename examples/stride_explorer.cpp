@@ -2,9 +2,10 @@
 // built entirely on the public runtime API. Sweeps the stride of a strided
 // read loop (the FFT-style access pattern the paper motivates) over a
 // shared array backed by 4 KB and then 2 MB pages, reporting simulated
-// cycles per access and DTLB walks for each point, on either platform.
+// cycles per access and DTLB walks for each point, on any platform.
 //
-//   $ ./stride_explorer [--platform=opteron|xeon] [--mb=48] [--threads=1]
+//   $ ./stride_explorer [--platform=opteron|xeon|modern] [--mb=48]
+//                       [--threads=1]
 #include <iostream>
 
 #include "core/runtime.hpp"
@@ -65,10 +66,9 @@ Point run_stride(const sim::ProcessorSpec& spec, PageKind kind,
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const std::string platform = opts.get("platform", "opteron");
-  const sim::ProcessorSpec spec = platform == "xeon"
-                                      ? sim::ProcessorSpec::xeon_ht()
-                                      : sim::ProcessorSpec::opteron270();
+  opts.require_known({"platform", "mb", "threads"});
+  const sim::ProcessorSpec spec = opts.get_name(
+      "platform", "opteron", sim::ProcessorSpec::from_key, sim::kPlatformKeys);
   const auto array_bytes =
       static_cast<std::size_t>(opts.get_int("mb", 48)) * MiB(1);
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 1));

@@ -15,23 +15,22 @@
 #include <optional>
 #include <string_view>
 
+#include "support/names.hpp"
+
 namespace lpomp::exec {
 
 enum class Strategy { Live, Auto };
 
-constexpr const char* strategy_name(Strategy s) {
-  return s == Strategy::Live ? "live" : "auto";
-}
+/// The name table of the CLI/wire spelling, in enum order.
+inline constexpr NameTable<Strategy, 2> kStrategies{"strategy",
+                                                    {"live", "auto"}};
 
-/// Parses the CLI/wire spelling ("live", "auto"); nullopt for anything
-/// else, including the removed tiers — callers print their own usage.
+constexpr const char* strategy_name(Strategy s) { return kStrategies.name(s); }
+
+/// Parses the CLI/wire spelling; nullopt for anything else, including the
+/// removed tiers.
 inline std::optional<Strategy> strategy_from_name(std::string_view name) {
-  if (name == "live") return Strategy::Live;
-  if (name == "auto") return Strategy::Auto;
-  return std::nullopt;
+  return kStrategies.parse(name);
 }
-
-/// The valid spellings, for usage and error messages.
-constexpr const char* kStrategyNames = "live, auto";
 
 }  // namespace lpomp::exec

@@ -1,41 +1,10 @@
-// Kernel/class metadata: names, static-allocation inventories (feeding both
+// Kernel/class metadata: static-allocation inventories (feeding both
 // the kernels' allocations and the Table 2 footprint bench), binary sizes,
 // and instruction-stream model parameters.
 #include "npb/irregular.hpp"
 #include "npb/params.hpp"
 
 namespace lpomp::npb {
-
-const char* kernel_name(Kernel k) {
-  switch (k) {
-    case Kernel::BT: return "BT";
-    case Kernel::CG: return "CG";
-    case Kernel::FT: return "FT";
-    case Kernel::SP: return "SP";
-    case Kernel::MG: return "MG";
-    case Kernel::GUPS: return "GUPS";
-    case Kernel::GT: return "GT";
-    case Kernel::PC: return "PC";
-  }
-  return "?";
-}
-
-const char* klass_name(Klass k) {
-  switch (k) {
-    case Klass::S: return "S";
-    case Klass::W: return "W";
-    case Klass::A: return "A";
-    case Klass::B: return "B";
-    case Klass::R: return "R";
-  }
-  return "?";
-}
-
-std::vector<Kernel> all_kernels() {
-  // Table 2 / figure order in the paper, then the irregular-workload suite.
-  return {Kernel::BT, Kernel::CG,   Kernel::FT, Kernel::SP,
-          Kernel::MG, Kernel::GUPS, Kernel::GT, Kernel::PC};
-}
 
 namespace {
 

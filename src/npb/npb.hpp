@@ -39,15 +39,33 @@
 
 #include "core/runtime.hpp"
 #include "prof/profile.hpp"
+#include "support/names.hpp"
 
 namespace lpomp::npb {
 
 enum class Kernel { BT, CG, FT, SP, MG, GUPS, GT, PC };
 enum class Klass { S, W, A, B, R };
 
-const char* kernel_name(Kernel k);
-const char* klass_name(Klass k);
-std::vector<Kernel> all_kernels();
+/// The name tables of the kernel and class axes, in enum order: the paper's
+/// Table 2 / figure order, then the irregular-workload suite.
+inline constexpr NameTable<Kernel, 8> kKernels{
+    "kernel", {"BT", "CG", "FT", "SP", "MG", "GUPS", "GT", "PC"}};
+inline constexpr NameTable<Klass, 5> kKlasses{"class",
+                                              {"S", "W", "A", "B", "R"}};
+
+inline const char* kernel_name(Kernel k) { return kKernels.name(k); }
+inline const char* klass_name(Klass k) { return kKlasses.name(k); }
+inline std::vector<Kernel> all_kernels() { return kKernels.all(); }
+inline std::vector<Klass> all_klasses() { return kKlasses.all(); }
+
+/// Parse kernel_name()/klass_name() output ("CG", "S"); nullopt for
+/// anything else, a lower-case "s" included.
+inline std::optional<Kernel> kernel_from_name(std::string_view name) {
+  return kKernels.parse(name);
+}
+inline std::optional<Klass> klass_from_name(std::string_view name) {
+  return kKlasses.parse(name);
+}
 
 /// One named static allocation of a kernel (the Omni-transformed globals).
 struct ArrayInfo {

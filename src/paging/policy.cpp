@@ -27,33 +27,6 @@ double u01(std::uint64_t h) {
 
 }  // namespace
 
-const char* policy_name(Policy p) {
-  switch (p) {
-    case Policy::native:
-      return "native";
-    case Policy::base4k:
-      return "base4k";
-    case Policy::hugetlb2m:
-      return "hugetlb2m";
-    case Policy::huge1g:
-      return "huge1g";
-    case Policy::thp:
-      return "thp";
-  }
-  return "native";
-}
-
-bool policy_from_name(const std::string& name, Policy& out) {
-  for (const Policy p : {Policy::native, Policy::base4k, Policy::hugetlb2m,
-                         Policy::huge1g, Policy::thp}) {
-    if (name == policy_name(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 double PagingModel::thp_promotion_probability(std::uint64_t chunk) const {
   const std::uint32_t interval =
       spec_.thp.compaction_interval == 0 ? 1 : spec_.thp.compaction_interval;

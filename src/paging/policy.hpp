@@ -51,6 +51,7 @@
 #include <string>
 
 #include "mem/address_space.hpp"
+#include "support/names.hpp"
 #include "support/types.hpp"
 
 namespace lpomp::paging {
@@ -63,12 +64,16 @@ enum class Policy : std::uint8_t {
   thp = 4,
 };
 
-/// Canonical lower-case names: "native", "base4k", "hugetlb2m", "huge1g",
-/// "thp".
-const char* policy_name(Policy p);
+/// The name table of the paging-policy axis, in enum order.
+inline constexpr NameTable<Policy, 5> kPolicies{
+    "paging policy", {"native", "base4k", "hugetlb2m", "huge1g", "thp"}};
 
-/// Parses policy_name() output; returns false on an unknown name.
-bool policy_from_name(const std::string& name, Policy& out);
+inline const char* policy_name(Policy p) { return kPolicies.name(p); }
+
+/// Parses policy_name() output ("thp"); nullopt for anything else.
+inline std::optional<Policy> policy_from_name(std::string_view name) {
+  return kPolicies.parse(name);
+}
 
 /// Knobs of the deterministic buddy-fragmentation model. All four enter the
 /// cache-key fingerprint when the policy is thp.

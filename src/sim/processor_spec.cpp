@@ -95,4 +95,20 @@ ProcessorSpec ProcessorSpec::modern() {
   return spec;
 }
 
+std::optional<ProcessorSpec> ProcessorSpec::from_key(std::string_view key) {
+  constexpr ProcessorSpec (*kFactories[])() = {&opteron270, &xeon_ht,
+                                                 &modern};
+  if (const std::optional<std::size_t> i = kPlatformKeys.parse(key)) {
+    return kFactories[*i]();
+  }
+  return std::nullopt;
+}
+
+std::optional<ProcessorSpec> ProcessorSpec::from_name(std::string_view name) {
+  for (const char* key : kPlatformKeys.names) {
+    if (from_key(key)->name == name) return from_key(key);
+  }
+  return std::nullopt;
+}
+
 }  // namespace lpomp::sim

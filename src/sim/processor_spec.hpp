@@ -14,13 +14,18 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cache/cache.hpp"
+#include "support/names.hpp"
 #include "tlb/pwc.hpp"
 #include "tlb/tlb.hpp"
 
 namespace lpomp::sim {
+
+/// The name table of the platform axis: the short keys of ProcessorSpec's
+/// three factories, in order.
+inline constexpr NameTable<std::size_t, 3> kPlatformKeys{
+    "platform", {"opteron", "xeon", "modern"}};
 
 struct ProcessorSpec {
   std::string name;
@@ -71,6 +76,12 @@ struct ProcessorSpec {
   /// but huge1g walks there always miss the (absent) 1 GiB banks — the
   /// honest null result this spec exists to contrast with.
   static ProcessorSpec modern();
+
+  /// The built-in platform with a key of kPlatformKeys ("opteron"), or
+  /// with a full name ("Opteron 270", as a trace records it); nullopt for
+  /// anything else.
+  static std::optional<ProcessorSpec> from_key(std::string_view key);
+  static std::optional<ProcessorSpec> from_name(std::string_view name);
 };
 
 }  // namespace lpomp::sim

@@ -8,8 +8,10 @@
 // with status 2 and the error message when it does not catch one.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -19,6 +21,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "support/names.hpp"
 
 namespace lpomp {
 
@@ -84,6 +88,50 @@ class Options {
     return n;
   }
 
+  /// Unsigned integer up to `max`, decimal or 0x-prefixed hex; throws
+  /// OptionError on an empty, negative, too large or trailing-garbage value.
+  std::uint64_t get_unsigned(const std::string& key, std::uint64_t def,
+                             std::uint64_t max = UINT64_MAX) const {
+    return to_unsigned(key, get(key, std::to_string(def)), max);
+  }
+
+  /// get_unsigned() of one token of --key (--threads=1,2,4).
+  static std::uint64_t to_unsigned(const std::string& key,
+                                   const std::string& v,
+                                   std::uint64_t max = UINT64_MAX) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
+    if (v.empty() || v.front() == '-' || *end != '\0' || errno == ERANGE ||
+        n > max) {
+      throw OptionError("--" + key + "=" + v + ": expected an unsigned " +
+                        "integer up to " + std::to_string(max));
+    }
+    return n;
+  }
+
+  /// --key (default `def`) through an axis parser such as
+  /// npb::klass_from_name; a miss throws OptionError listing `table`.
+  template <typename T, typename Table>
+  T get_name(const std::string& key, const std::string& def,
+             std::optional<T> (*parse)(std::string_view),
+             const Table& table) const {
+    const std::string v = get(key, def);
+    return or_unknown<OptionError>(parse(v), table, v);
+  }
+
+  /// get_name() for each token of a comma list (--kernels=CG,MG).
+  template <typename T, typename Table>
+  std::vector<T> get_names(const std::string& key, const std::string& def,
+                           std::optional<T> (*parse)(std::string_view),
+                           const Table& table) const {
+    std::vector<T> out;
+    for (const std::string& v : split_list(get(key, def))) {
+      out.push_back(or_unknown<OptionError>(parse(v), table, v));
+    }
+    return out;
+  }
+
   /// Floating-point number; throws OptionError like get_int.
   double get_double(const std::string& key, double def) const {
     const std::string v = get(key, std::to_string(def));
@@ -110,8 +158,24 @@ class Options {
                       ": expected 1/0, true/false, yes/no or on/off");
   }
 
+  /// Throws OptionError on the first command-line key outside `own` and
+  /// `groups`, so a typo (--stratgey=live) fails instead of running the
+  /// default. LPOMP_* env vars are not checked: the environment is shared.
+  template <typename... Groups>
+  void require_known(std::initializer_list<std::string_view> own,
+                     const Groups&... groups) const {
+    std::vector<std::string_view> known(own);
+    (known.insert(known.end(), std::begin(groups), std::end(groups)), ...);
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+      const auto flag = [](std::string_view k) { return "--" + std::string(k); };
+      throw OptionError("unknown option --" + key + " (valid: " +
+                        (known.empty() ? "none" : join(known, flag, ", ")) +
+                        ")");
+    }
+  }
+
   const std::vector<std::string>& positional() const { return positional_; }
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
   [[noreturn]] static void exit_on_option_error() {
@@ -120,6 +184,7 @@ class Options {
         std::rethrow_exception(e);
       }
     } catch (const OptionError& e) {
+      std::fflush(stdout);  // keep what the program printed before the error
       std::fprintf(stderr, "%s\n", e.what());
       std::_Exit(2);
     } catch (const std::exception& e) {

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "support/names.hpp"
+
 namespace lpomp {
 
 /// Simulated virtual address. The simulator keeps its own 64-bit address
@@ -66,16 +68,20 @@ inline constexpr std::size_t page_size(PageKind k) {
   return std::size_t{1} << page_shift(k);
 }
 
+/// The name table of the layout axis: the page kinds a memory layout can
+/// use (mapped regions, recorded traces, --pages=, the wire's pages= and
+/// code_pages=). 1 GB pages are a paging policy (huge1g), not a layout.
+inline constexpr NameTable<PageKind, 2> kLayoutPageKinds{"page kind",
+                                                         {"4KB", "2MB"}};
+
 inline constexpr const char* page_kind_name(PageKind k) {
-  switch (k) {
-    case PageKind::small4k:
-      return "4KB";
-    case PageKind::large2m:
-      return "2MB";
-    case PageKind::huge1g:
-      return "1GB";
-  }
-  return "4KB";
+  return k == PageKind::huge1g ? "1GB" : kLayoutPageKinds.name(k);
+}
+
+/// Parses a layout page kind's name ("4KB", "2MB"); nullopt for anything
+/// else, "1GB" included.
+inline std::optional<PageKind> page_kind_from_name(std::string_view name) {
+  return kLayoutPageKinds.parse(name);
 }
 
 /// Kind of a memory reference fed to the simulator.

@@ -115,8 +115,13 @@ PageKind page_kind_from(std::uint8_t v) {
   throw TraceError("trace file: invalid page kind");
 }
 
+/// A layout page kind's code. 1 GB pages are a paging policy, never the
+/// layout a trace was recorded over, so writing one is refused.
 std::uint8_t page_kind_code(PageKind k) {
-  return k == PageKind::large2m ? 1 : 0;
+  if (k == PageKind::huge1g) {
+    throw TraceError("trace file: 1GB is a paging policy, not a layout");
+  }
+  return static_cast<std::uint8_t>(k);
 }
 
 }  // namespace

@@ -85,8 +85,11 @@ void apply_boundary(sim::Machine& machine, sim::BoundaryKind kind) {
 }  // namespace
 
 ReplayOutcome ReplayDriver::run(const Trace& trace) const {
-  const npb::Kernel kernel = kernel_from_name(trace.meta.kernel);
-  const npb::Klass klass = klass_from_name(trace.meta.klass);
+  const npb::Kernel kernel = or_unknown<TraceError>(
+      npb::kernel_from_name(trace.meta.kernel), npb::kKernels,
+      trace.meta.kernel);
+  const npb::Klass klass = or_unknown<TraceError>(
+      npb::klass_from_name(trace.meta.klass), npb::kKlasses, trace.meta.klass);
   const unsigned nthreads = trace.meta.threads;
 
   if (nthreads == 0) {

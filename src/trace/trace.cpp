@@ -12,7 +12,7 @@ std::string trace_key(std::string_view kernel, std::string_view klass,
   key.push_back('/');
   key.append(std::to_string(threads));
   key.append("T/");
-  key.append(page_kind == PageKind::large2m ? "2MB" : "4KB");
+  key.append(page_kind_name(page_kind));
   return key;
 }
 
@@ -25,21 +25,6 @@ std::size_t Trace::bytes() const {
                       meta.platform.size() + boundaries.size();
   for (const std::string& s : streams) total += s.size() + sizeof(std::string);
   return total;
-}
-
-npb::Kernel kernel_from_name(std::string_view name) {
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (name == npb::kernel_name(k)) return k;
-  }
-  throw TraceError("trace: unknown kernel name '" + std::string(name) + "'");
-}
-
-npb::Klass klass_from_name(std::string_view name) {
-  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
-                       npb::Klass::B, npb::Klass::R}) {
-    if (name == npb::klass_name(k)) return k;
-  }
-  throw TraceError("trace: unknown class name '" + std::string(name) + "'");
 }
 
 }  // namespace lpomp::trace

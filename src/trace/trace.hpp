@@ -64,9 +64,4 @@ struct Trace {
 std::string trace_key(std::string_view kernel, std::string_view klass,
                       unsigned threads, PageKind page_kind);
 
-/// Parse kernel/class names as stored in TraceMeta. Throw TraceError on
-/// unknown names (e.g. a trace file from a newer build).
-npb::Kernel kernel_from_name(std::string_view name);
-npb::Klass klass_from_name(std::string_view name);
-
 }  // namespace lpomp::trace

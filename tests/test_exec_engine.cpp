@@ -170,7 +170,7 @@ TEST(WorkerIdentity, PagingPolicySweepMatchesSingleWorker) {
   SweepSpec spec = identity_sweep();
   spec.kernels = {npb::Kernel::CG};
   paging::PolicySpec thp;
-  ASSERT_TRUE(paging::policy_from_name("thp", thp.policy));
+  thp.policy = paging::policy_from_name("thp").value();
   spec.paging_policies = {paging::PolicySpec{}, thp};
 
   Scheduler baseline({.workers = 1});

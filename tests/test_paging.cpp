@@ -44,13 +44,13 @@ TEST(PagingPolicy, NamesRoundTrip) {
        {paging::Policy::native, paging::Policy::base4k,
         paging::Policy::hugetlb2m, paging::Policy::huge1g,
         paging::Policy::thp}) {
-    paging::Policy parsed;
-    ASSERT_TRUE(paging::policy_from_name(paging::policy_name(p), parsed));
-    EXPECT_EQ(parsed, p);
+    const std::optional<paging::Policy> parsed =
+        paging::policy_from_name(paging::policy_name(p));
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(*parsed, p);
   }
-  paging::Policy parsed;
-  EXPECT_FALSE(paging::policy_from_name("2mb", parsed));
-  EXPECT_FALSE(paging::policy_from_name("", parsed));
+  EXPECT_FALSE(paging::policy_from_name("2mb"));
+  EXPECT_FALSE(paging::policy_from_name(""));
 }
 
 TEST(PagingPolicy, NativeIsIdentityOverBothLayouts) {

@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "exec/json.hpp"
+#include "paging/policy.hpp"
 #include "serve/client.hpp"
 #include "serve/ring.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
+#include "sim/processor_spec.hpp"
 
 using namespace lpomp;
 
@@ -126,6 +128,74 @@ TEST(ServeWire, RequestRoundTrip) {
   const exec::SweepSpec spec = decoded.to_spec();
   ASSERT_EQ(spec.platforms.size(), 1u);
   EXPECT_EQ(spec.platforms[0].name, sim::ProcessorSpec::xeon_ht().name);
+}
+
+// name -> decode -> name is the identity for every entry of every axis
+// table the wire carries, and a name outside a table is a WireError that
+// lists the table.
+TEST(ServeWire, AxisNamesRoundTrip) {
+  auto round_trip = [](const serve::SweepRequest& request) {
+    const std::string text = serve::encode_request(request);
+    const serve::SweepRequest decoded = serve::decode_request(text);
+    EXPECT_EQ(serve::encode_request(decoded), text);
+    return decoded;
+  };
+  for (const npb::Kernel k : npb::all_kernels()) {
+    serve::SweepRequest request = small_request();
+    request.kernels = {k};
+    EXPECT_EQ(round_trip(request).kernels, request.kernels);
+  }
+  for (const npb::Klass k : npb::all_klasses()) {
+    serve::SweepRequest request = small_request();
+    request.klass = k;
+    EXPECT_EQ(round_trip(request).klass, k);
+  }
+  for (const PageKind k : kLayoutPageKinds.all()) {
+    serve::SweepRequest request = small_request();
+    request.page_kinds = {k};
+    request.code_page_kind = k;
+    const serve::SweepRequest decoded = round_trip(request);
+    EXPECT_EQ(decoded.page_kinds, request.page_kinds);
+    EXPECT_EQ(decoded.code_page_kind, k);
+  }
+  for (const std::string key : sim::kPlatformKeys.names) {
+    serve::SweepRequest request = small_request();
+    request.platforms = {key};
+    const serve::SweepRequest decoded = round_trip(request);
+    EXPECT_EQ(decoded.platforms, request.platforms);
+    EXPECT_EQ(decoded.to_spec().platforms.at(0).name,
+              sim::ProcessorSpec::from_key(key)->name);
+  }
+  for (const paging::Policy p : paging::kPolicies.all()) {
+    serve::SweepRequest request = small_request();
+    request.paging = {paging::policy_name(p)};
+    const serve::SweepRequest decoded = round_trip(request);
+    EXPECT_EQ(decoded.paging, request.paging);
+    EXPECT_EQ(decoded.to_spec().paging_policies.at(0).policy, p);
+  }
+
+  serve::SweepRequest request = small_request();
+  request.paging = {"native", "thp"};
+  const std::string good = serve::encode_request(request);
+  for (const auto& [field, bad] :
+       {std::pair{"kernels=CG", "kernels=cg"},
+        std::pair{"klass=S", "klass=Q"},
+        std::pair{"pages=4KB", "pages=1GB"},
+        std::pair{"code_pages=4KB", "code_pages=1GB"},
+        std::pair{"platforms=opteron", "platforms=foo"},
+        std::pair{"paging=native", "paging=2mb"}}) {
+    std::string text = good;
+    const std::size_t pos = text.find(field);
+    ASSERT_NE(pos, std::string::npos) << field;
+    text.replace(pos, std::string(field).size(), bad);
+    try {
+      serve::decode_request(text);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const serve::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("(valid: "), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServeWire, RejectsMalformedRequests) {

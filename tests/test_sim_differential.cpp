@@ -757,8 +757,8 @@ TEST(SimDifferential, BatchedReplayMatchesPerEventReplay) {
     base_of[1] = probe.peek_region_base(PageKind::large2m);
   }
   const std::size_t window =
-      std::min(npb::pool_bytes_for(trace::kernel_from_name("CG"),
-                                   trace::klass_from_name("S")),
+      std::min(npb::pool_bytes_for(*npb::kernel_from_name("CG"),
+                                   *npb::klass_from_name("S")),
                MiB(2));
   ASSERT_GE(window, KiB(128));
 

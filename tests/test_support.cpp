@@ -259,6 +259,61 @@ TEST(Options, EnvValuesAreValidatedToo) {
   ::unsetenv("LPOMP_TEST_BAD_KNOB");
 }
 
+/// Options holding the single command-line token `arg`.
+Options options_of(const std::string& arg) {
+  Options opts;
+  opts.parse_arg(arg);
+  return opts;
+}
+
+TEST(Options, RequireKnownNamesTheUnknownKeyAndTheValidOnes) {
+  const Options opts = options_of("--stratgey=live");
+  opts.require_known({"stratgey"});
+  try {
+    opts.require_known({"strategy", "klass"});
+    FAIL() << "an unknown key was accepted";
+  } catch (const OptionError& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown option --stratgey (valid: --strategy, --klass)");
+  }
+  EXPECT_THROW(opts.require_known({}), OptionError);
+  // Positional tokens are not keys.
+  options_of("CG").require_known({});
+}
+
+// Unsigned values (seeds, thread counts) never wrap: "-1" is rejected
+// instead of becoming 2^64 - 1, and a 0x spelling reads as hex.
+TEST(Options, UnsignedRejectsNegativeGarbageAndOutOfRange) {
+  EXPECT_EQ(options_of("--seed=0x5eed").get_unsigned("seed", 0), 0x5eedu);
+  EXPECT_EQ(options_of("--seed=7").get_unsigned("seed", 0), 7u);
+  EXPECT_EQ(Options{}.get_unsigned("seed", 0x5eed), 0x5eedu);
+  for (const char* bad : {"--seed=-1", "--seed=abc", "--seed=", "--seed=4x",
+                          "--seed=99999999999999999999"}) {
+    EXPECT_THROW(options_of(bad).get_unsigned("seed", 0), OptionError) << bad;
+  }
+  EXPECT_EQ(Options::to_unsigned("threads", "4294967295", 4294967295u),
+            4294967295u);
+  EXPECT_THROW(Options::to_unsigned("threads", "4294967296", 4294967295u),
+               OptionError);
+}
+
+TEST(Names, SplitListKeepsEmptyTokens) {
+  EXPECT_EQ(split_list("CG,MG"), (std::vector<std::string>{"CG", "MG"}));
+  EXPECT_EQ(split_list(""), std::vector<std::string>{""});
+  EXPECT_EQ(split_list("a,,b,"),
+            (std::vector<std::string>{"a", "", "b", ""}));
+  EXPECT_EQ(split_list("x;y", ';'), (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(Names, LayoutPageKindsRoundTripAndOneGigIsNotALayout) {
+  for (const PageKind k : kLayoutPageKinds.all()) {
+    EXPECT_EQ(page_kind_from_name(page_kind_name(k)), k);
+  }
+  EXPECT_FALSE(page_kind_from_name("1GB"));
+  EXPECT_FALSE(page_kind_from_name("2mb"));
+  EXPECT_FALSE(page_kind_from_name(""));
+}
+
 // An uncaught OptionError in a command-line program exits 2 with its
 // message instead of aborting. (The noexcept lambda stands in for main:
 // the exception escapes into std::terminate instead of gtest's catch.)
@@ -273,38 +328,116 @@ TEST(OptionsDeathTest, UncaughtOptionErrorExitsTwo) {
 }
 
 TEST(BenchOptions, KlassByNameRejectsUnknownClasses) {
-  EXPECT_EQ(bench::klass_by_name("S"), npb::Klass::S);
-  EXPECT_EQ(bench::klass_by_name("R"), npb::Klass::R);
-  EXPECT_THROW(bench::klass_by_name("s"), OptionError);
-  EXPECT_THROW(bench::klass_by_name(""), OptionError);
-  EXPECT_THROW(bench::klass_by_name("C"), OptionError);
+  const auto klass_by_name = [](const std::string& name) {
+    return bench::klass_from(options_of("--klass=" + name), "R");
+  };
+  EXPECT_EQ(klass_by_name("S"), npb::Klass::S);
+  EXPECT_EQ(klass_by_name("R"), npb::Klass::R);
+  EXPECT_THROW(klass_by_name("s"), OptionError);
+  EXPECT_THROW(klass_by_name(""), OptionError);
+  EXPECT_THROW(klass_by_name("C"), OptionError);
 }
 
-/// Reads every option a scheduler-backed bench parses. Noexcept, so an
-/// OptionError reaches the Options terminate handler (exit 2) the way it
-/// does from a bench's main.
-void parse_bench_options(const Options& opts) noexcept {
-  bench::workers_from(opts);
-  bench::paging_from(opts);
-  bench::platform_by_name(opts.get("platform", "opteron"));
-  opts.get_flag("json-host");
+/// Reads every option a scheduler-backed bench parses, after checking the
+/// keys the way a driver does. An exception is handed to std::terminate
+/// while it is still the current exception, as it is when one escapes a
+/// bench's main, so an OptionError reaches the Options terminate handler
+/// (exit 2). (A noexcept function is not enough: once the throw is inlined
+/// into it, an optimising build may call std::terminate with no current
+/// exception, and the handler aborts.)
+void parse_bench_options(const Options& opts) {
+  try {
+    opts.require_known({"klass", "kernels", "platform", "pages"},
+                       bench::kPagingKeys, bench::kSchedulerKeys,
+                       bench::kJsonKeys, bench::kStrategyKeys);
+    bench::workers_from(opts);
+    bench::paging_from(opts);
+    bench::platform_from(opts);
+    bench::page_kind_from(opts, "pages");
+    bench::klass_from(opts, "R");
+    bench::kernels_from(opts);
+    opts.get_flag("json-host");
+  } catch (...) {
+    std::terminate();
+  }
 }
 
-// A negative worker count and malformed values at the other bench
-// boundaries (THP model, platform, boolean flags) all exit 2.
+// A negative worker count, malformed values at the other bench boundaries
+// (THP model, platform, layout page kind, class, kernels, boolean flags)
+// and an unknown option key all exit 2.
 TEST(BenchOptionsDeathTest, NegativeWorkersExitTwo) {
   for (const auto& [arg, message] :
        {std::pair{"--workers=-1", "must be >= 0"},
         std::pair{"--thp-seed=abc", "expected an unsigned integer"},
         std::pair{"--thp-interval=-1", "must be in"},
         std::pair{"--json-host=maybe", "expected 1/0"},
-        std::pair{"--platform=foo", "unknown platform 'foo'"}}) {
+        std::pair{"--platform=foo", "unknown platform 'foo'"},
+        std::pair{"--pages=1GB", "unknown page kind '1GB' .valid: 4KB, 2MB"},
+        std::pair{"--klass=Q", "unknown class 'Q' .valid: S, W, A, B, R"},
+        std::pair{"--kernels=cg", "unknown kernel 'cg' .valid: BT, CG"},
+        std::pair{"--stratgey=live", "unknown option --stratgey"}}) {
     const char* argv[] = {"prog", arg};
     const Options opts(2, const_cast<char**>(argv));
     EXPECT_EXIT(parse_bench_options(opts), ::testing::ExitedWithCode(2),
                 message)
         << arg;
   }
+}
+
+// name -> parse -> name is the identity for every entry of every axis
+// table at the CLI boundary, and a name outside the table is an
+// OptionError.
+TEST(BenchOptions, AxisNamesRoundTripThroughCliHelpers) {
+  for (const npb::Kernel k : npb::all_kernels()) {
+    const std::string name = npb::kernel_name(k);
+    EXPECT_EQ(bench::kernels_from(options_of("--kernels=" + name)),
+              std::vector<npb::Kernel>{k});
+  }
+  for (const npb::Klass k : npb::all_klasses()) {
+    const std::string name = npb::klass_name(k);
+    EXPECT_EQ(npb::klass_name(bench::klass_from(options_of("--klass=" + name),
+                                                "R")),
+              name);
+  }
+  for (const PageKind k : kLayoutPageKinds.all()) {
+    const std::string name = page_kind_name(k);
+    EXPECT_EQ(page_kind_name(bench::page_kind_from(
+                  options_of("--code-pages=" + name), "code-pages")),
+              name);
+  }
+  for (const std::string key : sim::kPlatformKeys.names) {
+    const sim::ProcessorSpec spec =
+        bench::platform_from(options_of("--platform=" + key));
+    EXPECT_EQ(spec.name, sim::ProcessorSpec::from_key(key)->name);
+  }
+  EXPECT_EQ(sim::ProcessorSpec::from_key("opteron")->name,
+            sim::ProcessorSpec::opteron270().name);
+  EXPECT_EQ(sim::ProcessorSpec::from_key("xeon")->name,
+            sim::ProcessorSpec::xeon_ht().name);
+  EXPECT_EQ(sim::ProcessorSpec::from_key("modern")->name,
+            sim::ProcessorSpec::modern().name);
+  for (const paging::Policy p : paging::kPolicies.all()) {
+    const std::string name = paging::policy_name(p);
+    const std::vector<paging::PolicySpec> specs =
+        bench::paging_from(options_of("--paging=" + name));
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(paging::policy_name(specs[0].policy), name);
+  }
+
+  EXPECT_THROW(bench::kernels_from(options_of("--kernels=CG,")), OptionError);
+  EXPECT_THROW(bench::klass_from(options_of("--klass=Q"), "R"), OptionError);
+  EXPECT_THROW(bench::page_kind_from(options_of("--pages=1GB"), "pages"),
+               OptionError);
+  EXPECT_THROW(bench::platform_from(options_of("--platform=Opteron 270")),
+               OptionError);
+  EXPECT_THROW(bench::paging_from(options_of("--paging=2mb")), OptionError);
+}
+
+// Kernels run in canonical order, once each, whatever the list's order.
+TEST(BenchOptions, KernelListIsCanonicalAndDeduplicated) {
+  EXPECT_EQ(bench::kernels_from(options_of("--kernels=MG,CG,MG")),
+            (std::vector<npb::Kernel>{npb::Kernel::CG, npb::Kernel::MG}));
+  EXPECT_EQ(bench::kernels_from(Options{}), npb::all_kernels());
 }
 
 TEST(BenchOptionsDeathTest, RemovedStrategiesAndFlagsExitTwo) {

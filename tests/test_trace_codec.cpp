@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "npb/npb.hpp"
+#include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
 #include "trace/codec.hpp"
 #include "trace/io.hpp"
@@ -437,6 +438,54 @@ TEST(TraceIo, FileRoundTrip) {
   EXPECT_EQ(back.streams, trace.streams);
   EXPECT_EQ(back.boundaries, trace.boundaries);
   EXPECT_EQ(back.key(), "CG.S/2T/2MB");
+}
+
+// name -> .lptrace meta write/read -> name is the identity for every kernel,
+// class, layout page kind and built-in platform, and the names parse back
+// through their tables. A 1 GB page kind (a paging policy, never a layout)
+// is refused at write with TraceError; a kernel or class outside its table
+// is refused at replay (TraceReplay.RejectsKernelOrClassOutsideTheTables).
+TEST(TraceIo, AxisNamesRoundTripThroughMeta) {
+  auto round_trip = [](const Trace& trace) {
+    std::stringstream ss;
+    write_trace(ss, trace);
+    Trace back = read_trace(ss);
+    EXPECT_EQ(back.meta, trace.meta);
+    return back;
+  };
+  for (const npb::Kernel k : npb::all_kernels()) {
+    Trace trace = sample_trace();
+    trace.meta.kernel = npb::kernel_name(k);
+    EXPECT_EQ(npb::kernel_from_name(round_trip(trace).meta.kernel), k);
+  }
+  for (const npb::Klass k : npb::all_klasses()) {
+    Trace trace = sample_trace();
+    trace.meta.klass = npb::klass_name(k);
+    EXPECT_EQ(npb::klass_from_name(round_trip(trace).meta.klass), k);
+  }
+  for (const PageKind k : kLayoutPageKinds.all()) {
+    Trace trace = sample_trace();
+    trace.meta.page_kind = k;
+    trace.meta.code_page_kind = k;
+    const Trace back = round_trip(trace);
+    EXPECT_EQ(back.key(), std::string("CG.S/2T/") + page_kind_name(k));
+    EXPECT_EQ(page_kind_from_name(page_kind_name(back.meta.code_page_kind)),
+              k);
+  }
+  for (const char* key : sim::kPlatformKeys.names) {
+    Trace trace = sample_trace();
+    trace.meta.platform = sim::ProcessorSpec::from_key(key)->name;
+    const Trace back = round_trip(trace);
+    ASSERT_TRUE(sim::ProcessorSpec::from_name(back.meta.platform));
+    EXPECT_EQ(sim::ProcessorSpec::from_name(back.meta.platform)->name,
+              trace.meta.platform);
+  }
+
+  Trace huge = sample_trace();
+  huge.meta.page_kind = PageKind::huge1g;
+  std::stringstream ss;
+  EXPECT_THROW(write_trace(ss, huge), TraceError);
+  EXPECT_EQ(trace_key("CG", "S", 4, PageKind::huge1g), "CG.S/4T/1GB");
 }
 
 TEST(TraceIo, TruncationRejectedAtEveryLength) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <tuple>
 
 #include "exec/scheduler.hpp"
 #include "mem/address_space.hpp"
@@ -14,6 +16,7 @@
 #include "prof/profile.hpp"
 #include "sim/thread_sim.hpp"
 #include "trace/codec.hpp"
+#include "trace/io.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
@@ -337,6 +340,37 @@ TEST(TraceReplay, RejectsImpossibleReplay) {
   // The unedited tail replays.
   const std::string intact("\x01\x02", 2);
   EXPECT_NO_THROW(xeon_driver.run(with_tail(intact)));
+}
+
+// A trace whose metadata names a kernel or class outside the npb tables
+// survives a .lptrace write/read as text, and its replay is a TraceError
+// that lists the table, not a guess.
+TEST(TraceReplay, RejectsKernelOrClassOutsideTheTables) {
+  const LiveRun live =
+      record_live(npb::Kernel::CG, npb::Klass::S,
+                  sim::ProcessorSpec::opteron270(), 1, PageKind::small4k);
+  trace::ReplayDriver driver(trace::ReplayConfig{
+      sim::ProcessorSpec::opteron270(), {}, 0x5eedULL, PageKind::small4k});
+  for (const auto& [kernel, klass, why] :
+       {std::tuple{"cg", "S", "unknown kernel 'cg' (valid: BT, CG"},
+        std::tuple{"", "S", "unknown kernel '' (valid: BT, CG"},
+        std::tuple{"CG", "Q", "unknown class 'Q' (valid: S, W, A, B, R)"},
+        std::tuple{"CG", "s", "unknown class 's' (valid: S, W, A, B, R)"}}) {
+    trace::Trace written = live.trace;
+    written.meta.kernel = kernel;
+    written.meta.klass = klass;
+    std::stringstream file;
+    trace::write_trace(file, written);
+    const trace::Trace t = trace::read_trace(file);
+    EXPECT_EQ(t.meta, written.meta);
+    try {
+      driver.run(t);
+      ADD_FAILURE() << kernel << "." << klass << " was replayed";
+    } catch (const trace::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- event framing ----------------------------------------------------------
