@@ -23,9 +23,10 @@ int main(int argc, char** argv) {
   opts.require_known({"klass", "kernels"}, bench::kSchedulerKeys,
                      bench::kJsonKeys, bench::kStrategyKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
-  const npb::Kernel kernel =
-      bench::kernels_from(opts).empty() ? npb::Kernel::SP
-                                        : bench::kernels_from(opts).front();
+  // SP, the kernel §4.4 discusses, unless --kernels= names another.
+  const npb::Kernel kernel = opts.get("kernels", "").empty()
+                                 ? npb::Kernel::SP
+                                 : bench::kernels_from(opts).front();
   const std::vector<cycles_t> flushes = {0, 50, 100, 200, 400, 800};
 
   std::cout << "Ablation (paper §4.4): Xeon 8-thread scaling vs SMT "

@@ -164,8 +164,7 @@ inline void reject_removed_flags(const Options& opts) {
     }
   }
   if (!opts.get("topology", "").empty()) {
-    std::cerr << "--topology was removed: the pool is flat, size it with "
-                 "--workers=N\n";
+    std::cerr << "--topology was removed: size the sweep with --workers=N\n";
     std::exit(2);
   }
   const std::string name = opts.get("strategy", "auto");

@@ -17,8 +17,9 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"klass", "kernels", "threads"});
   const npb::Klass klass = bench::klass_from(opts, "R");
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
+  const auto threads = static_cast<unsigned>(
+      opts.get_unsigned("threads", 4, opteron.max_threads()));
 
   std::cout << "Figure 3: Aggregate ITLB misses/second, " << threads
             << " threads, " << opteron.name << ", binary in 4KB pages (class "

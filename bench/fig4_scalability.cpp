@@ -6,11 +6,11 @@
 // two SMT contexts per core.
 //
 // The whole grid runs through the scheduler: every (kernel,
-// platform, threads, page kind) point is an independent task on the
-// work-stealing pool (--workers=, default one per host core), and results
-// are bit-identical for any worker count. --json=fig4.json dumps the
-// per-run records; repeated points already computed this process are
-// served from the scheduler's result cache.
+// platform, threads, page kind) point is an independent task, started in
+// grid order by the sweep's own threads (--workers=, default one per host
+// core), and results are bit-identical for any worker count.
+// --json=fig4.json dumps the per-run records; repeated points already
+// computed this process are served from the scheduler's result cache.
 //
 // Shape targets (paper §4.4): CG/SP/MG improve ~15-25% at 4 threads on the
 // Opteron with 2 MB pages; BT and FT see no significant change; both

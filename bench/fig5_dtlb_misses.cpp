@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
                      bench::kSchedulerKeys, bench::kJsonKeys,
                      bench::kStrategyKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
+  const auto threads = static_cast<unsigned>(opts.get_unsigned(
+      "threads", 4, sim::ProcessorSpec::opteron270().max_threads()));
 
   exec::SweepSpec spec = exec::SweepSpec::figure5(klass, threads);
   spec.kernels = bench::kernels_from(opts);

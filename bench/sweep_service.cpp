@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");
-  cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
-  cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
+  // At most 1024 slots of 1 GB each: checked before any ring is created.
+  cfg.slots = static_cast<std::uint32_t>(opts.get_unsigned("slots", 8, 1024));
+  cfg.slot_bytes = MiB(opts.get_unsigned("slot-mb", 1, 1024));
   bench::reject_removed_flags(opts);
   cfg.scheduler = bench::scheduler_config(opts);
 

@@ -323,7 +323,7 @@ int cmd_stats(const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, 1);  // the subcommand
   bench::reject_removed_flags(opts);
   const std::string cmd =
       opts.positional().empty() ? "" : opts.positional().front();

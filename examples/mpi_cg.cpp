@@ -168,7 +168,8 @@ Result run_cg(PageKind kind, unsigned ranks, std::int64_t na, int iters) {
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"ranks", "na", "iters"});
-  const auto ranks = static_cast<unsigned>(opts.get_int("ranks", 4));
+  const auto ranks = static_cast<unsigned>(opts.get_unsigned(
+      "ranks", 4, sim::ProcessorSpec::opteron270().max_threads()));
   const auto na = static_cast<std::int64_t>(opts.get_int("na", 32768));
   const int iters = static_cast<int>(opts.get_int("iters", 10));
 

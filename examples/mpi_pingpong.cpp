@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"mb", "rounds"});
   const std::size_t bytes =
-      static_cast<std::size_t>(opts.get_int("mb", 8)) * MiB(1);
+      MiB(opts.get_unsigned("mb", 8, 65536));  // up to 64 GB
   const int rounds = static_cast<int>(opts.get_int("rounds", 4));
   const std::size_t n = bytes / sizeof(double);
 

@@ -16,15 +16,14 @@ using namespace lpomp;
 namespace {
 
 int run_one(npb::Kernel kernel, const Options& opts) {
+  const sim::ProcessorSpec spec = opts.get_name(
+      "platform", "opteron", sim::ProcessorSpec::from_key, sim::kPlatformKeys);
   core::RuntimeConfig cfg;
-  cfg.num_threads = static_cast<unsigned>(opts.get_int("threads", 4));
+  cfg.num_threads = static_cast<unsigned>(
+      opts.get_unsigned("threads", 4, spec.max_threads()));
   cfg.page_kind =
       opts.get_name("pages", "4KB", page_kind_from_name, kLayoutPageKinds);
-  cfg.use_msg_channel_barrier = opts.get_flag("msg-barrier");
-  cfg.sim = core::SimConfig{opts.get_name("platform", "opteron",
-                                          sim::ProcessorSpec::from_key,
-                                          sim::kPlatformKeys),
-                            sim::CostModel{}, 0x5eedULL};
+  cfg.sim = core::SimConfig{spec, sim::CostModel{}, 0x5eedULL};
   const npb::Klass klass =
       opts.get_name("klass", "S", npb::klass_from_name, npb::kKlasses);
 
@@ -46,9 +45,8 @@ int run_one(npb::Kernel kernel, const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  opts.require_known(
-      {"threads", "pages", "msg-barrier", "platform", "klass", "profile"});
+  const Options opts(argc, argv, 1);  // the kernel name, or all
+  opts.require_known({"threads", "pages", "platform", "klass", "profile"});
   const std::string which =
       opts.positional().empty() ? "all" : opts.positional().front();
   if (which == "all") {

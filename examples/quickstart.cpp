@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"elements", "threads"});
   const auto elements = static_cast<std::size_t>(
-      opts.get_int("elements", 8000000));
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
+      opts.get_unsigned("elements", 8000000, 1ULL << 33));  // up to 64 GB
+  const auto threads = static_cast<unsigned>(opts.get_unsigned(
+      "threads", 4, sim::ProcessorSpec::opteron270().max_threads()));
 
   std::cout << "lpomp quickstart: parallel sum of " << elements
             << " doubles on " << threads << " simulated Opteron threads\n";

@@ -3,11 +3,9 @@
 // Runs one NPB kernel on the simulated Xeon at 1..8 threads with both page
 // sizes, showing (a) the 1→4-thread scaling, (b) the 4→8-thread collapse
 // caused by the pipeline-flush SMT implementation, and (c) how 2 MB pages
-// reduce the long-latency stalls that trigger those flushes. Also runs the
-// same sweep with the Omni/SCASH-style message-channel barrier to show the
-// runtime primitive options.
+// reduce the long-latency stalls that trigger those flushes.
 //
-//   $ ./smt_scaling [--kernel=SP] [--klass=R] [--msg-barrier]
+//   $ ./smt_scaling [--kernel=SP] [--klass=R]
 #include <iostream>
 
 #include "npb/npb.hpp"
@@ -20,16 +18,14 @@ using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  opts.require_known({"kernel", "klass", "msg-barrier"});
+  opts.require_known({"kernel", "klass"});
   const npb::Kernel kernel =
       opts.get_name("kernel", "SP", npb::kernel_from_name, npb::kKernels);
   const npb::Klass klass =
       opts.get_name("klass", "R", npb::klass_from_name, npb::kKlasses);
-  const bool msg_barrier = opts.get_flag("msg-barrier");
 
   std::cout << "smt_scaling: " << npb::kernel_name(kernel) << " class "
-            << npb::klass_name(klass) << " on the simulated Xeon (HT)"
-            << (msg_barrier ? ", message-channel barrier" : "") << "\n\n";
+            << npb::klass_name(klass) << " on the simulated Xeon (HT)\n\n";
 
   TextTable table({"threads", "per core", "4KB time", "speedup", "2MB time",
                    "speedup", "2MB improv", "4KB long stalls"});
@@ -37,7 +33,6 @@ int main(int argc, char** argv) {
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     core::RuntimeConfig cfg;
     cfg.num_threads = threads;
-    cfg.use_msg_channel_barrier = msg_barrier;
     cfg.sim = core::SimConfig{sim::ProcessorSpec::xeon_ht(), sim::CostModel{}, 0x5eedULL};
 
     cfg.page_kind = PageKind::small4k;

@@ -69,9 +69,10 @@ int main(int argc, char** argv) {
   opts.require_known({"platform", "mb", "threads"});
   const sim::ProcessorSpec spec = opts.get_name(
       "platform", "opteron", sim::ProcessorSpec::from_key, sim::kPlatformKeys);
-  const auto array_bytes =
-      static_cast<std::size_t>(opts.get_int("mb", 48)) * MiB(1);
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 1));
+  const std::size_t array_bytes =
+      MiB(opts.get_unsigned("mb", 48, 65536));  // up to 64 GB
+  const auto threads = static_cast<unsigned>(
+      opts.get_unsigned("threads", 1, spec.max_threads()));
 
   std::cout << "stride_explorer: " << spec.name << ", "
             << format_bytes(array_bytes) << " array, " << threads

@@ -24,27 +24,4 @@ void SenseBarrier::arrive_and_wait(unsigned tid) {
   local_[tid].sense = 1 - my_sense;
 }
 
-MsgBarrier::MsgBarrier(dsm::MsgChannel& channel, unsigned team_size)
-    : channel_(channel), n_(team_size) {
-  LPOMP_CHECK_MSG(n_ >= 1, "barrier needs at least one thread");
-  LPOMP_CHECK_MSG(channel_.participants() >= n_,
-                  "message channel smaller than the team");
-}
-
-void MsgBarrier::arrive_and_wait(unsigned tid) {
-  LPOMP_CHECK(tid < n_);
-  const std::uint8_t token = 1;
-  if (tid == 0) {
-    for (unsigned t = 1; t < n_; ++t) {
-      (void)channel_.recv_value<std::uint8_t>(0, t);  // gather
-    }
-    for (unsigned t = 1; t < n_; ++t) {
-      channel_.send_value<std::uint8_t>(0, t, token);  // release
-    }
-  } else {
-    channel_.send_value<std::uint8_t>(tid, 0, token);
-    (void)channel_.recv_value<std::uint8_t>(tid, 0);
-  }
-}
-
 }  // namespace lpomp::core

@@ -1,41 +1,25 @@
-// Barrier implementations for the fork-join runtime.
-//
-// Two interchangeable strategies, selected by RuntimeConfig:
-//  * SenseBarrier — centralized sense-reversing barrier on atomics, the
-//    fast default for hardware-coherent intra-node teams;
-//  * MsgBarrier — gather/release over the dsm::MsgChannel mailboxes, the
-//    way Omni/SCASH implements barriers on its intra-node messaging
-//    substrate (§3.3).
+// The fork-join runtime's barrier: a centralized sense-reversing barrier on
+// atomics, the primitive of hardware-coherent intra-node teams.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
-#include "dsm/msg_channel.hpp"
 #include "support/error.hpp"
 
 namespace lpomp::core {
 
-class Barrier {
- public:
-  virtual ~Barrier() = default;
-
-  /// Blocks until all `team_size` threads have arrived. `tid` identifies
-  /// the calling thread within the team.
-  virtual void arrive_and_wait(unsigned tid) = 0;
-
-  virtual unsigned team_size() const = 0;
-};
-
 /// Centralized sense-reversing barrier. Reusable across any number of
 /// episodes; uses C++20 atomic wait so blocked threads sleep.
-class SenseBarrier final : public Barrier {
+class SenseBarrier {
  public:
   explicit SenseBarrier(unsigned n);
 
-  void arrive_and_wait(unsigned tid) override;
-  unsigned team_size() const override { return n_; }
+  /// Blocks until all team_size() threads have arrived. `tid` identifies
+  /// the calling thread within the team.
+  void arrive_and_wait(unsigned tid);
+
+  unsigned team_size() const { return n_; }
 
  private:
   struct alignas(64) LocalSense {
@@ -46,24 +30,6 @@ class SenseBarrier final : public Barrier {
   std::atomic<unsigned> arrived_{0};
   std::atomic<unsigned> global_sense_{0};
   std::vector<LocalSense> local_;
-};
-
-/// Gather/release barrier over the intra-node message channel: every worker
-/// sends a 1-byte "arrived" message to thread 0, which then sends a
-/// "release" to each worker. Linear in the team size, like the cost model's
-/// barrier term.
-class MsgBarrier final : public Barrier {
- public:
-  /// `channel` must have at least team_size participants and outlive the
-  /// barrier.
-  MsgBarrier(dsm::MsgChannel& channel, unsigned team_size);
-
-  void arrive_and_wait(unsigned tid) override;
-  unsigned team_size() const override { return n_; }
-
- private:
-  dsm::MsgChannel& channel_;
-  unsigned n_;
 };
 
 }  // namespace lpomp::core

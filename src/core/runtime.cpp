@@ -29,9 +29,8 @@ std::size_t runtime_hugetlb_pool_pages(const RuntimeConfig& cfg) {
   return auto_pool_pages(cfg);
 }
 
-Runtime::Runtime(RuntimeConfig config) : config_(config) {
-  LPOMP_CHECK_MSG(config_.num_threads >= 1, "need at least one thread");
-
+Runtime::Runtime(RuntimeConfig config)
+    : config_(config), barrier_(config_.num_threads) {
   phys_ = std::make_unique<mem::PhysMem>(auto_phys_bytes(config_));
   space_ = std::make_unique<mem::AddressSpace>(*phys_);
 
@@ -57,21 +56,13 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
     machine_->set_trace_sink(config_.trace_sink);
   }
 
-  channel_ = std::make_unique<dsm::MsgChannel>(config_.num_threads);
-  if (config_.use_msg_channel_barrier) {
-    barrier_ = std::make_unique<MsgBarrier>(*channel_, config_.num_threads);
-  } else {
-    barrier_ = std::make_unique<SenseBarrier>(config_.num_threads);
-  }
-  team_ = std::make_unique<Team>(config_.num_threads, *barrier_);
+  team_ = std::make_unique<Team>(config_.num_threads, barrier_);
 }
 
 Runtime::~Runtime() {
   // Team joins its workers first (it is destroyed before the structures the
   // workers might reference).
   team_.reset();
-  barrier_.reset();
-  channel_.reset();
   machine_.reset();
   alloc_.reset();  // returns pool pages to the hugetlbfs / buddy
   if (hugetlbfs_) hugetlbfs_->unlink_file("lpomp_shared_image");
@@ -90,7 +81,7 @@ void Runtime::parallel(const std::function<void(ThreadCtx&)>& body) {
 }
 
 void ThreadCtx::barrier() {
-  Barrier& b = rt_->barrier_impl();
+  SenseBarrier& b = rt_->team().barrier();
   b.arrive_and_wait(tid_);
   if (sim::Machine* m = rt_->machine(); m != nullptr && tid_ == 0) {
     // Close the sub-region at this synchronisation point: elapsed time is

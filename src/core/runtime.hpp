@@ -32,7 +32,6 @@
 #include "core/barrier.hpp"
 #include "core/shared_array.hpp"
 #include "core/team.hpp"
-#include "dsm/msg_channel.hpp"
 #include "mem/hugetlbfs.hpp"
 #include "sim/machine.hpp"
 
@@ -62,10 +61,6 @@ struct RuntimeConfig {
   /// Huge pages preallocated into the simulated hugetlbfs; 0 → just enough
   /// for the shared pool (plus slack). Ignored for 4 KB runs.
   std::size_t hugetlb_pool_pages = 0;
-
-  /// Run barriers over the dsm::MsgChannel (Omni/SCASH-style) instead of
-  /// the atomic sense-reversing barrier.
-  bool use_msg_channel_barrier = false;
 
   /// Page size for the application binary's text mapping (§4.3: the paper
   /// keeps code on 4 KB pages; the code-page ablation flips this).
@@ -195,9 +190,7 @@ class Runtime {
   mem::PhysMem& phys_mem() { return *phys_; }
   mem::HugeTlbFs* hugetlb() { return hugetlbfs_.get(); }
   SharedAllocator& shared_allocator() { return *alloc_; }
-  dsm::MsgChannel& msg_channel() { return *channel_; }
   Team& team() { return *team_; }
-  Barrier& barrier_impl() { return *barrier_; }
 
  private:
   RuntimeConfig config_;
@@ -206,8 +199,7 @@ class Runtime {
   std::unique_ptr<mem::HugeTlbFs> hugetlbfs_;
   std::unique_ptr<SharedAllocator> alloc_;
   std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<dsm::MsgChannel> channel_;
-  std::unique_ptr<Barrier> barrier_;
+  SenseBarrier barrier_;
   std::unique_ptr<Team> team_;
   std::optional<mem::Region> text_region_;
 };

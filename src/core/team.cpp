@@ -2,7 +2,7 @@
 
 namespace lpomp::core {
 
-Team::Team(unsigned n, Barrier& barrier)
+Team::Team(unsigned n, SenseBarrier& barrier)
     : n_(n), barrier_(barrier), slots_(n) {
   LPOMP_CHECK_MSG(n >= 1, "team needs at least one thread");
   LPOMP_CHECK_MSG(barrier.team_size() == n, "barrier/team size mismatch");

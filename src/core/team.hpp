@@ -20,7 +20,7 @@ class Team {
   /// Spawns `n - 1` worker threads (the master participates as tid 0).
   /// `barrier` is the team's rendezvous primitive; owned by the caller and
   /// shared with ThreadCtx::barrier().
-  Team(unsigned n, Barrier& barrier);
+  Team(unsigned n, SenseBarrier& barrier);
   ~Team();
 
   Team(const Team&) = delete;
@@ -33,7 +33,7 @@ class Team {
   /// thread; regions do not nest.
   void run(const Body& body);
 
-  Barrier& barrier() { return barrier_; }
+  SenseBarrier& barrier() { return barrier_; }
 
   /// 64-byte-aligned per-thread scratch slot, used by reductions.
   void* reduce_slot(unsigned tid) {
@@ -55,7 +55,7 @@ class Team {
   };
 
   unsigned n_;
-  Barrier& barrier_;
+  SenseBarrier& barrier_;
   const Body* body_ = nullptr;            // valid while an epoch is running
   std::atomic<std::uint64_t> epoch_{0};   // bumped to launch a region
   std::atomic<unsigned> done_{0};         // workers finished this epoch

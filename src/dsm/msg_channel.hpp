@@ -6,8 +6,8 @@
 //
 // Here the "processes" are the runtime's threads, and the mailbox lives in
 // process memory; the protocol (flag-based SPSC rings, single copy,
-// in-place receive) is the same. Barriers and reductions in lpomp::core can
-// run over this channel, mirroring how Omni/SCASH implements its primitives.
+// in-place receive) is the same. mpi::Communicator owns one per world and
+// carries its headers and flow control over it.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,10 @@
 #include "exec/scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
+#include <thread>
 
 #include "exec/json.hpp"
 #include "prof/profile.hpp"
@@ -141,7 +143,7 @@ std::string SweepResult::to_json(bool include_host) const {
 Scheduler::Scheduler(Config config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity),
-      pool_(config_.workers) {
+      workers_(config_.workers == 0 ? host_threads() : config_.workers) {
   if (!config_.store_dir.empty()) {
     disk_store_ = std::make_unique<DiskResultStore>(config_.store_dir);
   }
@@ -185,24 +187,29 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
       disk_store_ != nullptr ? disk_store_->stats() : DiskResultStore::Stats{};
 
   SweepResult result;
-  result.workers = pool_.workers();
+  result.workers = workers_;
   result.strategy = strategy;
   result.records.resize(tasks.size());
   unsigned widest = 1;
   for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
-  WidthGate gate(pool_.workers(), widest, host_threads());
-  // Threads beyond what the gate admits would only wait in it.
-  pool_.start_helpers(static_cast<unsigned>(
-      std::min<std::size_t>(tasks.size(), gate.max_in_flight())));
-  // Each task writes its own pre-assigned slot, so the result order is the
-  // task order no matter how the pool schedules. `tasks`, `result` and
-  // `gate` outlive every job: wait_idle() below is the join.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    pool_.submit([this, &gate, slot = &result.records[i], task = &tasks[i]] {
-      *slot = run_one(*task, gate);
-    });
-  }
-  pool_.wait_idle();
+  WidthGate gate(workers_, widest, host_threads());
+  // Each drainer takes the next task index and writes that task's
+  // pre-assigned slot, so the result order is the task order whatever
+  // thread runs it. Drainers beyond what the gate admits would only wait
+  // in it; the calling thread is one of them.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < tasks.size(); i = next++) {
+      result.records[i] = run_one(tasks[i], gate);
+    }
+  };
+  {
+    const std::size_t drainers =
+        std::min<std::size_t>(tasks.size(), gate.max_in_flight());
+    std::vector<std::jthread> threads;
+    for (std::size_t k = 1; k < drainers; ++k) threads.emplace_back(drain);
+    drain();
+  }  // joins every drainer
   result.peak_tasks_in_flight = gate.peak_tasks();
   result.peak_host_threads = gate.peak_host_threads();
 

@@ -1,12 +1,13 @@
 // Scheduler — the library-grade core of the experiment engine.
 //
 // Takes a declarative SweepSpec (or an explicit task list), expands it into
-// independent RunTasks, and executes them on a work-stealing pool sized to
-// the host. Each task constructs its own Runtime/AddressSpace/Machine
-// inside npb::run_kernel, so results are bit-identical to a serial loop
-// regardless of worker count, scheduling order, or execution Strategy —
-// the determinism the paper reproduction depends on, preserved while
-// filling every host core.
+// independent RunTasks, and runs them on threads started for that sweep
+// alone: each takes the next task index from one shared counter, and the
+// width gate bounds how many run at once. Each task constructs its own
+// Runtime/AddressSpace/Machine inside npb::run_kernel, so results are
+// bit-identical to a serial loop regardless of worker count, scheduling
+// order, or execution Strategy — the determinism the paper reproduction
+// depends on, preserved while filling every host core.
 //
 // Around execution sit three layers:
 //   * a content-keyed in-memory LRU ResultCache (canonical config
@@ -48,7 +49,6 @@
 #include "exec/result_cache.hpp"
 #include "exec/strategy.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "exec/width_gate.hpp"
 
 namespace lpomp::exec {
@@ -111,7 +111,7 @@ class Scheduler {
   Scheduler() : Scheduler(Config{}) {}
   explicit Scheduler(Config config);
 
-  unsigned workers() const { return pool_.workers(); }
+  unsigned workers() const { return workers_; }
   ResultCache& cache() { return cache_; }
   /// The disk tier, or nullptr when Config::store_dir was empty.
   DiskResultStore* disk_store() { return disk_store_.get(); }
@@ -121,6 +121,11 @@ class Scheduler {
   /// Runs a sweep. Not reentrant: one run() at a time per scheduler
   /// (callers like the sweep daemon serialise). `strategy` is echoed in
   /// the host summary; every strategy runs the same live path.
+  ///
+  /// The calling thread and min(tasks, WidthGate::max_in_flight()) − 1
+  /// threads started for this sweep take task indices in grid order from
+  /// one counter; all are joined before run() returns, so a one-task
+  /// sweep runs on the caller and an idle scheduler holds no threads.
   ///
   /// Live runs are admitted by team width (WidthGate): with P =
   /// workers(), W = the widest task's `threads` and H = the host's
@@ -154,7 +159,7 @@ class Scheduler {
   TaskRunner runner_ = execute_task;
   ResultCache cache_;
   std::unique_ptr<DiskResultStore> disk_store_;
-  WorkStealingPool pool_;
+  unsigned workers_;
 };
 
 }  // namespace lpomp::exec

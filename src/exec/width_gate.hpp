@@ -3,7 +3,7 @@
 // A run's width is its team's thread count, i.e. the host threads it keeps
 // busy. With P workers, a sweep whose widest task is W and H host hardware
 // threads, a run of width w starts while fewer than P runs are in flight
-// (the pool's historical concurrency, so no sweep runs fewer tasks at once),
+// (so no sweep runs fewer than P tasks at once),
 // or while the in-flight widths plus w stay within min(P × W, H): narrow
 // runs fill host threads the sweep already budgets, and never beyond the
 // host. The first clause is deliberately not capped at H: that would run

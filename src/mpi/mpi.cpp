@@ -13,7 +13,10 @@ constexpr std::uint8_t kAck = 2;
 
 Communicator::Communicator(core::Runtime& rt, std::size_t chunk_doubles,
                            std::size_t slots)
-    : rt_(&rt), chunk_(chunk_doubles), slots_(slots) {
+    : rt_(&rt),
+      chunk_(chunk_doubles),
+      slots_(slots),
+      channel_(rt.num_threads()) {
   LPOMP_CHECK_MSG(chunk_ > 0, "chunk must be non-empty");
   LPOMP_CHECK_MSG(slots_ >= 1 && slots_ <= dsm::MsgChannel::kSlotsPerPair / 2,
                   "ring slots must leave mailbox room for acks");
@@ -29,20 +32,19 @@ void Communicator::send(core::ThreadCtx& ctx, int dest, int tag,
                         const double* data, std::size_t n) {
   const int me = static_cast<int>(ctx.tid());
   LPOMP_CHECK_MSG(dest >= 0 && dest < size() && dest != me, "bad destination");
-  dsm::MsgChannel& mbox = rt_->msg_channel();
   auto ring = ctx.view(rings_);
   const std::size_t base = ring_index(me, dest) * ring_doubles_;
 
   // Header first (eager handshake).
-  mbox.send_value(static_cast<unsigned>(me), static_cast<unsigned>(dest),
-                  Header{tag, n});
+  channel_.send_value(static_cast<unsigned>(me), static_cast<unsigned>(dest),
+                      Header{tag, n});
 
   std::size_t sent = 0;
   std::size_t chunk_no = 0;
   while (sent < n) {
     if (chunk_no >= slots_) {
       // Ring full: wait for the receiver to release the slot we need.
-      const auto token = mbox.recv_value<std::uint8_t>(
+      const auto token = channel_.recv_value<std::uint8_t>(
           static_cast<unsigned>(me), static_cast<unsigned>(dest));
       LPOMP_CHECK(token == kAck);
     }
@@ -51,15 +53,15 @@ void Communicator::send(core::ThreadCtx& ctx, int dest, int tag,
     for (std::size_t i = 0; i < len; ++i) {
       ring.store(base + slot + i, data[sent + i]);  // copy #1 (instrumented)
     }
-    mbox.send_value(static_cast<unsigned>(me), static_cast<unsigned>(dest),
-                    kReady);
+    channel_.send_value(static_cast<unsigned>(me),
+                        static_cast<unsigned>(dest), kReady);
     sent += len;
     ++chunk_no;
   }
   // Drain remaining acks so the ring is quiescent for the next message.
   for (std::size_t pending = std::min(chunk_no, slots_); pending > 0;
        --pending) {
-    const auto token = mbox.recv_value<std::uint8_t>(
+    const auto token = channel_.recv_value<std::uint8_t>(
         static_cast<unsigned>(me), static_cast<unsigned>(dest));
     LPOMP_CHECK(token == kAck);
   }
@@ -70,19 +72,18 @@ void Communicator::recv(core::ThreadCtx& ctx, int src, int tag, double* data,
                         std::size_t n) {
   const int me = static_cast<int>(ctx.tid());
   LPOMP_CHECK_MSG(src >= 0 && src < size() && src != me, "bad source");
-  dsm::MsgChannel& mbox = rt_->msg_channel();
   auto ring = ctx.view(rings_);
   const std::size_t base = ring_index(src, me) * ring_doubles_;
 
-  const Header header = mbox.recv_value<Header>(static_cast<unsigned>(me),
-                                                static_cast<unsigned>(src));
+  const Header header = channel_.recv_value<Header>(
+      static_cast<unsigned>(me), static_cast<unsigned>(src));
   LPOMP_CHECK_MSG(header.tag == tag, "tag mismatch");
   LPOMP_CHECK_MSG(header.total == n, "length mismatch");
 
   std::size_t got = 0;
   std::size_t chunk_no = 0;
   while (got < n) {
-    const auto token = mbox.recv_value<std::uint8_t>(
+    const auto token = channel_.recv_value<std::uint8_t>(
         static_cast<unsigned>(me), static_cast<unsigned>(src));
     LPOMP_CHECK(token == kReady);
     const std::size_t len = std::min(chunk_, n - got);
@@ -90,8 +91,8 @@ void Communicator::recv(core::ThreadCtx& ctx, int src, int tag, double* data,
     for (std::size_t i = 0; i < len; ++i) {
       data[got + i] = ring.load(base + slot + i);  // copy #2 (instrumented)
     }
-    mbox.send_value(static_cast<unsigned>(me), static_cast<unsigned>(src),
-                    kAck);
+    channel_.send_value(static_cast<unsigned>(me), static_cast<unsigned>(src),
+                        kAck);
     got += len;
     ++chunk_no;
   }
@@ -133,9 +134,8 @@ void Communicator::allreduce_sum(core::ThreadCtx& ctx, double* data,
     auto scratch = ctx.view(reduce_buf_);
     for (int src = 1; src < size(); ++src) {
       const std::size_t sbase = static_cast<std::size_t>(src) * chunk_;
-      dsm::MsgChannel& mbox = rt_->msg_channel();
       const Header header =
-          mbox.recv_value<Header>(0, static_cast<unsigned>(src));
+          channel_.recv_value<Header>(0, static_cast<unsigned>(src));
       LPOMP_CHECK(header.tag == kReduceTag && header.total == n);
       auto ring = ctx.view(rings_);
       const std::size_t rbase = ring_index(src, 0) * ring_doubles_;
@@ -143,7 +143,7 @@ void Communicator::allreduce_sum(core::ThreadCtx& ctx, double* data,
       std::size_t chunk_no = 0;
       while (got < n) {
         const auto token =
-            mbox.recv_value<std::uint8_t>(0, static_cast<unsigned>(src));
+            channel_.recv_value<std::uint8_t>(0, static_cast<unsigned>(src));
         LPOMP_CHECK(token == kReady);
         const std::size_t len = std::min(chunk_, n - got);
         const std::size_t slot = (chunk_no % slots_) * chunk_;
@@ -152,7 +152,7 @@ void Communicator::allreduce_sum(core::ThreadCtx& ctx, double* data,
           data[got + i] += scratch.load(sbase + i);
         }
         ctx.compute(len);
-        mbox.send_value(0u, static_cast<unsigned>(src), kAck);
+        channel_.send_value(0u, static_cast<unsigned>(src), kAck);
         got += len;
         ++chunk_no;
       }

@@ -7,14 +7,15 @@
 // MVAPICH, from the paper's own group): the sender pipelines the payload in
 // chunks into a per-pair shared ring buffer carved from the runtime's
 // shared pool — so the channel inherits the pool's page size — and the
-// receiver copies out. Flow control and headers ride the dsm::MsgChannel
-// mailboxes. Both copies run through instrumented views, so the simulator
-// sees the channel traffic and bench/ablation_mpi can measure what 2 MB
-// pages buy large-message transfers.
+// receiver copies out. Flow control and headers ride the communicator's own
+// dsm::MsgChannel mailboxes. Both copies run through instrumented views, so
+// the simulator sees the channel traffic and bench/ablation_mpi can measure
+// what 2 MB pages buy large-message transfers.
 #pragma once
 
 #include "core/parallel_for.hpp"
 #include "core/runtime.hpp"
+#include "dsm/msg_channel.hpp"
 
 namespace lpomp::mpi {
 
@@ -67,6 +68,9 @@ class Communicator {
 
   std::size_t chunk_doubles() const { return chunk_; }
 
+  /// The flow-control and header mailboxes, one ring per ordered rank pair.
+  dsm::MsgChannel& channel() { return channel_; }
+
   /// Payload doubles moved through the shared channel so far (both copies).
   count_t doubles_transferred() const {
     return transferred_.load(std::memory_order_relaxed);
@@ -86,6 +90,7 @@ class Communicator {
   core::Runtime* rt_;
   std::size_t chunk_;
   std::size_t slots_;
+  dsm::MsgChannel channel_;
   // One ring of slots_ × chunk_ doubles per ordered pair, all carved from
   // the runtime's (page-size-controlled) shared pool.
   core::SharedArray<double> rings_;

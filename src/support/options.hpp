@@ -34,12 +34,16 @@ class OptionError : public std::invalid_argument {
 
 class Options {
  public:
-  Options() = default;
+  /// `max_positional` is how many bare tokens (a subcommand, a kernel name)
+  /// the driver takes; require_known() rejects any beyond it.
+  explicit Options(std::size_t max_positional = 0)
+      : max_positional_(max_positional) {}
 
   /// Parses argv and installs a terminate handler that turns an uncaught
   /// OptionError into its message on stderr plus exit status 2 (any other
   /// uncaught exception still prints and aborts).
-  Options(int argc, char** argv) {
+  Options(int argc, char** argv, std::size_t max_positional = 0)
+      : Options(max_positional) {
     for (int i = 1; i < argc; ++i) parse_arg(argv[i]);
     std::set_terminate(exit_on_option_error);
   }
@@ -160,7 +164,9 @@ class Options {
 
   /// Throws OptionError on the first command-line key outside `own` and
   /// `groups`, so a typo (--stratgey=live) fails instead of running the
-  /// default. LPOMP_* env vars are not checked: the environment is shared.
+  /// default, and on a bare token beyond the driver's max_positional
+  /// (workers=4 without its dashes). LPOMP_* env vars are not checked: the
+  /// environment is shared.
   template <typename... Groups>
   void require_known(std::initializer_list<std::string_view> own,
                      const Groups&... groups) const {
@@ -172,6 +178,11 @@ class Options {
       throw OptionError("unknown option --" + key + " (valid: " +
                         (known.empty() ? "none" : join(known, flag, ", ")) +
                         ")");
+    }
+    if (positional_.size() > max_positional_) {
+      throw OptionError("unexpected argument '" +
+                        positional_[max_positional_] +
+                        "' (options take the form --key=value)");
     }
   }
 
@@ -194,6 +205,7 @@ class Options {
     std::abort();
   }
 
+  std::size_t max_positional_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -181,18 +181,48 @@ TEST(WorkerIdentity, PagingPolicySweepMatchesSingleWorker) {
   expect_identical(want, scheduler.run(spec), "paging @ 4 workers");
 }
 
-// Helpers steal alongside the deque owners; every task still runs once.
-// Zero workers means one per host hardware thread.
-TEST(WorkStealingPool, HelpersAndWorkersRunEveryTask) {
-  EXPECT_EQ(WorkStealingPool(0).workers(), host_threads());
-  WorkStealingPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  EXPECT_EQ(pool.max_threads(), std::max(4u, host_threads()));
-  pool.start_helpers(pool.max_threads());
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 64);
+// The drainers share one task counter: every task runs exactly once, and
+// its record lands in its own slot, whatever the worker count.
+TEST(Scheduler, EveryTaskRunsExactlyOnceAtAnyWorkerCount) {
+  std::vector<RunTask> tasks(64, small_sweep().expand().front());
+  for (std::size_t i = 0; i < tasks.size(); ++i) tasks[i].seed = i;
+  for (const unsigned workers : {1u, 4u, 0u}) {
+    Scheduler engine({.workers = workers});
+    std::mutex mutex;
+    std::map<std::uint64_t, int> runs;  // by seed
+    engine.set_task_runner([&](const RunTask& t) {
+      std::lock_guard lock(mutex);
+      ++runs[t.seed];
+      return fake_runner(t);
+    });
+    const SweepResult result = engine.run(tasks);
+    ASSERT_EQ(runs.size(), tasks.size()) << workers << " workers";
+    for (const auto& [seed, n] : runs) {
+      EXPECT_EQ(n, 1) << "seed " << seed << ", " << workers << " workers";
+    }
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(result.records[i].seed, i);
+    }
+  }
+}
+
+TEST(Scheduler, ZeroWorkersMeansOnePerHostThread) {
+  EXPECT_EQ(Scheduler({.workers = 0}).workers(), host_threads());
+  EXPECT_EQ(Scheduler({.workers = 3}).workers(), 3u);
+}
+
+// The calling thread is one of the drainers, so a one-task sweep starts no
+// thread at all.
+TEST(Scheduler, OneTaskSweepRunsOnTheCallingThread) {
+  Scheduler engine({.workers = 4});
+  std::thread::id ran_on;
+  engine.set_task_runner([&](const RunTask& t) {
+    ran_on = std::this_thread::get_id();
+    return fake_runner(t);
+  });
+  const SweepResult result = engine.run({small_sweep().expand().front()});
+  EXPECT_EQ(result.completed(), 1u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(Scheduler, RepeatedSweepIsServedFromCache) {

@@ -105,16 +105,6 @@ TEST(Integration, SharedPoolLayoutIndependentOfPageSize) {
   }
 }
 
-TEST(Integration, WholeSuiteRunsWithMsgBarrierAndHugePages) {
-  core::RuntimeConfig c = cfg(4, PageKind::large2m);
-  c.use_msg_channel_barrier = true;
-  for (Kernel k : all_kernels()) {
-    const NpbResult r = run_kernel(k, Klass::S, c);
-    EXPECT_TRUE(r.verified) << kernel_name(k) << ": "
-                            << r.verification_detail;
-  }
-}
-
 TEST(Integration, ProfileAccessCountsScaleWithClass) {
   const auto s =
       run_kernel(Kernel::CG, Klass::S, cfg(2, PageKind::small4k))

@@ -98,7 +98,7 @@ TEST(Mpi, TagMismatchDetected) {
         threw.store(true);
         // Manually drain the in-flight chunk and ack it so the blocked
         // sender can complete and the region can join.
-        auto& mbox = ctx.runtime().msg_channel();
+        auto& mbox = comm.channel();
         (void)mbox.recv_value<std::uint8_t>(1, 0);  // the ready token
         mbox.send_value<std::uint8_t>(1, 0, 2);     // ack
       }

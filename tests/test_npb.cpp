@@ -1,6 +1,6 @@
 // Tests for the NPB kernels: verification at class S, metadata, and the
 // central reproducibility property — numerics must be bitwise independent
-// of thread count, page size, platform and barrier implementation.
+// of thread count, page size and platform.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,11 +11,10 @@ namespace lpomp::npb {
 namespace {
 
 core::RuntimeConfig config_for(unsigned threads, PageKind kind,
-                               bool xeon = false, bool msg_barrier = false) {
+                               bool xeon = false) {
   core::RuntimeConfig cfg;
   cfg.num_threads = threads;
   cfg.page_kind = kind;
-  cfg.use_msg_channel_barrier = msg_barrier;
   cfg.sim = core::SimConfig{xeon ? sim::ProcessorSpec::xeon_ht()
                                  : sim::ProcessorSpec::opteron270(),
                           sim::CostModel{}, 0x5eedULL};
@@ -102,16 +101,6 @@ TEST_P(KernelDeterminism, ChecksumIndependentOfPlatform) {
       run_kernel(GetParam(), Klass::S, config_for(4, PageKind::small4k, true))
           .checksum;
   EXPECT_EQ(opteron, xeon);
-}
-
-TEST_P(KernelDeterminism, ChecksumIndependentOfBarrierImpl) {
-  const double sense =
-      run_kernel(GetParam(), Klass::S, config_for(4, PageKind::small4k))
-          .checksum;
-  const double msg = run_kernel(GetParam(), Klass::S,
-                                config_for(4, PageKind::small4k, false, true))
-                         .checksum;
-  EXPECT_EQ(sense, msg);
 }
 
 TEST_P(KernelDeterminism, SimulatedTimeIsReproducible) {

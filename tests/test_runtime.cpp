@@ -135,23 +135,6 @@ TEST(Runtime, BarriersInsideRegionSplitSubRegions) {
   EXPECT_NEAR(secs, expected, 1e-12);
 }
 
-TEST(Runtime, MsgChannelBarrierWorksEndToEnd) {
-  RuntimeConfig cfg = small_config(4, PageKind::small4k, false);
-  cfg.use_msg_channel_barrier = true;
-  Runtime rt(cfg);
-  std::atomic<int> before{0};
-  std::atomic<bool> ok{true};
-  for (int round = 0; round < 10; ++round) {
-    rt.parallel([&](ThreadCtx& ctx) {
-      before.fetch_add(1);
-      ctx.barrier();
-      if (before.load() % 4 != 0) ok.store(false);
-    });
-  }
-  EXPECT_TRUE(ok.load());
-  EXPECT_GT(rt.msg_channel().messages_sent(), 0u);
-}
-
 TEST(Runtime, AttachCodeModelMapsText) {
   Runtime rt(small_config(1, PageKind::small4k, true));
   const std::size_t before = rt.space().mapped_bytes(PageKind::small4k);

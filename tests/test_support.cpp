@@ -278,7 +278,28 @@ TEST(Options, RequireKnownNamesTheUnknownKeyAndTheValidOnes) {
   }
   EXPECT_THROW(opts.require_known({}), OptionError);
   // Positional tokens are not keys.
-  options_of("CG").require_known({});
+  Options kernel(1);
+  kernel.parse_arg("CG");
+  kernel.require_known({});
+}
+
+// A bare token is an argument only where the driver declares one (a
+// kernel name, a subcommand): `sweep_all workers=-1` must not run the
+// default sweep and exit 0.
+TEST(Options, RequireKnownRejectsUndeclaredPositionalTokens) {
+  try {
+    options_of("workers=-1").require_known({"workers"});
+    FAIL() << "a stray positional token was accepted";
+  } catch (const OptionError& e) {
+    EXPECT_STREQ(e.what(),
+                 "unexpected argument 'workers=-1' (options take the form "
+                 "--key=value)");
+  }
+  Options one(1);
+  one.parse_arg("CG");
+  one.require_known({});
+  one.parse_arg("MG");
+  EXPECT_THROW(one.require_known({}), OptionError);
 }
 
 // Unsigned values (seeds, thread counts) never wrap: "-1" is rejected

@@ -1,4 +1,4 @@
-// Concurrency tests for the fork-join team and both barrier implementations.
+// Concurrency tests for the fork-join team and its sense-reversing barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,9 +19,8 @@ TEST(SenseBarrier, SingleThreadPassesThrough) {
   EXPECT_EQ(b.team_size(), 1u);
 }
 
-template <typename BarrierT, typename... Args>
-void barrier_ordering_test(unsigned n, Args&&... args) {
-  BarrierT barrier(std::forward<Args>(args)..., n);
+void barrier_ordering_test(unsigned n) {
+  SenseBarrier barrier(n);
   constexpr int kRounds = 200;
   std::vector<std::atomic<int>> round_of(n);
   for (auto& r : round_of) r.store(0);
@@ -49,28 +48,11 @@ void barrier_ordering_test(unsigned n, Args&&... args) {
   EXPECT_FALSE(violated.load());
 }
 
-TEST(SenseBarrier, KeepsThreadsInLockstep2) {
-  SenseBarrier b(2);
-  barrier_ordering_test<SenseBarrier>(2);
-}
+TEST(SenseBarrier, KeepsThreadsInLockstep2) { barrier_ordering_test(2); }
 
-TEST(SenseBarrier, KeepsThreadsInLockstep4) {
-  barrier_ordering_test<SenseBarrier>(4);
-}
+TEST(SenseBarrier, KeepsThreadsInLockstep4) { barrier_ordering_test(4); }
 
-TEST(SenseBarrier, KeepsThreadsInLockstep8) {
-  barrier_ordering_test<SenseBarrier>(8);
-}
-
-TEST(MsgBarrier, KeepsThreadsInLockstep4) {
-  dsm::MsgChannel channel(4);
-  barrier_ordering_test<MsgBarrier>(4, channel);
-}
-
-TEST(MsgBarrier, RequiresLargeEnoughChannel) {
-  dsm::MsgChannel channel(2);
-  EXPECT_THROW(MsgBarrier(channel, 4), std::logic_error);
-}
+TEST(SenseBarrier, KeepsThreadsInLockstep8) { barrier_ordering_test(8); }
 
 TEST(Team, RunsBodyOnAllThreads) {
   SenseBarrier barrier(4);
