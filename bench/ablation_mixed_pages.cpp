@@ -97,7 +97,7 @@ PolicyResult run_policy(const std::vector<Alloc>& allocs,
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"iterations"});
-  const auto iterations = static_cast<count_t>(opts.get_int("iterations", 2));
+  const count_t iterations = opts.get_unsigned("iterations", 2, 100000, 1);
 
   // 3 big arrays + 192 small allocations (16-64 KB), like a real runtime's
   // mix of data arrays and control blocks.

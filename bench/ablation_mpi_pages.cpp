@@ -91,7 +91,8 @@ RunResult allreduce(PageKind kind, std::size_t n, int rounds) {
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"rounds"});
-  const int rounds = static_cast<int>(opts.get_int("rounds", 4));
+  const auto rounds =
+      static_cast<int>(opts.get_unsigned("rounds", 4, 100000, 1));
 
   std::cout << "Future work (paper §6): large pages for intra-node MPI\n"
                "(two-copy shared-memory channel, simulated Opteron)\n\n";

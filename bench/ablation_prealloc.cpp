@@ -109,7 +109,8 @@ TrialResult pool_trial(std::size_t requests) {
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"requests"});
-  const auto requests = static_cast<std::size_t>(opts.get_int("requests", 64));
+  const auto requests =
+      static_cast<std::size_t>(opts.get_unsigned("requests", 64, 100000, 1));
 
   std::cout << "Ablation (paper §3.3): preallocated hugetlbfs pool vs "
                "on-demand 2MB allocation\nunder fragmentation (1 GiB "

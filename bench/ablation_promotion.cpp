@@ -128,7 +128,7 @@ RunResult run_policy(std::optional<PageKind> static_kind,
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"rounds"});
-  const auto rounds = static_cast<count_t>(opts.get_int("rounds", 3));
+  const count_t rounds = opts.get_unsigned("rounds", 3, 100000, 1);
 
   std::cout << "Ablation (paper §5 related work): startup preallocation vs "
                "transparent superpage promotion\n(24MB stream + 1.5MB random "

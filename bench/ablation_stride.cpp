@@ -22,9 +22,10 @@ using namespace lpomp;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"region-mb", "accesses"});
-  const auto region_bytes =
-      static_cast<std::size_t>(opts.get_int("region-mb", 64)) * MiB(1);
-  const auto accesses = static_cast<count_t>(opts.get_int("accesses", 2000000));
+  const std::size_t region_bytes =
+      MiB(opts.get_unsigned("region-mb", 64, 65536, 1));  // up to 64 GB
+  const count_t accesses =
+      opts.get_unsigned("accesses", 2000000, 1ULL << 34, 1);
 
   std::cout << "Ablation (paper §3.1-3.2): DTLB misses and cycles/access vs "
                "stride,\nOpteron geometry, "

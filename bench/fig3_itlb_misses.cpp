@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const npb::Klass klass = bench::klass_from(opts, "R");
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
   const auto threads = static_cast<unsigned>(
-      opts.get_unsigned("threads", 4, opteron.max_threads()));
+      opts.get_unsigned("threads", 4, opteron.max_threads(), 1));
 
   std::cout << "Figure 3: Aggregate ITLB misses/second, " << threads
             << " threads, " << opteron.name << ", binary in 4KB pages (class "

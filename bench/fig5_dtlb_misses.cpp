@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                      bench::kStrategyKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
   const auto threads = static_cast<unsigned>(opts.get_unsigned(
-      "threads", 4, sim::ProcessorSpec::opteron270().max_threads()));
+      "threads", 4, sim::ProcessorSpec::opteron270().max_threads(), 1));
 
   exec::SweepSpec spec = exec::SweepSpec::figure5(klass, threads);
   spec.kernels = bench::kernels_from(opts);

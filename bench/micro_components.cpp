@@ -39,6 +39,17 @@ void BM_TlbLookupMissFill(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupMissFill);
 
+// The same miss stream through Tlb::access: probe and fill in one scan.
+void BM_TlbAccessMissFill(benchmark::State& state) {
+  tlb::Tlb t({"bench", {32, 32}, {8, 8}, {0, 0}});
+  vpn_t vpn = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.access(vpn, PageKind::small4k));
+    ++vpn;
+  }
+}
+BENCHMARK(BM_TlbAccessMissFill);
+
 void BM_CacheAccessSequential(benchmark::State& state) {
   cache::Cache c("bench", {MiB(1), 64, 16});
   vaddr_t addr = 0;
@@ -133,6 +144,30 @@ void BM_ThreadSimTouchRandom(benchmark::State& state) {
   machine.end_parallel();
 }
 BENCHMARK(BM_ThreadSimTouchRandom);
+
+// CG's a[k] * p[col[k]] shape: element k of three unit-stride arrays on
+// different pages, one touch each per iteration, so no two consecutive
+// touches share a line or a page.
+void BM_ThreadSimTouchInterleaved(benchmark::State& state) {
+  mem::PhysMem pm(MiB(128));
+  mem::AddressSpace space(pm);
+  const mem::Region r = space.map_region(MiB(48), PageKind::small4k, "data");
+  const vaddr_t arrays[3] = {r.base, r.base + MiB(16) + KiB(4) + 64,
+                             r.base + MiB(32) + KiB(8) + 128};
+  sim::Machine machine(sim::ProcessorSpec::opteron270(), sim::CostModel{},
+                       space, 1);
+  machine.begin_parallel();
+  sim::ThreadSim& t = machine.thread(0);
+  vaddr_t off = 0;
+  for (auto _ : state) {
+    for (const vaddr_t a : arrays) {
+      t.touch(a + off, PageKind::small4k, Access::load);
+    }
+    off = (off + 8) % MiB(15);  // every array stays inside the region
+  }
+  machine.end_parallel();
+}
+BENCHMARK(BM_ThreadSimTouchInterleaved);
 
 void BM_BuddyAllocFree2MB(benchmark::State& state) {
   mem::PhysMem pm(MiB(256));

@@ -78,7 +78,7 @@ int cmd_record(const Options& opts) {
   task.klass = bench::klass_from(opts, "S");
   task.spec = bench::platform_from(opts);
   task.threads = static_cast<unsigned>(
-      opts.get_unsigned("threads", 4, std::numeric_limits<unsigned>::max()));
+      opts.get_unsigned("threads", 4, std::numeric_limits<unsigned>::max(), 1));
   task.page_kind = bench::page_kind_from(opts, "pages");
   task.code_page_kind = bench::page_kind_from(opts, "code-pages");
   task.seed = opts.get_unsigned("seed", 0x5eed);

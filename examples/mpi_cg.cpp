@@ -169,9 +169,17 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"ranks", "na", "iters"});
   const auto ranks = static_cast<unsigned>(opts.get_unsigned(
-      "ranks", 4, sim::ProcessorSpec::opteron270().max_threads()));
-  const auto na = static_cast<std::int64_t>(opts.get_int("na", 32768));
-  const int iters = static_cast<int>(opts.get_int("iters", 10));
+      "ranks", 4, sim::ProcessorSpec::opteron270().max_threads(), 1));
+  const auto na =
+      static_cast<std::int64_t>(opts.get_unsigned("na", 32768, 1 << 24, 1));
+  const auto iters =
+      static_cast<int>(opts.get_unsigned("iters", 10, 100000, 1));
+
+  if (na % ranks != 0) {
+    throw OptionError("--na=" + std::to_string(na) +
+                      ": must be a multiple of --ranks=" +
+                      std::to_string(ranks));
+  }
 
   std::cout << "mpi_cg: distributed CG, " << ranks << " ranks, n=" << na
             << ", " << iters << " iterations, simulated Opteron\n\n";

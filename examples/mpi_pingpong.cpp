@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
   opts.require_known({"mb", "rounds"});
   const std::size_t bytes =
       MiB(opts.get_unsigned("mb", 8, 65536));  // up to 64 GB
-  const int rounds = static_cast<int>(opts.get_int("rounds", 4));
+  const auto rounds =
+      static_cast<int>(opts.get_unsigned("rounds", 4, 100000, 1));
   const std::size_t n = bytes / sizeof(double);
 
   std::cout << "mpi_pingpong: " << format_bytes(bytes) << " messages, "

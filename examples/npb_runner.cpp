@@ -20,7 +20,7 @@ int run_one(npb::Kernel kernel, const Options& opts) {
       "platform", "opteron", sim::ProcessorSpec::from_key, sim::kPlatformKeys);
   core::RuntimeConfig cfg;
   cfg.num_threads = static_cast<unsigned>(
-      opts.get_unsigned("threads", 4, spec.max_threads()));
+      opts.get_unsigned("threads", 4, spec.max_threads(), 1));
   cfg.page_kind =
       opts.get_name("pages", "4KB", page_kind_from_name, kLayoutPageKinds);
   cfg.sim = core::SimConfig{spec, sim::CostModel{}, 0x5eedULL};

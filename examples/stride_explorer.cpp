@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const std::size_t array_bytes =
       MiB(opts.get_unsigned("mb", 48, 65536));  // up to 64 GB
   const auto threads = static_cast<unsigned>(
-      opts.get_unsigned("threads", 1, spec.max_threads()));
+      opts.get_unsigned("threads", 1, spec.max_threads(), 1));
 
   std::cout << "stride_explorer: " << spec.name << ", "
             << format_bytes(array_bytes) << " array, " << threads

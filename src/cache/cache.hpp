@@ -12,8 +12,9 @@
 // walk per cache probe.
 //
 // Hot-path layout: access() is the single most-called function of the whole
-// simulator, so it stays inline down to the tag store's MRU-filter check;
-// the tag store itself is the shared LruSets engine (cache/lru_sets.hpp).
+// simulator, so it stays inline down to the tag store's filter and hint
+// checks; the tag store itself is the shared LruSets engine
+// (cache/lru_sets.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,16 +59,15 @@ class Cache {
     return true;
   }
 
-  /// True when an access to `addr` would hit the 1-entry MRU filter (and is
-  /// therefore a guaranteed hit with no LRU side effects — the bulk fast
-  /// path's precondition).
+  /// True when `addr`'s line is the newest line of its set (and an access to
+  /// it is therefore a guaranteed hit with no LRU side effects — the bulk
+  /// fast path's precondition; see LruSets::mru_hit).
   bool mru_hit(vaddr_t addr) const {
     return tags_.mru_hit(addr >> line_shift_);
   }
 
-  /// Bulk accounting for `n` accesses the caller has proven would each hit
-  /// the MRU filter (mru_hit(addr) for every one). Identical to n access()
-  /// calls taking the filter path.
+  /// Bulk accounting for `n` accesses the caller has proven each fall on a
+  /// line that is mru_hit(). Identical to n access() calls of them.
   void credit_mru_run(bool is_store, count_t n) {
     stats_.lookups += n;
     if (is_store) stats_.store_lookups += n;

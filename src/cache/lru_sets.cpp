@@ -18,22 +18,19 @@ LruSets::LruSets(std::size_t entries, unsigned ways, std::size_t hint_slots)
   LPOMP_CHECK(std::has_single_bit(hint_slots));
   slots_.assign(entries, Slot{});
   sets_ = entries / ways;  // sets need not be 2^k (modulo fallback)
+  newest_.assign(static_cast<std::size_t>(sets_), kEmpty);
   pow2_sets_ = std::has_single_bit(sets_);
   set_mask_ = pow2_sets_ ? sets_ - 1 : 0;
   hint_mask_ = hint_slots - 1;
   hints_.assign(hint_slots, 0);
 }
 
-bool LruSets::find_scan(std::uint64_t tag) {
-  const std::size_t hint = static_cast<std::size_t>(tag) & hint_mask_;
-  if (slots_[hints_[hint]].tag == tag) {
-    stamp(hints_[hint], tag, hint);
-    return true;
-  }
-  const std::size_t base = set_base(tag);
+bool LruSets::find_scan(std::uint64_t tag, std::size_t hint) {
+  const std::size_t set = set_of(tag);
+  const std::size_t base = set * ways_;
   for (std::size_t i = base; i < base + ways_; ++i) {
     if (slots_[i].tag == tag) {
-      stamp(i, tag, hint);
+      stamp(i, tag, set, hint);
       return true;
     }
     if (slots_[i].tag == kEmpty) break;
@@ -41,13 +38,9 @@ bool LruSets::find_scan(std::uint64_t tag) {
   return false;
 }
 
-bool LruSets::access_scan(std::uint64_t tag) {
-  const std::size_t hint = static_cast<std::size_t>(tag) & hint_mask_;
-  if (slots_[hints_[hint]].tag == tag) {
-    stamp(hints_[hint], tag, hint);
-    return true;
-  }
-  const std::size_t base = set_base(tag);
+bool LruSets::access_scan(std::uint64_t tag, std::size_t hint) {
+  const std::size_t set = set_of(tag);
+  const std::size_t base = set * ways_;
   std::size_t victim = base;
   // The oldest stamp so far stays in a register and is kept by selects, not
   // branches: comparing against slots_[victim] would chain every step on a
@@ -56,7 +49,7 @@ bool LruSets::access_scan(std::uint64_t tag) {
   std::uint64_t oldest = ~std::uint64_t{0};
   for (std::size_t i = base; i < base + ways_; ++i) {
     if (slots_[i].tag == tag) {
-      stamp(i, tag, hint);
+      stamp(i, tag, set, hint);
       return true;
     }
     if (slots_[i].tag == kEmpty) {
@@ -68,12 +61,13 @@ bool LruSets::access_scan(std::uint64_t tag) {
     oldest = older ? slots_[i].last_use : oldest;
   }
   slots_[victim].tag = tag;
-  stamp(victim, tag, hint);
+  stamp(victim, tag, set, hint);
   return false;
 }
 
 void LruSets::flush() {
   for (Slot& s : slots_) s.tag = kEmpty;
+  newest_.assign(newest_.size(), kEmpty);
   mru_ = kEmpty;
 }
 

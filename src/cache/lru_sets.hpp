@@ -9,17 +9,21 @@
 // scan stops at the first empty slot.
 //
 // LRU rule: every stamp — a hint hit, a scan hit, a fill of a present tag
-// or a fill of a victim — moves the 1-entry MRU filter to the stamped tag.
-// The filter's tag therefore always holds the newest timestamp of its set,
-// and a hit on it needs no restamp: restamping the newest entry changes no
-// relative order, and victim selection depends only on relative order.
-// That is why the filter check is inline and side-effect free, and why
-// credit_mru(n) changes nothing.
+// or a fill of a victim — records the stamped tag as its set's newest and
+// moves the global 1-entry MRU filter to it. A set's newest tag holds that
+// set's newest timestamp, so a hit on it needs no restamp: restamping the
+// newest entry of a set changes no relative order within the set, and
+// victim selection depends only on relative order within a set. That is
+// why mru_hit() is inline and side-effect free, why it holds for the newest
+// tag of *every* set (not only the last one stamped, which the global
+// filter checks first), and why credit_mru(n) changes nothing.
 //
 // Behind the filter sits a direct-mapped table of tag → slot hints. A hint
 // is verified against the slot's tag before use, and a valid tag lives in
 // exactly one slot, so a verified hint is the scan's hit without the scan:
-// hints never change an outcome, stale ones are harmless.
+// hints never change an outcome, stale ones are harmless. find() and
+// access() check the global filter and then the verified hint inline; only
+// a real scan of the set is out of line.
 #pragma once
 
 #include <cstdint>
@@ -40,26 +44,36 @@ class LruSets {
   /// at least one full set and entries divides evenly into ways.
   LruSets(std::size_t entries, unsigned ways, std::size_t hint_slots);
 
-  /// True when `tag` sits in the MRU filter: a guaranteed hit that changes
-  /// no LRU state.
-  bool mru_hit(std::uint64_t tag) const { return mru_ == tag; }
+  /// True when `tag` is the newest tag of its set: a guaranteed hit that
+  /// changes no LRU state.
+  bool mru_hit(std::uint64_t tag) const {
+    return mru_ == tag || newest_[set_of(tag)] == tag;
+  }
 
-  /// True if `tag` is held. A hit outside the filter stamps it.
-  bool find(std::uint64_t tag) { return mru_ == tag || find_scan(tag); }
+  /// True if `tag` is held. A hit outside the global filter stamps it.
+  bool find(std::uint64_t tag) {
+    if (mru_ == tag) [[likely]] return true;
+    const std::size_t hint = hint_of(tag);
+    return hint_hit(tag, hint) || find_scan(tag, hint);
+  }
 
   /// find-or-fill in one scan: true on a hit (stamped as find() does);
   /// on a miss `tag` replaces the set's first empty slot or its LRU victim.
-  bool access(std::uint64_t tag) { return mru_ == tag || access_scan(tag); }
+  bool access(std::uint64_t tag) {
+    if (mru_ == tag) [[likely]] return true;
+    const std::size_t hint = hint_of(tag);
+    return hint_hit(tag, hint) || access_scan(tag, hint);
+  }
 
   /// Installs `tag` (stamping it if already present).
   void fill(std::uint64_t tag) { access(tag); }
 
-  /// The LRU effect of `n` hits the caller has proven would each hit the
-  /// MRU filter: none (see the rule above). Exists so a bulk credit names
-  /// the operation it stands for.
+  /// The LRU effect of `n` hits on a tag the caller has proven is its
+  /// set's newest (mru_hit): none (see the rule above). Exists so a bulk
+  /// credit names the operation it stands for.
   void credit_mru(count_t /*n*/) const {}
 
-  /// Empties every slot and the MRU filter.
+  /// Empties every slot and the MRU filters.
   void flush();
 
   /// Tags currently held; never above the constructor's `entries`.
@@ -71,24 +85,38 @@ class LruSets {
     std::uint64_t last_use = 0;
   };
 
-  /// Index of the first slot of `tag`'s set.
-  std::size_t set_base(std::uint64_t tag) const {
-    const std::uint64_t set = pow2_sets_ ? (tag & set_mask_) : (tag % sets_);
-    return static_cast<std::size_t>(set) * ways_;
+  /// Index of `tag`'s set.
+  std::size_t set_of(std::uint64_t tag) const {
+    return static_cast<std::size_t>(pow2_sets_ ? (tag & set_mask_)
+                                               : (tag % sets_));
   }
-  /// Gives slot `i` (already holding `tag`) the newest timestamp and points
-  /// the MRU filter and `tag`'s hint at it.
-  void stamp(std::size_t i, std::uint64_t tag, std::size_t hint) {
+  std::size_t hint_of(std::uint64_t tag) const {
+    return static_cast<std::size_t>(tag) & hint_mask_;
+  }
+  /// Gives slot `i` (already holding `tag`, in set `set`) the newest
+  /// timestamp and points both MRU filters and `tag`'s hint at it.
+  void stamp(std::size_t i, std::uint64_t tag, std::size_t set,
+             std::size_t hint) {
     slots_[i].last_use = ++clock_;
     mru_ = tag;
+    newest_[set] = tag;
     hints_[hint] = static_cast<std::uint32_t>(i);
   }
 
-  bool find_scan(std::uint64_t tag);
-  bool access_scan(std::uint64_t tag);
+  /// Stamps `tag` and returns true when its hint slot `hint` holds it.
+  bool hint_hit(std::uint64_t tag, std::size_t hint) {
+    const std::uint32_t i = hints_[hint];
+    if (slots_[i].tag != tag) return false;
+    stamp(i, tag, set_of(tag), hint);
+    return true;
+  }
 
-  std::uint64_t mru_ = kEmpty;
+  bool find_scan(std::uint64_t tag, std::size_t hint);
+  bool access_scan(std::uint64_t tag, std::size_t hint);
+
+  std::uint64_t mru_ = kEmpty;  ///< the last tag stamped, in any set
   std::vector<Slot> slots_;  // sets_ * ways_, set-major
+  std::vector<std::uint64_t> newest_;  ///< per set: its newest tag or kEmpty
   unsigned ways_;
   std::uint64_t sets_;
   std::uint64_t set_mask_;  ///< sets_ - 1 when sets_ is a power of two

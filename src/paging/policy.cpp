@@ -48,23 +48,20 @@ bool PagingModel::thp_promoted(std::uint64_t chunk) const {
   return promoted;
 }
 
-Translation PagingModel::translate_slow(vaddr_t addr, PageKind layout) const {
-  switch (spec_.policy) {
-    case Policy::native:
-      break;
-    case Policy::base4k:
-      return {addr >> kSmallPageShift, PageKind::small4k};
-    case Policy::hugetlb2m:
-      return {addr >> kLargePageShift, PageKind::large2m};
-    case Policy::huge1g:
-      return {addr >> kHugePageShift1G, PageKind::huge1g};
-    case Policy::thp:
-      if (thp_promoted(addr >> kLargePageShift)) {
-        return {addr >> kLargePageShift, PageKind::large2m};
-      }
-      return {addr >> kSmallPageShift, PageKind::small4k};
+PagingModel::PagingModel(const PolicySpec& spec)
+    : spec_(spec),
+      identity_(spec.is_native()),
+      thp_(spec.policy == Policy::thp) {
+  if (spec.policy == Policy::hugetlb2m) fixed_kind_ = PageKind::large2m;
+  if (spec.policy == Policy::huge1g) fixed_kind_ = PageKind::huge1g;
+  fixed_shift_ = page_shift(fixed_kind_);
+}
+
+Translation PagingModel::translate_slow(vaddr_t addr) const {
+  if (thp_promoted(addr >> kLargePageShift)) {
+    return {addr >> kLargePageShift, PageKind::large2m};
   }
-  return {addr >> page_shift(layout), layout};
+  return {addr >> kSmallPageShift, PageKind::small4k};
 }
 
 mem::WalkResult PagingModel::walk(const mem::AddressSpace& space, vaddr_t addr,

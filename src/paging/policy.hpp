@@ -114,17 +114,19 @@ struct Translation {
 class PagingModel {
  public:
   PagingModel() = default;
-  explicit PagingModel(const PolicySpec& spec)
-      : spec_(spec), identity_(spec.is_native()) {}
+  explicit PagingModel(const PolicySpec& spec);
 
   const PolicySpec& spec() const { return spec_; }
   bool identity() const { return identity_; }
 
   /// Effective translation for an access to `addr` in a region laid out
-  /// with `layout` pages. Hot path: the native overlay is one branch.
+  /// with `layout` pages. Hot path: native is one branch, and base4k,
+  /// hugetlb2m and huge1g are a shift by a kind fixed at construction;
+  /// only thp leaves the header.
   Translation translate(vaddr_t addr, PageKind layout) const {
     if (identity_) return {addr >> page_shift(layout), layout};
-    return translate_slow(addr, layout);
+    if (!thp_) return {addr >> fixed_shift_, fixed_kind_};
+    return translate_slow(addr);
   }
 
   /// Policy-adjusted page walk: consults the real table (asserting the
@@ -144,10 +146,15 @@ class PagingModel {
   double thp_promotion_probability(std::uint64_t chunk) const;
 
  private:
-  Translation translate_slow(vaddr_t addr, PageKind layout) const;
+  /// The thp translation: a 2 MB entry if the chunk is promoted.
+  Translation translate_slow(vaddr_t addr) const;
 
   PolicySpec spec_;
   bool identity_ = true;
+  bool thp_ = false;
+  /// The one effective kind of base4k, hugetlb2m and huge1g, and its shift.
+  PageKind fixed_kind_ = PageKind::small4k;
+  std::size_t fixed_shift_ = kSmallPageShift;
   // Loop bodies hammer one chunk; memoising the last decision keeps the
   // thp hot path at one compare. Mutable because memoisation is invisible.
   mutable std::uint64_t memo_chunk_ = ~std::uint64_t{0};

@@ -58,7 +58,8 @@ ThreadSim::ThreadSim(const CostModel& cm, const mem::AddressSpace& space,
       contended_mem_stall_(cm.mem_stall),
       rng_(seed) {}
 
-void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access) {
+void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
+                           paging::Translation tr) {
   ThreadCounters& c = counters_;
   ++c.accesses;
   const bool is_store = access == Access::store;
@@ -68,7 +69,6 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access) {
   bool long_stall = false;
 
   // --- address translation --------------------------------------------------
-  const paging::Translation tr = paging_.translate(addr, kind);
   switch (tlbs_.data_access(tr.vpn, tr.kind)) {
     case tlb::DtlbHit::l1:
       break;
@@ -184,9 +184,9 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
     // Reference configuration: the naive per-event loop, exactly as the
     // entry points behaved before the fast path existed.
     for (std::uint64_t i = 0; i < n; ++i) {
-      touch_impl(addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) *
-                                             stride),
-                 kind, access);
+      const vaddr_t a =
+          addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) * stride);
+      touch_impl(a, kind, access, paging_.translate(a, kind));
     }
     return;
   }
@@ -198,7 +198,8 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
     // cache fill, prefetcher, jump countdown — whatever applies).
     const vaddr_t a =
         addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) * stride);
-    account_one(a, kind, access);
+    const paging::Translation tr = paging_.translate(a, kind);
+    account_one(a, kind, access, tr);
     ++i;
     if (i >= n) break;
 
@@ -225,7 +226,6 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
     // the bulk would have started. A 64-byte line sits inside one 4 KB
     // page, so every follower shares the lead's effective translation
     // under any paging policy.
-    const paging::Translation tr = paging_.translate(a, kind);
     if (!tlbs_.data_mru_hit(tr.vpn, tr.kind) || !l1d_.mru_hit(a)) {
       continue;
     }

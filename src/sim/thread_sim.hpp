@@ -15,8 +15,9 @@
 //
 // Fast path (DESIGN.md §7): touch/touch_run/touch_strided batch the
 // accesses of a cache-line segment into closed-form bulk updates whenever
-// the per-event outcome is *provably* the L1-TLB-MRU-hit + L1-cache-MRU-hit
-// case with no pending instruction jump. The bulk update is constructed to
+// the per-event outcome is *provably* the case where the translation is the
+// newest entry of its L1 DTLB set and the line the newest of its L1 cache
+// set, with no pending instruction jump. The bulk update is constructed to
 // be bit-identical to issuing the events one at a time — every ProfileReport
 // counter is a paper-facing result, so the fast path is only legal because
 // tests/oracle's differential harness proves counter-for-counter equality
@@ -82,7 +83,7 @@ class ThreadSim {
   /// backed by pages of `kind`.
   void touch(vaddr_t addr, PageKind kind, Access access) {
     if (sink_ != nullptr) sink_->on_touch(trace_tid_, addr, kind, access);
-    account_one(addr, kind, access);
+    account_one(addr, kind, access, paging_.translate(addr, kind));
   }
 
   /// Account `n` sequential 8-byte element accesses starting at `addr`
@@ -158,31 +159,40 @@ class ThreadSim {
   const cache::Cache& l2() const { return l2_; }
 
  private:
-  /// The accounting body of touch(); the public entry points layer trace
-  /// reporting on top (touch_run reports one run event, then accounts each
-  /// element through here so the machine-model behaviour is unchanged).
-  void touch_impl(vaddr_t addr, PageKind kind, Access access);
+  /// The accounting body of touch(), given the access's effective
+  /// translation `tr` (paging_.translate(addr, kind)); the public entry
+  /// points layer trace reporting on top (touch_run reports one run event,
+  /// then accounts each element through here so the machine-model behaviour
+  /// is unchanged).
+  void touch_impl(vaddr_t addr, PageKind kind, Access access,
+                  paging::Translation tr);
 
-  /// One access with the single-event fast path: when the L1 DTLB MRU and
-  /// L1 cache MRU both cover `addr` and no instruction jump is due, the
-  /// whole touch_impl reduces to the closed-form credit below (proof: the
-  /// TLB MRU hit returns DtlbHit::l1, the cache MRU hit returns true, no
-  /// long stall, and the jump counter just decrements).
-  void account_one(vaddr_t addr, PageKind kind, Access access) {
-    if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1)) {
-      const paging::Translation tr = paging_.translate(addr, kind);
-      if (tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(addr)) {
-        credit_line_run(1, tr.kind, access == Access::store);
-        return;
-      }
+  /// One access, translated to `tr`, with the single-event fast path: when
+  /// tr.vpn is the newest entry of its L1 DTLB set, addr's line is the
+  /// newest line of its L1 cache set, and no instruction jump is due, the
+  /// whole touch_impl reduces to the closed-form credit below. Proof: the
+  /// TLB probe returns DtlbHit::l1 and the cache probe returns true (a
+  /// set's newest tag is held), neither changes which entry any later
+  /// probe evicts (restamping a set's newest entry keeps every relative
+  /// order within the set), there is no long stall, and the jump counter
+  /// just decrements. Entries in different sets are all covered, so an
+  /// interleaved loop (CG's a[k] * p[col[k]], a stencil's planes) takes
+  /// this path whenever its streams sit in different sets.
+  void account_one(vaddr_t addr, PageKind kind, Access access,
+                   paging::Translation tr) {
+    if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1) &&
+        tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(addr)) {
+      credit_line_run(1, tr.kind, access == Access::store);
+      return;
     }
-    touch_impl(addr, kind, access);
+    touch_impl(addr, kind, access, tr);
   }
 
   /// Closed-form accounting for `n` accesses that are each a guaranteed
-  /// L1-TLB-MRU + L1-cache-MRU hit with no jump firing (caller-checked
-  /// preconditions, including n ≤ until_jump_ - 1 when the code model is
-  /// on). Bit-identical to n touch_impl calls taking that path.
+  /// L1-TLB + L1-cache hit on its set's newest entry, with no jump firing
+  /// (caller-checked preconditions, including n ≤ until_jump_ - 1 when the
+  /// code model is on). Bit-identical to n touch_impl calls taking that
+  /// path.
   void credit_line_run(count_t n, PageKind kind, bool is_store) {
     counters_.accesses += n;
     if (is_store) counters_.stores += n;

@@ -92,24 +92,29 @@ class Options {
     return n;
   }
 
-  /// Unsigned integer up to `max`, decimal or 0x-prefixed hex; throws
-  /// OptionError on an empty, negative, too large or trailing-garbage value.
+  /// Unsigned integer in [min, max], decimal or 0x-prefixed hex; throws
+  /// OptionError on an empty, negative, out-of-range or trailing-garbage
+  /// value. A count that must be positive (threads, ranks, rounds) passes
+  /// min = 1.
   std::uint64_t get_unsigned(const std::string& key, std::uint64_t def,
-                             std::uint64_t max = UINT64_MAX) const {
-    return to_unsigned(key, get(key, std::to_string(def)), max);
+                             std::uint64_t max = UINT64_MAX,
+                             std::uint64_t min = 0) const {
+    return to_unsigned(key, get(key, std::to_string(def)), max, min);
   }
 
   /// get_unsigned() of one token of --key (--threads=1,2,4).
   static std::uint64_t to_unsigned(const std::string& key,
                                    const std::string& v,
-                                   std::uint64_t max = UINT64_MAX) {
+                                   std::uint64_t max = UINT64_MAX,
+                                   std::uint64_t min = 0) {
     char* end = nullptr;
     errno = 0;
     const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
     if (v.empty() || v.front() == '-' || *end != '\0' || errno == ERANGE ||
-        n > max) {
+        n > max || n < min) {
       throw OptionError("--" + key + "=" + v + ": expected an unsigned " +
-                        "integer up to " + std::to_string(max));
+                        "integer from " + std::to_string(min) + " to " +
+                        std::to_string(max));
     }
     return n;
   }

@@ -8,8 +8,8 @@
 // true-LRU replacement within a set.
 //
 // Each present structure is one cache::LruSets tag store keyed by vpn, the
-// engine behind the data caches too: lookup() is inline down to its
-// MRU-filter check.
+// engine behind the data caches too: lookup() and access() are inline down
+// to the tag store's filter and hint checks.
 #pragma once
 
 #include <cstdint>
@@ -90,15 +90,26 @@ class Tlb {
     return true;
   }
 
-  /// True when a lookup of `vpn` would hit the bank's 1-entry MRU filter —
-  /// the bulk fast path's precondition for a guaranteed hit.
+  /// lookup() and, on a miss, insert() in one scan of the bank: the same
+  /// outcome, stats and LRU state as that pair.
+  bool access(vpn_t vpn, PageKind kind) {
+    const auto i = static_cast<std::size_t>(kind);
+    ++stats_.lookups[i];
+    if (!banks_[i] || !banks_[i]->access(vpn)) return false;
+    ++stats_.hits[i];
+    return true;
+  }
+
+  /// True when `vpn` is the newest entry of its set in the bank (see
+  /// cache::LruSets::mru_hit) — the bulk fast path's precondition for a
+  /// guaranteed hit.
   bool mru_hit(vpn_t vpn, PageKind kind) const {
     const auto& b = banks_[static_cast<std::size_t>(kind)];
     return b && b->mru_hit(vpn);
   }
 
-  /// Bulk accounting for `n` lookups the caller has proven would each hit
-  /// the MRU filter. Identical to n lookup() calls taking the filter path.
+  /// Bulk accounting for `n` lookups of a vpn the caller has proven is
+  /// mru_hit(). Identical to n lookup() calls of it.
   void credit_mru_run(PageKind kind, count_t n) {
     const auto i = static_cast<std::size_t>(kind);
     stats_.lookups[i] += n;

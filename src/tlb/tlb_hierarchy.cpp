@@ -9,25 +9,16 @@ TlbHierarchy::TlbHierarchy(Tlb::Config itlb, Tlb::Config l1d,
 }
 
 DtlbHit TlbHierarchy::data_access_miss(vpn_t vpn, PageKind kind) {
-  if (l2d_ && l2d_->supports(kind) && l2d_->lookup(vpn, kind)) {
-    l1d_.insert(vpn, kind);  // refill L1 from L2
+  // data_access's Tlb::access already refilled L1. One probe-or-fill of the
+  // L2 tells an L2 hit from a full miss, where the hardware walker fetches
+  // the translation and fills the hierarchy. A kind the L2 cannot hold (2 MB
+  // on the Opteron) fills L1 only, so such pages keep missing once the small
+  // L1 2 MB bank thrashes — the ">2 MB stride" caveat of §3.2.
+  if (l2d_ && l2d_->supports(kind) && l2d_->access(vpn, kind)) {
     return DtlbHit::l2;
   }
-
-  // Full miss: the hardware walker fetches the translation and fills the
-  // hierarchy. A kind the L2 cannot hold (2 MB on the Opteron) fills L1 only,
-  // so such pages keep missing once the small L1 2 MB bank thrashes — the
-  // ">2 MB stride" caveat of §3.2.
   ++walks_[static_cast<std::size_t>(kind)];
-  l1d_.insert(vpn, kind);
-  if (l2d_ && l2d_->supports(kind)) l2d_->insert(vpn, kind);
   return DtlbHit::walk;
-}
-
-bool TlbHierarchy::instr_access(vpn_t vpn, PageKind kind) {
-  if (itlb_.lookup(vpn, kind)) return true;
-  itlb_.insert(vpn, kind);
-  return false;
 }
 
 void TlbHierarchy::flush_all() {

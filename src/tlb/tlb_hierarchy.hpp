@@ -29,26 +29,30 @@ class TlbHierarchy {
 
   /// Probes for a data translation, refilling on the way back:
   /// a walk fills both levels (that support the kind), an L2 hit refills L1.
-  /// The L1-hit path — the overwhelmingly common case — is inlined.
+  /// Every miss refills L1, so the L1 probe and refill are one
+  /// Tlb::access(); the L1-hit path — the overwhelmingly common case — is
+  /// inlined.
   DtlbHit data_access(vpn_t vpn, PageKind kind) {
-    if (l1d_.lookup(vpn, kind)) return DtlbHit::l1;
+    if (l1d_.access(vpn, kind)) return DtlbHit::l1;
     return data_access_miss(vpn, kind);
   }
 
-  /// True when a data access to `vpn` would hit the L1 DTLB's MRU filter —
-  /// the bulk fast path's guarantee of a DtlbHit::l1 outcome.
+  /// True when `vpn` is the newest entry of its L1 DTLB set — the bulk
+  /// fast path's guarantee of a DtlbHit::l1 outcome.
   bool data_mru_hit(vpn_t vpn, PageKind kind) const {
     return l1d_.mru_hit(vpn, kind);
   }
 
-  /// Bulk accounting for `n` guaranteed L1 MRU hits (see Tlb::credit_mru_run).
+  /// Bulk accounting for `n` guaranteed L1 hits (see Tlb::credit_mru_run).
   void credit_data_mru_run(PageKind kind, count_t n) {
     l1d_.credit_mru_run(kind, n);
   }
 
   /// Probes for an instruction translation; returns true on a hit and fills
   /// on a miss.
-  bool instr_access(vpn_t vpn, PageKind kind);
+  bool instr_access(vpn_t vpn, PageKind kind) {
+    return itlb_.access(vpn, kind);
+  }
 
   /// Drops all translations (context switch on pre-ASID hardware).
   void flush_all();
@@ -83,7 +87,8 @@ class TlbHierarchy {
   void reset_stats();
 
  private:
-  /// L1-miss continuation of data_access: L2 probe, walk, refills.
+  /// L1-miss continuation of data_access (L1 already refilled): the L2
+  /// probe-or-fill and the walk count.
   DtlbHit data_access_miss(vpn_t vpn, PageKind kind);
 
   Tlb itlb_;

@@ -28,7 +28,6 @@ class ExactLru {
     if (it == set.end()) return false;
     set.erase(it);
     set.push_front(tag);
-    last_ = tag;
     return true;
   }
 
@@ -37,13 +36,11 @@ class ExactLru {
     auto& set = set_of(tag);
     set.push_front(tag);
     if (set.size() > ways_) set.pop_back();
-    last_ = tag;
     return false;
   }
 
   void flush() {
     for (auto& set : sets_) set.clear();
-    last_ = LruSets::kEmpty;
   }
 
   std::size_t occupancy() const {
@@ -52,9 +49,16 @@ class ExactLru {
     return n;
   }
 
-  /// The most recently used tag (kEmpty when nothing has been used since
-  /// the last flush).
-  std::uint64_t last() const { return last_; }
+  std::size_t sets() const { return sets_.size(); }
+
+  /// The most recently used tag of set `s` (kEmpty when the set is empty).
+  std::uint64_t front(std::size_t s) const {
+    return sets_[s].empty() ? LruSets::kEmpty : sets_[s].front();
+  }
+  /// front() of `tag`'s set.
+  std::uint64_t front_of_set(std::uint64_t tag) const {
+    return front(static_cast<std::size_t>(tag % sets_.size()));
+  }
 
  private:
   std::list<std::uint64_t>& set_of(std::uint64_t tag) {
@@ -63,7 +67,6 @@ class ExactLru {
 
   std::size_t ways_;
   std::vector<std::list<std::uint64_t>> sets_;
-  std::uint64_t last_ = LruSets::kEmpty;
 };
 
 struct EngineCase {
@@ -98,19 +101,22 @@ TEST_P(LruSetsProperty, MatchesExactLruModel) {
     } else if (op < 90) {
       ASSERT_EQ(engine.access(tag), model.access(tag)) << "access, step " << i;
     } else if (op < 99) {
-      // A bulk credit stands for n hits on the MRU tag, which the model
-      // applies one by one.
-      if (model.last() == LruSets::kEmpty) continue;
-      ASSERT_TRUE(engine.mru_hit(model.last())) << "step " << i;
+      // A bulk credit stands for n hits on the newest tag of any set, which
+      // the model applies one by one.
+      const std::uint64_t newest = model.front(
+          static_cast<std::size_t>(rng.next_below(model.sets())));
+      if (newest == LruSets::kEmpty) continue;
+      ASSERT_TRUE(engine.mru_hit(newest)) << "step " << i;
       const count_t n = 1 + rng.next_below(50);
       engine.credit_mru(n);
-      for (count_t k = 0; k < n; ++k) model.find(model.last());
+      for (count_t k = 0; k < n; ++k) model.find(newest);
     } else {
       engine.flush();
       model.flush();
     }
-    // The filter holds exactly the most recently used tag.
-    ASSERT_EQ(engine.mru_hit(tag), model.last() == tag) << "step " << i;
+    // The filter holds exactly the most recently used tag of each set.
+    ASSERT_EQ(engine.mru_hit(tag), model.front_of_set(tag) == tag)
+        << "step " << i;
     ASSERT_EQ(engine.occupancy(), model.occupancy()) << "step " << i;
   }
   ASSERT_LE(engine.occupancy(), c.entries);
@@ -146,6 +152,20 @@ TEST(LruSets, PresentTagFillMovesTheMruFilter) {
   EXPECT_TRUE(s.find(c));
 }
 
+TEST(LruSets, EverySetsNewestTagIsAnMruHit) {
+  // Four sets of two ways; tags 0 and 4 share set 0, tag 1 is in set 1.
+  LruSets s(8, 2, 256);
+  s.fill(0);
+  s.fill(1);
+  EXPECT_TRUE(s.mru_hit(0));  // newest of set 0, though 1 came later
+  EXPECT_TRUE(s.mru_hit(1));
+  s.fill(4);
+  EXPECT_FALSE(s.mru_hit(0));  // 4 is now set 0's newest
+  EXPECT_TRUE(s.mru_hit(4));
+  EXPECT_TRUE(s.mru_hit(1));
+  EXPECT_FALSE(s.mru_hit(2));  // never filled
+}
+
 TEST(LruSets, FlushEmptiesEverySlotAndTheFilter) {
   LruSets s(8, 2, 256);
   for (std::uint64_t t = 0; t < 8; ++t) s.fill(t);
@@ -153,6 +173,7 @@ TEST(LruSets, FlushEmptiesEverySlotAndTheFilter) {
   s.flush();
   EXPECT_EQ(s.occupancy(), 0u);
   EXPECT_FALSE(s.mru_hit(7));
+  EXPECT_FALSE(s.mru_hit(6));
   EXPECT_FALSE(s.find(7));
 }
 

@@ -12,7 +12,8 @@
 // After every stream, every counter — ThreadCounters plus the TLB and
 // cache structure stats — must agree across all three. The generator mixes
 // strides crossing 4 KB and 2 MB boundaries, page-kind mixes, periodic
-// multi-slot blocks (the shape REPEAT records decode into), TLB flushes
+// multi-slot blocks (the shape REPEAT records decode into), interleaved
+// arrays in different sets and pages (CG's gather loop), TLB flushes
 // (SMT context switches on pre-ASID hardware), and in-place superpage
 // promotion; streams run on both of the paper's platforms.
 //
@@ -320,29 +321,28 @@ void run_platform(const sim::ProcessorSpec& spec,
            << std::dec << '\n';
     Rng gen(seed);
 
-    const unsigned n_ops = 2 + static_cast<unsigned>(gen.next_below(10));
-    for (unsigned op = 0; op < n_ops; ++op) {
-      // Pick a target window: a promo chunk (kind follows its promotion
-      // state), the plain 4 KB region, or the 2 MB region.
-      const std::uint64_t which = gen.next_below(3);
+    // Picks a target window: a promo chunk (kind follows its promotion
+    // state), the plain 4 KB region, or the 2 MB region.
+    struct Window {
       vaddr_t base;
       std::size_t limit;
       PageKind kind;
+    };
+    auto pick_window = [&]() -> Window {
+      const std::uint64_t which = gen.next_below(3);
       if (which == 0) {
         const auto chunk =
             static_cast<std::size_t>(gen.next_below(Layout::kPromoChunks));
-        base = lay.promo.base + static_cast<vaddr_t>(chunk) * MiB(2);
-        limit = MiB(2);
-        kind = lay.promoted[chunk] ? PageKind::large2m : PageKind::small4k;
-      } else if (which == 1) {
-        base = lay.small.base;
-        limit = KiB(256);
-        kind = PageKind::small4k;
-      } else {
-        base = lay.large.base;
-        limit = MiB(8);
-        kind = PageKind::large2m;
+        return {lay.promo.base + static_cast<vaddr_t>(chunk) * MiB(2), MiB(2),
+                lay.promoted[chunk] ? PageKind::large2m : PageKind::small4k};
       }
+      if (which == 1) return {lay.small.base, KiB(256), PageKind::small4k};
+      return {lay.large.base, MiB(8), PageKind::large2m};
+    };
+
+    const unsigned n_ops = 2 + static_cast<unsigned>(gen.next_below(10));
+    for (unsigned op = 0; op < n_ops; ++op) {
+      const auto [base, limit, kind] = pick_window();
       const Access access =
           gen.next_below(3) == 0 ? Access::store : Access::load;
 
@@ -478,7 +478,7 @@ void run_platform(const sim::ProcessorSpec& spec,
         }
         if (slots.empty()) continue;
         for (Trio& t : trios) drive_slots(t, slots, periods);
-      } else if (roll < 88) {
+      } else if (roll < 84) {
         const auto cycles = static_cast<cycles_t>(gen.next_below(500));
         for (int w = 0; w < 2; ++w) {
           Trio& t = trios[static_cast<std::size_t>(w)];
@@ -486,13 +486,54 @@ void run_platform(const sim::ProcessorSpec& spec,
           t.slow.add_compute(cycles);
           t.ref.add_compute(cycles);
         }
+      } else if (roll < 90) {
+        // Interleaved arrays — CG's a[k] * p[col[k]] loop shape: per period
+        // one touch of each of two unit-stride arrays and of a gathered
+        // third, in lockstep. The three windows are drawn independently, so
+        // the arrays' lines sit in different cache sets and mostly on
+        // different pages; the fast path credits a line that is the newest
+        // of its set while the other arrays' lines are newer elsewhere.
+        static constexpr std::int64_t kIncs[] = {8, 8, 24, 520, 4104, -72};
+        const std::uint64_t periods = 8 + gen.next_below(120);
+        std::vector<Slot> slots(3);
+        for (std::size_t si = 0; si < slots.size(); ++si) {
+          Slot& s = slots[si];
+          const Window w = si == 0 ? Window{base, limit, kind} : pick_window();
+          s.page = w.kind;
+          s.period_inc = si < 2 ? 8 : kIncs[gen.next_below(6)];
+          std::int64_t span =
+              std::abs(s.period_inc) * static_cast<std::int64_t>(periods - 1);
+          if (span > static_cast<std::int64_t>(w.limit - 8)) {
+            s.period_inc = 8;
+            span = 8 * static_cast<std::int64_t>(periods - 1);
+          }
+          const std::int64_t lo = std::min<std::int64_t>(
+              0, s.period_inc * static_cast<std::int64_t>(periods - 1));
+          const std::uint64_t play =
+              (w.limit - 8 - static_cast<std::uint64_t>(span)) / 8 + 1;
+          s.addr =
+              w.base + static_cast<vaddr_t>(-lo) + 8 * gen.next_below(play);
+          s.access = si == 2 && gen.next_below(4) == 0 ? Access::store
+                                                       : Access::load;
+        }
+        for (Trio& t : trios) drive_slots(t, slots, periods);
       } else if (roll < 94) {
         // SMT context switch on pre-ASID hardware: all translations drop.
+        // The same address is touched just before and just after, so a
+        // translation that survives the flush anywhere (an MRU filter
+        // included) shows as a missing walk.
+        const vaddr_t addr = base + 8 * gen.next_below(limit / 8);
         for (int w = 0; w < 2; ++w) {
           Trio& t = trios[static_cast<std::size_t>(w)];
+          t.fast.touch(addr, kind, access);
+          t.slow.touch(addr, kind, access);
+          t.ref.touch(addr, kind, access);
           t.fast.tlbs().flush_all();
           t.slow.tlbs().flush_all();
           t.ref.flush_tlbs();
+          t.fast.touch(addr, kind, access);
+          t.slow.touch(addr, kind, access);
+          t.ref.touch(addr, kind, access);
         }
       } else {
         // Promotion event: one 4 KB chunk becomes a huge page, followed by

@@ -318,6 +318,25 @@ TEST(Options, UnsignedRejectsNegativeGarbageAndOutOfRange) {
                OptionError);
 }
 
+// A count with a minimum (threads, ranks, rounds) rejects a value below it
+// with the accepted range in the message; the bounds themselves pass.
+TEST(Options, UnsignedRejectsValuesBelowTheMinimum) {
+  EXPECT_EQ(options_of("--threads=1").get_unsigned("threads", 4, 8, 1), 1u);
+  EXPECT_EQ(options_of("--threads=8").get_unsigned("threads", 4, 8, 1), 8u);
+  EXPECT_EQ(Options{}.get_unsigned("threads", 4, 8, 1), 4u);
+  for (const char* bad : {"--threads=0", "--threads=-1", "--threads=9"}) {
+    try {
+      (void)options_of(bad).get_unsigned("threads", 4, 8, 1);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(e.what()).find("from 1 to 8"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(Options::to_unsigned("threads", "0", 8), 0u);  // min defaults to 0
+  EXPECT_THROW(Options::to_unsigned("threads", "0", 8, 1), OptionError);
+}
+
 TEST(Names, SplitListKeepsEmptyTokens) {
   EXPECT_EQ(split_list("CG,MG"), (std::vector<std::string>{"CG", "MG"}));
   EXPECT_EQ(split_list(""), std::vector<std::string>{""});

@@ -6,7 +6,8 @@
 //   * true LRU within a set — an entry touched within the last `ways`
 //     accesses to its set is never evicted (verified against an exact
 //     per-set LRU reference model, which also pins hit/miss equivalence);
-//   * flush_all() zeroes occupancy but preserves cumulative walk counts.
+//   * flush_all() zeroes occupancy but preserves cumulative walk counts;
+//   * Tlb::access (one scan) equals lookup() then insert() on a miss.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,6 +115,37 @@ TEST_P(TlbProperty, MatchesExactLruModelAndNeverEvictsRecentlyTouched) {
         model.touch(r);  // keep the model in sync with the probe
       }
     }
+  }
+}
+
+TEST_P(TlbProperty, AccessMatchesLookupThenInsert) {
+  // Tlb::access is lookup() plus, on a miss, insert() in one scan: the same
+  // verdicts, stats and occupancy on a random stream over every kind,
+  // including a kind the level cannot hold (1 GiB here).
+  const Geometry g = GetParam();
+  const Tlb::Config cfg{"prop",
+                        {g.entries, g.ways},
+                        {g.entries / 2 + 1, g.entries / 2 + 1},
+                        {}};
+  Tlb one_scan(cfg);
+  Tlb two_scans(cfg);
+  Rng rng(0xacce55'0001ULL + g.entries * 7 + g.ways);
+  for (int i = 0; i < 20000; ++i) {
+    const auto kind = static_cast<PageKind>(rng.next_below(kPageKindCount));
+    const vpn_t vpn = rng.next_below(g.entries * 3 + 1);
+    ASSERT_EQ(one_scan.access(vpn, kind), touch(two_scans, vpn, kind))
+        << "step " << i;
+    if (i % 64 == 0) {
+      for (PageKind k :
+           {PageKind::small4k, PageKind::large2m, PageKind::huge1g}) {
+        ASSERT_EQ(one_scan.occupancy(k), two_scans.occupancy(k))
+            << "step " << i;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kPageKindCount; ++k) {
+    EXPECT_EQ(one_scan.stats().lookups[k], two_scans.stats().lookups[k]);
+    EXPECT_EQ(one_scan.stats().hits[k], two_scans.stats().hits[k]);
   }
 }
 
