@@ -10,6 +10,7 @@
 #include "core/runtime.hpp"
 #include "dsm/msg_channel.hpp"
 #include "mem/hugetlbfs.hpp"
+#include "npb/npb.hpp"
 #include "sim/machine.hpp"
 #include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
@@ -177,6 +178,39 @@ void BM_BuddyAllocFree2MB(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuddyAllocFree2MB);
+
+// Substrate setup and teardown of one grid point, as npb::run_kernel does
+// them around the kernel: PC.S on the Opteron model, 1 thread, 4 KB pages.
+void BM_RuntimeSetup(benchmark::State& state) {
+  core::RuntimeConfig cfg;
+  cfg.num_threads = 1;
+  cfg.shared_pool_bytes = npb::pool_bytes_for(npb::Kernel::PC, npb::Klass::S);
+  cfg.sim = core::SimConfig{};
+  const npb::CodeModel code = npb::code_model(npb::Kernel::PC);
+  const auto text_bytes =
+      static_cast<std::size_t>(npb::binary_bytes(npb::Kernel::PC));
+  for (auto _ : state) {
+    core::Runtime rt(cfg);
+    rt.attach_code_model(text_bytes, code.jump_period, code.cold_fraction,
+                         cfg.code_page_kind);
+    benchmark::DoNotOptimize(rt.space().mapped_bytes());
+  }
+}
+BENCHMARK(BM_RuntimeSetup);
+
+// A fresh space per iteration: virtual addresses are never reused and
+// page-table nodes are freed only with the space, so one long-lived space
+// would keep growing its table.
+void BM_MapRegion4K(benchmark::State& state) {
+  mem::PhysMem pm(MiB(64));
+  for (auto _ : state) {
+    mem::AddressSpace space(pm);
+    const mem::Region r = space.map_region(MiB(4), PageKind::small4k, "r");
+    benchmark::DoNotOptimize(r.base);
+    space.unmap_region(r.base);
+  }
+}
+BENCHMARK(BM_MapRegion4K);
 
 void BM_HugeTlbFsTakeReturn(benchmark::State& state) {
   mem::PhysMem pm(MiB(256));

@@ -14,13 +14,15 @@
 // prints the profile; with --check it also runs the same config live and
 // verifies every counter matches bit-for-bit. `bench` times a replay of
 // each trace against the live run that recorded it (same platform, seed
-// and code pages; minimum of --repeat runs each) and asserts the two agree
-// counter-for-counter — the replay-over-live ratio CI gates on.
+// and code pages; minimum of --repeat runs each, with their median and
+// maximum beside it) and asserts the two agree counter-for-counter — the
+// replay-over-live ratio of the minima is what CI gates on.
 // `stats` decodes the trace and prints stride histograms, hot-page counts
 // and reuse-distance profiles at 4 KB and 2 MB granularity — the
 // quantities that explain which kernels large pages help.
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
@@ -132,15 +134,24 @@ int cmd_replay(const Options& opts) {
   return 0;
 }
 
-/// One trace's bench measurements: min-of-repeat wall of the live run
-/// that recorded it and of its replay under the same configuration, their
-/// ratio, a counter-identity verdict, and the trace's element-access count.
+/// Wall time of --repeat runs of one side: the minimum, which the ratio
+/// and the CI gate use, and the median and maximum, which show how far the
+/// host moved the runs.
+struct RepeatTimes {
+  double min_ms = 0.0;
+  double median_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+/// One trace's bench measurements: the walls of the live run that recorded
+/// it and of its replay under the same configuration, the ratio of their
+/// minima, a counter-identity verdict, and the trace's element-access count.
 struct BenchEntry {
   std::string trace_key;
   std::string platform;
   std::uint64_t accesses = 0;
-  double live_ms = 0.0;
-  double replay_ms = 0.0;
+  RepeatTimes live;
+  RepeatTimes replay;
   double replay_over_live = 0.0;
   bool identical = false;
 };
@@ -150,16 +161,21 @@ BenchEntry bench_one(const std::string& path, int repeat) {
   const exec::RunTask task = task_of(trace);
 
   using clock = std::chrono::steady_clock;
-  auto min_ms = [repeat](auto&& fn) {
-    double best = 1e300;
+  auto time_ms = [repeat](auto&& fn) {
+    std::vector<double> ms;
     for (int r = 0; r < repeat; ++r) {
       const auto t0 = clock::now();
       fn();
-      best = std::min(best, std::chrono::duration<double, std::milli>(
-                                clock::now() - t0)
-                                .count());
+      ms.push_back(
+          std::chrono::duration<double, std::milli>(clock::now() - t0)
+              .count());
     }
-    return best;
+    std::sort(ms.begin(), ms.end());
+    const std::size_t mid = ms.size() / 2;
+    return RepeatTimes{
+        ms.front(),
+        ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2,
+        ms.back()};
   };
 
   BenchEntry e;
@@ -167,15 +183,15 @@ BenchEntry bench_one(const std::string& path, int repeat) {
   e.platform = task.spec.name;
   e.accesses = trace::analyze_trace(trace).element_accesses;
   npb::NpbResult live;
-  e.live_ms = min_ms([&] {
+  e.live = time_ms([&] {
     live = npb::run_kernel(task.kernel, task.klass, task.runtime_config());
   });
   trace::ReplayOutcome replayed;
-  e.replay_ms = min_ms([&] {
+  e.replay = time_ms([&] {
     replayed = trace::ReplayDriver(bench::replay_config(task)).run(trace);
   });
   e.identical = bench::same_counters(live, replayed);
-  e.replay_over_live = e.replay_ms / e.live_ms;
+  e.replay_over_live = e.replay.min_ms / e.live.min_ms;
   return e;
 }
 
@@ -199,10 +215,14 @@ int cmd_bench(const Options& opts) {
     std::cout << "replay bench " << e.trace_key << " on " << e.platform
               << " (min of " << repeat << ", " << format_count(e.accesses)
               << " accesses):\n"
-              << "  live     " << format_ratio(e.live_ms)
-              << " ms (the run that recorded the trace)\n"
-              << "  replay   " << format_ratio(e.replay_ms)
-              << " ms (stream decode + per-event replay)\n"
+              << "  live     " << format_ratio(e.live.min_ms)
+              << " ms (the run that recorded the trace; median "
+              << format_ratio(e.live.median_ms) << ", max "
+              << format_ratio(e.live.max_ms) << ")\n"
+              << "  replay   " << format_ratio(e.replay.min_ms)
+              << " ms (stream decode + per-event replay; median "
+              << format_ratio(e.replay.median_ms) << ", max "
+              << format_ratio(e.replay.max_ms) << ")\n"
               << "  ratio    " << format_ratio(e.replay_over_live)
               << "x replay over live; counters "
               << (e.identical ? "identical" : "DIFFER") << "\n";
@@ -223,8 +243,12 @@ int cmd_bench(const Options& opts) {
       w.field("trace", e.trace_key);
       w.field("platform", e.platform);
       w.field("accesses", e.accesses);
-      w.field("live_ms", e.live_ms);
-      w.field("replay_ms", e.replay_ms);
+      w.field("live_ms", e.live.min_ms);
+      w.field("live_median_ms", e.live.median_ms);
+      w.field("live_max_ms", e.live.max_ms);
+      w.field("replay_ms", e.replay.min_ms);
+      w.field("replay_median_ms", e.replay.median_ms);
+      w.field("replay_max_ms", e.replay.max_ms);
       w.field("replay_over_live", e.replay_over_live);
       w.field("identical", e.identical);
       w.end_object();

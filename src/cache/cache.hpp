@@ -51,12 +51,8 @@ class Cache {
   /// Returns true on hit. A miss allocates the line (write-allocate for
   /// stores; write-back traffic is not modelled — the paper's effects are
   /// read-latency effects).
-  bool access(vaddr_t addr, bool is_store) {
-    ++stats_.lookups;
-    if (is_store) ++stats_.store_lookups;
-    if (!tags_.access(addr >> line_shift_)) return false;
-    ++stats_.hits;
-    return true;
+  bool access(vaddr_t addr, bool /*is_store*/) {
+    return tags_.access(addr >> line_shift_);
   }
 
   /// True when `addr`'s line is the newest line of its set (and an access to
@@ -66,33 +62,13 @@ class Cache {
     return tags_.mru_hit(addr >> line_shift_);
   }
 
-  /// Bulk accounting for `n` accesses the caller has proven each fall on a
-  /// line that is mru_hit(). Identical to n access() calls of them.
-  void credit_mru_run(bool is_store, count_t n) {
-    stats_.lookups += n;
-    if (is_store) stats_.store_lookups += n;
-    stats_.hits += n;
-    tags_.credit_mru(n);
-  }
-
   void flush() { tags_.flush(); }
+
+  /// Lines currently held; never above geometry().lines().
+  std::size_t occupancy() const { return tags_.occupancy(); }
 
   const CacheGeometry& geometry() const { return geom_; }
   const std::string& name() const { return name_; }
-
-  struct Stats {
-    count_t lookups = 0;
-    count_t hits = 0;
-    count_t store_lookups = 0;
-    count_t misses() const { return lookups - hits; }
-    double miss_rate() const {
-      return lookups ? static_cast<double>(misses()) /
-                           static_cast<double>(lookups)
-                     : 0.0;
-    }
-  };
-  const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   /// Hint-table slots of a cache's tag store.
@@ -102,7 +78,6 @@ class Cache {
   CacheGeometry geom_;
   std::size_t line_shift_;
   LruSets tags_;  ///< line addresses (addr >> line_shift_)
-  Stats stats_;
 };
 
 }  // namespace lpomp::cache

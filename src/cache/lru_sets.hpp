@@ -16,7 +16,7 @@
 // victim selection depends only on relative order within a set. That is
 // why mru_hit() is inline and side-effect free, why it holds for the newest
 // tag of *every* set (not only the last one stamped, which the global
-// filter checks first), and why credit_mru(n) changes nothing.
+// filter checks first), and why n such hits in bulk need no update at all.
 //
 // Behind the filter sits a direct-mapped table of tag → slot hints. A hint
 // is verified against the slot's tag before use, and a valid tag lives in
@@ -67,11 +67,6 @@ class LruSets {
 
   /// Installs `tag` (stamping it if already present).
   void fill(std::uint64_t tag) { access(tag); }
-
-  /// The LRU effect of `n` hits on a tag the caller has proven is its
-  /// set's newest (mru_hit): none (see the rule above). Exists so a bulk
-  /// credit names the operation it stands for.
-  void credit_mru(count_t /*n*/) const {}
 
   /// Empties every slot and the MRU filters.
   void flush();

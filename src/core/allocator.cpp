@@ -1,5 +1,8 @@
 #include "core/allocator.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <new>
 #include <stdexcept>
 
@@ -14,11 +17,33 @@ SharedAllocator::SharedAllocator(mem::AddressSpace& space,
   LPOMP_CHECK_MSG(pool_bytes > 0, "shared pool must be non-empty");
   region_ = space_.map_region(pool_bytes, kind, std::move(name), source);
   pool_bytes_ = region_.length;  // rounded up to the page size
-  host_.reset(static_cast<std::byte*>(std::calloc(pool_bytes_, 1)));
-  if (host_ == nullptr) throw std::bad_alloc();
+
+  // Map whole host pages plus the guard page, and place the image so that
+  // it ends exactly where the guard begins.
+  const auto host_page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t image_pages = (pool_bytes_ + host_page - 1) / host_page;
+  mapping_bytes_ = (image_pages + 1) * host_page;
+  void* mapping = ::mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapping != MAP_FAILED &&
+      ::mprotect(static_cast<std::byte*>(mapping) + image_pages * host_page,
+                 host_page, PROT_NONE) != 0) {
+    ::munmap(mapping, mapping_bytes_);
+    mapping = MAP_FAILED;
+  }
+  if (mapping == MAP_FAILED) {
+    // The destructor will not run: release the region here.
+    space_.unmap_region(region_.base);
+    throw std::bad_alloc();
+  }
+  mapping_ = static_cast<std::byte*>(mapping);
+  host_ = mapping_ + image_pages * host_page - pool_bytes_;
 }
 
-SharedAllocator::~SharedAllocator() { space_.unmap_region(region_.base); }
+SharedAllocator::~SharedAllocator() {
+  ::munmap(mapping_, mapping_bytes_);
+  space_.unmap_region(region_.base);
+}
 
 SharedAllocator::Block SharedAllocator::allocate(std::size_t bytes,
                                                  std::size_t align,
@@ -37,7 +62,7 @@ SharedAllocator::Block SharedAllocator::allocate(std::size_t bytes,
   labels_.emplace_back(label.empty() ? "anonymous" : label, bytes);
 
   Block block;
-  block.host = host_.get() + offset;
+  block.host = host_ + offset;
   block.sim_base = region_.base + offset;
   block.bytes = bytes;
   block.kind = kind_;

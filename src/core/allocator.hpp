@@ -15,11 +15,14 @@
 // computes on) with a *simulated* address range (what the machine simulator
 // sees), at identical offsets, so simulated addresses preserve the exact
 // layout the allocator produced.
+//
+// The host buffer is an anonymous mmap, so it reads all-zero and the host
+// faults in only the pages the kernels write; it is unmapped when the
+// allocator is destroyed. One PROT_NONE guard page follows the pool, so a
+// write past the pool's last byte faults in every build.
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,12 +74,12 @@ class SharedAllocator {
   PageKind kind_;
   std::size_t pool_bytes_;
   mem::Region region_;
-  struct FreeDeleter {
-    void operator()(std::byte* p) const { std::free(p); }
-  };
-  /// The "memory-mapped file" image: calloc'd, so it reads all-zero while
-  /// only the pages the kernels actually write get faulted in.
-  std::unique_ptr<std::byte[], FreeDeleter> host_;
+  /// The host mapping: the image, then the guard page.
+  std::byte* mapping_ = nullptr;
+  std::size_t mapping_bytes_ = 0;
+  /// The "memory-mapped file" image: pool_bytes_ bytes inside mapping_
+  /// that end where the guard page begins.
+  std::byte* host_ = nullptr;
   std::size_t used_ = 0;
   std::vector<std::pair<std::string, std::size_t>> labels_;
 };

@@ -1,5 +1,6 @@
 #include "mem/address_space.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lpomp::mem {
@@ -18,28 +19,38 @@ Region AddressSpace::map_region(std::size_t bytes, PageKind kind,
   const std::size_t psize = page_size(kind);
   const std::size_t length = (bytes + psize - 1) / psize * psize;
   const std::size_t pages = length / psize;
-  const std::size_t order = kind == PageKind::small4k ? 0 : PhysMem::kHugeOrder;
+  const std::size_t order = order_of(kind);
 
   RegionState state;
   state.region = Region{next_base_[static_cast<std::size_t>(kind)], length,
                         kind, std::move(name)};
   state.source = source;
+  state.slots.reserve(pages);
 
+  // Undoes a partial population before an exhaustion is reported.
+  const auto roll_back = [&] {
+    for (std::size_t i = 0; i < state.slots.size(); ++i) {
+      table_.unmap(state.region.base + i * psize);
+      source->return_block(state.slots[i].block, order);
+    }
+  };
   for (std::size_t i = 0; i < pages; ++i) {
     const vaddr_t va = state.region.base + i * psize;
     auto block = source->take_block(order);
     if (!block) {
-      // Roll back partial population before reporting exhaustion.
-      for (const auto& [mapped_va, mapping] : state.pages) {
-        table_.unmap(mapped_va);
-        mapping.source->return_block(mapping.block, order);
-      }
+      roll_back();
       throw std::runtime_error(
           "AddressSpace: cannot back region '" + state.region.name +
           "' with " + std::string(page_kind_name(kind)) + " pages");
     }
-    table_.map(va, *block, kind);
-    state.pages.emplace(va, PageMapping{*block, kind, source});
+    try {
+      table_.map(va, *block, kind);
+    } catch (const std::runtime_error&) {  // no frame for a table node
+      source->return_block(*block, order);
+      roll_back();
+      throw;
+    }
+    state.slots.push_back(Slot{*block, kind});
   }
 
   next_base_[static_cast<std::size_t>(kind)] += length;
@@ -52,15 +63,17 @@ Region AddressSpace::map_region(std::size_t bytes, PageKind kind,
 void AddressSpace::unmap_region(vaddr_t base) {
   auto it = regions_.find(base);
   LPOMP_CHECK_MSG(it != regions_.end(), "unmap of unknown region");
-  RegionState& state = it->second;
-  for (const auto& [va, mapping] : state.pages) {
-    const bool was_mapped = table_.unmap(va);
+  const RegionState& state = it->second;
+  const std::size_t psize = page_size(state.region.kind);
+  // A promoted chunk's 512 slots are one huge page: unmap it once.
+  for (std::size_t i = 0; i < state.slots.size();
+       i += page_size(state.slots[i].kind) / psize) {
+    const Slot& slot = state.slots[i];
+    const bool was_mapped = table_.unmap(state.region.base + i * psize);
     LPOMP_CHECK(was_mapped);
-    const std::size_t order =
-        mapping.kind == PageKind::small4k ? 0 : PhysMem::kHugeOrder;
-    mapping.source->return_block(mapping.block, order);
-    mapped_bytes_[static_cast<std::size_t>(mapping.kind)] -=
-        page_size(mapping.kind);
+    source_of(state, slot)->return_block(slot.block, order_of(slot.kind));
+    mapped_bytes_[static_cast<std::size_t>(slot.kind)] -=
+        page_size(slot.kind);
   }
   regions_.erase(it);
 }
@@ -76,12 +89,15 @@ bool AddressSpace::promote(vaddr_t chunk_base) {
 
   // The chunk must currently consist of 512 small pages.
   constexpr std::size_t kPagesPerChunk = kLargePageSize / kSmallPageSize;
-  for (std::size_t i = 0; i < kPagesPerChunk; ++i) {
-    auto it = state->pages.find(chunk_base + i * kSmallPageSize);
-    LPOMP_CHECK_MSG(it != state->pages.end() &&
-                        it->second.kind == PageKind::small4k,
-                    "promotion of a chunk that is not 4 KB-mapped");
-  }
+  LPOMP_CHECK_MSG(state->region.kind == PageKind::small4k,
+                  "promotion of a chunk that is not 4 KB-mapped");
+  Slot* chunk =
+      &state->slots[(chunk_base - state->region.base) / kSmallPageSize];
+  LPOMP_CHECK_MSG(std::all_of(chunk, chunk + kPagesPerChunk,
+                              [](const Slot& s) {
+                                return s.kind == PageKind::small4k;
+                              }),
+                  "promotion of a chunk that is not 4 KB-mapped");
 
   // A promotion needs an aligned physical 2 MB block; under fragmentation
   // this is exactly what fails (the motivation for the paper's boot-time
@@ -90,15 +106,11 @@ bool AddressSpace::promote(vaddr_t chunk_base) {
   if (!huge) return false;
 
   for (std::size_t i = 0; i < kPagesPerChunk; ++i) {
-    const vaddr_t va = chunk_base + i * kSmallPageSize;
-    auto it = state->pages.find(va);
-    table_.unmap(va);
-    it->second.source->return_block(it->second.block, 0);
-    state->pages.erase(it);
+    table_.unmap(chunk_base + i * kSmallPageSize);
+    state->source->return_block(chunk[i].block, 0);
+    chunk[i] = Slot{*huge, PageKind::large2m};
   }
   table_.map(chunk_base, *huge, PageKind::large2m);
-  state->pages.emplace(chunk_base,
-                       PageMapping{*huge, PageKind::large2m, &pm_});
   mapped_bytes_[static_cast<std::size_t>(PageKind::small4k)] -= kLargePageSize;
   mapped_bytes_[static_cast<std::size_t>(PageKind::large2m)] += kLargePageSize;
   ++promotions_;
@@ -108,17 +120,9 @@ bool AddressSpace::promote(vaddr_t chunk_base) {
 PageKind AddressSpace::kind_at(vaddr_t vaddr) const {
   const RegionState* state = find_state(vaddr);
   LPOMP_CHECK_MSG(state != nullptr, "kind_at of unmapped address");
-  // Probe the huge-page base first, then the small-page base.
-  const vaddr_t huge_base = vaddr & ~(static_cast<vaddr_t>(kLargePageSize) - 1);
-  auto it = state->pages.find(huge_base);
-  if (it != state->pages.end() && it->second.kind == PageKind::large2m) {
-    return PageKind::large2m;
-  }
-  const vaddr_t small_base =
-      vaddr & ~(static_cast<vaddr_t>(kSmallPageSize) - 1);
-  it = state->pages.find(small_base);
-  LPOMP_CHECK_MSG(it != state->pages.end(), "kind_at of unmapped address");
-  return it->second.kind;
+  return state->slots[(vaddr - state->region.base) /
+                      page_size(state->region.kind)]
+      .kind;
 }
 
 AddressSpace::RegionState* AddressSpace::find_state(vaddr_t vaddr) {

@@ -94,16 +94,27 @@ class AddressSpace {
   std::vector<Region> regions() const;
 
  private:
-  struct PageMapping {
+  /// The frame backing one page of a region, and its kind.
+  struct Slot {
     paddr_t block = 0;
     PageKind kind = PageKind::small4k;
-    FrameSource* source = nullptr;  ///< where the frame came from
   };
   struct RegionState {
     Region region;
-    FrameSource* source = nullptr;       // original mapping source
-    std::map<vaddr_t, PageMapping> pages;  // keyed by page base
+    FrameSource* source = nullptr;  // original mapping source
+    // One slot per page of region.kind, by page number. A promoted 2 MB
+    // chunk of a 4 KB region sets all 512 of its slots to the huge frame
+    // (kind large2m, from the PhysMem); a slot whose kind differs from the
+    // region's is therefore always a promoted one.
+    std::vector<Slot> slots;
   };
+
+  static std::size_t order_of(PageKind kind) {
+    return kind == PageKind::small4k ? 0 : PhysMem::kHugeOrder;
+  }
+  FrameSource* source_of(const RegionState& state, const Slot& slot) {
+    return slot.kind == state.region.kind ? state.source : &pm_;
+  }
 
   RegionState* find_state(vaddr_t vaddr);
   const RegionState* find_state(vaddr_t vaddr) const;

@@ -11,10 +11,8 @@ PageTable::PageTable(PhysMem& pm) : pm_(pm) {
 
 PageTable::~PageTable() {
   // Return every live node's frame to the physical allocator.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].entries.empty()) {
-      pm_.return_block(nodes_[i].frame, 0);
-    }
+  for (paddr_t frame : frames_) {
+    if (frame != kFreeSlot) pm_.return_block(frame, 0);
   }
 }
 
@@ -25,14 +23,16 @@ std::size_t PageTable::new_node() {
   }
   std::size_t index;
   if (!free_slots_.empty()) {
+    // A slot is freed only when none of its entries is present, and
+    // unmap() resets an entry to Entry{}, so its entries are all empty.
     index = free_slots_.back();
     free_slots_.pop_back();
-    nodes_[index] = Node{};
+    frames_[index] = *frame;
   } else {
-    index = nodes_.size();
-    nodes_.emplace_back();
+    index = frames_.size();
+    entries_.resize(entries_.size() + kEntriesPerNode);
+    frames_.push_back(*frame);
   }
-  nodes_[index].frame = *frame;
   ++live_nodes_;
   return index;
 }
@@ -44,28 +44,28 @@ void PageTable::map(vaddr_t vaddr, paddr_t paddr, PageKind kind) {
   const unsigned leaf = leaf_level(kind);
   std::size_t node = 0;
   for (unsigned level = 0; level < leaf; ++level) {
-    Entry& e = nodes_[node].entries[index_at(vaddr, level)];
-    if (!e.present) {
-      e.present = true;
-      e.leaf = false;
-      e.value = new_node();
+    const unsigned index = index_at(vaddr, level);
+    if (!entry(node, index).present) {
+      const std::size_t child = new_node();  // may grow the arena
+      entry(node, index) = Entry{true, false, child};
     }
+    const Entry& e = entry(node, index);
     LPOMP_CHECK_MSG(!e.leaf,
                     "mapping would split an existing huge-page leaf");
     node = static_cast<std::size_t>(e.value);
   }
-  Entry& e = nodes_[node].entries[index_at(vaddr, leaf)];
+  Entry& e = entry(node, index_at(vaddr, leaf));
   if (e.present && !e.leaf && kind == PageKind::large2m) {
     // A huge leaf can replace an *empty* page-table node left behind by
     // unmapping all 512 small pages of the chunk (superpage promotion);
     // the node's frame is reclaimed.
     const auto child = static_cast<std::size_t>(e.value);
-    for (const Entry& ce : nodes_[child].entries) {
-      LPOMP_CHECK_MSG(!ce.present,
+    for (unsigned i = 0; i < kEntriesPerNode; ++i) {
+      LPOMP_CHECK_MSG(!entry(child, i).present,
                       "huge mapping would shadow live small pages");
     }
-    pm_.return_block(nodes_[child].frame, 0);
-    nodes_[child].entries.clear();
+    pm_.return_block(frames_[child], 0);
+    frames_[child] = kFreeSlot;
     free_slots_.push_back(child);
     --live_nodes_;
     e = Entry{};
@@ -80,7 +80,7 @@ void PageTable::map(vaddr_t vaddr, paddr_t paddr, PageKind kind) {
 bool PageTable::unmap(vaddr_t vaddr) {
   std::size_t node = 0;
   for (unsigned level = 0; level < kLevels; ++level) {
-    Entry& e = nodes_[node].entries[index_at(vaddr, level)];
+    Entry& e = entry(node, index_at(vaddr, level));
     if (!e.present) return false;
     if (e.leaf) {
       const PageKind kind =
@@ -101,9 +101,9 @@ WalkResult PageTable::walk(vaddr_t vaddr) const {
   for (unsigned level = 0; level < kLevels; ++level) {
     const unsigned index = index_at(vaddr, level);
     result.entry_addr[result.levels_touched] =
-        nodes_[node].frame + static_cast<paddr_t>(index) * 8;
+        frames_[node] + static_cast<paddr_t>(index) * 8;
     ++result.levels_touched;  // reading this level's entry is a memory access
-    const Entry& e = nodes_[node].entries[index];
+    const Entry& e = entry(node, index);
     if (!e.present) return result;  // fault: present stays false
     if (e.leaf) {
       result.present = true;

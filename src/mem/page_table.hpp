@@ -69,15 +69,12 @@ class PageTable {
   struct Entry {
     bool present = false;
     bool leaf = false;
-    // For a leaf: physical page address. For an interior entry: index into
-    // nodes_ of the child table.
+    // For a leaf: physical page address. For an interior entry: index of
+    // the child node.
     std::uint64_t value = 0;
   };
-  struct Node {
-    std::vector<Entry> entries;
-    paddr_t frame = 0;  ///< simulated frame backing this node
-    Node() : entries(kEntriesPerNode) {}
-  };
+  /// frames_ value of a node slot freed by promotion, awaiting reuse.
+  static constexpr paddr_t kFreeSlot = ~paddr_t{0};
 
   static unsigned index_at(vaddr_t vaddr, unsigned level) {
     // level 0 is the root (PML4): bits [47:39]; level 3 the PT: bits [20:12].
@@ -86,10 +83,23 @@ class PageTable {
     return static_cast<unsigned>((vaddr >> shift) & (kEntriesPerNode - 1));
   }
 
+  /// Entry `index` of node `node`. The arena grows in new_node(), so a
+  /// reference must not be held across that call.
+  Entry& entry(std::size_t node, unsigned index) {
+    return entries_[node * kEntriesPerNode + index];
+  }
+  const Entry& entry(std::size_t node, unsigned index) const {
+    return entries_[node * kEntriesPerNode + index];
+  }
+
   std::size_t new_node();
 
   PhysMem& pm_;
-  std::vector<Node> nodes_;        // nodes_[0] is the root; slots are reused
+  // Every node's entries in one arena, node i at [i * 512, (i + 1) * 512);
+  // node 0 is the root. frames_[i] is the simulated frame backing node i.
+  // Slots freed by promotion are reused.
+  std::vector<Entry> entries_;
+  std::vector<paddr_t> frames_;
   std::vector<std::size_t> free_slots_;
   std::size_t live_nodes_ = 0;
   count_t mapped_[kPageKindCount] = {0, 0, 0};

@@ -6,13 +6,18 @@
 // that motivates the paper's startup-time preallocation strategy (§3.3).
 // Allocation "work" (list scans, splits, coalesces) is counted so the
 // ablation bench can compare preallocation against on-demand allocation.
+//
+// Each order's free list is a bitmap over that order's blocks with a cursor
+// at its lowest possibly non-empty word, so taking the lowest free block,
+// testing a buddy and freeing are O(1) word operations, with no allocation
+// per frame.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/types.hpp"
@@ -64,7 +69,7 @@ class PhysMem final : public FrameSource {
   /// Number of free blocks at exactly this order.
   std::size_t free_blocks(std::size_t order) const {
     LPOMP_CHECK(order <= kMaxOrder);
-    return free_lists_[order].size();
+    return free_lists_[order].count;
   }
 
   // --- allocation-effort accounting, consumed by bench/ablation_prealloc ---
@@ -86,17 +91,30 @@ class PhysMem final : public FrameSource {
   std::size_t block_bytes(std::size_t order) const {
     return kSmallPageSize << order;
   }
-  paddr_t buddy_of(paddr_t addr, std::size_t order) const {
-    return addr ^ static_cast<paddr_t>(block_bytes(order));
-  }
+  /// The free blocks of one order: bit i set = block i (address
+  /// i << (12 + order)) is free. No word below `first_word` has a bit set,
+  /// so the lowest free block is found from there.
+  struct FreeList {
+    std::vector<std::uint64_t> words;
+    std::size_t first_word = 0;
+    std::size_t count = 0;
+
+    bool contains(std::size_t block) const {
+      return (words[block >> 6] >> (block & 63)) & 1;
+    }
+    void insert(std::size_t block);
+    void erase(std::size_t block);
+    std::size_t take_lowest();
+  };
 
   std::size_t total_bytes_;
   std::size_t free_bytes_;
-  // One ordered free list per order; std::set keeps behaviour deterministic
-  // (lowest-address-first policy, like Linux's buddy allocator).
-  std::array<std::set<paddr_t>, kMaxOrder + 1> free_lists_;
-  // Outstanding allocations, for double-free/mismatched-free detection.
-  std::set<std::pair<paddr_t, std::size_t>> live_;
+  // One free list per order, handed out lowest address first (like Linux's
+  // buddy allocator), which keeps layouts deterministic.
+  std::array<FreeList, kMaxOrder + 1> free_lists_;
+  // Outstanding allocations, for double-free/mismatched-free detection:
+  // order + 1 at the first frame of each allocated block, 0 elsewhere.
+  std::vector<std::uint8_t> live_order_;
   Stats stats_;
 };
 

@@ -229,7 +229,7 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
     if (!tlbs_.data_mru_hit(tr.vpn, tr.kind) || !l1d_.mru_hit(a)) {
       continue;
     }
-    credit_line_run(f, tr.kind, is_store);
+    credit_line_run(f, is_store);
     i += f;
   }
 }

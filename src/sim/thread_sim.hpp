@@ -182,7 +182,7 @@ class ThreadSim {
                    paging::Translation tr) {
     if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1) &&
         tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(addr)) {
-      credit_line_run(1, tr.kind, access == Access::store);
+      credit_line_run(1, access == Access::store);
       return;
     }
     touch_impl(addr, kind, access, tr);
@@ -193,13 +193,13 @@ class ThreadSim {
   /// (caller-checked preconditions, including n ≤ until_jump_ - 1 when the
   /// code model is on). Bit-identical to n touch_impl calls taking that
   /// path.
-  void credit_line_run(count_t n, PageKind kind, bool is_store) {
+  void credit_line_run(count_t n, bool is_store) {
     counters_.accesses += n;
     if (is_store) counters_.stores += n;
     counters_.exec_cycles += n * cm_->exec_per_access;
     counters_.stall_cycles += n * cm_->l1_hit_stall;
-    tlbs_.credit_data_mru_run(kind, n);
-    l1d_.credit_mru_run(is_store, n);
+    // A hit on its set's newest entry changes no LRU state, so the TLB and
+    // the cache need no update (see cache::LruSets).
     if (jump_period_ != 0) until_jump_ -= n;
   }
 

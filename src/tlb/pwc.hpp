@@ -39,11 +39,6 @@ struct PwcConfig {
 
 class Pwc {
  public:
-  struct Stats {
-    count_t lookups = 0;  ///< walks that probed the PWC
-    count_t hits = 0;     ///< walks that skipped >= 1 level
-  };
-
   Pwc() = default;
   explicit Pwc(const PwcConfig& config) : config_(config) {
     if (!config_.present()) return;
@@ -60,11 +55,9 @@ class Pwc {
   /// is a use). `interior_levels` is the walk's level count minus one —
   /// the leaf is not a PWC candidate.
   int deepest_cached(vaddr_t addr, unsigned interior_levels) {
-    ++stats_.lookups;
     for (int l = static_cast<int>(interior_levels) - 1; l >= 0; --l) {
       if (levels_[static_cast<std::size_t>(l)].find(
               tag(addr, static_cast<unsigned>(l)))) {
-        ++stats_.hits;
         return l;
       }
     }
@@ -83,9 +76,6 @@ class Pwc {
     for (cache::LruSets& level : levels_) level.flush();
   }
 
-  const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-
  private:
   /// Hint-table slots of each level's tag store.
   static constexpr std::size_t kHintSlots = 256;
@@ -103,7 +93,6 @@ class Pwc {
   // One tag store per interior level (root, PUD, PMD for kLevels == 4);
   // empty when the PWC is absent.
   std::vector<cache::LruSets> levels_;
-  Stats stats_;
 };
 
 }  // namespace lpomp::tlb

@@ -83,38 +83,23 @@ class Tlb {
 
   /// Probe for a translation. A hit refreshes LRU state.
   bool lookup(vpn_t vpn, PageKind kind) {
-    const auto i = static_cast<std::size_t>(kind);
-    ++stats_.lookups[i];
-    if (!banks_[i] || !banks_[i]->find(vpn)) return false;
-    ++stats_.hits[i];
-    return true;
+    auto& b = banks_[static_cast<std::size_t>(kind)];
+    return b && b->find(vpn);
   }
 
   /// lookup() and, on a miss, insert() in one scan of the bank: the same
-  /// outcome, stats and LRU state as that pair.
+  /// outcome and LRU state as that pair.
   bool access(vpn_t vpn, PageKind kind) {
-    const auto i = static_cast<std::size_t>(kind);
-    ++stats_.lookups[i];
-    if (!banks_[i] || !banks_[i]->access(vpn)) return false;
-    ++stats_.hits[i];
-    return true;
+    auto& b = banks_[static_cast<std::size_t>(kind)];
+    return b && b->access(vpn);
   }
 
   /// True when `vpn` is the newest entry of its set in the bank (see
   /// cache::LruSets::mru_hit) — the bulk fast path's precondition for a
-  /// guaranteed hit.
+  /// guaranteed hit, which then needs no update at all.
   bool mru_hit(vpn_t vpn, PageKind kind) const {
     const auto& b = banks_[static_cast<std::size_t>(kind)];
     return b && b->mru_hit(vpn);
-  }
-
-  /// Bulk accounting for `n` lookups of a vpn the caller has proven is
-  /// mru_hit(). Identical to n lookup() calls of it.
-  void credit_mru_run(PageKind kind, count_t n) {
-    const auto i = static_cast<std::size_t>(kind);
-    stats_.lookups[i] += n;
-    stats_.hits[i] += n;
-    banks_[i]->credit_mru(n);
   }
 
   /// Install a translation (evicting the set's LRU victim if full).
@@ -142,24 +127,6 @@ class Tlb {
   }
   const std::string& name() const { return config_.name; }
 
-  struct Stats {
-    count_t lookups[kPageKindCount] = {0, 0, 0};  ///< indexed by PageKind
-    count_t hits[kPageKindCount] = {0, 0, 0};
-    count_t misses(PageKind k) const {
-      const auto i = static_cast<std::size_t>(k);
-      return lookups[i] - hits[i];
-    }
-    count_t total_lookups() const {
-      return lookups[0] + lookups[1] + lookups[2];
-    }
-    count_t total_misses() const {
-      return misses(PageKind::small4k) + misses(PageKind::large2m) +
-             misses(PageKind::huge1g);
-    }
-  };
-  const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-
  private:
   /// Hint-table slots of each bank's tag store.
   static constexpr std::size_t kHintSlots = 256;
@@ -167,7 +134,6 @@ class Tlb {
   Config config_;
   /// Indexed by PageKind; empty for a kind the level cannot hold.
   std::optional<cache::LruSets> banks_[kPageKindCount];
-  Stats stats_;
 };
 
 }  // namespace lpomp::tlb

@@ -17,7 +17,6 @@ DtlbHit TlbHierarchy::data_access_miss(vpn_t vpn, PageKind kind) {
   if (l2d_ && l2d_->supports(kind) && l2d_->access(vpn, kind)) {
     return DtlbHit::l2;
   }
-  ++walks_[static_cast<std::size_t>(kind)];
   return DtlbHit::walk;
 }
 
@@ -26,14 +25,6 @@ void TlbHierarchy::flush_all() {
   l1d_.flush();
   if (l2d_) l2d_->flush();
   pwc_.flush();
-}
-
-void TlbHierarchy::reset_stats() {
-  itlb_.reset_stats();
-  l1d_.reset_stats();
-  if (l2d_) l2d_->reset_stats();
-  pwc_.reset_stats();
-  walks_[0] = walks_[1] = walks_[2] = 0;
 }
 
 }  // namespace lpomp::tlb

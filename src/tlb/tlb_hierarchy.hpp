@@ -43,11 +43,6 @@ class TlbHierarchy {
     return l1d_.mru_hit(vpn, kind);
   }
 
-  /// Bulk accounting for `n` guaranteed L1 hits (see Tlb::credit_mru_run).
-  void credit_data_mru_run(PageKind kind, count_t n) {
-    l1d_.credit_mru_run(kind, n);
-  }
-
   /// Probes for an instruction translation; returns true on a hit and fills
   /// on a miss.
   bool instr_access(vpn_t vpn, PageKind kind) {
@@ -72,30 +67,15 @@ class TlbHierarchy {
   Pwc& pwc() { return pwc_; }
   const Pwc& pwc() const { return pwc_; }
 
-  /// Misses that required a page walk (per page kind), i.e. the events
-  /// OProfile counts as "L1 and L2 DTLB miss" in the paper's Figure 5.
-  count_t walk_count(PageKind kind) const {
-    return walks_[static_cast<std::size_t>(kind)];
-  }
-  count_t walk_count() const { return walks_[0] + walks_[1] + walks_[2]; }
-
-  count_t itlb_miss_count() const {
-    return itlb_.stats().misses(PageKind::small4k) +
-           itlb_.stats().misses(PageKind::large2m);
-  }
-
-  void reset_stats();
-
  private:
   /// L1-miss continuation of data_access (L1 already refilled): the L2
-  /// probe-or-fill and the walk count.
+  /// probe-or-fill.
   DtlbHit data_access_miss(vpn_t vpn, PageKind kind);
 
   Tlb itlb_;
   Tlb l1d_;
   std::optional<Tlb> l2d_;
   Pwc pwc_;  ///< absent by default; see set_pwc()
-  count_t walks_[kPageKindCount] = {0, 0, 0};
 };
 
 }  // namespace lpomp::tlb

@@ -49,11 +49,6 @@ namespace lpomp::oracle {
 /// per-set scan.
 class RefTlb {
  public:
-  struct Stats {
-    count_t lookups[kPageKindCount] = {0, 0, 0};
-    count_t hits[kPageKindCount] = {0, 0, 0};
-  };
-
   explicit RefTlb(const tlb::Tlb::Config& cfg) {
     init_bank(bank4k_, cfg.small4k);
     init_bank(bank2m_, cfg.large2m);
@@ -64,16 +59,12 @@ class RefTlb {
 
   bool lookup(vpn_t vpn, PageKind kind) {
     Bank& b = bank(kind);
-    // Lookups are counted before the present check, exactly like the
-    // production Tlb::lookup (stats first, lookup_assoc bails on !present).
-    ++stats_.lookups[static_cast<std::size_t>(kind)];
     if (!b.geom.present()) return false;
     Entry* base = set_base(b, vpn);
     for (unsigned w = 0; w < b.geom.ways; ++w) {
       Entry& e = base[w];
       if (e.valid && e.vpn == vpn) {
         e.last_use = ++clock_;
-        ++stats_.hits[static_cast<std::size_t>(kind)];
         return true;
       }
     }
@@ -108,7 +99,12 @@ class RefTlb {
     }
   }
 
-  const Stats& stats() const { return stats_; }
+  unsigned occupancy(PageKind kind) const {
+    const std::vector<Entry>& entries = bank(kind).entries;
+    return static_cast<unsigned>(
+        std::count_if(entries.begin(), entries.end(),
+                      [](const Entry& e) { return e.valid; }));
+  }
 
  private:
   struct Entry {
@@ -148,7 +144,6 @@ class RefTlb {
   Bank bank2m_;
   Bank bank1g_;
   std::uint64_t clock_ = 0;  // shared across banks, like the production Tlb
-  Stats stats_;
 };
 
 /// Naive page-walk cache: one flat tag list per interior level, true LRU by
@@ -170,14 +165,12 @@ class RefPwc {
   bool present() const { return config_.present(); }
 
   int deepest_cached(vaddr_t addr, unsigned interior_levels) {
-    ++stats_.lookups;
     for (int l = static_cast<int>(interior_levels) - 1; l >= 0; --l) {
       const std::uint64_t t = tag(addr, static_cast<unsigned>(l));
       Entry* base = set_base(static_cast<unsigned>(l), t);
       for (unsigned w = 0; w < config_.ways; ++w) {
         if (base[w].valid && base[w].tag == t) {
           base[w].last_use = ++clock_;
-          ++stats_.hits;
           return l;
         }
       }
@@ -217,8 +210,6 @@ class RefPwc {
     }
   }
 
-  const tlb::Pwc::Stats& stats() const { return stats_; }
-
  private:
   struct Entry {
     std::uint64_t tag = 0;
@@ -242,18 +233,11 @@ class RefPwc {
   unsigned sets_ = 0;
   std::vector<Entry> levels_[mem::PageTable::kLevels - 1];
   std::uint64_t clock_ = 0;
-  tlb::Pwc::Stats stats_;
 };
 
 /// Set-associative cache, naive: per-set scan, stamp on every hit.
 class RefCache {
  public:
-  struct Stats {
-    count_t lookups = 0;
-    count_t hits = 0;
-    count_t store_lookups = 0;
-  };
-
   explicit RefCache(const cache::CacheGeometry& geom) : geom_(geom) {
     LPOMP_CHECK(geom_.present());
     lines_.assign(geom_.lines(), Line{});
@@ -261,9 +245,7 @@ class RefCache {
     line_mask_ = geom_.line_bytes - 1;
   }
 
-  bool access(vaddr_t addr, bool is_store) {
-    ++stats_.lookups;
-    if (is_store) ++stats_.store_lookups;
+  bool access(vaddr_t addr, bool /*is_store*/) {
     const std::uint64_t line_addr = addr / geom_.line_bytes;
     const std::size_t set = static_cast<std::size_t>(line_addr % sets_);
     Line* base = &lines_[set * geom_.ways];
@@ -271,7 +253,6 @@ class RefCache {
       Line& l = base[w];
       if (l.valid && l.tag == line_addr) {
         l.last_use = ++clock_;
-        ++stats_.hits;
         return true;
       }
     }
@@ -292,7 +273,11 @@ class RefCache {
     return false;
   }
 
-  const Stats& stats() const { return stats_; }
+  std::size_t occupancy() const {
+    return static_cast<std::size_t>(
+        std::count_if(lines_.begin(), lines_.end(),
+                      [](const Line& l) { return l.valid; }));
+  }
 
  private:
   struct Line {
@@ -306,10 +291,9 @@ class RefCache {
   std::size_t sets_ = 0;
   std::uint64_t line_mask_ = 0;
   std::uint64_t clock_ = 0;
-  Stats stats_;
 };
 
-/// Naive mirror of tlb::TlbHierarchy: same refill policy, same counters.
+/// Naive mirror of tlb::TlbHierarchy: same refill policy.
 class RefTlbHierarchy {
  public:
   RefTlbHierarchy(const tlb::Tlb::Config& itlb, const tlb::Tlb::Config& l1d,
@@ -324,7 +308,6 @@ class RefTlbHierarchy {
       l1d_.insert(vpn, kind);
       return tlb::DtlbHit::l2;
     }
-    ++walks_[static_cast<std::size_t>(kind)];
     l1d_.insert(vpn, kind);
     if (l2d_ && l2d_->supports(kind)) l2d_->insert(vpn, kind);
     return tlb::DtlbHit::walk;
@@ -351,16 +334,12 @@ class RefTlbHierarchy {
   const RefTlb& l2d() const { return *l2d_; }
   RefPwc& pwc() { return pwc_; }
   const RefPwc& pwc() const { return pwc_; }
-  count_t walk_count(PageKind kind) const {
-    return walks_[static_cast<std::size_t>(kind)];
-  }
 
  private:
   RefTlb itlb_;
   RefTlb l1d_;
   std::optional<RefTlb> l2d_;
   RefPwc pwc_;
-  count_t walks_[kPageKindCount] = {0, 0, 0};
 };
 
 /// The reference thread simulator: sim::ThreadSim::touch_impl transliterated

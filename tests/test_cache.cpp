@@ -42,8 +42,8 @@ TEST(Cache, MissThenHitSameLine) {
 TEST(Cache, WriteAllocates) {
   Cache c("t", {KiB(1), 64, 2});
   EXPECT_FALSE(c.access(0x200, true));
+  EXPECT_EQ(c.occupancy(), 1u);  // the store miss allocated its line
   EXPECT_TRUE(c.access(0x200, false));
-  EXPECT_EQ(c.stats().store_lookups, 1u);
 }
 
 TEST(Cache, LruWithinSet) {
@@ -72,17 +72,18 @@ TEST(Cache, FlushInvalidatesAll) {
   EXPECT_FALSE(c.access(0, false));
 }
 
-TEST(Cache, StatsAndMissRate) {
+TEST(Cache, OutcomesAndOccupancy) {
   Cache c("t", {KiB(1), 64, 2});
-  c.access(0, false);
-  c.access(0, false);
-  c.access(4096, false);
-  EXPECT_EQ(c.stats().lookups, 3u);
-  EXPECT_EQ(c.stats().hits, 1u);
-  EXPECT_EQ(c.stats().misses(), 2u);
-  EXPECT_NEAR(c.stats().miss_rate(), 2.0 / 3.0, 1e-12);
-  c.reset_stats();
-  EXPECT_EQ(c.stats().lookups, 0u);
+  EXPECT_EQ(c.occupancy(), 0u);
+  EXPECT_FALSE(c.access(0, false));
+  EXPECT_TRUE(c.access(0, false));
+  EXPECT_FALSE(c.access(4096, false));  // same set, second way
+  EXPECT_EQ(c.occupancy(), 2u);
+  EXPECT_FALSE(c.access(8192, false));  // evicts line 0, the set's LRU
+  EXPECT_EQ(c.occupancy(), 2u);
+  EXPECT_FALSE(c.access(0, false));
+  c.flush();
+  EXPECT_EQ(c.occupancy(), 0u);
 }
 
 TEST(Cache, RejectsZeroSize) {

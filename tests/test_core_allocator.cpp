@@ -36,8 +36,8 @@ TEST_F(AllocatorTest, BlocksCarvedSequentially) {
   EXPECT_EQ(alloc.allocation_count(), 2u);
 }
 
-// The pool image is zeroed on demand (calloc) rather than written up
-// front; kernels rely on fresh blocks reading as zero either way.
+// The pool image is zeroed on demand (an anonymous mapping) rather than
+// written up front; kernels rely on fresh blocks reading as zero.
 TEST_F(AllocatorTest, FreshBlocksReadAllZeroBeforeFirstWrite) {
   SharedAllocator alloc(space_, nullptr, PageKind::small4k, MiB(4), "pool");
   const auto head = alloc.allocate(KiB(64), 64, "head");
@@ -47,6 +47,19 @@ TEST_F(AllocatorTest, FreshBlocksReadAllZeroBeforeFirstWrite) {
       ASSERT_EQ(block.host[i], std::byte{0}) << "offset " << i;
     }
   }
+}
+
+// A guard page follows the pool, so a write one byte past it faults in
+// every build, sanitized or not.
+TEST(SharedAllocatorDeathTest, WritePastPoolFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  mem::PhysMem pm(MiB(16));
+  mem::AddressSpace space(pm);
+  SharedAllocator alloc(space, nullptr, PageKind::small4k, KiB(40), "pool");
+  const auto all = alloc.allocate(alloc.capacity(), 64, "all");
+  all.host[all.bytes - 1] = std::byte{1};  // the last byte is writable
+  volatile std::byte* past = all.host + all.bytes;
+  EXPECT_DEATH(*past = std::byte{1}, "");
 }
 
 TEST_F(AllocatorTest, AlignmentHonoured) {

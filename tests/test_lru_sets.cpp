@@ -101,14 +101,13 @@ TEST_P(LruSetsProperty, MatchesExactLruModel) {
     } else if (op < 90) {
       ASSERT_EQ(engine.access(tag), model.access(tag)) << "access, step " << i;
     } else if (op < 99) {
-      // A bulk credit stands for n hits on the newest tag of any set, which
-      // the model applies one by one.
+      // A bulk credit of n hits on the newest tag of any set leaves the
+      // engine untouched; the model applies them one by one.
       const std::uint64_t newest = model.front(
           static_cast<std::size_t>(rng.next_below(model.sets())));
       if (newest == LruSets::kEmpty) continue;
       ASSERT_TRUE(engine.mru_hit(newest)) << "step " << i;
       const count_t n = 1 + rng.next_below(50);
-      engine.credit_mru(n);
       for (count_t k = 0; k < n; ++k) model.find(newest);
     } else {
       engine.flush();

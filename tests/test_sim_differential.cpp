@@ -129,36 +129,28 @@ bool diff_counters(const sim::ThreadCounters& a, const sim::ThreadCounters& b,
   return same;
 }
 
-bool diff_tlb(const tlb::Tlb::Stats& a, const oracle::RefTlb::Stats& b,
-              std::ostream& os) {
-  bool same = true;
-  LPOMP_DIFF_FIELD(lookups[0])
-  LPOMP_DIFF_FIELD(lookups[1])
-  LPOMP_DIFF_FIELD(lookups[2])
-  LPOMP_DIFF_FIELD(hits[0])
-  LPOMP_DIFF_FIELD(hits[1])
-  LPOMP_DIFF_FIELD(hits[2])
-  return same;
-}
-
-bool diff_pwc(const tlb::Pwc::Stats& a, const tlb::Pwc::Stats& b,
-              std::ostream& os) {
-  bool same = true;
-  LPOMP_DIFF_FIELD(lookups)
-  LPOMP_DIFF_FIELD(hits)
-  return same;
-}
-
-bool diff_cache(const cache::Cache::Stats& a, const oracle::RefCache::Stats& b,
-                std::ostream& os) {
-  bool same = true;
-  LPOMP_DIFF_FIELD(lookups)
-  LPOMP_DIFF_FIELD(hits)
-  LPOMP_DIFF_FIELD(store_lookups)
-  return same;
-}
-
 #undef LPOMP_DIFF_FIELD
+
+/// Entries held per page kind: the banks' state, which a divergent fill or
+/// eviction changes even when no counter has yet.
+bool diff_tlb(const tlb::Tlb& a, const oracle::RefTlb& b, std::ostream& os) {
+  bool same = true;
+  for (PageKind k : {PageKind::small4k, PageKind::large2m, PageKind::huge1g}) {
+    if (a.occupancy(k) != b.occupancy(k)) {
+      os << " occupancy(" << static_cast<int>(k) << ")=" << a.occupancy(k)
+         << " vs " << b.occupancy(k);
+      same = false;
+    }
+  }
+  return same;
+}
+
+bool diff_cache(const cache::Cache& a, const oracle::RefCache& b,
+                std::ostream& os) {
+  if (a.occupancy() == b.occupancy()) return true;
+  os << " occupancy=" << a.occupancy() << " vs " << b.occupancy();
+  return false;
+}
 
 /// Full three-way comparison; returns a description of every divergence.
 ::testing::AssertionResult trio_converged(Trio& t) {
@@ -174,34 +166,17 @@ bool diff_cache(const cache::Cache::Stats& a, const oracle::RefCache::Stats& b,
        {std::pair<sim::ThreadSim*, const char*>{&t.fast, "fast"},
         std::pair<sim::ThreadSim*, const char*>{&t.slow, "slow"}}) {
     os << " [" << label << " vs ref l1 dtlb]";
-    same &= diff_tlb(sim_ptr->tlbs().l1d().stats(), t.ref.tlbs().l1d().stats(),
-                     os);
+    same &= diff_tlb(sim_ptr->tlbs().l1d(), t.ref.tlbs().l1d(), os);
     os << " [" << label << " vs ref itlb]";
-    same &= diff_tlb(sim_ptr->tlbs().itlb().stats(),
-                     t.ref.tlbs().itlb().stats(), os);
+    same &= diff_tlb(sim_ptr->tlbs().itlb(), t.ref.tlbs().itlb(), os);
     if (sim_ptr->tlbs().has_l2d()) {
       os << " [" << label << " vs ref l2 dtlb]";
-      same &= diff_tlb(sim_ptr->tlbs().l2d().stats(),
-                       t.ref.tlbs().l2d().stats(), os);
-    }
-    for (PageKind k :
-         {PageKind::small4k, PageKind::large2m, PageKind::huge1g}) {
-      if (sim_ptr->tlbs().walk_count(k) != t.ref.tlbs().walk_count(k)) {
-        os << " [" << label << " walks(" << static_cast<int>(k)
-           << ")=" << sim_ptr->tlbs().walk_count(k) << " vs "
-           << t.ref.tlbs().walk_count(k) << "]";
-        same = false;
-      }
-    }
-    if (sim_ptr->tlbs().pwc().present()) {
-      os << " [" << label << " vs ref pwc]";
-      same &= diff_pwc(sim_ptr->tlbs().pwc().stats(),
-                       t.ref.tlbs().pwc().stats(), os);
+      same &= diff_tlb(sim_ptr->tlbs().l2d(), t.ref.tlbs().l2d(), os);
     }
     os << " [" << label << " vs ref l1d]";
-    same &= diff_cache(sim_ptr->l1d().stats(), t.ref.l1d().stats(), os);
+    same &= diff_cache(sim_ptr->l1d(), t.ref.l1d(), os);
     os << " [" << label << " vs ref l2]";
-    same &= diff_cache(sim_ptr->l2().stats(), t.ref.l2().stats(), os);
+    same &= diff_cache(sim_ptr->l2(), t.ref.l2(), os);
   }
 
   if (same) return ::testing::AssertionSuccess();

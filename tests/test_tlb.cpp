@@ -117,21 +117,16 @@ TEST(Tlb, FlushDropsEverything) {
   EXPECT_FALSE(t.lookup(2, PageKind::large2m));
 }
 
-TEST(Tlb, StatsPerKind) {
+TEST(Tlb, OutcomesPerKind) {
   Tlb t(small_fa(4, 2));
-  t.lookup(1, PageKind::small4k);
+  EXPECT_FALSE(t.lookup(1, PageKind::small4k));
+  EXPECT_EQ(t.occupancy(PageKind::small4k), 0u);  // a lookup never fills
   t.insert(1, PageKind::small4k);
-  t.lookup(1, PageKind::small4k);
-  t.lookup(9, PageKind::large2m);
-  const Tlb::Stats& s = t.stats();
-  EXPECT_EQ(s.lookups[0], 2u);
-  EXPECT_EQ(s.hits[0], 1u);
-  EXPECT_EQ(s.misses(PageKind::small4k), 1u);
-  EXPECT_EQ(s.misses(PageKind::large2m), 1u);
-  EXPECT_EQ(s.total_lookups(), 3u);
-  EXPECT_EQ(s.total_misses(), 2u);
-  t.reset_stats();
-  EXPECT_EQ(t.stats().total_lookups(), 0u);
+  EXPECT_TRUE(t.lookup(1, PageKind::small4k));
+  EXPECT_FALSE(t.lookup(1, PageKind::large2m));  // banks are per kind
+  EXPECT_FALSE(t.lookup(9, PageKind::large2m));
+  EXPECT_EQ(t.occupancy(PageKind::small4k), 1u);
+  EXPECT_EQ(t.occupancy(PageKind::large2m), 0u);
 }
 
 TEST(Tlb, InvalidGeometryRejected) {

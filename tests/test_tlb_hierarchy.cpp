@@ -20,7 +20,8 @@ TlbHierarchy xeon_like() {
 TEST(TlbHierarchy, FirstAccessWalksAndFills) {
   TlbHierarchy h = opteron_like();
   EXPECT_EQ(h.data_access(1, PageKind::small4k), DtlbHit::walk);
-  EXPECT_EQ(h.walk_count(PageKind::small4k), 1u);
+  EXPECT_EQ(h.l1d().occupancy(PageKind::small4k), 1u);
+  EXPECT_EQ(h.l2d().occupancy(PageKind::small4k), 1u);
   EXPECT_EQ(h.data_access(1, PageKind::small4k), DtlbHit::l1);
 }
 
@@ -37,11 +38,11 @@ TEST(TlbHierarchy, HugePagesNotHeldByL2) {
   TlbHierarchy h = opteron_like();
   // 2 MB bank in L1 has 2 entries and no L2 backing: the third page evicts
   // to nowhere, so revisiting it is a full walk, not an L2 hit.
-  h.data_access(10, PageKind::large2m);
-  h.data_access(11, PageKind::large2m);
-  h.data_access(12, PageKind::large2m);
-  EXPECT_EQ(h.data_access(10, PageKind::large2m), DtlbHit::walk);
-  EXPECT_EQ(h.walk_count(PageKind::large2m), 4u);
+  for (vpn_t v : {10, 11, 12, 10}) {
+    EXPECT_EQ(h.data_access(v, PageKind::large2m), DtlbHit::walk);
+  }
+  EXPECT_EQ(h.l1d().occupancy(PageKind::large2m), 2u);
+  EXPECT_EQ(h.l2d().occupancy(PageKind::large2m), 0u);
 }
 
 TEST(TlbHierarchy, SingleLevelXeonWalksOnMiss) {
@@ -54,19 +55,29 @@ TEST(TlbHierarchy, SingleLevelXeonWalksOnMiss) {
 
 TEST(TlbHierarchy, WalkCountsByKind) {
   TlbHierarchy h = opteron_like();
-  h.data_access(1, PageKind::small4k);
-  h.data_access(2, PageKind::large2m);
-  h.data_access(3, PageKind::large2m);
-  EXPECT_EQ(h.walk_count(PageKind::small4k), 1u);
-  EXPECT_EQ(h.walk_count(PageKind::large2m), 2u);
-  EXPECT_EQ(h.walk_count(), 3u);
+  count_t walks[kPageKindCount] = {0, 0, 0};
+  for (auto [vpn, kind] : {std::pair{1, PageKind::small4k},
+                           std::pair{2, PageKind::large2m},
+                           std::pair{3, PageKind::large2m},
+                           std::pair{1, PageKind::small4k},
+                           std::pair{2, PageKind::large2m}}) {
+    if (h.data_access(vpn, kind) == DtlbHit::walk) {
+      ++walks[static_cast<std::size_t>(kind)];
+    }
+  }
+  // A small and a large page of the same vpn are distinct translations.
+  EXPECT_EQ(h.data_access(1, PageKind::large2m), DtlbHit::walk);
+  EXPECT_EQ(walks[0], 1u);
+  EXPECT_EQ(walks[1], 2u);
+  EXPECT_EQ(h.l1d().occupancy(PageKind::large2m), 2u);
 }
 
 TEST(TlbHierarchy, InstrAccessFillsItlb) {
   TlbHierarchy h = opteron_like();
   EXPECT_FALSE(h.instr_access(5, PageKind::small4k));
   EXPECT_TRUE(h.instr_access(5, PageKind::small4k));
-  EXPECT_EQ(h.itlb_miss_count(), 1u);
+  EXPECT_EQ(h.itlb().occupancy(PageKind::small4k), 1u);
+  EXPECT_EQ(h.l1d().occupancy(PageKind::small4k), 0u);
 }
 
 TEST(TlbHierarchy, ItlbIndependentOfDtlb) {
@@ -82,16 +93,6 @@ TEST(TlbHierarchy, FlushAllDropsAllLevels) {
   h.flush_all();
   EXPECT_EQ(h.data_access(1, PageKind::small4k), DtlbHit::walk);
   EXPECT_FALSE(h.instr_access(2, PageKind::small4k));
-}
-
-TEST(TlbHierarchy, ResetStatsClearsCounters) {
-  TlbHierarchy h = opteron_like();
-  h.data_access(1, PageKind::small4k);
-  h.instr_access(1, PageKind::small4k);
-  h.reset_stats();
-  EXPECT_EQ(h.walk_count(), 0u);
-  EXPECT_EQ(h.itlb_miss_count(), 0u);
-  EXPECT_EQ(h.l1d().stats().total_lookups(), 0u);
 }
 
 TEST(TlbHierarchy, L2dAccessorGuarded) {

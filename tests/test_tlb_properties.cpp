@@ -120,7 +120,7 @@ TEST_P(TlbProperty, MatchesExactLruModelAndNeverEvictsRecentlyTouched) {
 
 TEST_P(TlbProperty, AccessMatchesLookupThenInsert) {
   // Tlb::access is lookup() plus, on a miss, insert() in one scan: the same
-  // verdicts, stats and occupancy on a random stream over every kind,
+  // verdicts and occupancy on a random stream over every kind,
   // including a kind the level cannot hold (1 GiB here).
   const Geometry g = GetParam();
   const Tlb::Config cfg{"prop",
@@ -143,10 +143,6 @@ TEST_P(TlbProperty, AccessMatchesLookupThenInsert) {
       }
     }
   }
-  for (std::size_t k = 0; k < kPageKindCount; ++k) {
-    EXPECT_EQ(one_scan.stats().lookups[k], two_scans.stats().lookups[k]);
-    EXPECT_EQ(one_scan.stats().hits[k], two_scans.stats().hits[k]);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, TlbProperty,
@@ -164,17 +160,15 @@ TEST(TlbProperty, UnsupportedKindStaysEmpty) {
     EXPECT_FALSE(touch(t, rng.next_below(1 << 20), PageKind::large2m));
   }
   EXPECT_EQ(t.occupancy(PageKind::large2m), 0u);
-  EXPECT_EQ(t.stats().hits[static_cast<std::size_t>(PageKind::large2m)], 0u);
 }
 
-TEST(TlbHierarchyProperty, FlushZeroesOccupancyButPreservesWalkCounts) {
+TEST(TlbHierarchyProperty, FlushZeroesOccupancyAndForcesWalks) {
   // The Opteron shape: L1 with both kinds, 4 KB-only L2.
   TlbHierarchy h({"itlb", {32, 32}, {8, 8}, {}},
                  {"l1d", {32, 32}, {8, 8}, {}},
                  Tlb::Config{"l2d", {512, 4}, {}, {}});
   Rng rng(0xf1005ULL);
   const int kRounds = 50;
-  count_t last_walks = 0;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < 500; ++i) {
       const PageKind kind =
@@ -182,10 +176,9 @@ TEST(TlbHierarchyProperty, FlushZeroesOccupancyButPreservesWalkCounts) {
       h.data_access(rng.next_below(2048), kind);
       h.instr_access(rng.next_below(64), PageKind::small4k);
     }
-    const count_t walks_before = h.walk_count();
-    const count_t itlb_before = h.itlb_miss_count();
-    EXPECT_GE(walks_before, last_walks);  // cumulative, monotone
     EXPECT_GT(h.l1d().occupancy(PageKind::small4k), 0u);
+    EXPECT_GT(h.l2d().occupancy(PageKind::small4k), 0u);
+    EXPECT_GT(h.itlb().occupancy(PageKind::small4k), 0u);
 
     h.flush_all();
 
@@ -195,18 +188,10 @@ TEST(TlbHierarchyProperty, FlushZeroesOccupancyButPreservesWalkCounts) {
       EXPECT_EQ(h.l1d().occupancy(kind), 0u);
       EXPECT_EQ(h.l2d().occupancy(kind), 0u);
     }
-    // ...but cumulative walk counters survive the flush.
-    EXPECT_EQ(h.walk_count(), walks_before);
-    EXPECT_EQ(h.itlb_miss_count(), itlb_before);
-    EXPECT_EQ(h.walk_count(PageKind::small4k) +
-                  h.walk_count(PageKind::large2m),
-              h.walk_count());
-    last_walks = walks_before;
-
-    // And the first re-access after a flush is a guaranteed walk.
-    const count_t walks = h.walk_count();
+    // ...so the first re-access of each kind is a guaranteed walk or miss.
     EXPECT_EQ(h.data_access(1, PageKind::small4k), DtlbHit::walk);
-    EXPECT_EQ(h.walk_count(), walks + 1);
+    EXPECT_EQ(h.data_access(1, PageKind::large2m), DtlbHit::walk);
+    EXPECT_FALSE(h.instr_access(1, PageKind::small4k));
   }
 }
 
