@@ -11,6 +11,7 @@
 #include "dsm/msg_channel.hpp"
 #include "mem/hugetlbfs.hpp"
 #include "npb/npb.hpp"
+#include "paging/policy.hpp"
 #include "sim/machine.hpp"
 #include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
@@ -146,6 +147,41 @@ void BM_ThreadSimTouchRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadSimTouchRandom);
 
+// The Opteron under huge1g: neither DTLB level holds 1 GiB entries, so
+// every access walks (two levels). Sequential touches take the bulk walk
+// credit while a line stays newest; random ones walk through the memo.
+void touch_walk_only(benchmark::State& state, bool random) {
+  mem::PhysMem pm(MiB(128));
+  mem::AddressSpace space(pm);
+  const mem::Region r = space.map_region(MiB(64), PageKind::small4k, "data");
+  sim::Machine machine(sim::ProcessorSpec::opteron270(), sim::CostModel{},
+                       space, 1);
+  machine.begin_parallel();
+  sim::ThreadSim& t = machine.thread(0);
+  paging::PolicySpec huge1g;
+  huge1g.policy = paging::Policy::huge1g;
+  t.set_paging(huge1g);
+  Rng rng(13);
+  vaddr_t off = 0;
+  for (auto _ : state) {
+    const vaddr_t a =
+        random ? r.base + rng.next_below(r.length / 8) * 8 : r.base + off;
+    t.touch(a, PageKind::small4k, Access::load);
+    off = (off + 8) % r.length;
+  }
+  machine.end_parallel();
+}
+
+void BM_ThreadSimTouchWalkSequential(benchmark::State& state) {
+  touch_walk_only(state, false);
+}
+BENCHMARK(BM_ThreadSimTouchWalkSequential);
+
+void BM_ThreadSimTouchWalkRandom(benchmark::State& state) {
+  touch_walk_only(state, true);
+}
+BENCHMARK(BM_ThreadSimTouchWalkRandom);
+
 // CG's a[k] * p[col[k]] shape: element k of three unit-stride arrays on
 // different pages, one touch each per iteration, so no two consecutive
 // touches share a line or a page.
@@ -198,9 +234,8 @@ void BM_RuntimeSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeSetup);
 
-// A fresh space per iteration: virtual addresses are never reused and
-// page-table nodes are freed only with the space, so one long-lived space
-// would keep growing its table.
+// A fresh space per iteration, as each grid point builds one: the time
+// covers the root node's setup and teardown too.
 void BM_MapRegion4K(benchmark::State& state) {
   mem::PhysMem pm(MiB(64));
   for (auto _ : state) {

@@ -4,9 +4,18 @@
 
 namespace lpomp::mem {
 
+namespace {
+
+[[noreturn]] void throw_no_node_frame() {
+  throw std::runtime_error("PageTable: out of physical memory for table node");
+}
+
+}  // namespace
+
 PageTable::PageTable(PhysMem& pm) : pm_(pm) {
-  const std::size_t root = new_node();
-  LPOMP_CHECK(root == 0);
+  const auto root = new_node();
+  if (!root) throw_no_node_frame();
+  LPOMP_CHECK(*root == 0);
 }
 
 PageTable::~PageTable() {
@@ -16,11 +25,9 @@ PageTable::~PageTable() {
   }
 }
 
-std::size_t PageTable::new_node() {
+std::optional<std::size_t> PageTable::new_node() {
   const auto frame = pm_.alloc_small_frame();
-  if (!frame) {
-    throw std::runtime_error("PageTable: out of physical memory for table node");
-  }
+  if (!frame) return std::nullopt;
   std::size_t index;
   if (!free_slots_.empty()) {
     // A slot is freed only when none of its entries is present, and
@@ -32,9 +39,23 @@ std::size_t PageTable::new_node() {
     index = frames_.size();
     entries_.resize(entries_.size() + kEntriesPerNode);
     frames_.push_back(*frame);
+    live_entries_.push_back(0);
   }
   ++live_nodes_;
   return index;
+}
+
+void PageTable::prune(vaddr_t vaddr, const std::size_t* path,
+                      unsigned level) {
+  for (; level > 0 && live_entries_[path[level]] == 0; --level) {
+    const std::size_t node = path[level];
+    pm_.return_block(frames_[node], 0);
+    frames_[node] = kFreeSlot;
+    free_slots_.push_back(node);
+    --live_nodes_;
+    entry(path[level - 1], index_at(vaddr, level - 1)) = Entry{};
+    --live_entries_[path[level - 1]];
+  }
 }
 
 void PageTable::map(vaddr_t vaddr, paddr_t paddr, PageKind kind) {
@@ -42,44 +63,42 @@ void PageTable::map(vaddr_t vaddr, paddr_t paddr, PageKind kind) {
   LPOMP_CHECK_MSG(paddr % page_size(kind) == 0, "paddr not page-aligned");
 
   const unsigned leaf = leaf_level(kind);
-  std::size_t node = 0;
+  std::size_t path[kLevels] = {0, 0, 0, 0};
   for (unsigned level = 0; level < leaf; ++level) {
+    const std::size_t node = path[level];
     const unsigned index = index_at(vaddr, level);
     if (!entry(node, index).present) {
-      const std::size_t child = new_node();  // may grow the arena
-      entry(node, index) = Entry{true, false, child};
+      const auto child = new_node();  // may grow the arena
+      if (!child) {
+        // Leave the table as it was: drop the empty nodes made above.
+        prune(vaddr, path, level);
+        throw_no_node_frame();
+      }
+      entry(node, index) = Entry{true, false, *child};
+      ++live_entries_[node];
     }
     const Entry& e = entry(node, index);
     LPOMP_CHECK_MSG(!e.leaf,
                     "mapping would split an existing huge-page leaf");
-    node = static_cast<std::size_t>(e.value);
+    path[level + 1] = static_cast<std::size_t>(e.value);
   }
-  Entry& e = entry(node, index_at(vaddr, leaf));
-  if (e.present && !e.leaf && kind == PageKind::large2m) {
-    // A huge leaf can replace an *empty* page-table node left behind by
-    // unmapping all 512 small pages of the chunk (superpage promotion);
-    // the node's frame is reclaimed.
-    const auto child = static_cast<std::size_t>(e.value);
-    for (unsigned i = 0; i < kEntriesPerNode; ++i) {
-      LPOMP_CHECK_MSG(!entry(child, i).present,
-                      "huge mapping would shadow live small pages");
-    }
-    pm_.return_block(frames_[child], 0);
-    frames_[child] = kFreeSlot;
-    free_slots_.push_back(child);
-    --live_nodes_;
-    e = Entry{};
-  }
+  Entry& e = entry(path[leaf], index_at(vaddr, leaf));
+  // Empty nodes are freed by unmap(), so an interior entry here always
+  // leads to live small pages.
+  LPOMP_CHECK_MSG(!e.present || e.leaf,
+                  "huge mapping would shadow live small pages");
   LPOMP_CHECK_MSG(!e.present, "remapping an already-present page");
-  e.present = true;
-  e.leaf = true;
-  e.value = paddr;
+  e = Entry{true, true, paddr};
+  ++live_entries_[path[leaf]];
   ++mapped_[static_cast<std::size_t>(kind)];
+  ++generation_;
 }
 
 bool PageTable::unmap(vaddr_t vaddr) {
+  std::size_t path[kLevels];
   std::size_t node = 0;
   for (unsigned level = 0; level < kLevels; ++level) {
+    path[level] = node;
     Entry& e = entry(node, index_at(vaddr, level));
     if (!e.present) return false;
     if (e.leaf) {
@@ -87,7 +106,10 @@ bool PageTable::unmap(vaddr_t vaddr) {
           level == kLevels - 1 ? PageKind::small4k : PageKind::large2m;
       LPOMP_CHECK(level == leaf_level(kind));
       e = Entry{};
+      --live_entries_[node];
       --mapped_[static_cast<std::size_t>(kind)];
+      ++generation_;
+      prune(vaddr, path, level);
       return true;
     }
     node = static_cast<std::size_t>(e.value);

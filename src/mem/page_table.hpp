@@ -6,10 +6,13 @@
 //
 // Table nodes occupy real simulated frames from PhysMem, so page-table
 // overhead is visible in footprint accounting, and the walk cost reported to
-// the cost model equals the number of tables actually traversed.
+// the cost model equals the number of tables actually traversed. unmap()
+// frees every interior node it leaves empty (never the root), so a
+// long-lived table holds only nodes with at least one present entry.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mem/phys_mem.hpp"
@@ -47,8 +50,14 @@ class PageTable {
   /// size of `kind`. Remapping an already-present page is a logic error.
   void map(vaddr_t vaddr, paddr_t paddr, PageKind kind);
 
-  /// Removes a translation; returns false if none was present.
+  /// Removes a translation and frees the nodes it leaves empty, bottom up;
+  /// returns false if none was present.
   bool unmap(vaddr_t vaddr);
+
+  /// Bumped by every map() and by every unmap() that removes a
+  /// translation. A walk remembered under one generation is the walk for
+  /// as long as the generation is unchanged.
+  std::uint64_t generation() const { return generation_; }
 
   /// Full page walk. levels_touched = 4 for a 4 KB page, 3 for a 2 MB page,
   /// or the depth reached when the walk faults.
@@ -73,7 +82,7 @@ class PageTable {
     // the child node.
     std::uint64_t value = 0;
   };
-  /// frames_ value of a node slot freed by promotion, awaiting reuse.
+  /// frames_ value of a freed node slot, awaiting reuse.
   static constexpr paddr_t kFreeSlot = ~paddr_t{0};
 
   static unsigned index_at(vaddr_t vaddr, unsigned level) {
@@ -92,17 +101,25 @@ class PageTable {
     return entries_[node * kEntriesPerNode + index];
   }
 
-  std::size_t new_node();
+  /// A node with no present entry, or nullopt when PhysMem has no frame.
+  std::optional<std::size_t> new_node();
+
+  /// Frees path[level], path[level - 1], ... while each holds no present
+  /// entry, stopping below the root; path[l] is the level-l node on the way
+  /// to `vaddr`. Each freed node's entry in its parent is cleared.
+  void prune(vaddr_t vaddr, const std::size_t* path, unsigned level);
 
   PhysMem& pm_;
   // Every node's entries in one arena, node i at [i * 512, (i + 1) * 512);
-  // node 0 is the root. frames_[i] is the simulated frame backing node i.
-  // Slots freed by promotion are reused.
+  // node 0 is the root. frames_[i] is the simulated frame backing node i
+  // and live_entries_[i] its present entries. Freed slots are reused.
   std::vector<Entry> entries_;
   std::vector<paddr_t> frames_;
+  std::vector<std::uint16_t> live_entries_;
   std::vector<std::size_t> free_slots_;
   std::size_t live_nodes_ = 0;
   count_t mapped_[kPageKindCount] = {0, 0, 0};
+  std::uint64_t generation_ = 0;
 
  public:
   /// Depth of the leaf entry for this page kind, counting the root as level

@@ -60,9 +60,15 @@ ThreadSim::ThreadSim(const CostModel& cm, const mem::AddressSpace& space,
 
 void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
                            paging::Translation tr) {
+  const bool is_store = access == Access::store;
+  if (walk_credit_ok(addr, kind, tr) && fast_path_ &&
+      (jump_period_ == 0 || until_jump_ > 1)) {
+    credit_walk_run(1, is_store);
+    return;
+  }
+
   ThreadCounters& c = counters_;
   ++c.accesses;
-  const bool is_store = access == Access::store;
   if (is_store) ++c.stores;
   c.exec_cycles += cm_->exec_per_access;
 
@@ -83,7 +89,8 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
       // The policy-adjusted walk consults the real page table (asserting
       // the address is mapped with the region's layout kind) and yields
       // the effective depth — e.g. exactly 2 levels for a huge1g leaf.
-      const mem::WalkResult walk = paging_.walk(*space_, addr, kind, tr.kind);
+      // The memo keeps it for the rest of the effective page.
+      const mem::WalkResult& walk = policy_walk(addr, kind, tr);
       // A page-walk cache lets the walker start below the root: levels at
       // and above the deepest cached interior entry are PWC reads, not
       // memory references. Absent (the 2007 platforms), first stays 0.
@@ -103,8 +110,10 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
       // access patterns pay real memory latency for cold table entries.
       for (unsigned l = first; l < walk.levels_touched; ++l) {
         c.stall_cycles += cm_->walk_level_stall;
+        // A line that is its set's newest is a hit that changes no LRU
+        // order, so it needs no restamp (cache::LruSets).
         const vaddr_t pte = walk.entry_addr[l];
-        if (l1d_.access(pte, false)) continue;
+        if (l1d_.mru_hit(pte) || l1d_.access(pte, false)) continue;
         if (l2_.access(pte, false)) {
           c.stall_cycles += cm_->l2_hit_stall;
         } else {
@@ -221,15 +230,18 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
     if (jump_period_ != 0 && f >= until_jump_) f = until_jump_ - 1;
     if (f == 0) continue;
 
-    // Both preconditions are checked before anything is applied, so a
+    // Every precondition is checked before anything is applied, so a
     // failed check costs nothing and the slow path resumes exactly where
     // the bulk would have started. A 64-byte line sits inside one 4 KB
     // page, so every follower shares the lead's effective translation
     // under any paging policy.
-    if (!tlbs_.data_mru_hit(tr.vpn, tr.kind) || !l1d_.mru_hit(a)) {
+    if (tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(a)) {
+      credit_line_run(f, is_store);
+    } else if (walk_credit_ok(a, kind, tr)) {
+      credit_walk_run(f, is_store);
+    } else {
       continue;
     }
-    credit_line_run(f, is_store);
     i += f;
   }
 }

@@ -15,15 +15,26 @@
 //
 // Fast path (DESIGN.md §7): touch/touch_run/touch_strided batch the
 // accesses of a cache-line segment into closed-form bulk updates whenever
-// the per-event outcome is *provably* the case where the translation is the
-// newest entry of its L1 DTLB set and the line the newest of its L1 cache
-// set, with no pending instruction jump. The bulk update is constructed to
-// be bit-identical to issuing the events one at a time — every ProfileReport
-// counter is a paper-facing result, so the fast path is only legal because
-// tests/oracle's differential harness proves counter-for-counter equality
-// against a naive single-step reference simulator. set_fast_path(false)
-// degrades every entry point to the per-event touch_impl loop (the
-// reference configuration used for golden generation and the oracle).
+// the per-event outcome is *provably* one that changes no state, with no
+// pending instruction jump. There are two such outcomes: a TLB hit (the
+// translation is the newest entry of its L1 DTLB set and the line the
+// newest of its L1 cache set), and a walk that changes nothing (no data TLB
+// level holds the effective kind, there is no page-walk cache, the walk is
+// the remembered one and the data line and every PTE line are the newest
+// of their L1 sets). The bulk update is constructed to be bit-identical to
+// issuing the events one at a time — every ProfileReport counter is a
+// paper-facing result, so the fast path is only legal because tests/oracle's
+// differential harness proves counter-for-counter equality against a naive
+// single-step reference simulator. set_fast_path(false) degrades every
+// entry point to the per-event touch_impl loop (the reference configuration
+// used for golden generation and the oracle).
+//
+// Walk memo (DESIGN.md §11): the thread keeps its last policy-adjusted
+// walk, keyed by effective vpn, effective kind, layout kind and the page
+// table's generation. Every address of one key walks the same entries, so
+// only the first walk of a key runs PagingModel::walk and its unmapped and
+// layout-mismatch checks; every change to the table starts a new
+// generation.
 #pragma once
 
 #include "cache/cache.hpp"
@@ -167,6 +178,45 @@ class ThreadSim {
   void touch_impl(vaddr_t addr, PageKind kind, Access access,
                   paging::Translation tr);
 
+  /// PagingModel::walk of `addr` (layout `kind`) to `tr`, through the walk
+  /// memo.
+  const mem::WalkResult& policy_walk(vaddr_t addr, PageKind kind,
+                                     paging::Translation tr) {
+    if (!memo_matches(kind, tr)) {
+      memo_.walk = paging_.walk(*space_, addr, kind, tr.kind);
+      memo_.vpn = tr.vpn;
+      memo_.kind = tr.kind;
+      memo_.layout = kind;
+      memo_.generation = space_->page_table().generation();
+    }
+    return memo_.walk;
+  }
+
+  bool memo_matches(PageKind kind, paging::Translation tr) const {
+    return memo_.vpn == tr.vpn && memo_.kind == tr.kind &&
+           memo_.layout == kind &&
+           memo_.generation == space_->page_table().generation();
+  }
+
+  /// True when an access to `addr` (layout `kind`, translated to `tr`) is a
+  /// walk that changes no state: tr.kind is walk-only (no data TLB level
+  /// holds it, no PWC), the memo holds its walk, and the data line and
+  /// every PTE line are the newest of their L1 sets, so each probe is a hit
+  /// that needs no restamp. Every check reads state the access would leave
+  /// unchanged, so it also holds for any number of repeats. The caller
+  /// checks the instruction-jump countdown.
+  bool walk_credit_ok(vaddr_t addr, PageKind kind,
+                      paging::Translation tr) const {
+    if (!tlbs_.walk_only(tr.kind) || !memo_matches(kind, tr) ||
+        !l1d_.mru_hit(addr)) {
+      return false;
+    }
+    for (unsigned l = 0; l < memo_.walk.levels_touched; ++l) {
+      if (!l1d_.mru_hit(memo_.walk.entry_addr[l])) return false;
+    }
+    return true;
+  }
+
   /// One access, translated to `tr`, with the single-event fast path: when
   /// tr.vpn is the newest entry of its L1 DTLB set, addr's line is the
   /// newest line of its L1 cache set, and no instruction jump is due, the
@@ -201,6 +251,22 @@ class ThreadSim {
     // A hit on its set's newest entry changes no LRU state, so the TLB and
     // the cache need no update (see cache::LruSets).
     if (jump_period_ != 0) until_jump_ -= n;
+  }
+
+  /// Closed-form accounting for `n` accesses that each pass
+  /// walk_credit_ok() with no jump firing (n ≤ until_jump_ - 1 when the
+  /// code model is on): each is an L1 DTLB miss and a walk of the memo's
+  /// levels whose PTE reads and data read all hit L1. Bit-identical to n
+  /// touch_impl calls.
+  void credit_walk_run(count_t n, bool is_store) {
+    credit_line_run(n, is_store);
+    ThreadCounters& c = counters_;
+    const count_t levels = memo_.walk.levels_touched;
+    c.dtlb_l1_misses += n;
+    c.dtlb_walks[static_cast<std::size_t>(memo_.kind)] += n;
+    c.walk_levels += n * levels;
+    c.stall_cycles += n * levels * cm_->walk_level_stall;
+    c.long_stalls += n;  // a full TLB miss is a long stall
   }
 
   /// Shared body of touch_run/touch_strided: `n` accesses at
@@ -256,6 +322,19 @@ class ThreadSim {
 
   Rng rng_;
   ThreadCounters counters_;
+
+  /// The last policy-adjusted walk and its key. A walk's levels and entry
+  /// addresses are the same for every address of one effective page (the
+  /// effective page is never finer than the walk's deepest level), so they
+  /// are reused while the key holds; `walk.paddr` is the first address's.
+  struct WalkMemo {
+    vpn_t vpn = 0;
+    PageKind kind = PageKind::small4k;    ///< effective kind
+    PageKind layout = PageKind::small4k;  ///< the region's layout kind
+    std::uint64_t generation = ~std::uint64_t{0};  ///< none walked yet
+    mem::WalkResult walk;
+  };
+  WalkMemo memo_;
 };
 
 }  // namespace lpomp::sim

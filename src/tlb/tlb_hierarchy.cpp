@@ -6,6 +6,19 @@ TlbHierarchy::TlbHierarchy(Tlb::Config itlb, Tlb::Config l1d,
                            std::optional<Tlb::Config> l2d)
     : itlb_(std::move(itlb)), l1d_(std::move(l1d)) {
   if (l2d) l2d_.emplace(std::move(*l2d));
+  walk_only_kinds_ = walk_only_mask();
+}
+
+std::uint8_t TlbHierarchy::walk_only_mask() const {
+  if (pwc_.present()) return 0;
+  std::uint8_t mask = 0;
+  for (PageKind kind :
+       {PageKind::small4k, PageKind::large2m, PageKind::huge1g}) {
+    if (!l1d_.supports(kind) && !(l2d_ && l2d_->supports(kind))) {
+      mask |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(kind));
+    }
+  }
+  return mask;
 }
 
 DtlbHit TlbHierarchy::data_access_miss(vpn_t vpn, PageKind kind) {

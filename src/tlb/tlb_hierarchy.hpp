@@ -63,19 +63,34 @@ class TlbHierarchy {
   /// Installs (or removes, with an absent config) the page-walk cache.
   /// Lives here rather than in ThreadSim so flush_all() — the context-switch
   /// model — covers it like every other translation structure.
-  void set_pwc(const PwcConfig& config) { pwc_ = Pwc(config); }
+  void set_pwc(const PwcConfig& config) {
+    pwc_ = Pwc(config);
+    walk_only_kinds_ = walk_only_mask();
+  }
   Pwc& pwc() { return pwc_; }
   const Pwc& pwc() const { return pwc_; }
+
+  /// True when every data access of `kind` walks and its probes change no
+  /// TLB or PWC state: no data level can hold the kind, and there is no
+  /// PWC (the Opteron under huge1g). The bulk walk credit's precondition
+  /// on the translation structures (DESIGN.md §7).
+  bool walk_only(PageKind kind) const {
+    return (walk_only_kinds_ >> static_cast<unsigned>(kind)) & 1u;
+  }
 
  private:
   /// L1-miss continuation of data_access (L1 already refilled): the L2
   /// probe-or-fill.
   DtlbHit data_access_miss(vpn_t vpn, PageKind kind);
 
+  /// The walk_only() kinds as a bit mask, one bit per PageKind.
+  std::uint8_t walk_only_mask() const;
+
   Tlb itlb_;
   Tlb l1d_;
   std::optional<Tlb> l2d_;
   Pwc pwc_;  ///< absent by default; see set_pwc()
+  std::uint8_t walk_only_kinds_ = 0;  ///< walk_only_mask(), kept by set_pwc()
 };
 
 }  // namespace lpomp::tlb

@@ -7,9 +7,11 @@
 // drives random operation sequences through both and requires identical
 // addresses, failures, statistics and walk results.
 //
-// One deliberate deviation from the straightforward version: when a
-// page-table node cannot be allocated, map() leaves its entry non-present
-// and map_region() rolls the partial region back, exactly as it does when a
+// Page-table nodes are freed as soon as they hold no present entry: unmap()
+// frees the nodes it empties, bottom up and never the root, by scanning
+// each node on its path. When a node cannot be allocated, map() leaves its
+// entry non-present and frees the empty nodes it made on the way, and
+// map_region() rolls the partial region back, exactly as it does when a
 // data frame cannot be taken.
 #pragma once
 
@@ -140,45 +142,43 @@ class RefPageTable {
 
   void map(vaddr_t vaddr, paddr_t paddr, PageKind kind) {
     const unsigned leaf = mem::PageTable::leaf_level(kind);
-    std::size_t node = 0;
+    std::vector<std::size_t> path = {0};
     for (unsigned level = 0; level < leaf; ++level) {
       const unsigned index = index_at(vaddr, level);
-      if (!nodes_[node].entries[index].present) {
-        const std::size_t child = new_node();
-        nodes_[node].entries[index] = Entry{true, false, child};
+      if (!nodes_[path.back()].entries[index].present) {
+        std::size_t child;
+        try {
+          child = new_node();
+        } catch (const std::runtime_error&) {
+          free_empty(vaddr, path);
+          throw;
+        }
+        nodes_[path.back()].entries[index] = Entry{true, false, child};
       }
-      const Entry& e = nodes_[node].entries[index];
+      const Entry& e = nodes_[path.back()].entries[index];
       LPOMP_CHECK(!e.leaf);
-      node = static_cast<std::size_t>(e.value);
+      path.push_back(static_cast<std::size_t>(e.value));
     }
-    Entry& e = nodes_[node].entries[index_at(vaddr, leaf)];
-    if (e.present && !e.leaf && kind == PageKind::large2m) {
-      const auto child = static_cast<std::size_t>(e.value);
-      for (const Entry& ce : nodes_[child].entries) LPOMP_CHECK(!ce.present);
-      pm_.return_block(nodes_[child].frame, 0);
-      nodes_[child].entries.clear();
-      free_slots_.push_back(child);
-      --live_nodes_;
-      e = Entry{};
-    }
+    Entry& e = nodes_[path.back()].entries[index_at(vaddr, leaf)];
     LPOMP_CHECK(!e.present);
     e = Entry{true, true, paddr};
     ++mapped_[static_cast<std::size_t>(kind)];
   }
 
   bool unmap(vaddr_t vaddr) {
-    std::size_t node = 0;
+    std::vector<std::size_t> path = {0};
     for (unsigned level = 0; level < kLevels; ++level) {
-      Entry& e = nodes_[node].entries[index_at(vaddr, level)];
+      Entry& e = nodes_[path.back()].entries[index_at(vaddr, level)];
       if (!e.present) return false;
       if (e.leaf) {
         const PageKind kind =
             level == kLevels - 1 ? PageKind::small4k : PageKind::large2m;
         e = Entry{};
         --mapped_[static_cast<std::size_t>(kind)];
+        free_empty(vaddr, path);
         return true;
       }
-      node = static_cast<std::size_t>(e.value);
+      path.push_back(static_cast<std::size_t>(e.value));
     }
     return false;
   }
@@ -228,6 +228,27 @@ class RefPageTable {
     const unsigned shift =
         kSmallPageShift + kBitsPerLevel * (kLevels - 1 - level);
     return static_cast<unsigned>((vaddr >> shift) & (kEntries - 1));
+  }
+
+  static bool no_present_entry(const Node& n) {
+    return std::none_of(n.entries.begin(), n.entries.end(),
+                        [](const Entry& e) { return e.present; });
+  }
+
+  /// Frees the deepest node of `path` (the nodes from the root towards
+  /// `vaddr`) while it holds no present entry, then its parent, and so on,
+  /// never the root; clears each freed node's entry in its parent.
+  void free_empty(vaddr_t vaddr, std::vector<std::size_t>& path) {
+    while (path.size() > 1 && no_present_entry(nodes_[path.back()])) {
+      const std::size_t node = path.back();
+      path.pop_back();
+      pm_.return_block(nodes_[node].frame, 0);
+      nodes_[node].entries.clear();
+      free_slots_.push_back(node);
+      --live_nodes_;
+      const auto parent_level = static_cast<unsigned>(path.size() - 1);
+      nodes_[path.back()].entries[index_at(vaddr, parent_level)] = Entry{};
+    }
   }
 
   std::size_t new_node() {

@@ -68,16 +68,31 @@ TEST(AddressSpace, FindRegion) {
 TEST(AddressSpace, UnmapReturnsFrames) {
   PhysMem pm(MiB(32));
   AddressSpace space(pm);
-  // Invariant: free bytes plus page-table overhead; data frames must all
-  // come back on unmap (table nodes are kept for reuse, as in a real kernel).
-  const std::size_t before =
-      pm.free_bytes() + space.page_table().overhead_bytes();
+  // Data frames and the table nodes the region needed all come back on
+  // unmap: only the root node stays.
+  const std::size_t before = pm.free_bytes();
   const Region r = space.map_region(MiB(2), PageKind::large2m, "tmp");
-  EXPECT_LT(pm.free_bytes() + space.page_table().overhead_bytes(), before);
+  EXPECT_LT(pm.free_bytes(), before);
   space.unmap_region(r.base);
-  EXPECT_EQ(pm.free_bytes() + space.page_table().overhead_bytes(), before);
+  EXPECT_EQ(pm.free_bytes(), before);
+  EXPECT_EQ(space.page_table().node_count(), 1u);
   EXPECT_FALSE(space.translate(r.base).present);
   EXPECT_EQ(space.mapped_bytes(), 0u);
+}
+
+TEST(AddressSpace, RepeatedMapUnmapKeepsTableBounded) {
+  // Virtual addresses are never reused, so each round maps a fresh 4 MiB
+  // and needs fresh table nodes; unmapping frees them again, so one space
+  // runs forever on 64 MiB.
+  PhysMem pm(MiB(64));
+  AddressSpace space(pm);
+  const std::size_t before = pm.free_bytes();
+  for (int round = 0; round < 10000; ++round) {
+    const Region r = space.map_region(MiB(4), PageKind::small4k, "round");
+    space.unmap_region(r.base);
+    ASSERT_EQ(space.page_table().node_count(), 1u) << "round " << round;
+  }
+  EXPECT_EQ(pm.free_bytes(), before);
 }
 
 TEST(AddressSpace, UnmapUnknownRegionThrows) {
@@ -102,12 +117,12 @@ TEST(AddressSpace, ExhaustionThrowsAndRollsBack) {
   const std::size_t before_free = pm.free_bytes();
   EXPECT_THROW(space.map_region(MiB(16), PageKind::small4k, "huge"),
                std::runtime_error);
-  // Page-table nodes for the failed region may remain, but all data frames
-  // must have been rolled back (no region leaked).
+  // Every data frame and every table node of the failed region is rolled
+  // back (no region leaked).
   EXPECT_EQ(space.mapped_bytes(), 0u);
   EXPECT_EQ(space.regions().size(), 0u);
-  EXPECT_GE(pm.free_bytes() + space.page_table().overhead_bytes(),
-            before_free);
+  EXPECT_EQ(pm.free_bytes(), before_free);
+  EXPECT_EQ(space.page_table().node_count(), 1u);
 }
 
 TEST(AddressSpace, HugeTlbFsAsFrameSource) {

@@ -13,9 +13,10 @@
 // cache structure stats — must agree across all three. The generator mixes
 // strides crossing 4 KB and 2 MB boundaries, page-kind mixes, periodic
 // multi-slot blocks (the shape REPEAT records decode into), interleaved
-// arrays in different sets and pages (CG's gather loop), TLB flushes
-// (SMT context switches on pre-ASID hardware), and in-place superpage
-// promotion; streams run on both of the paper's platforms.
+// arrays in different sets and pages (CG's gather loop), data lines aimed
+// at the L1D sets of a walk's PTE lines, TLB flushes (SMT context switches
+// on pre-ASID hardware), and in-place superpage promotion; streams run on
+// both of the paper's platforms.
 //
 // Reproduction: every failure message carries the platform, variant,
 // stream index, and the per-stream seed. LPOMP_DIFF_SEED overrides the
@@ -231,13 +232,18 @@ void drive_slots(Trio& t, const std::vector<Slot>& slots,
 
 /// Shared memory image for one platform's streams: a promotable small-page
 /// region (2 MB-aligned chunks, mapped first so chunk bases stay aligned),
-/// a plain small-page region, and a huge-page region.
+/// a plain small-page region, a huge-page region, and a far huge-page
+/// region above 8 GiB. The other regions lie in the first three 1 GiB
+/// pages, whose PUD entries share one 64-byte line, so every huge1g walk
+/// would read the same two PTE lines; a walk of the far region reads
+/// another PUD line. Virtual addresses are never reused, so a mapped and
+/// unmapped 6 GiB spacer puts the far region there.
 struct Layout {
   static constexpr std::size_t kPromoChunks = 4;
 
-  mem::PhysMem pm{MiB(128)};
+  mem::PhysMem pm{GiB(6) + MiB(128)};
   mem::AddressSpace space{pm};
-  mem::Region promo, small, large;
+  mem::Region promo, small, large, far;
   bool promoted[kPromoChunks] = {false, false, false, false};
 
   Layout() {
@@ -245,6 +251,9 @@ struct Layout {
                              "promo");
     small = space.map_region(KiB(256), PageKind::small4k, "small");
     large = space.map_region(MiB(8), PageKind::large2m, "large");
+    space.unmap_region(
+        space.map_region(GiB(6), PageKind::large2m, "spacer").base);
+    far = space.map_region(MiB(4), PageKind::large2m, "far");
   }
 };
 
@@ -315,6 +324,21 @@ void run_platform(const sim::ProcessorSpec& spec,
       return {lay.large.base, MiB(8), PageKind::large2m};
     };
 
+    // An 8-byte-aligned address of [base, base + limit) whose line falls in
+    // the L1D set of line address `target`. Sets are counted in the solo
+    // variant's L1D; the sliced one has half as many (both powers of two),
+    // so lines that share a set there share one here too.
+    auto aim_at_set = [&](vaddr_t base, std::size_t limit,
+                          std::uint64_t target) -> vaddr_t {
+      const std::uint64_t sets = spec.l1d.sets();
+      const std::uint64_t span = sets * 64;
+      const std::uint64_t first_line =
+          ((target >> 6) % sets + sets - (base >> 6) % sets) % sets;
+      const vaddr_t first = base + first_line * 64;
+      const std::uint64_t choices = (base + limit - first + span - 1) / span;
+      return first + gen.next_below(choices) * span + 8 * gen.next_below(8);
+    };
+
     const unsigned n_ops = 2 + static_cast<unsigned>(gen.next_below(10));
     for (unsigned op = 0; op < n_ops; ++op) {
       const auto [base, limit, kind] = pick_window();
@@ -322,7 +346,7 @@ void run_platform(const sim::ProcessorSpec& spec,
           gen.next_below(3) == 0 ? Access::store : Access::load;
 
       const std::uint64_t roll = gen.next_below(100);
-      if (roll < 16) {
+      if (roll < 10) {
         // Single touch.
         const vaddr_t addr = base + 8 * gen.next_below(limit / 8);
         for (int w = 0; w < 2; ++w) {
@@ -331,6 +355,47 @@ void run_platform(const sim::ProcessorSpec& spec,
           t.slow.touch(addr, kind, access);
           t.ref.touch(addr, kind, access);
         }
+      } else if (roll < 16) {
+        // PTE-set conflicts: one address touched again and again, between
+        // data lines aimed at the L1D sets of its walk's PTE lines and of
+        // its own line. Each of those lines keeps dropping out of its set's
+        // newest slot, and LRU order decides which line the next conflict
+        // evicts, so a walk credited without every line being its set's
+        // newest skips a restamp that a later eviction depends on.
+        // The address and the aimed lines are drawn from the far region a
+        // quarter of the time each, so some walks in the block read PTE
+        // lines that others do not, and those lines can be evicted.
+        const Window far{lay.far.base, lay.far.length, PageKind::large2m};
+        const Window aw =
+            gen.next_below(4) == 0 ? far : Window{base, limit, kind};
+        const vaddr_t addr = aw.base + 8 * gen.next_below(aw.limit / 8 - 8);
+        mem::WalkResult walk = lay.space.translate(addr);
+        if (policy != nullptr) {
+          const paging::PagingModel model(*policy);
+          walk = model.walk(lay.space, addr, aw.kind,
+                            model.translate(addr, aw.kind).kind);
+        }
+        std::vector<paddr_t> targets(walk.entry_addr,
+                                     walk.entry_addr + walk.levels_touched);
+        targets.push_back(addr);
+        const std::size_t m = 8 + static_cast<std::size_t>(gen.next_below(33));
+        std::vector<Slot> slots(m);
+        for (Slot& s : slots) {
+          s.access = gen.next_below(4) == 0 ? Access::store : Access::load;
+          if (gen.next_below(2) == 0) {
+            // The address itself: a touch, or a short run whose followers
+            // take the bulk credit.
+            s.addr = addr;
+            s.page = aw.kind;
+            s.n = gen.next_below(3) == 0 ? 2 + gen.next_below(7) : 1;
+            continue;
+          }
+          const Window w = gen.next_below(4) == 0 ? far : pick_window();
+          s.addr = aim_at_set(w.base, w.limit,
+                              targets[gen.next_below(targets.size())]);
+          s.page = w.kind;
+        }
+        for (Trio& t : trios) drive_slots(t, slots, 1 + gen.next_below(3));
       } else if (roll < 23) {
         // Random-access burst — the GUPS stream shape: a block of
         // uncorrelated singleton touches, exactly what stride-RLE
@@ -564,10 +629,10 @@ TEST(SimDifferential, XeonFastPathMatchesReference) {
 
 // Paging-policy differential: the same randomized streams with a
 // non-identity translation overlay, on the PWC-bearing modern spec — so one
-// pass covers effective-kind rebanking, truncated/extended walks, the
-// and the page-walk cache. huge1g also
-// runs on the Opteron, whose 1 GiB L1 bank holds zero entries: every access
-// walks, the corner where a stale fast path once credited impossible hits.
+// pass covers effective-kind rebanking, truncated and extended walks, and
+// the page-walk cache. huge1g also runs on the Opteron, whose DTLBs hold no
+// 1 GiB entries: every access walks, the corner where a stale fast path
+// once credited impossible hits, and where the bulk walk credit applies.
 int policy_stream_count() {
   if (const char* env = std::getenv("LPOMP_POLICY_STREAMS")) {
     return std::atoi(env);
@@ -590,6 +655,19 @@ TEST(SimDifferential, Huge1gZeroCapacityBankMatchesReference) {
   paging::PolicySpec spec;
   spec.policy = paging::Policy::huge1g;
   run_platform(sim::ProcessorSpec::opteron270(), &spec, policy_stream_count());
+}
+
+// The bulk walk credit's two other boundaries under huge1g: the Xeon, whose
+// single DTLB level holds no 1 GiB entries (walk-only, one level), and the
+// Opteron with a page-walk cache added, where every access still walks but
+// the PWC probe changes state, so no walk may be credited in bulk.
+TEST(SimDifferential, Huge1gWalkCreditBoundariesMatchReference) {
+  paging::PolicySpec spec;
+  spec.policy = paging::Policy::huge1g;
+  run_platform(sim::ProcessorSpec::xeon_ht(), &spec, policy_stream_count());
+  sim::ProcessorSpec opteron_pwc = sim::ProcessorSpec::opteron270();
+  opteron_pwc.pwc = sim::ProcessorSpec::modern().pwc;
+  run_platform(opteron_pwc, &spec, policy_stream_count());
 }
 
 // --- replay fast path ---------------------------------------------------------

@@ -3,6 +3,8 @@
 // stream prefetcher, and the instruction-stream model.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/address_space.hpp"
 #include "sim/thread_sim.hpp"
 
@@ -71,6 +73,37 @@ TEST_F(ThreadSimTest, KindMismatchDetected) {
   ThreadSim t = make_sim();
   EXPECT_THROW(t.touch(large_.base, PageKind::small4k, Access::load),
                std::logic_error);
+}
+
+// The walk memo is keyed by the page table's generation: after an unmap, a
+// touch of the old address walks the table again and fails, on the fast
+// path (which would otherwise credit the remembered walk) and on the
+// per-event path alike. huge1g makes every access walk here: neither DTLB
+// level holds 1 GiB entries.
+TEST_F(ThreadSimTest, WalkMemoHonoursUnmap) {
+  paging::PolicySpec huge1g;
+  huge1g.policy = paging::Policy::huge1g;
+  for (const bool fast : {true, false}) {
+    const mem::Region r =
+        space_.map_region(MiB(1), PageKind::small4k, "short-lived");
+    ThreadSim t = make_sim();
+    t.set_fast_path(fast);
+    t.set_paging(huge1g);
+    t.touch(r.base, PageKind::small4k, Access::load);
+    t.touch(r.base, PageKind::small4k, Access::load);
+    EXPECT_EQ(t.counters().dtlb_walks[2], 2u);
+    space_.unmap_region(r.base);
+    try {
+      t.touch(r.base, PageKind::small4k, Access::load);
+      ADD_FAILURE() << "touch of an unmapped address did not fail (fast="
+                    << fast << ")";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "paging walk of an unmapped address"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(ThreadSimTest, CacheHitsAfterFirstLineTouch) {
