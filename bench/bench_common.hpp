@@ -21,8 +21,6 @@
 #include "support/format.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
-#include "trace/recorder.hpp"
-#include "trace/replay.hpp"
 
 namespace lpomp::bench {
 
@@ -202,54 +200,6 @@ inline exec::Scheduler::Config scheduler_config(const Options& opts) {
   cfg.workers = workers_from(opts);
   cfg.store_dir = opts.get("store-dir", "");
   return cfg;
-}
-
-// --- trace plumbing (record a live run, replay it) ---------------------------
-
-/// Runs `task` live with a TraceRecorder attached. Returns the live result
-/// and stores the recorded stream in `out` (its meta carries the run's
-/// verified/checksum, which replays copy through).
-inline npb::NpbResult record_live(const exec::RunTask& task,
-                                  trace::Trace& out) {
-  trace::TraceRecorder recorder(task.threads);
-  core::RuntimeConfig cfg = task.runtime_config();
-  cfg.trace_sink = &recorder;
-  const npb::NpbResult r = npb::run_kernel(task.kernel, task.klass, cfg);
-  trace::TraceMeta meta;
-  meta.kernel = npb::kernel_name(task.kernel);
-  meta.klass = npb::klass_name(task.klass);
-  meta.threads = task.threads;
-  meta.page_kind = task.page_kind;
-  meta.platform = task.spec.name;
-  meta.code_page_kind = task.code_page_kind;
-  meta.seed = task.seed;
-  meta.verified = r.verified;
-  meta.checksum = r.checksum;
-  out = recorder.finish(std::move(meta));
-  return r;
-}
-
-/// The replay knobs of `task`: platform, cost model, seed, code pages and
-/// paging policy.
-inline trace::ReplayConfig replay_config(const exec::RunTask& task) {
-  trace::ReplayConfig cfg{task.spec, task.cost, task.seed,
-                          task.code_page_kind};
-  cfg.paging = task.paging;
-  return cfg;
-}
-
-/// True when a replay reproduced every profile counter and the simulated
-/// time of a live run.
-inline bool same_counters(const npb::NpbResult& live,
-                          const trace::ReplayOutcome& replay) {
-  const std::vector<prof::Event>& a = live.profile.events();
-  const std::vector<prof::Event>& b = replay.profile.events();
-  bool same = live.simulated_seconds == replay.simulated_seconds &&
-              a.size() == b.size();
-  for (std::size_t i = 0; same && i < a.size(); ++i) {
-    same = a[i].name == b[i].name && a[i].count == b[i].count;
-  }
-  return same;
 }
 
 /// Aborts loudly if any run of the sweep failed or mis-verified — the

@@ -10,12 +10,8 @@
 //   * Figure 3 — aggregate ITLB miss rate at 4 threads (negligible).
 //
 // Every uncached grid point runs live (--strategy=live|auto, both the same
-// path). --replay-check instead records each unique address stream
-// (kernel × class × threads × page kind) once with a TraceRecorder,
-// replays it with a ReplayDriver for every grid point sharing it, and
-// verifies every replayed counter against that point's live run.
-// --store-dir= layers the disk-persistent result store under the cache
-// (the same store the sweep daemon serves from).
+// path). --store-dir= layers the disk-persistent result store under the
+// cache (the same store the sweep daemon serves from).
 //
 // --json-out=BENCH_sweep.json writes the machine-readable perf summary CI
 // trends: cold/warm wall-clock, warm cache-hit rate, and a per-run
@@ -28,60 +24,15 @@
 // record; by default only deterministic fields are emitted, so
 //   sweep_all --workers=1 --json=a.json && sweep_all --workers=8 --json=b.json
 // produces byte-identical files — the scheduler's determinism guarantee.
-#include <map>
-#include <utility>
-
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
 #include "serve/client.hpp"
-#include "trace/trace.hpp"
 
 using namespace lpomp;
 
-namespace {
-
-/// --replay-check: the grid grouped by address stream; the first point of
-/// each stream records it live, and every point's replay of the stream must
-/// reproduce that point's live counters. Returns the number of mismatches.
-std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
-  std::vector<std::vector<const exec::RunTask*>> streams;
-  std::map<std::string, std::size_t> stream_of;
-  for (const exec::RunTask& t : tasks) {
-    const auto [it, fresh] = stream_of.try_emplace(
-        trace::trace_key(npb::kernel_name(t.kernel), npb::klass_name(t.klass),
-                         t.threads, t.page_kind),
-        streams.size());
-    if (fresh) streams.emplace_back();
-    streams[it->second].push_back(&t);
-  }
-  std::size_t mismatches = 0;
-  for (const std::vector<const exec::RunTask*>& stream : streams) {
-    trace::Trace tr;
-    for (const exec::RunTask* task : stream) {
-      const npb::NpbResult live =
-          task == stream.front()
-              ? bench::record_live(*task, tr)
-              : npb::run_kernel(task->kernel, task->klass,
-                                task->runtime_config());
-      const trace::ReplayOutcome replayed =
-          trace::ReplayDriver(bench::replay_config(*task)).run(tr);
-      if (!bench::same_counters(live, replayed)) {
-        ++mismatches;
-        std::cerr << "REPLAY MISMATCH: " << task->label() << "\n";
-      }
-    }
-  }
-  std::cout << "replay check: " << tasks.size() << " tasks replayed from "
-            << streams.size() << " recorded streams, " << mismatches
-            << " mismatches\n";
-  return mismatches;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  opts.require_known({"klass", "kernels", "json-out", "shm", "replay-check"},
+  opts.require_known({"klass", "kernels", "json-out", "shm"},
                      bench::kPagingKeys, bench::kSchedulerKeys,
                      bench::kJsonKeys, bench::kStrategyKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
@@ -93,10 +44,6 @@ int main(int argc, char** argv) {
 
   // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis.
   const bool paging_axis = bench::add_paging_axis(opts, spec);
-
-  if (opts.get_flag("replay-check")) {
-    return replay_check(spec.expand()) == 0 ? 0 : 1;
-  }
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
   std::cout << "sweep_all: " << spec.expand().size()

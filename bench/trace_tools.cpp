@@ -1,137 +1,74 @@
-// Trace workbench: record kernel access traces to files, replay them on any
-// platform/cost configuration, and analyse their locality structure.
+// Replay bench: records kernel access streams in memory and times each
+// stream's replay against a live run of the configuration that recorded it.
 //
-//   trace_tools record    --kernel=CG --klass=S --threads=4 --pages=2MB
-//                         --out=cg.lptrace [--platform=opteron] [--seed=N]
-//   trace_tools replay    --in=cg.lptrace [--platform=xeon] [--seed=N]
-//                         [--code-pages=4KB] [--check]
-//   trace_tools bench     --in=cg_s.lptrace,cg_w.lptrace [--repeat=10]
-//                         [--json-out=FILE]
-//   trace_tools stats     --in=cg.lptrace
+//   trace_tools bench --kernels=CG --klass=S,W [--threads=4]
+//                     [--pages=4KB|2MB] [--repeat=10] [--json-out=FILE]
 //
-// `record` runs the kernel live with the recorder attached and writes the
-// compressed trace. `replay` re-drives the simulator from the file and
-// prints the profile; with --check it also runs the same config live and
-// verifies every counter matches bit-for-bit. `bench` times a replay of
-// each trace against the live run that recorded it (same platform, seed
-// and code pages; minimum of --repeat runs each, with their median and
-// maximum beside it) and asserts the two agree counter-for-counter — the
-// replay-over-live ratio of the minima is what CI gates on.
-// `stats` decodes the trace and prints stride histograms, hot-page counts
-// and reuse-distance profiles at 4 KB and 2 MB granularity — the
-// quantities that explain which kernels large pages help.
+// Every (kernel, class) pair is recorded once on the Opteron at seed
+// 0x5eed with 4 KB code pages, live with a TraceRecorder attached. Its
+// live run and its replay under the same configuration are then timed
+// --repeat times each (minimum, with the median and maximum beside it),
+// and the two must agree counter-for-counter: a timing from diverging runs
+// would be meaningless. The replay-over-live ratio of the minima is what
+// CI gates on. A recording whose kernel fails verification exits 2;
+// diverging counters exit 1.
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
-#include "trace/io.hpp"
-#include "trace/stats.hpp"
+#include "trace/recorder.hpp"
+#include "trace/replay.hpp"
 
 using namespace lpomp;
 
 namespace {
 
-/// The live-run configuration a trace was recorded under (recording
-/// platform, seed and code pages; default cost model and paging). Throws
-/// TraceError when the recording platform is not a built-in one.
-exec::RunTask task_of(const trace::Trace& trace) {
-  const trace::TraceMeta& meta = trace.meta;
-  exec::RunTask task;
-  task.kernel = or_unknown<trace::TraceError>(
-      npb::kernel_from_name(meta.kernel), npb::kKernels, meta.kernel);
-  task.klass = or_unknown<trace::TraceError>(npb::klass_from_name(meta.klass),
-                                             npb::kKlasses, meta.klass);
-  const std::optional<sim::ProcessorSpec> spec =
-      sim::ProcessorSpec::from_name(meta.platform);
-  if (!spec) {
-    throw trace::TraceError("trace: recorded on unknown platform '" +
-                            meta.platform + "'");
+/// Runs `task` live with a TraceRecorder attached. Returns the live result
+/// and stores the recorded stream in `out` (its meta carries the run's
+/// verified/checksum, which replays copy through).
+npb::NpbResult record_live(const exec::RunTask& task, trace::Trace& out) {
+  trace::TraceRecorder recorder(task.threads);
+  core::RuntimeConfig cfg = task.runtime_config();
+  cfg.trace_sink = &recorder;
+  const npb::NpbResult r = npb::run_kernel(task.kernel, task.klass, cfg);
+  trace::TraceMeta meta;
+  meta.kernel = npb::kernel_name(task.kernel);
+  meta.klass = npb::klass_name(task.klass);
+  meta.threads = task.threads;
+  meta.page_kind = task.page_kind;
+  meta.platform = task.spec.name;
+  meta.code_page_kind = task.code_page_kind;
+  meta.seed = task.seed;
+  meta.verified = r.verified;
+  meta.checksum = r.checksum;
+  out = recorder.finish(std::move(meta));
+  return r;
+}
+
+/// The replay knobs of `task`: platform, cost model, seed, code pages and
+/// paging policy.
+trace::ReplayConfig replay_config(const exec::RunTask& task) {
+  trace::ReplayConfig cfg{task.spec, task.cost, task.seed,
+                          task.code_page_kind};
+  cfg.paging = task.paging;
+  return cfg;
+}
+
+/// True when a replay reproduced every profile counter and the simulated
+/// time of a live run.
+bool same_counters(const npb::NpbResult& live,
+                   const trace::ReplayOutcome& replay) {
+  const std::vector<prof::Event>& a = live.profile.events();
+  const std::vector<prof::Event>& b = replay.profile.events();
+  bool same = live.simulated_seconds == replay.simulated_seconds &&
+              a.size() == b.size();
+  for (std::size_t i = 0; same && i < a.size(); ++i) {
+    same = a[i].name == b[i].name && a[i].count == b[i].count;
   }
-  task.spec = *spec;
-  task.threads = meta.threads;
-  task.page_kind = meta.page_kind;
-  task.code_page_kind = meta.code_page_kind;
-  task.seed = meta.seed;
-  return task;
-}
-
-/// --key's value; throws OptionError when it is absent or empty.
-std::string required(const Options& opts, const char* key) {
-  const std::string v = opts.get(key, "");
-  if (v.empty()) throw OptionError(std::string("need --") + key + "=<file>");
-  return v;
-}
-
-void print_profile(const prof::ProfileReport& profile, double seconds) {
-  profile.print(std::cout);
-  std::cout << "simulated time: " << format_seconds(seconds) << "s\n";
-}
-
-int cmd_record(const Options& opts) {
-  opts.require_known({"kernel", "klass", "platform", "threads", "pages",
-                      "code-pages", "seed", "out"},
-                     bench::kStrategyKeys);
-  const std::string out = required(opts, "out");
-  exec::RunTask task;
-  task.kernel = opts.get_name("kernel", "CG", npb::kernel_from_name,
-                              npb::kKernels);
-  task.klass = bench::klass_from(opts, "S");
-  task.spec = bench::platform_from(opts);
-  task.threads = static_cast<unsigned>(
-      opts.get_unsigned("threads", 4, std::numeric_limits<unsigned>::max(), 1));
-  task.page_kind = bench::page_kind_from(opts, "pages");
-  task.code_page_kind = bench::page_kind_from(opts, "code-pages");
-  task.seed = opts.get_unsigned("seed", 0x5eed);
-
-  trace::Trace trace;
-  const npb::NpbResult r = bench::record_live(task, trace);
-  if (!r.verified) {
-    std::cerr << "record: kernel failed verification — not writing a trace\n";
-    return 2;
-  }
-  trace::save_trace_file(out, trace);
-
-  std::size_t bytes = 0;
-  for (const std::string& s : trace.streams) bytes += s.size();
-  std::cout << "recorded " << trace.key() << ": "
-            << format_count(trace.meta.accesses) << " accesses, "
-            << trace.boundaries.size() << " boundaries, "
-            << format_bytes(bytes) << " encoded ("
-            << format_ratio(8.0 * static_cast<double>(bytes) /
-                            static_cast<double>(trace.meta.accesses))
-            << " bits/access) -> " << out << "\n";
-  print_profile(r.profile, r.simulated_seconds);
-  return 0;
-}
-
-int cmd_replay(const Options& opts) {
-  opts.require_known({"in", "platform", "seed", "code-pages", "check"},
-                     bench::kStrategyKeys);
-  const trace::Trace trace = trace::load_trace_file(required(opts, "in"));
-  trace::ReplayConfig cfg;
-  cfg.spec = bench::platform_from(opts);
-  cfg.seed = opts.get_unsigned("seed", 0x5eed);
-  cfg.code_page_kind = bench::page_kind_from(opts, "code-pages");
-
-  std::cout << "replaying " << trace.key() << " (recorded on "
-            << trace.meta.platform << ") on " << cfg.spec.name << "\n";
-  const trace::ReplayOutcome out = trace::ReplayDriver(cfg).run(trace);
-  print_profile(out.profile, out.simulated_seconds);
-
-  if (opts.get_flag("check")) {
-    exec::RunTask task = task_of(trace);
-    task.spec = cfg.spec;
-    task.code_page_kind = cfg.code_page_kind;
-    task.seed = cfg.seed;
-    const bool same = bench::same_counters(
-        npb::run_kernel(task.kernel, task.klass, task.runtime_config()), out);
-    std::cout << "live check: counters "
-              << (same ? "identical" : "DIFFER") << "\n";
-    if (!same) return 1;
-  }
-  return 0;
+  return same;
 }
 
 /// Wall time of --repeat runs of one side: the minimum, which the ratio
@@ -143,9 +80,9 @@ struct RepeatTimes {
   double max_ms = 0.0;
 };
 
-/// One trace's bench measurements: the walls of the live run that recorded
-/// it and of its replay under the same configuration, the ratio of their
-/// minima, a counter-identity verdict, and the trace's element-access count.
+/// One stream's bench measurements: the walls of the live run and of its
+/// replay under the same configuration, the ratio of their minima, a
+/// counter-identity verdict, and the stream's element-access count.
 struct BenchEntry {
   std::string trace_key;
   std::string platform;
@@ -156,9 +93,14 @@ struct BenchEntry {
   bool identical = false;
 };
 
-BenchEntry bench_one(const std::string& path, int repeat) {
-  const trace::Trace trace = trace::load_trace_file(path);
-  const exec::RunTask task = task_of(trace);
+BenchEntry bench_one(const exec::RunTask& task, int repeat) {
+  trace::Trace trace;
+  const npb::NpbResult recorded = record_live(task, trace);
+  if (!recorded.verified) {
+    std::cerr << "VERIFICATION FAILED: " << task.label()
+              << ": not timing the replay of a wrong run\n";
+    std::exit(2);
+  }
 
   using clock = std::chrono::steady_clock;
   auto time_ms = [repeat](auto&& fn) {
@@ -181,55 +123,64 @@ BenchEntry bench_one(const std::string& path, int repeat) {
   BenchEntry e;
   e.trace_key = trace.key();
   e.platform = task.spec.name;
-  e.accesses = trace::analyze_trace(trace).element_accesses;
+  e.accesses = trace.meta.accesses;
   npb::NpbResult live;
   e.live = time_ms([&] {
     live = npb::run_kernel(task.kernel, task.klass, task.runtime_config());
   });
   trace::ReplayOutcome replayed;
   e.replay = time_ms([&] {
-    replayed = trace::ReplayDriver(bench::replay_config(task)).run(trace);
+    replayed = trace::ReplayDriver(replay_config(task)).run(trace);
   });
-  e.identical = bench::same_counters(live, replayed);
+  e.identical = same_counters(live, replayed);
   e.replay_over_live = e.replay.min_ms / e.live.min_ms;
   return e;
 }
 
-/// Replay micro-benchmark: each trace's interpreted replay against the
-/// live run that recorded it, minimum of --repeat runs each. The two must
-/// agree counter-for-counter — a timing from diverging runs would be
-/// meaningless — so the bench doubles as an identity check. --in accepts a
-/// comma-separated trace list (CI measures a class S and a class W
-/// stream). --json-out writes the rows CI compares against its committed
-/// reference: replay_over_live is a same-host ratio, so CI gates on it.
+/// --json-out writes the rows CI compares against its committed reference:
+/// replay_over_live is a same-host ratio, so CI gates on it.
 int cmd_bench(const Options& opts) {
-  opts.require_known({"in", "repeat", "json-out"}, bench::kStrategyKeys);
-  const std::vector<std::string> paths = split_list(required(opts, "in"));
-  const int repeat = std::max(1, static_cast<int>(opts.get_int("repeat", 10)));
+  opts.require_known(
+      {"kernels", "klass", "threads", "pages", "repeat", "json-out"},
+      bench::kStrategyKeys);
+  const std::vector<npb::Kernel> kernels = opts.get_names(
+      "kernels", "CG", npb::kernel_from_name, npb::kKernels);
+  const std::vector<npb::Klass> klasses =
+      opts.get_names("klass", "S", npb::klass_from_name, npb::kKlasses);
+  exec::RunTask task;
+  task.threads = static_cast<unsigned>(
+      opts.get_unsigned("threads", 4, task.spec.max_threads(), 1));
+  task.page_kind = bench::page_kind_from(opts, "pages");
+  const int repeat = static_cast<int>(opts.get_unsigned(
+      "repeat", 10, std::numeric_limits<int>::max(), 1));
+  const std::string json_path = opts.get("json-out", "");
 
   std::vector<BenchEntry> entries;
   bool all_same = true;
-  for (const std::string& path : paths) {
-    const BenchEntry e = bench_one(path, repeat);
-    all_same = all_same && e.identical;
-    std::cout << "replay bench " << e.trace_key << " on " << e.platform
-              << " (min of " << repeat << ", " << format_count(e.accesses)
-              << " accesses):\n"
-              << "  live     " << format_ratio(e.live.min_ms)
-              << " ms (the run that recorded the trace; median "
-              << format_ratio(e.live.median_ms) << ", max "
-              << format_ratio(e.live.max_ms) << ")\n"
-              << "  replay   " << format_ratio(e.replay.min_ms)
-              << " ms (stream decode + per-event replay; median "
-              << format_ratio(e.replay.median_ms) << ", max "
-              << format_ratio(e.replay.max_ms) << ")\n"
-              << "  ratio    " << format_ratio(e.replay_over_live)
-              << "x replay over live; counters "
-              << (e.identical ? "identical" : "DIFFER") << "\n";
-    entries.push_back(e);
+  for (const npb::Kernel kernel : kernels) {
+    for (const npb::Klass klass : klasses) {
+      task.kernel = kernel;
+      task.klass = klass;
+      const BenchEntry e = bench_one(task, repeat);
+      all_same = all_same && e.identical;
+      std::cout << "replay bench " << e.trace_key << " on " << e.platform
+                << " (min of " << repeat << ", " << format_count(e.accesses)
+                << " accesses):\n"
+                << "  live     " << format_ratio(e.live.min_ms)
+                << " ms (the recorded configuration, untraced; median "
+                << format_ratio(e.live.median_ms) << ", max "
+                << format_ratio(e.live.max_ms) << ")\n"
+                << "  replay   " << format_ratio(e.replay.min_ms)
+                << " ms (stream decode + per-event replay; median "
+                << format_ratio(e.replay.median_ms) << ", max "
+                << format_ratio(e.replay.max_ms) << ")\n"
+                << "  ratio    " << format_ratio(e.replay_over_live)
+                << "x replay over live; counters "
+                << (e.identical ? "identical" : "DIFFER") << "\n";
+      entries.push_back(e);
+    }
   }
 
-  const std::string json_path = opts.get("json-out", "");
   if (!json_path.empty()) {
     exec::JsonWriter w;
     w.begin_object();
@@ -266,107 +217,16 @@ int cmd_bench(const Options& opts) {
   return all_same ? 0 : 1;
 }
 
-void print_histogram(const char* title, const std::vector<std::uint64_t>& h,
-                     std::uint64_t total) {
-  std::cout << title << "\n";
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (h[i] == 0) continue;
-    const std::uint64_t lo = i == 0 ? 0 : (1ULL << (i - 1));
-    const std::uint64_t hi = i == 0 ? 0 : (1ULL << i) - 1;
-    std::cout << "  [" << format_count(lo) << ", " << format_count(hi)
-              << "]  " << format_count(h[i]) << "  ("
-              << format_percent(static_cast<double>(h[i]) /
-                                static_cast<double>(total))
-              << ")\n";
-  }
-}
-
-int cmd_stats(const Options& opts) {
-  opts.require_known({"in"}, bench::kStrategyKeys);
-  const trace::Trace trace = trace::load_trace_file(required(opts, "in"));
-  std::cout << "trace " << trace.key() << " recorded on "
-            << trace.meta.platform << " (seed " << trace.meta.seed
-            << ", code pages "
-            << page_kind_name(trace.meta.code_page_kind) << ", checksum "
-            << trace.meta.checksum << ")\n";
-
-  const trace::TraceStats s = trace::analyze_trace(trace);
-  std::cout << "events: " << format_count(s.touch_events) << " touch/run, "
-            << format_count(s.compute_events) << " compute, " << s.segments
-            << " boundaries\n";
-  std::cout << "element accesses: " << format_count(s.element_accesses)
-            << " (" << format_count(s.loads) << " loads, "
-            << format_count(s.stores) << " stores), encoded in "
-            << format_bytes(s.encoded_bytes) << " = "
-            << format_ratio(s.bits_per_access()) << " bits/access\n";
-
-  std::cout << "\nstride profile: " << format_percent(
-                   static_cast<double>(s.strides.unit) /
-                   static_cast<double>(std::max<std::uint64_t>(
-                       1, s.strides.total())))
-            << " unit-stride, " << format_count(s.strides.forward)
-            << " forward vs " << format_count(s.strides.backward)
-            << " backward\n";
-  print_histogram("stride magnitude histogram (bytes):", s.strides.buckets,
-                  std::max<std::uint64_t>(1, s.strides.total()));
-
-  auto page_summary = [](const char* label,
-                         const std::unordered_map<std::uint64_t,
-                                                  std::uint64_t>& pages,
-                         const trace::ReuseDistance& reuse,
-                         std::uint64_t tlb_entries) {
-    std::uint64_t hottest = 0;
-    for (const auto& [page, count] : pages) {
-      hottest = std::max(hottest, count);
-    }
-    std::cout << label << ": " << format_count(pages.size())
-              << " pages touched, hottest " << format_count(hottest)
-              << " touches; reuse distance < " << tlb_entries
-              << " pages covers "
-              << format_percent(reuse.coverage(tlb_entries))
-              << " of warm accesses (" << format_count(reuse.cold_misses())
-              << " cold)\n";
-  };
-  std::cout << "\n";
-  // Coverage thresholds: the Opteron's 32-entry / 8-entry L1 DTLBs — the
-  // paper's Table 1 geometry this analysis exists to explain.
-  page_summary("4KB pages", s.touches_per_4k_page, s.reuse_4k, 32);
-  page_summary("2MB pages", s.touches_per_2m_page, s.reuse_2m, 8);
-
-  print_histogram("\nreuse-distance histogram (4KB pages):",
-                  s.reuse_4k.histogram(),
-                  std::max<std::uint64_t>(1, s.reuse_4k.touches() -
-                                                 s.reuse_4k.cold_misses()));
-  print_histogram("reuse-distance histogram (2MB pages):",
-                  s.reuse_2m.histogram(),
-                  std::max<std::uint64_t>(1, s.reuse_2m.touches() -
-                                                 s.reuse_2m.cold_misses()));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv, 1);  // the subcommand
   bench::reject_removed_flags(opts);
-  const std::string cmd =
-      opts.positional().empty() ? "" : opts.positional().front();
-  try {
-    if (cmd == "record") return cmd_record(opts);
-    if (cmd == "replay") return cmd_replay(opts);
-    if (cmd == "bench") return cmd_bench(opts);
-    if (cmd == "stats") return cmd_stats(opts);
-  } catch (const trace::TraceError& e) {
-    std::cerr << "trace error: " << e.what() << "\n";
-    return 2;
+  if (!opts.positional().empty() && opts.positional().front() == "bench") {
+    return cmd_bench(opts);
   }
-  std::cerr << "usage: trace_tools <record|replay|bench|stats> [options]\n"
-               "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
-               "--out=FILE\n"
-               "  replay    --in=FILE [--platform=opteron|xeon|modern] "
-               "[--check]\n"
-               "  bench     --in=FILE[,FILE...] [--repeat=10] "
-               "[--json-out=FILE]\n"
-               "  stats     --in=FILE\n";
+  std::cerr << "usage: trace_tools bench --kernels=CG --klass=S,W "
+               "[--threads=4] [--pages=4KB|2MB] [--repeat=10] "
+               "[--json-out=FILE]\n";
   return 2;
 }

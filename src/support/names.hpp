@@ -1,8 +1,9 @@
 // Name tables of the sweep axes. Each axis (kernel, class, layout page
 // kind, platform, paging policy) keeps one NameTable beside its enum and
-// one parser returning std::optional. Every boundary (CLI, wire, .lptrace)
-// parses through that parser and wraps a miss in its own error type with
-// or_unknown(), whose "valid: ..." list comes from the table.
+// one parser returning std::optional. Every boundary (CLI, wire, a trace's
+// metadata at replay) parses through that parser and wraps a miss in its
+// own error type with or_unknown(), whose "valid: ..." list comes from the
+// table.
 #pragma once
 
 #include <array>

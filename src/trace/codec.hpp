@@ -44,7 +44,7 @@
 namespace lpomp::trace {
 
 /// Malformed or truncated trace data. Everything in lpomp::trace that parses
-/// bytes throws this (never asserts) so corrupt files are a recoverable,
+/// bytes throws this (never asserts) so a corrupt stream is a recoverable,
 /// testable error.
 class TraceError : public std::runtime_error {
  public:
@@ -81,7 +81,7 @@ struct Event {
   }
 };
 
-// --- varint primitives (shared with the trace-file container) ---------------
+// --- varint primitives -----------------------------------------------------
 
 void put_varint(std::string& out, std::uint64_t v);
 inline std::uint64_t zigzag(std::int64_t v) {

@@ -22,8 +22,6 @@
 
 namespace lpomp::trace {
 
-constexpr std::uint32_t kTraceFormatVersion = 1;
-
 /// Description of the run a trace was recorded from. kernel/klass/threads/
 /// page_kind identify the address stream; the rest is provenance from the
 /// recording run (the replayer copies `verified`/`checksum` through, since
@@ -41,8 +39,6 @@ struct TraceMeta {
   bool verified = false;
   double checksum = 0.0;
   std::uint64_t accesses = 0;  ///< total touches recorded (sanity check)
-
-  bool operator==(const TraceMeta&) const = default;
 };
 
 struct Trace {

@@ -1,17 +1,16 @@
-// Property and robustness tests for the trace codec and file container:
-// arbitrary event streams must round-trip exactly, realistic streams must
-// compress hard, and corrupt/truncated inputs must be rejected with
-// TraceError (never UB or a crash).
+// Property and robustness tests for the trace codec: arbitrary event
+// streams must round-trip exactly, realistic streams must compress hard,
+// and corrupt/truncated inputs must be rejected with TraceError (never UB
+// or a crash).
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "npb/npb.hpp"
 #include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
 #include "trace/codec.hpp"
-#include "trace/io.hpp"
 #include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
@@ -396,156 +395,6 @@ TEST(TraceCodec, RepeatBeforeHistoryThrows) {
   bytes.push_back('\x02');  // END
   ThreadDecoder dec(bytes);
   EXPECT_THROW(dec.next(), TraceError);
-}
-
-// --- file container ---------------------------------------------------------
-
-Trace sample_trace() {
-  Trace trace;
-  trace.meta.kernel = "CG";
-  trace.meta.klass = "S";
-  trace.meta.threads = 2;
-  trace.meta.page_kind = PageKind::large2m;
-  trace.meta.platform = "opteron270";
-  trace.meta.code_page_kind = PageKind::small4k;
-  trace.meta.seed = 0x5eed;
-  trace.meta.verified = true;
-  trace.meta.checksum = 3.14159;
-  trace.meta.accesses = 123456;
-  for (unsigned t = 0; t < 2; ++t) {
-    ThreadEncoder enc;
-    for (int i = 0; i < 1000; ++i) {
-      enc.touch(0x10000000 + (t + 1) * i * 8, PageKind::large2m,
-                Access::load);
-    }
-    enc.segment();
-    enc.compute(42);
-    enc.segment();
-    enc.finish();
-    trace.streams.push_back(enc.take_bytes());
-  }
-  trace.boundaries = {sim::BoundaryKind::begin_parallel,
-                      sim::BoundaryKind::end_parallel};
-  return trace;
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const Trace trace = sample_trace();
-  std::stringstream ss;
-  write_trace(ss, trace);
-  const Trace back = read_trace(ss);
-  EXPECT_EQ(back.meta, trace.meta);
-  EXPECT_EQ(back.streams, trace.streams);
-  EXPECT_EQ(back.boundaries, trace.boundaries);
-  EXPECT_EQ(back.key(), "CG.S/2T/2MB");
-}
-
-// name -> .lptrace meta write/read -> name is the identity for every kernel,
-// class, layout page kind and built-in platform, and the names parse back
-// through their tables. A 1 GB page kind (a paging policy, never a layout)
-// is refused at write with TraceError; a kernel or class outside its table
-// is refused at replay (TraceReplay.RejectsKernelOrClassOutsideTheTables).
-TEST(TraceIo, AxisNamesRoundTripThroughMeta) {
-  auto round_trip = [](const Trace& trace) {
-    std::stringstream ss;
-    write_trace(ss, trace);
-    Trace back = read_trace(ss);
-    EXPECT_EQ(back.meta, trace.meta);
-    return back;
-  };
-  for (const npb::Kernel k : npb::all_kernels()) {
-    Trace trace = sample_trace();
-    trace.meta.kernel = npb::kernel_name(k);
-    EXPECT_EQ(npb::kernel_from_name(round_trip(trace).meta.kernel), k);
-  }
-  for (const npb::Klass k : npb::all_klasses()) {
-    Trace trace = sample_trace();
-    trace.meta.klass = npb::klass_name(k);
-    EXPECT_EQ(npb::klass_from_name(round_trip(trace).meta.klass), k);
-  }
-  for (const PageKind k : kLayoutPageKinds.all()) {
-    Trace trace = sample_trace();
-    trace.meta.page_kind = k;
-    trace.meta.code_page_kind = k;
-    const Trace back = round_trip(trace);
-    EXPECT_EQ(back.key(), std::string("CG.S/2T/") + page_kind_name(k));
-    EXPECT_EQ(page_kind_from_name(page_kind_name(back.meta.code_page_kind)),
-              k);
-  }
-  for (const char* key : sim::kPlatformKeys.names) {
-    Trace trace = sample_trace();
-    trace.meta.platform = sim::ProcessorSpec::from_key(key)->name;
-    const Trace back = round_trip(trace);
-    ASSERT_TRUE(sim::ProcessorSpec::from_name(back.meta.platform));
-    EXPECT_EQ(sim::ProcessorSpec::from_name(back.meta.platform)->name,
-              trace.meta.platform);
-  }
-
-  Trace huge = sample_trace();
-  huge.meta.page_kind = PageKind::huge1g;
-  std::stringstream ss;
-  EXPECT_THROW(write_trace(ss, huge), TraceError);
-  EXPECT_EQ(trace_key("CG", "S", 4, PageKind::huge1g), "CG.S/4T/1GB");
-}
-
-TEST(TraceIo, TruncationRejectedAtEveryLength) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
-  const std::string full = ss.str();
-  // Cut at a spread of byte offsets including the header, the metadata and
-  // the trailing checksum.
-  for (std::size_t cut : {std::size_t{0}, std::size_t{4}, std::size_t{9},
-                          std::size_t{20}, full.size() / 2, full.size() - 9,
-                          full.size() - 1}) {
-    std::stringstream damaged(full.substr(0, cut));
-    EXPECT_THROW(read_trace(damaged), TraceError) << "cut at " << cut;
-  }
-}
-
-TEST(TraceIo, CorruptionRejected) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
-  const std::string full = ss.str();
-
-  {  // bad magic
-    std::string bad = full;
-    bad[0] ^= 0x01;
-    std::stringstream is(bad);
-    EXPECT_THROW(read_trace(is), TraceError);
-  }
-  {  // unknown version
-    std::string bad = full;
-    bad[8] = static_cast<char>(0x7f);
-    std::stringstream is(bad);
-    EXPECT_THROW(read_trace(is), TraceError);
-  }
-  {  // payload bit flip → checksum mismatch (or a structural error)
-    std::string bad = full;
-    bad[full.size() / 2] ^= 0x10;
-    std::stringstream is(bad);
-    EXPECT_THROW(read_trace(is), TraceError);
-  }
-  {  // trailing garbage
-    std::string bad = full + "x";
-    std::stringstream is(bad);
-    EXPECT_THROW(read_trace(is), TraceError);
-  }
-}
-
-// Systematic single-bit corruption: the FNV-1a container checksum (or a
-// structural check it backstops) must reject a flip at *every* byte offset
-// — stream payloads, metadata, lengths, and the checksum itself — and must
-// fail via TraceError, never UB, OOM, or a silent wrong read.
-TEST(TraceIo, BitFlipRejectedAtEveryOffset) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
-  const std::string full = ss.str();
-  for (std::size_t off = 0; off < full.size(); ++off) {
-    std::string bad = full;
-    bad[off] ^= 0x04;
-    std::stringstream is(bad);
-    EXPECT_THROW(read_trace(is), TraceError) << "flip at offset " << off;
-  }
 }
 
 // --- kernel-harvested fuzz corpus -------------------------------------------
