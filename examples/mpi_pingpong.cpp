@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"mb", "rounds"});
   const std::size_t bytes =
-      MiB(opts.get_unsigned("mb", 8, 65536));  // up to 64 GB
+      MiB(opts.get_unsigned("mb", 8, 65536, 1));  // up to 64 GB
   const auto rounds =
       static_cast<int>(opts.get_unsigned("rounds", 4, 100000, 1));
   const std::size_t n = bytes / sizeof(double);

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"elements", "threads"});
   const auto elements = static_cast<std::size_t>(
-      opts.get_unsigned("elements", 8000000, 1ULL << 33));  // up to 64 GB
+      opts.get_unsigned("elements", 8000000, 1ULL << 33, 1));  // up to 64 GB
   const auto threads = static_cast<unsigned>(opts.get_unsigned(
       "threads", 4, sim::ProcessorSpec::opteron270().max_threads(), 1));
 

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const sim::ProcessorSpec spec = opts.get_name(
       "platform", "opteron", sim::ProcessorSpec::from_key, sim::kPlatformKeys);
   const std::size_t array_bytes =
-      MiB(opts.get_unsigned("mb", 48, 65536));  // up to 64 GB
+      MiB(opts.get_unsigned("mb", 48, 65536, 1));  // up to 64 GB
   const auto threads = static_cast<unsigned>(
       opts.get_unsigned("threads", 1, spec.max_threads(), 1));
 

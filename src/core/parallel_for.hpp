@@ -2,20 +2,16 @@
 // (§3.1: "loop-level parallelism ... allows an OpenMP implementation to
 // easily split the work across multiple threads").
 //
-// Schedules:
-//  * static_block  — contiguous [first,last) partition, the OpenMP default;
-//    deterministic, which also makes the machine simulation reproducible.
-//  * static_cyclic — chunked round-robin (schedule(static, chunk)).
-//  * dynamic       — chunk self-scheduling off a shared atomic counter.
-//  * guided        — exponentially decreasing chunks with a minimum.
+// One schedule: schedule(static), a contiguous [first,last) partition, the
+// OpenMP default. It is deterministic, which also makes the machine
+// simulation reproducible.
 //
-// All functions are called from *inside* a parallel region by every thread
+// Both functions are called from *inside* a parallel region by every thread
 // of the team, with that thread's tid.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "support/error.hpp"
 
@@ -48,82 +44,6 @@ void for_static(index_t first, index_t last, unsigned tid, unsigned nthreads,
                 Fn&& fn) {
   const StaticRange r = static_partition(first, last, tid, nthreads);
   for (index_t i = r.begin; i < r.end; ++i) fn(i);
-}
-
-/// schedule(static, chunk): chunked round-robin.
-template <typename Fn>
-void for_static_cyclic(index_t first, index_t last, index_t chunk,
-                       unsigned tid, unsigned nthreads, Fn&& fn) {
-  LPOMP_CHECK(chunk > 0);
-  for (index_t base = first + static_cast<index_t>(tid) * chunk; base < last;
-       base += chunk * static_cast<index_t>(nthreads)) {
-    const index_t end = std::min(base + chunk, last);
-    for (index_t i = base; i < end; ++i) fn(i);
-  }
-}
-
-/// Shared cursor for dynamic/guided scheduling; one instance per loop,
-/// reset by the master before the team enters.
-class LoopCursor {
- public:
-  void reset(index_t first, index_t last) {
-    first_ = first;
-    last_ = last;
-    next_.store(first, std::memory_order_relaxed);
-  }
-
-  /// Grab the next `chunk` iterations; returns an empty range when done.
-  StaticRange grab(index_t chunk) {
-    LPOMP_CHECK(chunk > 0);
-    const index_t begin = next_.fetch_add(chunk, std::memory_order_relaxed);
-    if (begin >= last_) return StaticRange{last_, last_};
-    return StaticRange{begin, std::min(begin + chunk, last_)};
-  }
-
-  /// Guided grab: chunk ≈ remaining / (2 × nthreads), floored at min_chunk.
-  StaticRange grab_guided(unsigned nthreads, index_t min_chunk) {
-    LPOMP_CHECK(min_chunk > 0 && nthreads > 0);
-    while (true) {
-      index_t begin = next_.load(std::memory_order_relaxed);
-      if (begin >= last_) return StaticRange{last_, last_};
-      const index_t remaining = last_ - begin;
-      index_t chunk = remaining / (2 * static_cast<index_t>(nthreads));
-      chunk = std::max(chunk, min_chunk);
-      if (next_.compare_exchange_weak(begin, begin + chunk,
-                                      std::memory_order_relaxed)) {
-        return StaticRange{begin, std::min(begin + chunk, last_)};
-      }
-    }
-  }
-
-  index_t first() const { return first_; }
-  index_t last() const { return last_; }
-
- private:
-  index_t first_ = 0;
-  index_t last_ = 0;
-  std::atomic<index_t> next_{0};
-};
-
-/// schedule(dynamic, chunk) over a shared cursor.
-template <typename Fn>
-void for_dynamic(LoopCursor& cursor, index_t chunk, Fn&& fn) {
-  while (true) {
-    const StaticRange r = cursor.grab(chunk);
-    if (r.size() == 0) return;
-    for (index_t i = r.begin; i < r.end; ++i) fn(i);
-  }
-}
-
-/// schedule(guided, min_chunk) over a shared cursor.
-template <typename Fn>
-void for_guided(LoopCursor& cursor, unsigned nthreads, index_t min_chunk,
-                Fn&& fn) {
-  while (true) {
-    const StaticRange r = cursor.grab_guided(nthreads, min_chunk);
-    if (r.size() == 0) return;
-    for (index_t i = r.begin; i < r.end; ++i) fn(i);
-  }
 }
 
 }  // namespace lpomp::core

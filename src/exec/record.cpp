@@ -7,20 +7,16 @@
 namespace lpomp::exec {
 
 bool RunRecord::same_result(const RunRecord& o) const {
+  for (const RecordCounter& c : kRecordCounters) {
+    if (this->*c.member != o.*c.member) return false;
+  }
   return kernel == o.kernel && klass == o.klass && platform == o.platform &&
          threads == o.threads && page_kind == o.page_kind &&
          code_page_kind == o.code_page_kind && paging == o.paging &&
          seed == o.seed &&
          key_digest == o.key_digest && ok == o.ok && error == o.error &&
          verified == o.verified && checksum == o.checksum &&
-         simulated_seconds == o.simulated_seconds && cycles == o.cycles &&
-         accesses == o.accesses && l1d_misses == o.l1d_misses &&
-         l2_misses == o.l2_misses && dtlb_l1_misses == o.dtlb_l1_misses &&
-         dtlb_walks_4k == o.dtlb_walks_4k &&
-         dtlb_walks_2m == o.dtlb_walks_2m &&
-         dtlb_walks_1g == o.dtlb_walks_1g && itlb_misses == o.itlb_misses &&
-         walk_levels == o.walk_levels && pwc_hits == o.pwc_hits &&
-         long_stalls == o.long_stalls;
+         simulated_seconds == o.simulated_seconds;
 }
 
 std::string RunRecord::to_json(bool include_host) const {
@@ -42,18 +38,9 @@ std::string RunRecord::to_json(bool include_host) const {
   w.field("simulated_seconds", simulated_seconds);
   w.key("counters");
   w.begin_object();
-  w.field("cycles", cycles);
-  w.field("accesses", accesses);
-  w.field("l1d_misses", l1d_misses);
-  w.field("l2_misses", l2_misses);
-  w.field("dtlb_l1_misses", dtlb_l1_misses);
-  w.field("dtlb_walks_4k", dtlb_walks_4k);
-  w.field("dtlb_walks_2m", dtlb_walks_2m);
-  w.field("dtlb_walks_1g", dtlb_walks_1g);
-  w.field("itlb_misses", itlb_misses);
-  w.field("walk_levels", walk_levels);
-  w.field("pwc_hits", pwc_hits);
-  w.field("long_stalls", long_stalls);
+  for (const RecordCounter& c : kRecordCounters) {
+    w.field(c.key, this->*c.member);
+  }
   w.end_object();
   if (include_host) {
     w.field("cache_hit", cache_hit);
@@ -92,20 +79,13 @@ RunRecord record_from_json_value(const JsonValue& doc) {
   r.checksum = doc.at("checksum").as_double();
   r.simulated_seconds = doc.at("simulated_seconds").as_double();
   const JsonValue& c = doc.at("counters");
-  r.cycles = c.at("cycles").as_uint64();
-  r.accesses = c.at("accesses").as_uint64();
-  r.l1d_misses = c.at("l1d_misses").as_uint64();
-  r.l2_misses = c.at("l2_misses").as_uint64();
-  r.dtlb_l1_misses = c.at("dtlb_l1_misses").as_uint64();
-  r.dtlb_walks_4k = c.at("dtlb_walks_4k").as_uint64();
-  r.dtlb_walks_2m = c.at("dtlb_walks_2m").as_uint64();
-  if (const JsonValue* v = c.find("dtlb_walks_1g")) {
-    r.dtlb_walks_1g = v->as_uint64();
+  for (const RecordCounter& rc : kRecordCounters) {
+    if (!rc.optional) {
+      r.*rc.member = c.at(rc.key).as_uint64();
+    } else if (const JsonValue* v = c.find(rc.key)) {
+      r.*rc.member = v->as_uint64();
+    }
   }
-  r.itlb_misses = c.at("itlb_misses").as_uint64();
-  r.walk_levels = c.at("walk_levels").as_uint64();
-  if (const JsonValue* v = c.find("pwc_hits")) r.pwc_hits = v->as_uint64();
-  r.long_stalls = c.at("long_stalls").as_uint64();
   if (const JsonValue* v = doc.find("cache_hit")) r.cache_hit = v->as_bool();
   if (const JsonValue* v = doc.find("store_hit")) r.store_hit = v->as_bool();
   if (const JsonValue* v = doc.find("wall_ms")) r.wall_ms = v->as_double();

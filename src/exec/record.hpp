@@ -1,7 +1,8 @@
 // Per-run observability record: the JSON-serialisable result of one
 // RunTask, combining the task's configuration, the simulator's headline
 // counters (the same events ProfileReport reports), and host-side
-// execution metadata (wall time, cache hit, worker id).
+// execution metadata (wall time, cache hit, worker id). The counters are
+// listed once, in kRecordCounters; every operation over them loops there.
 //
 // to_json() has two fidelity levels: deterministic-only (golden tests and
 // cross-worker-count diffs — bit-identical for identical configs) and
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "npb/npb.hpp"
+#include "prof/profile.hpp"
 
 namespace lpomp::exec {
 
@@ -35,7 +37,8 @@ struct RunRecord {
   double checksum = 0.0;
   double simulated_seconds = 0.0;
 
-  // Headline simulator counters (the ProfileReport events the figures use).
+  // Headline simulator counters (the ProfileReport events the figures
+  // use); each has one row in kRecordCounters below.
   count_t cycles = 0;
   count_t accesses = 0;
   count_t l1d_misses = 0;
@@ -71,6 +74,40 @@ struct RunRecord {
   /// host fields keep their defaults). Throws JsonError on anything
   /// malformed or missing — the disk store maps that to quarantine.
   static RunRecord from_json(const std::string& json);
+};
+
+/// One headline counter of a RunRecord.
+struct RecordCounter {
+  const char* key;    ///< JSON key in the "counters" object
+  const char* event;  ///< the ProfileReport event it copies
+  count_t RunRecord::*member;
+  bool optional;  ///< records written before the counter existed lack it
+};
+
+/// Every headline counter, in JSON order: same_result, to_json, from_json
+/// and Scheduler::execute_task loop over this table, so a new counter is a
+/// RunRecord member plus one row here.
+inline constexpr RecordCounter kRecordCounters[] = {
+    {"cycles", prof::ProfileReport::kCycles, &RunRecord::cycles, false},
+    {"accesses", prof::ProfileReport::kAccesses, &RunRecord::accesses, false},
+    {"l1d_misses", prof::ProfileReport::kL1dMiss, &RunRecord::l1d_misses,
+     false},
+    {"l2_misses", prof::ProfileReport::kL2Miss, &RunRecord::l2_misses, false},
+    {"dtlb_l1_misses", prof::ProfileReport::kDtlbL1Miss,
+     &RunRecord::dtlb_l1_misses, false},
+    {"dtlb_walks_4k", prof::ProfileReport::kDtlbWalk4k,
+     &RunRecord::dtlb_walks_4k, false},
+    {"dtlb_walks_2m", prof::ProfileReport::kDtlbWalk2m,
+     &RunRecord::dtlb_walks_2m, false},
+    {"dtlb_walks_1g", prof::ProfileReport::kDtlbWalk1g,
+     &RunRecord::dtlb_walks_1g, true},
+    {"itlb_misses", prof::ProfileReport::kItlbMiss, &RunRecord::itlb_misses,
+     false},
+    {"walk_levels", prof::ProfileReport::kWalkLevels, &RunRecord::walk_levels,
+     false},
+    {"pwc_hits", prof::ProfileReport::kPwcHits, &RunRecord::pwc_hits, true},
+    {"long_stalls", prof::ProfileReport::kLongStalls, &RunRecord::long_stalls,
+     false},
 };
 
 struct JsonValue;  // exec/json.hpp

@@ -276,20 +276,9 @@ RunRecord Scheduler::execute_task(const RunTask& task) {
   record.verified = r.verified;
   record.checksum = r.checksum;
   record.simulated_seconds = r.simulated_seconds;
-  using prof::ProfileReport;
-  const ProfileReport& p = r.profile;
-  record.cycles = p.count(ProfileReport::kCycles);
-  record.accesses = p.count(ProfileReport::kAccesses);
-  record.l1d_misses = p.count(ProfileReport::kL1dMiss);
-  record.l2_misses = p.count(ProfileReport::kL2Miss);
-  record.dtlb_l1_misses = p.count(ProfileReport::kDtlbL1Miss);
-  record.dtlb_walks_4k = p.count(ProfileReport::kDtlbWalk4k);
-  record.dtlb_walks_2m = p.count(ProfileReport::kDtlbWalk2m);
-  record.dtlb_walks_1g = p.count(ProfileReport::kDtlbWalk1g);
-  record.itlb_misses = p.count(ProfileReport::kItlbMiss);
-  record.walk_levels = p.count(ProfileReport::kWalkLevels);
-  record.pwc_hits = p.count(ProfileReport::kPwcHits);
-  record.long_stalls = p.count(ProfileReport::kLongStalls);
+  for (const RecordCounter& c : kRecordCounters) {
+    record.*c.member = r.profile.count(c.event);
+  }
   return record;
 }
 

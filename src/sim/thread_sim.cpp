@@ -3,45 +3,15 @@
 namespace lpomp::sim {
 
 ThreadCounters& ThreadCounters::operator+=(const ThreadCounters& o) {
-  exec_cycles += o.exec_cycles;
-  stall_cycles += o.stall_cycles;
-  accesses += o.accesses;
-  stores += o.stores;
-  l1d_misses += o.l1d_misses;
-  l2d_misses += o.l2d_misses;
-  dtlb_l1_misses += o.dtlb_l1_misses;
-  dtlb_l2_hits += o.dtlb_l2_hits;
-  dtlb_walks[0] += o.dtlb_walks[0];
-  dtlb_walks[1] += o.dtlb_walks[1];
-  dtlb_walks[2] += o.dtlb_walks[2];
-  walk_levels += o.walk_levels;
-  pwc_hits += o.pwc_hits;
-  itlb_lookups += o.itlb_lookups;
-  itlb_misses += o.itlb_misses;
-  prefetch_covered += o.prefetch_covered;
-  long_stalls += o.long_stalls;
+  for_each_field([](const char*, count_t& x, count_t y) { x += y; }, *this, o);
   return *this;
 }
 
 ThreadCounters ThreadCounters::minus(const ThreadCounters& o) const {
   ThreadCounters d;
-  d.exec_cycles = exec_cycles - o.exec_cycles;
-  d.stall_cycles = stall_cycles - o.stall_cycles;
-  d.accesses = accesses - o.accesses;
-  d.stores = stores - o.stores;
-  d.l1d_misses = l1d_misses - o.l1d_misses;
-  d.l2d_misses = l2d_misses - o.l2d_misses;
-  d.dtlb_l1_misses = dtlb_l1_misses - o.dtlb_l1_misses;
-  d.dtlb_l2_hits = dtlb_l2_hits - o.dtlb_l2_hits;
-  d.dtlb_walks[0] = dtlb_walks[0] - o.dtlb_walks[0];
-  d.dtlb_walks[1] = dtlb_walks[1] - o.dtlb_walks[1];
-  d.dtlb_walks[2] = dtlb_walks[2] - o.dtlb_walks[2];
-  d.walk_levels = walk_levels - o.walk_levels;
-  d.pwc_hits = pwc_hits - o.pwc_hits;
-  d.itlb_lookups = itlb_lookups - o.itlb_lookups;
-  d.itlb_misses = itlb_misses - o.itlb_misses;
-  d.prefetch_covered = prefetch_covered - o.prefetch_covered;
-  d.long_stalls = long_stalls - o.long_stalls;
+  for_each_field(
+      [](const char*, count_t& dx, count_t x, count_t y) { dx = x - y; }, d,
+      *this, o);
   return d;
 }
 

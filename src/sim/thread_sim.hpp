@@ -75,6 +75,31 @@ struct ThreadCounters {
   ThreadCounters& operator+=(const ThreadCounters& o);
   /// Element-wise difference (for region deltas); *this must dominate o.
   ThreadCounters minus(const ThreadCounters& o) const;
+
+  /// The one list of fields: calls f(name, c.field...) once per counter, in
+  /// declaration order, with that field of each of `cs`. Every element-wise
+  /// operation loops over it, so a new counter is a field above plus one
+  /// line here.
+  template <class F, class... Cs>
+  static void for_each_field(F&& f, Cs&... cs) {
+    f("exec_cycles", cs.exec_cycles...);
+    f("stall_cycles", cs.stall_cycles...);
+    f("accesses", cs.accesses...);
+    f("stores", cs.stores...);
+    f("l1d_misses", cs.l1d_misses...);
+    f("l2d_misses", cs.l2d_misses...);
+    f("dtlb_l1_misses", cs.dtlb_l1_misses...);
+    f("dtlb_l2_hits", cs.dtlb_l2_hits...);
+    f("dtlb_walks_4k", cs.dtlb_walks[0]...);
+    f("dtlb_walks_2m", cs.dtlb_walks[1]...);
+    f("dtlb_walks_1g", cs.dtlb_walks[2]...);
+    f("walk_levels", cs.walk_levels...);
+    f("pwc_hits", cs.pwc_hits...);
+    f("itlb_lookups", cs.itlb_lookups...);
+    f("itlb_misses", cs.itlb_misses...);
+    f("prefetch_covered", cs.prefetch_covered...);
+    f("long_stalls", cs.long_stalls...);
+  }
 };
 
 class ThreadSim {

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -549,5 +550,20 @@ class RefThreadSim {
   Rng rng_;
   sim::ThreadCounters counters_;
 };
+
+/// True when every counter of `a` equals `b`'s; writes " name=a vs b" to
+/// `os` for each one that differs.
+inline bool diff_counters(const sim::ThreadCounters& a,
+                          const sim::ThreadCounters& b, std::ostream& os) {
+  bool same = true;
+  sim::ThreadCounters::for_each_field(
+      [&](const char* name, count_t x, count_t y) {
+        if (x == y) return;
+        os << " " << name << "=" << x << " vs " << y;
+        same = false;
+      },
+      a, b);
+  return same;
+}
 
 }  // namespace lpomp::oracle

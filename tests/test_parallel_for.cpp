@@ -1,10 +1,6 @@
-// Unit and property tests for the loop-scheduling primitives.
+// Unit and property tests for the static loop schedule.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "core/parallel_for.hpp"
@@ -74,110 +70,6 @@ TEST(ForStatic, VisitsOwnRange) {
   for_static(0, 10, 1, 3, [&seen](index_t i) { seen.push_back(i); });
   // Thread 1 of 3 over [0,10): 4,3,3 → [4,7).
   EXPECT_EQ(seen, (std::vector<index_t>{4, 5, 6}));
-}
-
-TEST(ForStaticCyclic, RoundRobinChunks) {
-  std::vector<index_t> seen;
-  for_static_cyclic(0, 10, 2, 0, 2, [&seen](index_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<index_t>{0, 1, 4, 5, 8, 9}));
-  seen.clear();
-  for_static_cyclic(0, 10, 2, 1, 2, [&seen](index_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<index_t>{2, 3, 6, 7}));
-}
-
-TEST(ForStaticCyclic, AllThreadsCoverEverything) {
-  std::vector<int> hits(100, 0);
-  for (unsigned tid = 0; tid < 3; ++tid) {
-    for_static_cyclic(0, 100, 7, tid, 3,
-                      [&hits](index_t i) { ++hits[static_cast<std::size_t>(i)]; });
-  }
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(LoopCursor, GrabsDisjointChunks) {
-  LoopCursor cursor;
-  cursor.reset(0, 10);
-  const StaticRange a = cursor.grab(4);
-  const StaticRange b = cursor.grab(4);
-  const StaticRange c = cursor.grab(4);
-  const StaticRange d = cursor.grab(4);
-  EXPECT_EQ(a.begin, 0);
-  EXPECT_EQ(a.end, 4);
-  EXPECT_EQ(b.end, 8);
-  EXPECT_EQ(c.end, 10);  // clamped
-  EXPECT_EQ(d.size(), 0);
-}
-
-TEST(ForDynamic, SingleThreadCoversAll) {
-  LoopCursor cursor;
-  cursor.reset(0, 57);
-  std::vector<int> hits(57, 0);
-  for_dynamic(cursor, 5, [&hits](index_t i) { ++hits[static_cast<std::size_t>(i)]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ForDynamic, ConcurrentThreadsPartitionExactly) {
-  constexpr index_t kN = 100000;
-  LoopCursor cursor;
-  cursor.reset(0, kN);
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for_dynamic(cursor, 7,
-                  [&hits](index_t i) { hits[static_cast<std::size_t>(i)]++; });
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ForGuided, ChunksShrinkAndCoverAll) {
-  LoopCursor cursor;
-  cursor.reset(0, 1000);
-  std::vector<index_t> chunk_sizes;
-  while (true) {
-    const StaticRange r = cursor.grab_guided(4, 3);
-    if (r.size() == 0) break;
-    chunk_sizes.push_back(r.size());
-  }
-  // First chunk ≈ 1000/8, shrinking down to the minimum.
-  EXPECT_EQ(chunk_sizes.front(), 125);
-  EXPECT_GE(chunk_sizes.front(), chunk_sizes.back());
-  EXPECT_EQ(chunk_sizes.back(), 3);
-  index_t total = 0;
-  for (index_t c : chunk_sizes) total += c;
-  EXPECT_GE(total, 1000);
-}
-
-TEST(ForGuided, ConcurrentCoverage) {
-  constexpr index_t kN = 50000;
-  LoopCursor cursor;
-  cursor.reset(0, kN);
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for_guided(cursor, 4, 8,
-                 [&hits](index_t i) { hits[static_cast<std::size_t>(i)]++; });
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(LoopCursor, ResetAllowsReuse) {
-  LoopCursor cursor;
-  cursor.reset(0, 4);
-  cursor.grab(10);
-  cursor.reset(100, 104);
-  const StaticRange r = cursor.grab(10);
-  EXPECT_EQ(r.begin, 100);
-  EXPECT_EQ(r.end, 104);
-  EXPECT_EQ(cursor.first(), 100);
-  EXPECT_EQ(cursor.last(), 104);
 }
 
 }  // namespace

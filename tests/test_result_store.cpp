@@ -16,6 +16,7 @@
 
 #include "exec/disk_store.hpp"
 #include "exec/fingerprint.hpp"
+#include "exec/json.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/scheduler.hpp"
 
@@ -53,27 +54,30 @@ exec::RunTask sample_task(std::uint64_t seed = 0x1234) {
   return task;
 }
 
+/// The distinct non-zero value sample_record gives the i-th counter.
+count_t sample_counter(std::size_t i) { return 1009 * (i + 1); }
+
 /// A synthetic successful record with a distinctive value in every
-/// deterministic field, so a round trip that drops or swaps any field
-/// fails same_result().
+/// deterministic field (each counter through kRecordCounters), so a round
+/// trip that drops or swaps any field fails same_result().
 exec::RunRecord sample_record(const exec::RunTask& task) {
   exec::RunRecord r = exec::Scheduler::base_record(task);
   r.ok = true;
   r.verified = true;
   r.checksum = 0.6252391;
   r.simulated_seconds = 1.5e-3;
-  r.cycles = 123456789;
-  r.accesses = 1u << 20;
-  r.l1d_misses = 54321;
-  r.l2_misses = 4321;
-  r.dtlb_l1_misses = 321;
-  r.dtlb_walks_4k = 21;
-  r.dtlb_walks_2m = 12;
-  r.itlb_misses = 42;
-  r.walk_levels = 84;
-  r.long_stalls = 7;
+  std::size_t i = 0;
+  for (const exec::RecordCounter& c : exec::kRecordCounters) {
+    r.*c.member = sample_counter(i++);
+  }
   r.trace_source = "live";
   return r;
+}
+
+/// Removes `key` from a parsed JSON object; false when it was absent.
+bool erase_member(exec::JsonValue& obj, const std::string& key) {
+  return std::erase_if(obj.members,
+                       [&](const auto& m) { return m.first == key; }) == 1;
 }
 
 void write_bytes(const std::filesystem::path& p, const std::string& bytes) {
@@ -132,12 +136,44 @@ TEST(ResultStore, RoundTripMatchesMemoryTier) {
 
   EXPECT_TRUE(from_disk->same_result(record));
   EXPECT_TRUE(from_disk->same_result(*from_cache));
+  // Each counter reads back its own value: a row that names another row's
+  // member, or one from_json skips, fails here.
+  std::size_t i = 0;
+  for (const exec::RecordCounter& c : exec::kRecordCounters) {
+    EXPECT_EQ((*from_disk).*c.member, sample_counter(i++)) << c.key;
+  }
   // Deterministic JSON is byte-identical across the two tiers.
   EXPECT_EQ(from_disk->to_json(false), from_cache->to_json(false));
   EXPECT_EQ(from_disk->trace_source, record.trace_source);
   EXPECT_EQ(reopened.stats().hits, 1u);
   EXPECT_GT(reopened.stats().bytes_read, 0u);
   EXPECT_EQ(reopened.stats().quarantined, 0u);
+}
+
+// A record written before the paging overlay, the 1 GiB walk counter and
+// the page-walk cache lacks those fields, and still parses: as native, 0
+// and 0. Every other counter stays required.
+TEST(ResultStore, RecordWithoutLaterFieldsParsesAsDefaults) {
+  exec::RunRecord record = sample_record(sample_task());
+  record.paging = "thp";
+  exec::JsonValue doc = exec::json_parse(record.to_json(false));
+  ASSERT_TRUE(erase_member(doc, "paging"));
+  ASSERT_EQ(doc.members.back().first, "counters");
+  exec::JsonValue& counters = doc.members.back().second;
+  ASSERT_TRUE(erase_member(counters, "dtlb_walks_1g"));
+  ASSERT_TRUE(erase_member(counters, "pwc_hits"));
+
+  const exec::RunRecord old = exec::record_from_json_value(doc);
+  EXPECT_EQ(old.paging, "native");
+  EXPECT_EQ(old.dtlb_walks_1g, 0u);
+  EXPECT_EQ(old.pwc_hits, 0u);
+  record.paging = "native";
+  record.dtlb_walks_1g = 0;
+  record.pwc_hits = 0;
+  EXPECT_TRUE(old.same_result(record));
+
+  ASSERT_TRUE(erase_member(counters, "dtlb_walks_2m"));
+  EXPECT_THROW(exec::record_from_json_value(doc), exec::JsonError);
 }
 
 // Failed runs are never persisted — the store only holds reusable results.

@@ -101,37 +101,6 @@ Trio make_trio(const sim::ProcessorSpec& spec, const sim::CostModel& cm,
       oracle::RefThreadSim(cm, space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed)};
 }
 
-#define LPOMP_DIFF_FIELD(field)                                       \
-  if (a.field != b.field) {                                           \
-    os << " " #field "=" << a.field << " vs " << b.field;             \
-    same = false;                                                     \
-  }
-
-bool diff_counters(const sim::ThreadCounters& a, const sim::ThreadCounters& b,
-                   std::ostream& os) {
-  bool same = true;
-  LPOMP_DIFF_FIELD(exec_cycles)
-  LPOMP_DIFF_FIELD(stall_cycles)
-  LPOMP_DIFF_FIELD(accesses)
-  LPOMP_DIFF_FIELD(stores)
-  LPOMP_DIFF_FIELD(l1d_misses)
-  LPOMP_DIFF_FIELD(l2d_misses)
-  LPOMP_DIFF_FIELD(dtlb_l1_misses)
-  LPOMP_DIFF_FIELD(dtlb_l2_hits)
-  LPOMP_DIFF_FIELD(dtlb_walks[0])
-  LPOMP_DIFF_FIELD(dtlb_walks[1])
-  LPOMP_DIFF_FIELD(dtlb_walks[2])
-  LPOMP_DIFF_FIELD(walk_levels)
-  LPOMP_DIFF_FIELD(pwc_hits)
-  LPOMP_DIFF_FIELD(itlb_lookups)
-  LPOMP_DIFF_FIELD(itlb_misses)
-  LPOMP_DIFF_FIELD(prefetch_covered)
-  LPOMP_DIFF_FIELD(long_stalls)
-  return same;
-}
-
-#undef LPOMP_DIFF_FIELD
-
 /// Entries held per page kind: the banks' state, which a divergent fill or
 /// eviction changes even when no counter has yet.
 bool diff_tlb(const tlb::Tlb& a, const oracle::RefTlb& b, std::ostream& os) {
@@ -159,9 +128,9 @@ bool diff_cache(const cache::Cache& a, const oracle::RefCache& b,
   bool same = true;
 
   os << "[fast vs ref counters]";
-  same &= diff_counters(t.fast.counters(), t.ref.counters(), os);
+  same &= oracle::diff_counters(t.fast.counters(), t.ref.counters(), os);
   os << " [slow vs ref counters]";
-  same &= diff_counters(t.slow.counters(), t.ref.counters(), os);
+  same &= oracle::diff_counters(t.slow.counters(), t.ref.counters(), os);
 
   for (auto [sim_ptr, label] :
        {std::pair<sim::ThreadSim*, const char*>{&t.fast, "fast"},

@@ -3,9 +3,12 @@
 // stream prefetcher, and the instruction-stream model.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "mem/address_space.hpp"
+#include "oracle/reference_sim.hpp"
 #include "sim/thread_sim.hpp"
 
 namespace lpomp::sim {
@@ -256,23 +259,50 @@ TEST_F(ThreadSimTest, ComputeAddsExecOnly) {
   EXPECT_EQ(t.counters().stall_cycles, 0u);
 }
 
+// Every field, set through the visitor to a distinct value, survives +=,
+// minus and diff_counters. The visitor must reach each field exactly once:
+// one it leaves out leaves the byte count short.
 TEST(ThreadCounters, PlusAndMinusRoundTrip) {
   ThreadCounters a;
-  a.exec_cycles = 10;
-  a.accesses = 5;
-  a.dtlb_walks[1] = 2;
   ThreadCounters b;
-  b.exec_cycles = 3;
-  b.accesses = 2;
-  b.dtlb_walks[1] = 1;
+  std::set<const count_t*> seen;
+  count_t n = 0;
+  ThreadCounters::for_each_field(
+      [&](const char*, count_t& x, count_t& y) {
+        seen.insert(&x);
+        x = ++n;
+        y = 1000 * n;
+      },
+      a, b);
+  EXPECT_EQ(seen.size(), n);
+  EXPECT_EQ(n * sizeof(count_t), sizeof(ThreadCounters));
+
   ThreadCounters sum = a;
   sum += b;
-  EXPECT_EQ(sum.exec_cycles, 13u);
   const ThreadCounters back = sum.minus(b);
-  EXPECT_EQ(back.exec_cycles, a.exec_cycles);
-  EXPECT_EQ(back.accesses, a.accesses);
-  EXPECT_EQ(back.dtlb_walks[1], a.dtlb_walks[1]);
+  count_t i = 0;
+  ThreadCounters::for_each_field(
+      [&](const char* name, count_t s, count_t r) {
+        ++i;
+        EXPECT_EQ(s, 1001 * i) << name;
+        EXPECT_EQ(r, i) << name;
+      },
+      sum, back);
   EXPECT_EQ(sum.total_cycles(), sum.exec_cycles + sum.stall_cycles);
+
+  std::ostringstream none;
+  EXPECT_TRUE(oracle::diff_counters(back, a, none)) << none.str();
+  ThreadCounters::for_each_field(
+      [&](const char* name, count_t& x) {
+        ++x;
+        std::ostringstream os;
+        EXPECT_FALSE(oracle::diff_counters(a, back, os)) << name;
+        EXPECT_EQ(os.str(), " " + std::string(name) + "=" +
+                                std::to_string(x) + " vs " +
+                                std::to_string(x - 1));
+        --x;
+      },
+      a);
 }
 
 }  // namespace
