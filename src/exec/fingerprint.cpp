@@ -147,6 +147,14 @@ std::string cache_key(const RunTask& task) {
   return key;
 }
 
+std::optional<std::string> shared_key(const RunTask& task) {
+  const paging::PolicySpec canonical = task.paging.on_layout(task.page_kind);
+  if (canonical == task.paging) return std::nullopt;
+  RunTask same = task;
+  same.paging = canonical;
+  return cache_key(same);
+}
+
 std::uint64_t digest64(const std::string& key) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   for (unsigned char c : key) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "exec/sweep.hpp"
@@ -23,6 +24,12 @@ namespace lpomp::exec {
 /// Canonical, complete serialisation of everything a run's result depends
 /// on. Stable across processes for identical configs.
 std::string cache_key(const RunTask& task);
+
+/// The cache key of the simulation `task` runs: cache_key of `task` with
+/// its policy replaced by PolicySpec::on_layout(task.page_kind). nullopt
+/// when that leaves the policy as it is, so cache_key(task) is that key.
+/// Tasks with equal simulation keys have equal outcomes.
+std::optional<std::string> shared_key(const RunTask& task);
 
 /// 64-bit FNV-1a digest of a key string, for compact display.
 std::uint64_t digest64(const std::string& key);

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 
 #include "exec/json.hpp"
 #include "prof/profile.hpp"
@@ -121,6 +123,7 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("store_bytes_written", store.bytes_written);
     w.field("peak_tasks_in_flight", peak_tasks_in_flight);
     w.field("peak_host_threads", peak_host_threads);
+    w.field("shared_runs", static_cast<std::uint64_t>(shared_runs));
   }
   w.end_object();
   return w.str();
@@ -193,23 +196,47 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   unsigned widest = 1;
   for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
   WidthGate gate(workers_, widest, host_threads());
-  // Each drainer takes the next task index and writes that task's
+
+  // The first task of each simulation key runs in the first round; the
+  // others wait for the second, when that run's record is in the cache.
+  std::vector<std::string> keys(tasks.size());
+  std::vector<std::optional<std::string>> shared(tasks.size());
+  std::vector<std::size_t> first_round;
+  std::vector<std::size_t> second_round;
+  {
+    std::unordered_set<std::string_view> simulations;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      keys[i] = cache_key(tasks[i]);
+      shared[i] = shared_key(tasks[i]);
+      const std::string& simulation = shared[i] ? *shared[i] : keys[i];
+      (simulations.insert(simulation).second ? first_round : second_round)
+          .push_back(i);
+    }
+  }
+  std::atomic<std::size_t> shared_runs{0};
+  // Each drainer takes the next index of the round and writes that task's
   // pre-assigned slot, so the result order is the task order whatever
   // thread runs it. Drainers beyond what the gate admits would only wait
-  // in it; the calling thread is one of them.
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
-    for (std::size_t i = next++; i < tasks.size(); i = next++) {
-      result.records[i] = run_one(tasks[i], gate);
-    }
-  };
-  {
+  // in it; the calling thread is one of them. A round joins its drainers
+  // before it returns.
+  const auto run_round = [&](const std::vector<std::size_t>& round) {
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+      for (std::size_t j = next++; j < round.size(); j = next++) {
+        const std::size_t i = round[j];
+        result.records[i] =
+            run_one(tasks[i], keys[i], shared[i], gate, shared_runs);
+      }
+    };
     const std::size_t drainers =
-        std::min<std::size_t>(tasks.size(), gate.max_in_flight());
+        std::min<std::size_t>(round.size(), gate.max_in_flight());
     std::vector<std::jthread> threads;
     for (std::size_t k = 1; k < drainers; ++k) threads.emplace_back(drain);
     drain();
-  }  // joins every drainer
+  };
+  run_round(first_round);
+  run_round(second_round);
+  result.shared_runs = shared_runs;
   result.peak_tasks_in_flight = gate.peak_tasks();
   result.peak_host_threads = gate.peak_host_threads();
 
@@ -221,12 +248,28 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   return result;
 }
 
-RunRecord Scheduler::run_one(const RunTask& task, WidthGate& gate) {
+RunRecord Scheduler::run_one(const RunTask& task, const std::string& key,
+                             const std::optional<std::string>& shared,
+                             WidthGate& gate,
+                             std::atomic<std::size_t>& shared_runs) {
   auto t0 = std::chrono::steady_clock::now();
-  const std::string key = cache_key(task);
   if (std::optional<RunRecord> hit = probe(key)) {
     hit->wall_ms = ms_since(t0);
     return *hit;
+  }
+  if (shared) {
+    if (std::optional<RunRecord> hit = probe(*shared)) {
+      // The simulation's record differs from this task's only in the
+      // policy name and the key digest.
+      hit->paging = task.paging.name();
+      hit->key_digest = digest_hex(key);
+      hit->cache_hit = false;
+      hit->store_hit = false;
+      hit->wall_ms = ms_since(t0);
+      commit(key, *hit);
+      ++shared_runs;
+      return *hit;
+    }
   }
   // wall_ms covers the probe and the run, not the wait for admission.
   const double probe_ms = ms_since(t0);

@@ -26,6 +26,12 @@
 // with the simulator attached, commit. The Strategy axis (strategy.hpp) is
 // kept as the wire/CLI spelling of that one path.
 //
+// Each distinct simulation runs once. A task whose paging policy is the
+// identity on its layout (base4k on 4 KB pages, hugetlb2m on 2 MB pages;
+// see shared_key) takes the result of the native task with the same
+// simulation, relabelled as its own record and committed under its own
+// key.
+//
 // This core is deliberately front-end-free: no CLI parsing, no stdout, no
 // benchmark assumptions. The benches and the sweep daemon (src/serve) are
 // front ends over it.
@@ -35,6 +41,7 @@
 // returns normally.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -65,6 +72,9 @@ struct SweepResult {
   /// for (the sum of their team widths); see Scheduler::run.
   unsigned peak_tasks_in_flight = 0;
   std::uint64_t peak_host_threads = 0;
+  /// Records that took another task's run (see Scheduler::run); their
+  /// cache_hit and store_hit are false.
+  std::size_t shared_runs = 0;
 
   std::size_t completed() const;  ///< records with ok
   std::size_t failed() const;
@@ -122,16 +132,24 @@ class Scheduler {
   /// (callers like the sweep daemon serialise). `strategy` is echoed in
   /// the host summary; every strategy runs the same live path.
   ///
-  /// The calling thread and min(tasks, WidthGate::max_in_flight()) − 1
-  /// threads started for this sweep take task indices in grid order from
-  /// one counter; all are joined before run() returns, so a one-task
-  /// sweep runs on the caller and an idle scheduler holds no threads.
+  /// In each round, the calling thread and min(round's tasks,
+  /// WidthGate::max_in_flight()) − 1 threads started for it take task
+  /// indices in grid order from one counter; all are joined before the
+  /// round ends, so a one-task sweep runs on the caller and an idle
+  /// scheduler holds no threads.
   ///
   /// Live runs are admitted by team width (WidthGate): with P =
   /// workers(), W = the widest task's `threads` and H = the host's
   /// hardware threads, a run of width w starts while fewer than P runs are
   /// in flight, or while the in-flight widths plus w stay within
   /// min(P × W, H).
+  ///
+  /// One run per distinct simulation: a first round of drainers takes
+  /// only the first task of each simulation key (shared_key, else
+  /// cache_key). A second round, started after the first joins, takes the
+  /// rest: each probes its own key, then its simulation's key, and runs
+  /// itself only when both miss (the first task failed, or the LRU
+  /// evicted its record and there is no disk store).
   SweepResult run(const SweepSpec& spec, Strategy strategy = Strategy::Auto);
   SweepResult run(const std::vector<RunTask>& tasks,
                   Strategy strategy = Strategy::Auto);
@@ -153,7 +171,12 @@ class Scheduler {
   /// Write-through commit of a successful record to LRU + disk.
   void commit(const std::string& key, const RunRecord& record);
 
-  RunRecord run_one(const RunTask& task, WidthGate& gate);
+  /// One task: probe `key`, then `shared` (the simulation's key, when it
+  /// differs), and only on two misses run the task. A hit on `shared` is
+  /// relabelled, committed under `key` and counted in `shared_runs`.
+  RunRecord run_one(const RunTask& task, const std::string& key,
+                    const std::optional<std::string>& shared, WidthGate& gate,
+                    std::atomic<std::size_t>& shared_runs);
 
   Config config_;
   TaskRunner runner_ = execute_task;

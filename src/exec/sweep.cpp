@@ -24,7 +24,7 @@ core::RuntimeConfig RunTask::runtime_config() const {
   cfg.num_threads = threads;
   cfg.page_kind = page_kind;
   cfg.code_page_kind = code_page_kind;
-  cfg.paging = paging;
+  cfg.paging = paging.on_layout(page_kind);
   cfg.sim = core::SimConfig{spec, cost, seed};
   return cfg;
 }

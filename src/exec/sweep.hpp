@@ -55,7 +55,9 @@ struct RunTask {
   std::string label() const;
 
   /// The simulated-runtime configuration this task runs under (no trace
-  /// sink attached).
+  /// sink attached). Its overlay is the policy as it acts on the task's
+  /// layout (PolicySpec::on_layout), so a base4k task on 4 KB pages runs
+  /// the native translate path.
   core::RuntimeConfig runtime_config() const;
 };
 

@@ -48,6 +48,13 @@ bool PagingModel::thp_promoted(std::uint64_t chunk) const {
   return promoted;
 }
 
+PolicySpec PolicySpec::on_layout(PageKind layout) const {
+  const bool forces_layout =
+      (policy == Policy::base4k && layout == PageKind::small4k) ||
+      (policy == Policy::hugetlb2m && layout == PageKind::large2m);
+  return forces_layout ? PolicySpec{} : *this;
+}
+
 PagingModel::PagingModel(const PolicySpec& spec)
     : spec_(spec),
       identity_(spec.is_native()),

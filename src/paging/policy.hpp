@@ -98,6 +98,14 @@ struct PolicySpec {
   bool is_native() const { return policy == Policy::native; }
   const char* name() const { return policy_name(policy); }
 
+  /// This policy as it acts on accesses to a region laid out with `layout`
+  /// pages: base4k over 4 KB and hugetlb2m over 2 MB are native there;
+  /// every other pair comes back unchanged. The rule is exact. For both
+  /// pairs PagingModel::translate returns {addr >> page_shift(layout),
+  /// layout}, which is what native returns, and PagingModel::walk returns
+  /// the real walk unchanged because the effective kind is the layout.
+  PolicySpec on_layout(PageKind layout) const;
+
   bool operator==(const PolicySpec&) const = default;
 };
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <ostream>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -139,6 +140,13 @@ struct CacheCase {
   vaddr_t space;
 };
 
+// Also the test-name suffix (PrintToStringParamName), so names never hold
+// the struct's raw bytes.
+void PrintTo(const CacheCase& c, std::ostream* os) {
+  *os << c.size / KiB(1) << "KiB_" << c.line << "Bline_" << c.ways
+      << "w_seed" << c.seed << "_span" << c.space / KiB(1) << "KiB";
+}
+
 class CacheLruProperty : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(CacheLruProperty, MatchesReferenceLru) {
@@ -162,7 +170,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{KiB(16), 64, 8, 3, KiB(64)},
                       CacheCase{KiB(8), 32, 2, 4, KiB(32)},
                       CacheCase{KiB(64), 64, 16, 5, KiB(256)},
-                      CacheCase{KiB(4), 128, 2, 6, KiB(16)}));
+                      CacheCase{KiB(4), 128, 2, 6, KiB(16)}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace lpomp::cache

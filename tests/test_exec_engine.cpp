@@ -2,8 +2,9 @@
 // same sweep on 1 worker and on randomized worker counts yields identical
 // results, under both strategy spellings and a paging overlay), the
 // content-keyed result cache (hits, eviction, key sensitivity), failure
-// isolation, width-aware admission of live runs, and the JSON
-// observability layer.
+// isolation, one run per distinct simulation (a task whose paging policy
+// is the identity on its layout takes its native point's run),
+// width-aware admission of live runs, and the JSON observability layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/fingerprint.hpp"
 #include "exec/json.hpp"
 #include "exec/scheduler.hpp"
 #include "paging/policy.hpp"
@@ -350,6 +352,137 @@ TEST(Scheduler, RealInfeasibleTaskIsIsolatedToo) {
   EXPECT_TRUE(result.records[0].verified);
   EXPECT_FALSE(result.records[1].ok);
   EXPECT_FALSE(result.records[1].error.empty());
+}
+
+// --- one run per distinct simulation ---------------------------------------
+
+paging::PolicySpec policy_of(paging::Policy p) {
+  paging::PolicySpec spec;
+  spec.policy = p;
+  return spec;
+}
+
+/// CG at class S on the Opteron, 1 and 2 threads, both layouts, under
+/// native, base4k and hugetlb2m: 12 tasks, of which base4k on 4 KB and
+/// hugetlb2m on 2 MB repeat their native point, so 8 are distinct.
+SweepSpec sharing_sweep() {
+  SweepSpec spec = small_sweep();
+  spec.kernels = {npb::Kernel::CG};
+  spec.paging_policies = {policy_of(paging::Policy::native),
+                          policy_of(paging::Policy::base4k),
+                          policy_of(paging::Policy::hugetlb2m)};
+  return spec;
+}
+
+/// A TaskRunner that counts its calls and then runs `inner`.
+Scheduler::TaskRunner counting(std::atomic<int>& calls,
+                               Scheduler::TaskRunner inner) {
+  return [&calls, inner](const RunTask& task) {
+    ++calls;
+    return inner(task);
+  };
+}
+
+TEST(SharedRuns, GridRunsEachDistinctSimulationOnce) {
+  const SweepSpec spec = sharing_sweep();
+  const std::vector<RunTask> tasks = spec.expand();
+  ASSERT_EQ(tasks.size(), 12u);
+  Scheduler engine({.workers = 2});
+  std::atomic<int> runs{0};
+  engine.set_task_runner(counting(runs, Scheduler::execute_task));
+  const SweepResult result = engine.run(spec);
+
+  EXPECT_EQ(runs.load(), 8);
+  EXPECT_EQ(result.shared_runs, 4u);
+  EXPECT_EQ(result.cache_hits(), 0u);
+  EXPECT_NE(result.summary_json(true).find("\"shared_runs\":4"),
+            std::string::npos);
+  EXPECT_EQ(result.summary_json(false).find("shared_runs"), std::string::npos);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const RunRecord& r = result.records[i];
+    EXPECT_EQ(r.paging, tasks[i].paging.name()) << tasks[i].label();
+    EXPECT_EQ(r.key_digest, digest_hex(cache_key(tasks[i])))
+        << tasks[i].label();
+    const SweepResult lone = Scheduler({.workers = 1}).run({tasks[i]});
+    EXPECT_TRUE(r.same_result(lone.records.front())) << tasks[i].label();
+  }
+}
+
+TEST(SharedRuns, Base4kSweepAfterANativeSweepRunsNothing) {
+  SweepSpec native = small_sweep();
+  native.page_kinds = {PageKind::small4k};
+  SweepSpec base4k = native;
+  base4k.paging_policies = {policy_of(paging::Policy::base4k)};
+
+  Scheduler engine({.workers = 2});
+  std::atomic<int> runs{0};
+  engine.set_task_runner(counting(runs, fake_runner));
+  const SweepResult first = engine.run(native);
+  const int native_runs = runs.load();
+  const SweepResult shared = engine.run(base4k);
+  EXPECT_EQ(runs.load(), native_runs);
+  EXPECT_EQ(shared.shared_runs, shared.records.size());
+  for (std::size_t i = 0; i < shared.records.size(); ++i) {
+    const RunRecord& r = shared.records[i];
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.paging, "base4k");
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_FALSE(r.store_hit);
+    EXPECT_EQ(r.cycles, first.records[i].cycles);
+  }
+
+  // Committed under their own keys: a rerun is served from the cache.
+  const SweepResult again = engine.run(base4k);
+  EXPECT_EQ(again.cache_hits(), again.records.size());
+  EXPECT_EQ(again.shared_runs, 0u);
+}
+
+TEST(SharedRuns, FailedNativeRunLeavesBase4kToRunItself) {
+  SweepSpec spec = small_sweep();
+  spec.page_kinds = {PageKind::small4k};
+  spec.paging_policies = {policy_of(paging::Policy::native),
+                          policy_of(paging::Policy::base4k)};
+  Scheduler engine({.workers = 2});
+  std::atomic<int> base4k_runs{0};
+  engine.set_task_runner([&](const RunTask& t) -> RunRecord {
+    if (t.paging.is_native()) throw std::runtime_error("injected failure");
+    ++base4k_runs;
+    return fake_runner(t);
+  });
+  const SweepResult result = engine.run(spec);
+
+  EXPECT_EQ(result.shared_runs, 0u);
+  EXPECT_EQ(base4k_runs.load(), static_cast<int>(result.records.size() / 2));
+  for (const RunRecord& r : result.records) {
+    EXPECT_EQ(r.ok, r.paging == "base4k") << r.paging;
+  }
+}
+
+TEST(SharedRuns, EvictedFirstRunLeavesBase4kToRunItself) {
+  // Capacity 1: the second native run evicts the first before the base4k
+  // task of the first point probes for it.
+  Scheduler engine({.workers = 1, .cache_capacity = 1});
+  std::atomic<int> runs{0};
+  engine.set_task_runner(counting(runs, fake_runner));
+  std::vector<RunTask> tasks(3);
+  tasks[1].threads = 2;
+  tasks[2].paging = policy_of(paging::Policy::base4k);
+  const SweepResult result = engine.run(tasks);
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(result.shared_runs, 0u);
+  EXPECT_EQ(result.completed(), 3u);
+  EXPECT_EQ(result.records[2].paging, "base4k");
+}
+
+TEST(SharedRuns, PerTaskSeedsShareNothing) {
+  SweepSpec spec = sharing_sweep();
+  spec.per_task_seeds = true;
+  Scheduler engine({.workers = 2});
+  std::atomic<int> runs{0};
+  engine.set_task_runner(counting(runs, fake_runner));
+  const SweepResult result = engine.run(spec);
+  EXPECT_EQ(runs.load(), static_cast<int>(result.records.size()));
+  EXPECT_EQ(result.shared_runs, 0u);
 }
 
 /// One task per entry of `widths` (team threads), each with its own seed so

@@ -6,9 +6,11 @@
 // view of a 2 MB layout), the deterministic THP fragmentation model
 // (seed-keyed reproducibility, sawtooth probabilities), the page-walk
 // cache's hit/LRU/flush behaviour (and exact LRU against a model), the
-// fingerprint's conditional paging segment, and the end-to-end guarantee
-// the subsystem was built around: one grid point per policy is
-// bit-identical under all four execution strategies.
+// fingerprint's conditional paging segment, the identity-on-layout rule the
+// scheduler shares runs by (checked against real overlay runs of every
+// kernel), and the end-to-end guarantee the subsystem was built around: one
+// grid point per policy is bit-identical under all four execution
+// strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,13 +20,16 @@
 #include <string>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "exec/fingerprint.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/strategy.hpp"
 #include "exec/sweep.hpp"
 #include "mem/address_space.hpp"
 #include "mem/page_table.hpp"
+#include "npb/npb.hpp"
 #include "paging/policy.hpp"
+#include "prof/profile.hpp"
 #include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
@@ -353,6 +358,91 @@ INSTANTIATE_TEST_SUITE_P(
                       PwcCase{16, 1, 3},    // direct-mapped
                       PwcCase{12, 2, 4},    // non-power-of-two sets
                       PwcCase{32, 4, 5}));
+
+// --- identity on layout -----------------------------------------------------
+
+TEST(PagingPolicy, OnLayoutMapsOnlyTheLayoutsOwnSizeToNative) {
+  for (const paging::Policy p :
+       {paging::Policy::native, paging::Policy::base4k,
+        paging::Policy::hugetlb2m, paging::Policy::huge1g,
+        paging::Policy::thp}) {
+    for (const PageKind layout : {PageKind::small4k, PageKind::large2m}) {
+      const bool forced =
+          (p == paging::Policy::base4k && layout == PageKind::small4k) ||
+          (p == paging::Policy::hugetlb2m && layout == PageKind::large2m);
+      EXPECT_EQ(make_policy(p).on_layout(layout),
+                forced ? paging::PolicySpec{} : make_policy(p))
+          << paging::policy_name(p) << " on " << page_kind_name(layout);
+    }
+  }
+  paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  thp.thp.frag_seed ^= 1;
+  EXPECT_EQ(thp.on_layout(PageKind::large2m), thp);  // parameters kept
+}
+
+/// A class-S run with `policy` installed as given: the RuntimeConfig is
+/// built here, not by RunTask::runtime_config, which would canonicalise it.
+npb::NpbResult run_overlay(npb::Kernel kernel, const sim::ProcessorSpec& spec,
+                           unsigned threads, PageKind layout,
+                           const paging::PolicySpec& policy) {
+  core::RuntimeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.page_kind = layout;
+  cfg.paging = policy;
+  cfg.sim = core::SimConfig{spec, sim::CostModel{}, 0x5eedULL};
+  return npb::run_kernel(kernel, npb::Klass::S, cfg);
+}
+
+class IdentityOnLayout : public ::testing::TestWithParam<npb::Kernel> {};
+
+// The proof obligation of PolicySpec::on_layout, which lets the scheduler
+// serve a task from its native point's run: every (policy, layout) pair it
+// maps to native gives native's checksum, simulated seconds and every
+// profile event when the real overlay runs.
+TEST_P(IdentityOnLayout, PoliciesMappedToNativeRunNativesSimulation) {
+  const npb::Kernel kernel = GetParam();
+  int checked = 0;
+  for (const sim::ProcessorSpec& spec :
+       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht(),
+        sim::ProcessorSpec::modern()}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const PageKind layout : {PageKind::small4k, PageKind::large2m}) {
+        const npb::NpbResult native =
+            run_overlay(kernel, spec, threads, layout, {});
+        for (const paging::Policy p :
+             {paging::Policy::base4k, paging::Policy::hugetlb2m,
+              paging::Policy::huge1g, paging::Policy::thp}) {
+          const paging::PolicySpec policy = make_policy(p);
+          if (!policy.on_layout(layout).is_native()) continue;
+          const std::string label =
+              spec.name + "/" + std::to_string(threads) + "T/" +
+              page_kind_name(layout) + "/" + policy.name();
+          const npb::NpbResult r =
+              run_overlay(kernel, spec, threads, layout, policy);
+          EXPECT_EQ(r.checksum, native.checksum) << label;
+          EXPECT_EQ(r.simulated_seconds, native.simulated_seconds) << label;
+          const std::vector<prof::Event>& got = r.profile.events();
+          const std::vector<prof::Event>& want = native.profile.events();
+          ASSERT_EQ(got.size(), want.size()) << label;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].name, want[i].name) << label;
+            EXPECT_EQ(got[i].count, want[i].count)
+                << label << " " << want[i].name;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  // base4k on 4 KB and hugetlb2m on 2 MB, at every platform and width.
+  EXPECT_GE(checked, 3 * 3 * 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, IdentityOnLayout,
+                         ::testing::ValuesIn(npb::all_kernels()),
+                         [](const auto& info) {
+                           return std::string(npb::kernel_name(info.param));
+                         });
 
 // --- fingerprint ------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 // Unit and property tests for the static loop schedule.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "core/parallel_for.hpp"
@@ -41,6 +42,19 @@ struct PartitionCase {
   unsigned threads;
 };
 
+// Also the test-name suffix (PrintToStringParamName), so names never hold
+// the struct's raw bytes; "m" marks a negative bound.
+void PrintTo(const PartitionCase& c, std::ostream* os) {
+  const auto bound = [os](index_t v) {
+    if (v < 0) *os << "m";
+    *os << (v < 0 ? -v : v);
+  };
+  bound(c.first);
+  *os << "to";
+  bound(c.last);
+  *os << "_" << c.threads << "t";
+}
+
 class PartitionProperty : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionProperty, CoversRangeExactlyOnce) {
@@ -63,7 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PartitionCase{0, 100, 1}, PartitionCase{0, 100, 3},
                       PartitionCase{0, 7, 8}, PartitionCase{0, 8, 8},
                       PartitionCase{-50, 50, 4}, PartitionCase{3, 1000, 7},
-                      PartitionCase{0, 1, 1}, PartitionCase{0, 65536, 6}));
+                      PartitionCase{0, 1, 1}, PartitionCase{0, 65536, 6}),
+    ::testing::PrintToStringParamName());
 
 TEST(ForStatic, VisitsOwnRange) {
   std::vector<index_t> seen;

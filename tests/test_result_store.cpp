@@ -3,7 +3,8 @@
 // a miss, never a crash), two-process writer races converging to one valid
 // entry, fingerprint stability goldens, and the Scheduler's layered
 // probe/commit (cold run populates disk; a fresh scheduler — the daemon
-// restart case — serves the same grid from the store without simulating).
+// restart case — serves the same grid from the store without simulating,
+// a shared run's record included).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -385,6 +386,45 @@ TEST(ResultStore, SchedulerServesAcrossInstancesFromStore) {
   EXPECT_EQ(third.store_hits(), 0u);
   EXPECT_EQ(third.store.hits, 0u);  // no disk I/O on the warm path
   EXPECT_EQ(third.to_json(false), first.to_json(false));
+}
+
+// A base4k task on 4 KB pages takes its native point's run and commits it
+// under its own key, so a fresh scheduler on the same root serves both
+// records from disk.
+TEST(ResultStore, SharedRunsAreServedFromStoreUnderTheirOwnKeys) {
+  TempDir dir;
+  std::vector<exec::RunTask> tasks;
+  for (const paging::Policy p :
+       {paging::Policy::native, paging::Policy::base4k}) {
+    exec::RunTask task = sample_task();
+    task.page_kind = PageKind::small4k;
+    task.paging.policy = p;
+    tasks.push_back(task);
+  }
+  exec::Scheduler::Config cfg;
+  cfg.workers = 2;
+  cfg.store_dir = dir.path;
+  std::atomic<int> executed{0};
+  const exec::Scheduler::TaskRunner runner =
+      [&executed](const exec::RunTask& task) {
+        ++executed;
+        return sample_record(task);
+      };
+
+  exec::Scheduler cold(cfg);
+  cold.set_task_runner(runner);
+  const exec::SweepResult first = cold.run(tasks);
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_EQ(first.shared_runs, 1u);
+  EXPECT_EQ(cold.disk_store()->size(), 2u);
+
+  exec::Scheduler warm(cfg);
+  warm.set_task_runner(runner);
+  const exec::SweepResult second = warm.run(tasks);
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_EQ(second.store_hits(), 2u);
+  EXPECT_EQ(second.shared_runs, 0u);
+  EXPECT_EQ(second.to_json(false), first.to_json(false));
 }
 
 // Without store_dir the scheduler has no disk tier — the historical

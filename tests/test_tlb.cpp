@@ -178,6 +178,9 @@ struct LruCase {
   unsigned ways;
   std::uint64_t seed;
   unsigned page_space;  ///< VPNs drawn from [0, page_space)
+  // gtest names each case by the struct's bytes; an explicit zero tail
+  // keeps those names free of uninitialised padding.
+  unsigned tail = 0;
 };
 
 class TlbLruProperty : public ::testing::TestWithParam<LruCase> {};
