@@ -10,7 +10,8 @@
 // --repeat times each (minimum, with the median and maximum beside it),
 // and the two must agree counter-for-counter: a timing from diverging runs
 // would be meaningless. The replay-over-live ratio of the minima is what
-// CI gates on. A recording whose kernel fails verification exits 2;
+// CI gates on. Each row also reports the recorded trace's in-memory size
+// (Trace::bytes()). A recording whose kernel fails verification exits 2;
 // diverging counters exit 1.
 #include <algorithm>
 #include <chrono>
@@ -82,11 +83,13 @@ struct RepeatTimes {
 
 /// One stream's bench measurements: the walls of the live run and of its
 /// replay under the same configuration, the ratio of their minima, a
-/// counter-identity verdict, and the stream's element-access count.
+/// counter-identity verdict, the stream's element-access count and the
+/// recorded trace's size.
 struct BenchEntry {
   std::string trace_key;
   std::string platform;
   std::uint64_t accesses = 0;
+  std::uint64_t trace_bytes = 0;
   RepeatTimes live;
   RepeatTimes replay;
   double replay_over_live = 0.0;
@@ -124,6 +127,7 @@ BenchEntry bench_one(const exec::RunTask& task, int repeat) {
   e.trace_key = trace.key();
   e.platform = task.spec.name;
   e.accesses = trace.meta.accesses;
+  e.trace_bytes = trace.bytes();
   npb::NpbResult live;
   e.live = time_ms([&] {
     live = npb::run_kernel(task.kernel, task.klass, task.runtime_config());
@@ -165,13 +169,14 @@ int cmd_bench(const Options& opts) {
       all_same = all_same && e.identical;
       std::cout << "replay bench " << e.trace_key << " on " << e.platform
                 << " (min of " << repeat << ", " << format_count(e.accesses)
-                << " accesses):\n"
+                << " accesses, " << format_bytes(e.trace_bytes)
+                << " trace):\n"
                 << "  live     " << format_ratio(e.live.min_ms)
                 << " ms (the recorded configuration, untraced; median "
                 << format_ratio(e.live.median_ms) << ", max "
                 << format_ratio(e.live.max_ms) << ")\n"
                 << "  replay   " << format_ratio(e.replay.min_ms)
-                << " ms (stream decode + per-event replay; median "
+                << " ms (per-event replay of the recorded stream; median "
                 << format_ratio(e.replay.median_ms) << ", max "
                 << format_ratio(e.replay.max_ms) << ")\n"
                 << "  ratio    " << format_ratio(e.replay_over_live)
@@ -194,6 +199,7 @@ int cmd_bench(const Options& opts) {
       w.field("trace", e.trace_key);
       w.field("platform", e.platform);
       w.field("accesses", e.accesses);
+      w.field("trace_bytes", e.trace_bytes);
       w.field("live_ms", e.live.min_ms);
       w.field("live_median_ms", e.live.median_ms);
       w.field("live_max_ms", e.live.max_ms);

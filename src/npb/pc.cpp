@@ -41,7 +41,7 @@ NpbResult run_pc(core::Runtime& rt, Klass klass) {
         0, static_cast<index_t>(prm.total_hops), tid, nt);
 
     // The chase: every load's address is the previous load's value — the
-    // dependent chain no stride encoder or warm-span proof can batch. The
+    // dependent chain no run framing or warm-span proof can batch. The
     // total hop count is split across threads, so simulated access volume
     // is thread-count-invariant.
     index_t idx = own.begin;

@@ -87,10 +87,19 @@ std::string SweepClient::round_trip(const std::string& text,
       throw ClientError("sweep daemon exited before responding");
     }
     if (Clock::now() >= limit) {
-      // The daemon may still pick the request up; freeing the slot here
-      // would let it clobber a successor's request. Abandon it instead —
-      // a recreated ring reclaims everything.
-      throw ClientError("deadline expired awaiting response");
+      // Withdraw a request the daemon has not taken, or abandon a taken
+      // one: the daemon frees an abandoned slot once it has answered, so
+      // the slot is never handed to a successor while the daemon writes
+      // it. If both CASes fail, the response landed meanwhile.
+      std::uint32_t expected = kSlotRequest;
+      if (slot->state.compare_exchange_strong(expected, kSlotFree,
+                                              std::memory_order_acq_rel) ||
+          (expected == kSlotBusy &&
+           slot->state.compare_exchange_strong(expected, kSlotAbandoned,
+                                               std::memory_order_acq_rel))) {
+        throw ClientError("deadline expired awaiting response");
+      }
+      break;
     }
     backoff(spins);
   }

@@ -10,9 +10,10 @@
 //
 // Every failure mode is an exception with a reason: no daemon / wrong
 // segment (RingError from open), ring full past the deadline, daemon died
-// mid-wait, response timeout. A client can never wedge the daemon — its
-// worst case is abandoning a claimed slot, which the next daemon start
-// reclaims by recreating the segment.
+// mid-wait, response timeout. A timeout gives its slot back (withdrawn,
+// or freed by the daemon once answered); only a client that dies holding a
+// slot leaves it claimed until the next daemon start recreates the
+// segment.
 #pragma once
 
 #include <chrono>

@@ -7,9 +7,13 @@
 // with every header padded to a cache line. Each slot is a complete
 // rendezvous: a client CAS-claims a Free slot, writes its request into the
 // slot's payload, publishes it (state → Request, release), and polls for
-// the daemon's answer; the daemon scans for Request slots, processes them
-// (state → Busy), writes the response into the same payload and publishes
-// (state → Response); the client reads it and frees the slot. All
+// the daemon's answer; the daemon scans for Request slots, takes them
+// (CAS state → Busy), writes the response into the same payload and
+// publishes (CAS state → Response); the client reads it and frees the
+// slot. A client whose deadline expires withdraws a request the daemon has
+// not taken (CAS Request → Free) or abandons a taken one (CAS Busy →
+// Abandoned), and the daemon frees an abandoned slot instead of
+// publishing into it, so a timeout never costs a slot. All
 // coordination is lock-free atomics inside the mapping — no futexes, no
 // fds passed around, and a crashed client can never wedge the daemon (its
 // slot just stays claimed until the segment is recreated).
@@ -45,14 +49,17 @@ class RingError : public std::runtime_error {
 };
 
 /// Slot lifecycle. Only the transitions named here occur:
-/// Free →(client CAS)→ Claimed →(client publish)→ Request →(daemon)→
-/// Busy →(daemon publish)→ Response →(client)→ Free.
+/// Free →(client CAS)→ Claimed →(client publish)→ Request →(daemon CAS)→
+/// Busy →(daemon CAS)→ Response →(client)→ Free.
+/// At its deadline a client takes Request →(CAS)→ Free, or else
+/// Busy →(CAS)→ Abandoned →(daemon, after answering)→ Free.
 enum SlotState : std::uint32_t {
   kSlotFree = 0,
   kSlotClaimed = 1,
   kSlotRequest = 2,
   kSlotBusy = 3,
   kSlotResponse = 4,
+  kSlotAbandoned = 5,
 };
 
 struct RingHeader {
@@ -84,7 +91,7 @@ struct SlotHeader {
 class ShmRing {
  public:
   static constexpr std::uint64_t kMagic = 0x6c706f6d702d7372ULL;  // "lpomp-sr"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
   static constexpr std::uint32_t kDefaultSlots = 8;
   static constexpr std::size_t kDefaultSlotBytes = std::size_t{1} << 20;
 

@@ -26,9 +26,14 @@ SweepService::~SweepService() {
   ring_.header()->alive.store(0, std::memory_order_release);
 }
 
-void SweepService::serve_slot(std::uint32_t i) {
+bool SweepService::serve_slot(std::uint32_t i) {
   SlotHeader* slot = ring_.slot(i);
-  slot->state.store(kSlotBusy, std::memory_order_relaxed);
+  // The client may have withdrawn its request since the scan.
+  std::uint32_t expected = kSlotRequest;
+  if (!slot->state.compare_exchange_strong(expected, kSlotBusy,
+                                           std::memory_order_acquire)) {
+    return false;
+  }
   char* payload = ring_.payload(i);
 
   std::string response;
@@ -73,17 +78,30 @@ void SweepService::serve_slot(std::uint32_t i) {
   ring_.header()->requests.fetch_add(1, std::memory_order_relaxed);
   ring_.header()->responses.fetch_add(1, std::memory_order_relaxed);
   last_client_ = slot->client_id;
-  slot->state.store(kSlotResponse, std::memory_order_release);
+  expected = kSlotBusy;
+  if (!slot->state.compare_exchange_strong(expected, kSlotResponse,
+                                           std::memory_order_release)) {
+    // The client abandoned the request at its deadline; nobody reads the
+    // response, so the slot goes straight back to the pool.
+    slot->state.store(kSlotFree, std::memory_order_release);
+  }
+  return true;
 }
 
 std::size_t SweepService::poll_once() {
-  // Snapshot the pending set first so one scan's fairness decision is made
-  // over one consistent view; requests published mid-scan wait one poll.
-  std::vector<std::uint32_t> pending;
+  // Snapshot the pending set, with each request's client id, first so one
+  // scan's fairness decision is made over one consistent view (a withdrawn
+  // slot may be reclaimed and rewritten mid-scan); requests published
+  // mid-scan wait one poll.
+  struct Pending {
+    std::uint32_t slot;
+    std::uint32_t client_id;
+  };
+  std::vector<Pending> pending;
   for (std::uint32_t i = 0; i < ring_.slots(); ++i) {
     if (ring_.slot(i)->state.load(std::memory_order_acquire) ==
         kSlotRequest) {
-      pending.push_back(i);
+      pending.push_back({i, ring_.slot(i)->client_id});
     }
   }
   if (pending.empty()) return 0;
@@ -102,14 +120,12 @@ std::size_t SweepService::poll_once() {
   // several slots is served in slot order within its turn).
   const std::uint32_t after = last_client_ + 1;
   std::stable_sort(pending.begin(), pending.end(),
-                   [this, after](std::uint32_t a, std::uint32_t b) {
-                     return static_cast<std::uint32_t>(
-                                ring_.slot(a)->client_id - after) <
-                            static_cast<std::uint32_t>(
-                                ring_.slot(b)->client_id - after);
+                   [after](const Pending& a, const Pending& b) {
+                     return a.client_id - after < b.client_id - after;
                    });
-  for (const std::uint32_t i : pending) serve_slot(i);
-  return pending.size();
+  std::size_t served = 0;
+  for (const Pending& p : pending) served += serve_slot(p.slot) ? 1 : 0;
+  return served;
 }
 
 void SweepService::serve(const std::atomic<bool>& stop) {

@@ -67,7 +67,9 @@ class SweepService {
   std::string stats_json() const;
 
  private:
-  void serve_slot(std::uint32_t i);
+  /// Takes, answers and publishes slot `i`. False when its request was
+  /// withdrawn before the daemon could take it.
+  bool serve_slot(std::uint32_t i);
 
   Config config_;
   exec::Scheduler scheduler_;

@@ -11,8 +11,8 @@
 // that).
 //
 // The interface lives in sim (not src/trace) so the hot simulation layer
-// depends only on this abstract class; all encoding machinery stays in the
-// lpomp_trace module. ThreadSim and Machine hold a plain TraceSink*: a null
+// depends only on this abstract class; the recorder and the replayer stay
+// in the lpomp_trace module. ThreadSim and Machine hold a plain TraceSink*: a null
 // sink costs one predictable branch per event, an attached one a virtual
 // call.
 //

@@ -1,10 +1,11 @@
 // TraceSink implementation that captures a run into a Trace.
 //
 // Attach via RuntimeConfig::trace_sink (or Machine::set_trace_sink), run the
-// kernel, then call finish() once to obtain the Trace. One encoder per
-// simulated thread; per-thread events arrive from the owning host thread and
-// boundaries arrive while all threads are quiescent (the TraceSink
-// contract), so the recorder needs no locks.
+// kernel, then call finish() once to obtain the Trace. One event vector per
+// simulated thread, appended to exactly as the sink is called; per-thread
+// events arrive from the owning host thread and boundaries arrive while all
+// threads are quiescent (the TraceSink contract), so the recorder needs no
+// locks.
 #pragma once
 
 #include <cstdint>
@@ -18,33 +19,36 @@ namespace lpomp::trace {
 class TraceRecorder final : public sim::TraceSink {
  public:
   explicit TraceRecorder(unsigned nthreads)
-      : encoders_(nthreads), touches_(nthreads, 0) {}
+      : streams_(nthreads), touches_(nthreads, 0) {}
 
   void on_touch(unsigned tid, vaddr_t addr, PageKind kind,
                 Access access) override {
-    encoders_[tid].touch(addr, kind, access);
+    streams_[tid].push_back(Event::touch_ev(addr, kind, access));
     ++touches_[tid];
   }
 
   void on_touch_run(unsigned tid, vaddr_t addr, std::size_t n, PageKind kind,
                     Access access) override {
-    encoders_[tid].touch_run(addr, n, kind, access);
+    streams_[tid].push_back(Event::run_ev(addr, n, kind, access));
     touches_[tid] += n;
   }
 
   void on_touch_strided(unsigned tid, vaddr_t addr, std::size_t n,
                         std::int64_t stride_bytes, PageKind kind,
                         Access access) override {
-    encoders_[tid].touch_strided(addr, n, stride_bytes, kind, access);
+    streams_[tid].push_back(
+        Event::strided_ev(addr, n, stride_bytes, kind, access));
     touches_[tid] += n;
   }
 
   void on_compute(unsigned tid, cycles_t cycles) override {
-    encoders_[tid].compute(cycles);
+    streams_[tid].push_back(Event::compute_ev(cycles));
   }
 
   void on_boundary(sim::BoundaryKind kind) override {
-    for (ThreadEncoder& enc : encoders_) enc.segment();
+    for (std::vector<Event>& stream : streams_) {
+      stream.push_back(Event::segment_ev());
+    }
     boundaries_.push_back(kind);
   }
 
@@ -55,24 +59,21 @@ class TraceRecorder final : public sim::TraceSink {
     return total;
   }
 
-  /// Seals the streams and builds the Trace. `meta` describes the recording
-  /// run; its `accesses` field is filled in here. Call at most once, after
-  /// the run has finished (all threads joined, end_run recorded).
+  /// Hands the recorded streams over as a Trace. `meta` describes the
+  /// recording run; its `accesses` field is filled in here. Call at most
+  /// once, after the run has finished (all threads joined, end_run
+  /// recorded).
   Trace finish(TraceMeta meta) {
     Trace trace;
     meta.accesses = accesses();
     trace.meta = std::move(meta);
-    trace.streams.reserve(encoders_.size());
-    for (ThreadEncoder& enc : encoders_) {
-      enc.finish();
-      trace.streams.push_back(enc.take_bytes());
-    }
+    trace.streams = std::move(streams_);
     trace.boundaries = std::move(boundaries_);
     return trace;
   }
 
  private:
-  std::vector<ThreadEncoder> encoders_;
+  std::vector<std::vector<Event>> streams_;
   std::vector<std::uint64_t> touches_;
   std::vector<sim::BoundaryKind> boundaries_;
 };

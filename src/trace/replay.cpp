@@ -8,7 +8,6 @@
 #include "core/runtime.hpp"
 #include "npb/npb.hpp"
 #include "sim/machine.hpp"
-#include "trace/codec.hpp"
 
 namespace lpomp::trace {
 namespace {
@@ -115,30 +114,23 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
         config_.code_page_kind, cm.jump_period, cm.cold_fraction);
     if (config_.resink != nullptr) machine.set_trace_sink(config_.resink);
 
-    std::vector<ThreadDecoder> decoders;
-    decoders.reserve(trace.streams.size());
-    for (const std::string& stream : trace.streams) {
-      decoders.emplace_back(stream);
-    }
-
-    // Drain each thread's stream up to its next SEGMENT marker, then apply
+    // Walk each thread's stream up to its next segment event, then apply
     // the global boundary — the exact order the recording run's Machine
     // observed its counter snapshots in. Every event enters the simulator
     // through the public entry point a live kernel uses, so an attached
     // resink sees live framing.
-    auto feed_segment = [](ThreadDecoder& dec, sim::ThreadSim& sim) {
-      while (true) {
-        const ThreadDecoder::Item item = dec.next();
-        const Event& ev = item.event;
-        switch (item.kind) {
-          case ThreadDecoder::ItemKind::segment:
-            return;
-          case ThreadDecoder::ItemKind::end:
-            throw TraceError("trace: stream ended before its last boundary");
-          case ThreadDecoder::ItemKind::event:
-            break;
+    std::vector<std::size_t> cursor(nthreads, 0);
+    auto feed_segment = [](const std::vector<Event>& stream, std::size_t& i,
+                           sim::ThreadSim& sim) {
+      for (;; ++i) {
+        if (i == stream.size()) {
+          throw TraceError("trace: stream ended before its last boundary");
         }
+        const Event& ev = stream[i];
         switch (ev.kind) {
+          case Event::Kind::segment:
+            ++i;
+            return;
           case Event::Kind::touch:
             sim.touch(ev.addr, ev.page, ev.access);
             break;
@@ -157,12 +149,12 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
 
     for (const sim::BoundaryKind boundary : trace.boundaries) {
       for (unsigned tid = 0; tid < nthreads; ++tid) {
-        feed_segment(decoders[tid], machine.thread(tid));
+        feed_segment(trace.streams[tid], cursor[tid], machine.thread(tid));
       }
       apply_boundary(machine, boundary);
     }
-    for (ThreadDecoder& dec : decoders) {
-      if (dec.next().kind != ThreadDecoder::ItemKind::end) {
+    for (unsigned tid = 0; tid < nthreads; ++tid) {
+      if (cursor[tid] != trace.streams[tid].size()) {
         throw TraceError("trace: events recorded after the last boundary");
       }
     }

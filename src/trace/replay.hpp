@@ -2,7 +2,7 @@
 //
 // A replay builds the same Runtime substrate a live run would (page tables,
 // hugetlbfs pool, machine topology, code-region mapping), then feeds each
-// decoded event of each thread's stream through that thread's simulator —
+// recorded event of each thread's stream through that thread's simulator —
 // the touch/touch_run/touch_strided/add_compute call a live kernel makes —
 // applying the recorded fork-join boundaries in machine order. Because the
 // simulator state evolves only from the touch stream and the boundary
@@ -38,11 +38,11 @@ struct ReplayConfig {
   paging::PolicySpec paging{};
 
   /// Optional sink observing the replayed stream. The replay passes each
-  /// decoded event through the ThreadSim entry point a live run calls, so
+  /// recorded event through the ThreadSim entry point a live run calls, so
   /// the sink sees *live framing* by construction — one run event per run
   /// rather than n singles — and attaching a TraceRecorder here re-records
-  /// a trace byte-identical to the one being replayed (the framing
-  /// invariant tests/test_trace_replay.cpp pins).
+  /// a trace event-for-event identical to the one being replayed (the
+  /// framing invariant tests/test_trace_replay.cpp pins).
   sim::TraceSink* resink = nullptr;
 };
 
@@ -65,7 +65,8 @@ class ReplayDriver {
   /// other than the thread count, a stream that ends before its last
   /// boundary or runs past it), does not fit the platform (more threads
   /// than hardware contexts), or is rejected by the simulator mid-replay
-  /// (a corrupt but well-framed trace) — never a bare logic_error.
+  /// (an event at an address or page kind the recorded configuration does
+  /// not map) — never a bare logic_error.
   ReplayOutcome run(const Trace& trace) const;
 
   const ReplayConfig& config() const { return config_; }

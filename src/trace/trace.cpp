@@ -23,7 +23,9 @@ std::string Trace::key() const {
 std::size_t Trace::bytes() const {
   std::size_t total = sizeof(Trace) + meta.kernel.size() + meta.klass.size() +
                       meta.platform.size() + boundaries.size();
-  for (const std::string& s : streams) total += s.size() + sizeof(std::string);
+  for (const std::vector<Event>& s : streams) {
+    total += sizeof(s) + s.size() * sizeof(Event);
+  }
   return total;
 }
 

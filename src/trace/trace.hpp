@@ -1,9 +1,10 @@
 // In-memory representation of a recorded access trace.
 //
 // A Trace captures everything needed to re-drive the machine simulator
-// without re-running the kernel's numerics: the per-thread compressed event
-// streams (see codec.hpp) plus the global fork-join boundary sequence that
-// tells the replayer where the Machine's time-accounting snapshots fall.
+// without re-running the kernel's numerics: one event vector per simulated
+// thread, holding each TraceSink call exactly as the live run made it, plus
+// the global fork-join boundary sequence that tells the replayer where the
+// Machine's time-accounting snapshots fall.
 //
 // The address stream of an engine-run kernel is fully determined by
 // (kernel, class, threads, data-page kind) — platform, cost model, seed and
@@ -13,14 +14,53 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "npb/npb.hpp"
 #include "sim/trace_sink.hpp"
-#include "trace/codec.hpp"
 
 namespace lpomp::trace {
+
+/// A trace that cannot be replayed: malformed framing, a configuration it
+/// does not fit, or events the simulator rejects. Always recoverable —
+/// lpomp::trace throws this, never a bare logic_error.
+class TraceError : public std::runtime_error {
+ public:
+  explicit TraceError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// One recorded stream event: a TraceSink call, or a fork-join boundary.
+struct Event {
+  enum class Kind : std::uint8_t { touch = 0, run = 1, compute = 2,
+                                   strided = 3, segment = 4 };
+
+  Kind kind = Kind::touch;
+  PageKind page = PageKind::small4k;
+  Access access = Access::load;
+  vaddr_t addr = 0;        ///< touch/run/strided: element address
+  std::uint64_t arg = 0;   ///< run/strided: element count; compute: cycles
+  std::int64_t stride = 8; ///< strided: byte advance per element (run: 8)
+
+  bool operator==(const Event&) const = default;
+
+  static Event touch_ev(vaddr_t addr, PageKind page, Access access) {
+    return Event{Kind::touch, page, access, addr, 0};
+  }
+  static Event run_ev(vaddr_t addr, std::uint64_t n, PageKind page,
+                      Access access) {
+    return Event{Kind::run, page, access, addr, n};
+  }
+  static Event strided_ev(vaddr_t addr, std::uint64_t n, std::int64_t stride,
+                          PageKind page, Access access) {
+    return Event{Kind::strided, page, access, addr, n, stride};
+  }
+  static Event compute_ev(cycles_t cycles) {
+    return Event{Kind::compute, PageKind::small4k, Access::load, 0, cycles};
+  }
+  static Event segment_ev() { return Event{Kind::segment}; }
+};
 
 /// Description of the run a trace was recorded from. kernel/klass/threads/
 /// page_kind identify the address stream; the rest is provenance from the
@@ -43,15 +83,15 @@ struct TraceMeta {
 
 struct Trace {
   TraceMeta meta;
-  /// One compressed event stream per simulated thread (meta.threads many).
-  std::vector<std::string> streams;
+  /// One event vector per simulated thread (meta.threads many).
+  std::vector<std::vector<Event>> streams;
   /// Global fork-join boundary sequence, in machine order. Every stream
-  /// carries exactly one SEGMENT marker per entry here.
+  /// carries exactly one segment event per entry here.
   std::vector<sim::BoundaryKind> boundaries;
 
   std::string key() const;
 
-  /// Approximate in-memory footprint of the encoded streams.
+  /// Approximate in-memory footprint of the event vectors.
   std::size_t bytes() const;
 };
 

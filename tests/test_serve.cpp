@@ -529,6 +529,131 @@ TEST(ServeService, NoDaemonIsCleanFailure) {
                serve::RingError);
 }
 
+// --- deadlines -----------------------------------------------------------
+//
+// A client whose deadline expires gives its slot back: it withdraws a
+// request the daemon has not taken, and the daemon frees a slot whose
+// client abandoned it mid-request once it has answered.
+
+bool all_slots_free(const serve::ShmRing& ring) {
+  for (std::uint32_t i = 0; i < ring.slots(); ++i) {
+    if (ring.slot(i)->state.load() != serve::kSlotFree) return false;
+  }
+  return true;
+}
+
+/// A one-point request; `seed` keeps it out of the daemon's result cache.
+serve::SweepRequest one_point_request(std::uint64_t seed) {
+  serve::SweepRequest request = small_request();
+  request.threads = {1};
+  request.page_kinds = {PageKind::small4k};
+  request.base_seed = seed;
+  return request;
+}
+
+/// Submits `request` with a 200 ms deadline while the daemon takes it in
+/// one poll_once and runs it past the deadline (the caller's task runner
+/// sleeps): the client must time out while its request is Busy.
+void time_out_while_busy(serve::SweepService& service, const std::string& name,
+                         const serve::SweepRequest& request) {
+  std::string error;
+  std::thread client_thread([&] {
+    serve::SweepClient client(name);
+    try {
+      client.submit(request, std::chrono::milliseconds(200));
+    } catch (const serve::ClientError& e) {
+      error = e.what();
+    }
+  });
+  const serve::ShmRing& ring = service.ring();
+  auto pending = [&ring] {
+    for (std::uint32_t i = 0; i < ring.slots(); ++i) {
+      if (ring.slot(i)->state.load() == serve::kSlotRequest) return true;
+    }
+    return false;
+  };
+  while (!pending()) std::this_thread::yield();
+  EXPECT_EQ(service.poll_once(), 1u);
+  client_thread.join();
+  EXPECT_EQ(error, "deadline expired awaiting response");
+}
+
+/// Task runner that sleeps 600 ms before each task while `slow` is set.
+exec::Scheduler::TaskRunner sleepy_runner(const std::atomic<bool>& slow,
+                                          std::atomic<int>& calls) {
+  return [&slow, &calls](const exec::RunTask& task) {
+    ++calls;
+    if (slow.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    }
+    return exec::Scheduler::execute_task(task);
+  };
+}
+
+// Nobody polls: the client withdraws its request at the deadline, so the
+// slot is Free and the daemon never serves it.
+TEST(ServeService, TimedOutRequestWithoutPollIsWithdrawn) {
+  const std::string name = shm_name("withdraw");
+  serve::SweepService::Config cfg;
+  cfg.shm_name = name;
+  cfg.slots = 2;
+  cfg.scheduler.workers = 1;
+  serve::SweepService service(cfg);
+
+  serve::SweepClient client(name);
+  try {
+    client.submit(one_point_request(1), std::chrono::milliseconds(20));
+    ADD_FAILURE() << "expected a deadline ClientError";
+  } catch (const serve::ClientError& e) {
+    EXPECT_STREQ(e.what(), "deadline expired awaiting response");
+  }
+  EXPECT_TRUE(all_slots_free(service.ring()));
+  EXPECT_EQ(service.poll_once(), 0u);
+}
+
+// The daemon takes the request and runs past the client's deadline: the
+// client abandons the slot, and the daemon frees it instead of publishing
+// a response nobody reads.
+TEST(ServeService, RequestAbandonedWhileBusyIsFreedByTheDaemon) {
+  const std::string name = shm_name("abandon");
+  serve::SweepService::Config cfg;
+  cfg.shm_name = name;
+  cfg.slots = 2;
+  cfg.scheduler.workers = 1;
+  std::atomic<bool> slow{true};
+  std::atomic<int> calls{0};
+  serve::SweepService service(cfg);
+  service.scheduler().set_task_runner(sleepy_runner(slow, calls));
+
+  time_out_while_busy(service, name, one_point_request(1));
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(all_slots_free(service.ring()));
+}
+
+// As many timeouts as the ring has slots, then a normal submission: it
+// still finds a free slot and is served.
+TEST(ServeService, TimeoutsNeverExhaustTheRing) {
+  const std::string name = shm_name("exhaust");
+  serve::SweepService::Config cfg;
+  cfg.shm_name = name;
+  cfg.slots = 2;
+  cfg.scheduler.workers = 1;
+  std::atomic<bool> slow{true};
+  std::atomic<int> calls{0};
+  serve::SweepService service(cfg);
+  service.scheduler().set_task_runner(sleepy_runner(slow, calls));
+
+  for (std::uint32_t i = 0; i < cfg.slots; ++i) {
+    time_out_while_busy(service, name, one_point_request(0x100 + i));
+  }
+  slow.store(false);
+  ServerThread server(service);
+  serve::SweepClient client(name);
+  const std::string ok =
+      client.submit(small_request(), std::chrono::milliseconds(10000));
+  EXPECT_EQ(summary_counter(exec::json_parse(ok), "completed"), 4u);
+}
+
 // The stats request is a distinct wire marker, never confusable with a
 // sweep request, and its response wraps the daemon's stats document.
 TEST(ServeWire, StatsRequestMarker) {

@@ -12,11 +12,11 @@
 // After every stream, every counter — ThreadCounters plus the TLB and
 // cache structure stats — must agree across all three. The generator mixes
 // strides crossing 4 KB and 2 MB boundaries, page-kind mixes, periodic
-// multi-slot blocks (the shape REPEAT records decode into), interleaved
-// arrays in different sets and pages (CG's gather loop), data lines aimed
-// at the L1D sets of a walk's PTE lines, TLB flushes (SMT context switches
-// on pre-ASID hardware), and in-place superpage promotion; streams run on
-// both of the paper's platforms.
+// multi-slot blocks (a stencil kernel's per-point neighbour cycle),
+// interleaved arrays in different sets and pages (CG's gather loop), data
+// lines aimed at the L1D sets of a walk's PTE lines, TLB flushes (SMT
+// context switches on pre-ASID hardware), and in-place superpage
+// promotion; streams run on both of the paper's platforms.
 //
 // Reproduction: every failure message carries the platform, variant,
 // stream index, and the per-stream seed. LPOMP_DIFF_SEED overrides the
@@ -25,7 +25,7 @@
 // appended (CI uploads it as the differential seed corpus artifact).
 //
 // The replay path rides the same harness: for randomized recorded streams
-// (REPEAT blocks, strided runs), a ReplayDriver replay on the batched fast
+// (periodic motifs, strided runs), a ReplayDriver replay on the batched fast
 // path must equal the same replay with set_default_fast_path(false)
 // counter-for-counter. LPOMP_REPLAY_STREAMS scales that test's stream
 // count independently.
@@ -46,7 +46,7 @@
 #include "sim/processor_spec.hpp"
 #include "sim/thread_sim.hpp"
 #include "support/rng.hpp"
-#include "trace/codec.hpp"
+#include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -437,8 +437,8 @@ void run_platform(const sim::ProcessorSpec& spec,
           t.ref.touch_strided(addr, n, stride, kind, access);
         }
       } else if (roll < 80) {
-        // Periodic multi-slot block — the shape REPEAT records decode
-        // into.
+        // Periodic multi-slot block — a stencil kernel's per-point
+        // neighbour cycle.
         const std::uint64_t periods = 2 + gen.next_below(7);
         const std::size_t nslots =
             1 + static_cast<std::size_t>(gen.next_below(3));
@@ -644,7 +644,7 @@ TEST(SimDifferential, Huge1gWalkCreditBoundariesMatchReference) {
 // Property: for a randomized recorded stream, a ReplayDriver replay on the
 // batched fast path equals the same replay on the per-event path
 // counter-for-counter. The replays vary every replay knob (platform, seed,
-// code page kind), so the decoded streams are checked under both TLB
+// code page kind), so the recorded streams are checked under both TLB
 // geometries and both ITLB layouts.
 
 constexpr int kDefaultReplayStreams = 25;
@@ -690,39 +690,31 @@ int replay_stream_count() {
 }
 
 /// Builds a synthetic two-thread trace whose addresses live inside the
-/// shared pool the replay substrate rebuilds for (CG, S, `kind`). The event
-/// mix covers every encoder framing: single touches, unit-stride runs,
-/// strided runs (forward/backward/page-striding), compute charges, and a
-/// periodic motif long enough to close into a multi-period REPEAT record.
+/// shared pool the replay substrate rebuilds for (CG, S, `kind`), issued
+/// through a TraceRecorder's sink calls as a live run would. The event mix
+/// covers every replay entry point: single touches, unit-stride runs,
+/// strided runs (forward/backward/page-striding), compute charges, and
+/// periodic motifs whose repeated sweeps the fast path credits in bulk.
 trace::Trace make_replay_trace(std::uint64_t seed, PageKind kind,
                              vaddr_t pool_base, std::size_t window) {
   constexpr unsigned kThreads = 2;
   Rng gen(seed);
-  std::vector<trace::ThreadEncoder> enc(kThreads);
+  trace::TraceRecorder rec(kThreads);
 
-  trace::Trace tr;
-  tr.meta.kernel = "CG";
-  tr.meta.klass = "S";
-  tr.meta.threads = kThreads;
-  tr.meta.page_kind = kind;
-  tr.meta.platform = "synthetic";
-  tr.meta.seed = seed;
-  tr.meta.verified = true;
-  tr.meta.checksum = static_cast<double>(seed >> 8);
-
-  auto emit_ops = [&](trace::ThreadEncoder& e) {
+  auto emit_ops = [&](unsigned tid) {
     const unsigned n_ops = 1 + static_cast<unsigned>(gen.next_below(8));
     for (unsigned op = 0; op < n_ops; ++op) {
       const Access access =
           gen.next_below(3) == 0 ? Access::store : Access::load;
       const std::uint64_t roll = gen.next_below(100);
       if (roll < 30) {
-        e.touch(pool_base + 8 * gen.next_below(window / 8), kind, access);
+        rec.on_touch(tid, pool_base + 8 * gen.next_below(window / 8), kind,
+                     access);
       } else if (roll < 50) {
         auto n = static_cast<std::uint64_t>(1 + gen.next_below(400));
         if (n > window / 8) n = window / 8;
         const vaddr_t addr = pool_base + 8 * gen.next_below(window / 8 - n + 1);
-        e.touch_run(addr, n, kind, access);
+        rec.on_touch_run(tid, addr, n, kind, access);
       } else if (roll < 70) {
         static constexpr std::int64_t kStrides[] = {-4096, -72, -64, -8, 0,
                                                     8,     16,  64,  72, 520,
@@ -741,59 +733,59 @@ trace::Trace make_replay_trace(std::uint64_t seed, PageKind kind,
         const vaddr_t slack = 8 * gen.next_below((window - 8 - span) / 8 + 1);
         const vaddr_t addr =
             stride >= 0 ? pool_base + slack : pool_base + span + slack;
-        e.touch_strided(addr, n, stride, kind, access);
+        rec.on_touch_strided(tid, addr, n, stride, kind, access);
       } else if (roll < 78) {
-        e.compute(static_cast<cycles_t>(gen.next_below(500)));
+        rec.on_compute(tid, static_cast<cycles_t>(gen.next_below(500)));
       } else if (roll < 88) {
-        // Hot motif: the identical small sweep issued back-to-back. It
-        // encodes into a REPEAT block with period_inc 0 whose span is
-        // L1/DTLB-resident after the first pass, so the mix exercises
-        // multi-period blocks the fast path can credit in bulk.
+        // Hot motif: the identical small sweep issued back-to-back. Its
+        // span is L1/DTLB-resident after the first pass, so the mix
+        // exercises repeated sweeps the fast path can credit in bulk.
         const unsigned reps = 3 + static_cast<unsigned>(gen.next_below(4));
         const vaddr_t hot = pool_base + 8 * gen.next_below((window / 2) / 8);
         const auto hn =
             static_cast<std::uint64_t>(32 + gen.next_below(64));
         for (unsigned r = 0; r < reps; ++r) {
-          e.touch_run(hot, hn, kind, access);
+          rec.on_touch_run(tid, hot, hn, kind, access);
         }
       } else {
-        // Periodic motif: constant per-iteration deltas, enough iterations
-        // for the encoder's repeat detector to emit a multi-period block.
+        // Periodic motif: constant per-iteration deltas over many
+        // iterations, a stencil kernel's per-point neighbour cycle.
         const unsigned reps = 4 + static_cast<unsigned>(gen.next_below(45));
         const vaddr_t a0 = pool_base + 8 * gen.next_below((window / 4) / 8);
         const vaddr_t a1 = pool_base + window / 2;
         const auto cycles = static_cast<cycles_t>(1 + gen.next_below(40));
         for (unsigned r = 0; r < reps; ++r) {
-          e.touch(a0 + static_cast<vaddr_t>(r) * 64, kind, access);
-          e.touch_run(a1 + static_cast<vaddr_t>(r) * 512, 8, kind, access);
-          e.compute(cycles);
+          rec.on_touch(tid, a0 + static_cast<vaddr_t>(r) * 64, kind, access);
+          rec.on_touch_run(tid, a1 + static_cast<vaddr_t>(r) * 512, 8, kind,
+                           access);
+          rec.on_compute(tid, cycles);
         }
       }
     }
-  };
-
-  auto cut = [&](sim::BoundaryKind b) {
-    tr.boundaries.push_back(b);
-    for (auto& e : enc) e.segment();
   };
 
   // Live boundary shape: serial prelude (master only), 1–3 parallel
   // regions (all threads), serial tail, end_run.
   const unsigned phases = 1 + static_cast<unsigned>(gen.next_below(3));
   for (unsigned p = 0; p < phases; ++p) {
-    if (gen.next_below(2) == 0) emit_ops(enc[0]);
-    cut(sim::BoundaryKind::begin_parallel);
-    for (auto& e : enc) emit_ops(e);
-    cut(sim::BoundaryKind::end_parallel);
+    if (gen.next_below(2) == 0) emit_ops(0);
+    rec.on_boundary(sim::BoundaryKind::begin_parallel);
+    for (unsigned tid = 0; tid < kThreads; ++tid) emit_ops(tid);
+    rec.on_boundary(sim::BoundaryKind::end_parallel);
   }
-  emit_ops(enc[0]);
-  cut(sim::BoundaryKind::end_run);
+  emit_ops(0);
+  rec.on_boundary(sim::BoundaryKind::end_run);
 
-  for (auto& e : enc) {
-    e.finish();
-    tr.streams.push_back(e.take_bytes());
-  }
-  return tr;
+  trace::TraceMeta meta;
+  meta.kernel = "CG";
+  meta.klass = "S";
+  meta.threads = kThreads;
+  meta.page_kind = kind;
+  meta.platform = "synthetic";
+  meta.seed = seed;
+  meta.verified = true;
+  meta.checksum = static_cast<double>(seed >> 8);
+  return rec.finish(std::move(meta));
 }
 
 /// Restores the process-wide fast-path default on scope exit, so a failed

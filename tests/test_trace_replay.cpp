@@ -7,6 +7,7 @@
 
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "exec/scheduler.hpp"
 #include "mem/address_space.hpp"
@@ -14,7 +15,6 @@
 #include "npb/npb.hpp"
 #include "prof/profile.hpp"
 #include "sim/thread_sim.hpp"
-#include "trace/codec.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
@@ -119,31 +119,41 @@ TEST(TraceReplay, CrossPlatformCrossSeed) {
 // Acceptance grid: every Figure 4 task (class S) replayed from the stream
 // its (kernel, threads, page kind) group recorded once must be bit-identical
 // to that task's own live run — the second platform's points replay streams
-// recorded on the first.
+// recorded on the first. Each stream is recorded on its group's first task,
+// replayed for the whole group and dropped, so one trace is held at a time.
 TEST(TraceReplay, Figure4GridIdentity) {
-  std::map<std::string, trace::Trace> streams;
-  std::size_t cross_platform = 0;
+  std::vector<std::string> keys;  // first-appearance order
+  std::map<std::string, std::vector<exec::RunTask>> groups;
   for (const exec::RunTask& task :
        exec::SweepSpec::figure4(npb::Klass::S).expand()) {
     const std::string key = trace::trace_key(
         npb::kernel_name(task.kernel), npb::klass_name(task.klass),
         task.threads, task.page_kind);
-    if (streams.count(key) == 0) {
-      streams.emplace(key, record_live(task.kernel, task.klass, task.spec,
-                                       task.threads, task.page_kind)
-                               .trace);
+    std::vector<exec::RunTask>& group = groups[key];
+    if (group.empty()) keys.push_back(key);
+    group.push_back(task);
+  }
+
+  std::size_t cross_platform = 0;
+  for (const std::string& key : keys) {
+    const std::vector<exec::RunTask>& group = groups.at(key);
+    const exec::RunTask& first = group.front();
+    const trace::Trace tr = record_live(first.kernel, first.klass, first.spec,
+                                        first.threads, first.page_kind)
+                                .trace;
+    for (const exec::RunTask& task : group) {
+      cross_platform += tr.meta.platform != task.spec.name ? 1 : 0;
+      const npb::NpbResult live =
+          npb::run_kernel(task.kernel, task.klass, task.runtime_config());
+      const trace::ReplayOutcome out =
+          trace::ReplayDriver(trace::ReplayConfig{task.spec, task.cost,
+                                                  task.seed,
+                                                  task.code_page_kind})
+              .run(tr);
+      EXPECT_EQ(out.simulated_seconds, live.simulated_seconds)
+          << task.label();
+      expect_profiles_identical(live.profile, out.profile, task.label());
     }
-    const trace::Trace& tr = streams.at(key);
-    cross_platform += tr.meta.platform != task.spec.name ? 1 : 0;
-    const npb::NpbResult live =
-        npb::run_kernel(task.kernel, task.klass, task.runtime_config());
-    const trace::ReplayOutcome out =
-        trace::ReplayDriver(trace::ReplayConfig{task.spec, task.cost,
-                                                task.seed,
-                                                task.code_page_kind})
-            .run(tr);
-    EXPECT_EQ(out.simulated_seconds, live.simulated_seconds) << task.label();
-    expect_profiles_identical(live.profile, out.profile, task.label());
   }
   EXPECT_GT(cross_platform, 0u);
 }
@@ -168,119 +178,6 @@ TEST(TraceReplay, EngineSweepMatchesLive) {
     EXPECT_EQ(automatic.records[i].trace_source, "live");
   }
   EXPECT_EQ(automatic.to_json(false), live.to_json(false));
-}
-
-// --- corrupt-trace fuzz -----------------------------------------------------
-//
-// Concrete corruptions of otherwise well-formed streams, each of which the
-// replay decode must reject with the recoverable TraceError — never a
-// crash or a silently wrong profile — so a caller can fall back to running
-// the task live, which stays bit-identical to the scheduler's own record.
-
-void expect_corrupt_falls_back(const exec::RunTask& task,
-                               const trace::Trace& corrupt,
-                               const std::string& what) {
-  trace::ReplayDriver driver(trace::ReplayConfig{
-      sim::ProcessorSpec::opteron270(), {}, 0x5eedULL, PageKind::small4k});
-  EXPECT_THROW(driver.run(corrupt), trace::TraceError) << what;
-
-  const exec::RunRecord live = exec::Scheduler::execute_task(task);
-  exec::Scheduler scheduler({.workers = 1});
-  const exec::SweepResult swept =
-      scheduler.run(std::vector<exec::RunTask>{task});
-  ASSERT_EQ(swept.records.size(), 1u);
-  EXPECT_TRUE(swept.records[0].ok) << what;
-  EXPECT_EQ(live.to_json(false), swept.records[0].to_json(false)) << what;
-}
-
-// Case 1: a genuine recorded stream truncated in the middle of its REPEAT
-// records — the tail (END marker and trailing segments) is gone, so decode
-// runs off the end.
-TEST(TraceReplay, TruncatedPatternBlockFallsBack) {
-  exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 2);
-  spec.kernels = {npb::Kernel::MG};
-  const std::vector<exec::RunTask> tasks = spec.expand();
-  ASSERT_FALSE(tasks.empty());
-  const exec::RunTask& task = tasks.front();
-
-  const LiveRun live =
-      record_live(npb::Kernel::MG, npb::Klass::S,
-                  sim::ProcessorSpec::opteron270(), task.threads,
-                  task.page_kind);
-  trace::Trace corrupt = live.trace;
-  std::string& stream = corrupt.streams.back();
-  ASSERT_GT(stream.size(), 16u);
-  stream.resize(stream.size() / 2);
-
-  expect_corrupt_falls_back(task, corrupt, "truncated pattern block");
-}
-
-// Case 2: a single bit flipped in a STRIDED block's opcode header turns it
-// into an unknown opcode — framing validation must reject the stream, not
-// misparse the payload bytes that follow.
-TEST(TraceReplay, BitFlippedStrideHeaderFallsBack) {
-  exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 2);
-  spec.kernels = {npb::Kernel::CG};
-  const std::vector<exec::RunTask> tasks = spec.expand();
-  ASSERT_FALSE(tasks.empty());
-  const exec::RunTask& task = tasks.front();
-
-  // Hand-built well-formed streams whose first event is a strided run, so
-  // the byte to corrupt sits at a known offset. (The uncorrupted trace is
-  // never replayed; this test is about the corrupted bytes being
-  // *rejected*, not about stream content.)
-  trace::Trace corrupt;
-  corrupt.meta.kernel = task.kernel == npb::Kernel::CG ? "CG" : "MG";
-  corrupt.meta.klass = "S";
-  corrupt.meta.threads = task.threads;
-  corrupt.meta.page_kind = task.page_kind;
-  corrupt.meta.verified = true;
-  corrupt.boundaries = {sim::BoundaryKind::end_run};
-  for (unsigned t = 0; t < task.threads; ++t) {
-    trace::ThreadEncoder enc;
-    enc.touch_strided(0x10'0000, 300, 64, task.page_kind, Access::load);
-    enc.touch_run(0x10'0000, 64, task.page_kind, Access::store);
-    enc.segment();
-    enc.finish();
-    corrupt.streams.push_back(enc.take_bytes());
-  }
-
-  // The wire begins with the STRIDED opcode (0x05); one flipped bit makes
-  // it an opcode the grammar does not define (0x25).
-  std::string& stream = corrupt.streams.front();
-  ASSERT_EQ(static_cast<std::uint8_t>(stream[0]), 0x05u);
-  stream[0] = static_cast<char>(static_cast<std::uint8_t>(stream[0]) ^ 0x20);
-
-  expect_corrupt_falls_back(task, corrupt, "bit-flipped stride header");
-}
-
-// Case 3: every irregular kernel's genuine recorded stream, truncated
-// mid-stream. Their wire shape is singleton-dominated (GUPS random indexes
-// and PC dependent chases give stride-RLE nothing to coalesce), so the
-// decoder loses the framing structure regular kernels would fail on much
-// earlier — the cut must still be rejected at decode time.
-TEST(TraceReplay, IrregularKernelsCorruptTraceFallsBack) {
-  for (npb::Kernel kernel :
-       {npb::Kernel::GUPS, npb::Kernel::GT, npb::Kernel::PC}) {
-    exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 2);
-    spec.kernels = {kernel};
-    const std::vector<exec::RunTask> tasks = spec.expand();
-    ASSERT_FALSE(tasks.empty());
-    const exec::RunTask& task = tasks.front();
-
-    const LiveRun live =
-        record_live(kernel, npb::Klass::S, sim::ProcessorSpec::opteron270(),
-                    task.threads, task.page_kind);
-    ASSERT_TRUE(live.result.verified);
-    trace::Trace corrupt = live.trace;
-    std::string& stream = corrupt.streams.back();
-    ASSERT_GT(stream.size(), 16u);
-    stream.resize(stream.size() / 2);
-
-    expect_corrupt_falls_back(task, corrupt,
-                              std::string("truncated ") +
-                                  npb::kernel_name(kernel) + " stream");
-  }
 }
 
 // Replay must reject traces that do not fit the platform instead of
@@ -315,28 +212,74 @@ TEST(TraceReplay, RejectsImpossibleReplay) {
   no_threads.streams.clear();
   rejects(no_threads, "at least one thread");
 
-  // Every recorded stream ends with the end_run SEGMENT (0x01) and the END
-  // marker (0x02); the cases below edit thread 0's tail.
-  const std::string& tail = live.trace.streams[0];
-  ASSERT_GE(tail.size(), 2u);
-  ASSERT_EQ(tail.substr(tail.size() - 2), std::string("\x01\x02", 2));
-  auto with_tail = [&live](const std::string& new_tail) {
+  // Every recorded stream ends with the end_run segment event; the cases
+  // below edit thread 0's tail.
+  using trace::Event;
+  ASSERT_FALSE(live.trace.streams[0].empty());
+  ASSERT_EQ(live.trace.streams[0].back(), Event::segment_ev());
+  auto with_tail = [&live](std::initializer_list<Event> new_tail) {
     trace::Trace t = live.trace;
-    std::string& stream = t.streams[0];
-    stream.replace(stream.size() - 2, 2, new_tail);
+    std::vector<Event>& stream = t.streams[0];
+    stream.pop_back();
+    stream.insert(stream.end(), new_tail);
     return t;
   };
   // The stream ends before its last boundary.
-  rejects(with_tail(std::string("\x02", 1)), "ended before its last boundary");
-  // A COMPUTE event (5 cycles) after the last boundary.
-  rejects(with_tail(std::string("\x01\x03\x05\x02", 4)),
+  rejects(with_tail({}), "ended before its last boundary");
+  // A compute event (5 cycles) after the last boundary.
+  rejects(with_tail({Event::segment_ev(), Event::compute_ev(5)}),
           "after the last boundary");
-  // An extra SEGMENT after the last boundary.
-  rejects(with_tail(std::string("\x01\x01\x02", 3)),
+  // An extra segment after the last boundary.
+  rejects(with_tail({Event::segment_ev(), Event::segment_ev()}),
           "after the last boundary");
   // The unedited tail replays.
-  const std::string intact("\x01\x02", 2);
-  EXPECT_NO_THROW(xeon_driver.run(with_tail(intact)));
+  EXPECT_NO_THROW(xeon_driver.run(with_tail({Event::segment_ev()})));
+}
+
+// A well-framed trace whose events the simulator cannot accept surfaces as
+// a TraceError naming the simulator's check, not as a bare logic_error.
+TEST(TraceReplay, RejectsEventsTheSimulatorRejects) {
+  // The replay substrate maps the shared pool first, so it starts at the
+  // arena base a fresh address space reports.
+  vaddr_t pool_base = 0;
+  {
+    mem::PhysMem pm{MiB(4)};
+    mem::AddressSpace probe{pm};
+    pool_base = probe.peek_region_base(PageKind::small4k);
+  }
+  auto one_touch = [](vaddr_t addr, PageKind kind) {
+    trace::Trace t;
+    t.meta.kernel = "CG";
+    t.meta.klass = "S";
+    t.meta.threads = 1;
+    t.meta.page_kind = PageKind::small4k;
+    t.streams = {{trace::Event::touch_ev(addr, kind, Access::load),
+                  trace::Event::segment_ev()}};
+    t.boundaries = {sim::BoundaryKind::end_run};
+    return t;
+  };
+  trace::ReplayDriver driver(trace::ReplayConfig{
+      sim::ProcessorSpec::opteron270(), {}, 0x5eedULL, PageKind::small4k});
+  // The well-formed touch replays; each case below breaks one thing.
+  EXPECT_NO_THROW(driver.run(one_touch(pool_base, PageKind::small4k)));
+
+  for (const auto& [t, why] :
+       {// Case 1: an address no region maps.
+        std::pair{one_touch(pool_base + GiB(1), PageKind::small4k),
+                  "unmapped address"},
+        // Case 2: a page kind the pool's 4 KB layout does not have.
+        std::pair{one_touch(pool_base, PageKind::large2m),
+                  "layout mismatch"}}) {
+    try {
+      driver.run(t);
+      ADD_FAILURE() << "replay accepted a trace that should fail: " << why;
+    } catch (const trace::TraceError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rejected by simulator"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  }
 }
 
 // A trace whose metadata names a kernel or class outside the npb tables
@@ -370,7 +313,7 @@ TEST(TraceReplay, RejectsKernelOrClassOutsideTheTables) {
 // A live touch_run/touch_strided must surface at the TraceSink as ONE run
 // (or strided) event — never as n singles — and stride-8 strided calls must
 // canonicalise to run framing. Any framing drift here silently changes the
-// wire bytes of every recorded trace.
+// events of every recorded trace.
 TEST(TraceFraming, LiveEntryPointsReportSingleEvents) {
   mem::PhysMem pm{MiB(32)};
   mem::AddressSpace space{pm};
@@ -396,8 +339,7 @@ TEST(TraceFraming, LiveEntryPointsReportSingleEvents) {
   EXPECT_EQ(trace.meta.accesses, 1u + 500u + 300u + 200u);
   EXPECT_EQ(trace.key(), "CG.S/1T/4KB");
 
-  trace::ThreadDecoder dec(trace.streams[0]);
-  const trace::Event expected[] = {
+  const std::vector<trace::Event> expected = {
       trace::Event::touch_ev(r.base, PageKind::small4k, Access::load),
       trace::Event::run_ev(r.base, 500, PageKind::small4k, Access::store),
       trace::Event::strided_ev(r.base + 4096, 300, 64, PageKind::small4k,
@@ -406,19 +348,15 @@ TEST(TraceFraming, LiveEntryPointsReportSingleEvents) {
       trace::Event::run_ev(r.base, 200, PageKind::small4k, Access::load),
       trace::Event::compute_ev(42),
   };
-  for (const trace::Event& want : expected) {
-    const trace::ThreadDecoder::Item item = dec.next();
-    ASSERT_EQ(item.kind, trace::ThreadDecoder::ItemKind::event);
-    EXPECT_EQ(item.event, want);
-  }
-  EXPECT_EQ(dec.next().kind, trace::ThreadDecoder::ItemKind::end);
+  ASSERT_EQ(trace.streams.size(), 1u);
+  EXPECT_EQ(trace.streams[0], expected);
 }
 
-// The replay side of the same invariant: ReplayDriver passes each decoded
+// The replay side of the same invariant: ReplayDriver passes each recorded
 // event through the live entry points, so an attached sink sees the
 // identical event sequence with identical framing, and re-recording a
-// replay reproduces the original trace byte-for-byte. CG covers runs and
-// gathers; FT covers strided framing (its root-table scan records STRIDED
+// replay reproduces the original trace event-for-event. CG covers runs and
+// gathers; FT covers strided framing (its root-table scan records strided
 // events).
 TEST(TraceFraming, ReplayReRecordsIdenticalBytes) {
   for (npb::Kernel kernel : {npb::Kernel::CG, npb::Kernel::FT}) {
@@ -437,7 +375,7 @@ TEST(TraceFraming, ReplayReRecordsIdenticalBytes) {
     for (std::size_t t = 0; t < re.streams.size(); ++t) {
       EXPECT_EQ(re.streams[t], live.trace.streams[t])
           << npb::kernel_name(kernel) << " thread " << t
-          << ": replay re-record diverged from the original bytes";
+          << ": replay re-record diverged from the original events";
     }
     EXPECT_EQ(re.boundaries, live.trace.boundaries);
     EXPECT_EQ(re.meta.accesses, live.trace.meta.accesses);
