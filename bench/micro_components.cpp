@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the library's building blocks: how
 // fast the *simulator itself* runs on the host. These guard the
 // instrumentation hot path (ThreadSim::touch) that every figure bench
-// drives billions of times, plus the runtime primitives.
+// drives billions of times, plus the runtime primitives and the kernels'
+// own numerics.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -293,6 +294,24 @@ void BM_Reduction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Reduction);
+
+// Kernel numerics alone: class S with no simulator attached, as
+// perfbench's npb.numerics probe runs it (setup included). Arg is the team
+// width; wall time, since the team's other threads do half the work.
+void BM_KernelNumerics(benchmark::State& state, npb::Kernel kernel) {
+  core::RuntimeConfig cfg;
+  cfg.num_threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    const npb::NpbResult r = npb::run_kernel(kernel, npb::Klass::S, cfg);
+    if (!r.verified) state.SkipWithError("kernel did not verify");
+    benchmark::DoNotOptimize(r.checksum);
+  }
+}
+BENCHMARK_CAPTURE(BM_KernelNumerics, GUPS, npb::Kernel::GUPS)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -105,7 +105,7 @@ class Scheduler {
  public:
   struct Config {
     /// Live runs that always start at once (P); narrow ones may add more,
-    /// see run(). 0 → one per host hardware thread.
+    /// see run(). 0 → one per CPU the process may use (host_threads()).
     unsigned workers = 0;
     std::size_t cache_capacity = 4096;
     /// Root directory of the disk-persistent result store; empty → no
@@ -139,10 +139,10 @@ class Scheduler {
   /// scheduler holds no threads.
   ///
   /// Live runs are admitted by team width (WidthGate): with P =
-  /// workers(), W = the widest task's `threads` and H = the host's
-  /// hardware threads, a run of width w starts while fewer than P runs are
-  /// in flight, or while the in-flight widths plus w stay within
-  /// min(P × W, H).
+  /// workers(), W = the widest task's `threads` and H = host_threads()
+  /// (the CPUs in the affinity mask), a run of width w starts while fewer
+  /// than P runs are in flight, or while the in-flight widths plus w stay
+  /// within min(P × W, H).
   ///
   /// One run per distinct simulation: a first round of drainers takes
   /// only the first task of each simulation key (shared_key, else

@@ -1,9 +1,10 @@
 // WidthGate — the Scheduler's admission rule for live runs (DESIGN.md §10).
 //
 // A run's width is its team's thread count, i.e. the host threads it keeps
-// busy. With P workers, a sweep whose widest task is W and H host hardware
-// threads, a run of width w starts while fewer than P runs are in flight
-// (so no sweep runs fewer than P tasks at once),
+// busy. With P workers, a sweep whose widest task is W and H host threads
+// (host_threads(): the CPUs the process may run on), a run of width w
+// starts while fewer than P runs are in flight (so no sweep runs fewer
+// than P tasks at once),
 // or while the in-flight widths plus w stay within min(P × W, H): narrow
 // runs fill host threads the sweep already budgets, and never beyond the
 // host. The first clause is deliberately not capped at H: that would run
@@ -13,6 +14,8 @@
 // arrive after a waiting wide one cannot keep it out.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
@@ -21,8 +24,16 @@
 
 namespace lpomp::exec {
 
-/// std::thread::hardware_concurrency(), or 1 when the host won't say.
+/// The CPUs in the calling thread's affinity mask (so `taskset -c 0`
+/// counts one), or std::thread::hardware_concurrency() when the mask cannot
+/// be read; 1 when the host won't say either.
 inline unsigned host_threads() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }

@@ -1,5 +1,6 @@
 #include "npb/gups.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -18,6 +19,38 @@ using core::index_t;
 // (kernel, klass, threads, page kind), so it must never depend on the task
 // seed or paging policy.
 constexpr std::uint64_t kGupsSeed = 0x6C706F6D'47555053ULL;
+
+// Updates per filter block: its two arrays take 4 KB of each thread's stack.
+constexpr std::int64_t kFilterBlock = 256;
+
+/// Calls fn(k, idx), in stream order, for every update k of the stream
+/// whose table index idx lands in `own`, and returns how many it called.
+/// Each block is first filtered without a branch per update, since at two
+/// or more threads whether an update is owned is a coin flip the branch
+/// predictor loses, and then applied.
+template <typename Fn>
+std::int64_t apply_owned_updates(std::int64_t updates, std::uint64_t words,
+                                 core::StaticRange own, Fn&& fn) {
+  std::int64_t ks[kFilterBlock];
+  index_t idxs[kFilterBlock];
+  const auto span = static_cast<std::uint64_t>(own.size());
+  std::int64_t applied = 0;
+  for (std::int64_t first = 0; first < updates; first += kFilterBlock) {
+    const std::int64_t last = std::min(updates, first + kFilterBlock);
+    std::int64_t kept = 0;
+    for (std::int64_t k = first; k < last; ++k) {
+      const auto idx = static_cast<index_t>(
+          gups_index(kGupsSeed, static_cast<std::uint64_t>(k), words));
+      ks[kept] = k;
+      idxs[kept] = idx;
+      // own.begin <= idx < own.end, as one unsigned compare.
+      kept += static_cast<std::uint64_t>(idx - own.begin) < span;
+    }
+    for (std::int64_t j = 0; j < kept; ++j) fn(ks[j], idxs[j]);
+    applied += kept;
+  }
+  return applied;
+}
 
 }  // namespace
 
@@ -43,13 +76,12 @@ NpbResult run_gups(core::Runtime& rt, Klass klass) {
     // register arithmetic, charged as compute) and applies only the updates
     // landing in its owned slice — race-free at the cost of nt× redundant
     // stream generation, the standard deterministic-GUPS trade.
-    std::int64_t applied = 0;
-    for (std::int64_t k = 0; k < prm.updates; ++k) {
-      const auto idx = static_cast<index_t>(gups_index(kGupsSeed, k, words));
-      if (idx < own.begin || idx >= own.end) continue;
-      tv.store(idx, tv.load(idx) ^ gups_value(kGupsSeed, k));
-      ++applied;
-    }
+    const auto xor_update = [&](std::int64_t k, index_t idx) {
+      tv.store(idx, tv.load(idx) ^
+                        gups_value(kGupsSeed, static_cast<std::uint64_t>(k)));
+    };
+    const std::int64_t applied =
+        apply_owned_updates(prm.updates, words, own, xor_update);
     ctx.compute(2 * prm.updates);
     ctx.barrier();
 
@@ -67,11 +99,7 @@ NpbResult run_gups(core::Runtime& rt, Klass klass) {
     // Verification: XOR is an involution — replaying the stream restores
     // table[i] = i exactly, and the ownership filter must have applied
     // every update exactly once.
-    for (std::int64_t k = 0; k < prm.updates; ++k) {
-      const auto idx = static_cast<index_t>(gups_index(kGupsSeed, k, words));
-      if (idx < own.begin || idx >= own.end) continue;
-      tv.store(idx, tv.load(idx) ^ gups_value(kGupsSeed, k));
-    }
+    apply_owned_updates(prm.updates, words, own, xor_update);
     ctx.compute(2 * prm.updates);
     ctx.barrier();
     std::int64_t bad = 0;

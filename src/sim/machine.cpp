@@ -100,17 +100,17 @@ void Machine::end_parallel() {
   in_parallel_ = false;
 
   // Group region deltas by physical core and combine with the SMT model.
+  // Each core is combined at its SMT context 0, which place() gives the
+  // core's lowest thread id, so its co-residents all follow it.
   cycles_t slowest_core = 0;
-  std::vector<bool> seen(threads_.size(), false);
   for (unsigned t = 0; t < threads_.size(); ++t) {
-    if (seen[t]) continue;
+    if (placements_[t].smt != 0) continue;
     cycles_t exec_sum = 0;
     cycles_t longest = 0;
     count_t long_stalls = 0;
     unsigned active = 0;
     for (unsigned u = t; u < threads_.size(); ++u) {
       if (!placements_[u].same_core(placements_[t])) continue;
-      seen[u] = true;
       const ThreadCounters d = threads_[u].counters().minus(region_start_[u]);
       exec_sum += d.exec_cycles;
       longest = std::max(longest, d.total_cycles());

@@ -250,9 +250,13 @@ class ThreadSim {
   /// set's newest tag is held), neither changes which entry any later
   /// probe evicts (restamping a set's newest entry keeps every relative
   /// order within the set), there is no long stall, and the jump counter
-  /// just decrements. Entries in different sets are all covered, so an
-  /// interleaved loop (CG's a[k] * p[col[k]], a stencil's planes) takes
-  /// this path whenever its streams sit in different sets.
+  /// just decrements. The check holds per set, so on the cache side an
+  /// interleaved loop (CG's a[k] * p[col[k]], a stencil's planes) passes
+  /// whenever its streams' lines sit in different L1 sets. The TLB side
+  /// does not split that way: every modelled L1 DTLB bank is fully
+  /// associative (one set per page size, DESIGN §7), so the translation
+  /// passes only when the previous access at that page size was on the
+  /// same page — common under 2 MB and 1 GiB pages, rare under 4 KB.
   void account_one(vaddr_t addr, PageKind kind, Access access,
                    paging::Translation tr) {
     if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1) &&

@@ -6,6 +6,7 @@
 // is the identity on its layout takes its native point's run),
 // width-aware admission of live runs, and the JSON observability layer.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -211,6 +212,32 @@ TEST(Scheduler, EveryTaskRunsExactlyOnceAtAnyWorkerCount) {
 TEST(Scheduler, ZeroWorkersMeansOnePerHostThread) {
   EXPECT_EQ(Scheduler({.workers = 0}).workers(), host_threads());
   EXPECT_EQ(Scheduler({.workers = 3}).workers(), 3u);
+}
+
+// host_threads() counts the CPUs the process may use, not the machine's:
+// under a one-CPU mask (`taskset -c 0`) the gate budgets one host thread
+// and `workers = 0` picks one worker. The test narrows its own thread's
+// mask and restores it afterwards.
+TEST(Scheduler, HostThreadsFollowTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  const unsigned host = host_threads();
+  Scheduler engine({.workers = 0});
+  engine.set_task_runner(fake_runner);
+  const SweepResult result = engine.run(small_sweep().expand());
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(host, 1u);
+  EXPECT_EQ(result.workers, 1u);
+  EXPECT_EQ(host_threads(), static_cast<unsigned>(CPU_COUNT(&saved)));
 }
 
 // The calling thread is one of the drainers, so a one-task sweep starts no
@@ -460,12 +487,14 @@ TEST(SharedRuns, FailedNativeRunLeavesBase4kToRunItself) {
 
 TEST(SharedRuns, EvictedFirstRunLeavesBase4kToRunItself) {
   // Capacity 1: the second native run evicts the first before the base4k
-  // task of the first point probes for it.
+  // task of the first point probes for it. Every task is 1T, so the width
+  // gate admits one run at a time and the two native runs finish in task
+  // order (a 2T task would let both run at once and finish in either).
   Scheduler engine({.workers = 1, .cache_capacity = 1});
   std::atomic<int> runs{0};
   engine.set_task_runner(counting(runs, fake_runner));
   std::vector<RunTask> tasks(3);
-  tasks[1].threads = 2;
+  tasks[1].kernel = npb::Kernel::MG;
   tasks[2].paging = policy_of(paging::Policy::base4k);
   const SweepResult result = engine.run(tasks);
   EXPECT_EQ(runs.load(), 3);

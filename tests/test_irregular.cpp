@@ -5,7 +5,8 @@
 // arithmetic, so "deterministic across platforms" reduces to: the same
 // (params, seed) must produce byte-identical outputs on every rebuild —
 // which the randomized sweeps below check alongside the structural
-// invariants.
+// invariants. The GupsStream tests pin the GUPS kernel's recorded access
+// stream to one rebuilt here from gups_index alone.
 //
 // Reproduction: failures carry the per-case seed; LPOMP_IRREGULAR_SEED
 // overrides the base seed, LPOMP_IRREGULAR_CASES the case count, and
@@ -20,9 +21,12 @@
 #include <sstream>
 #include <vector>
 
+#include "core/parallel_for.hpp"
 #include "npb/irregular.hpp"
 #include "npb/params.hpp"
+#include "sim/processor_spec.hpp"
 #include "support/rng.hpp"
+#include "trace/recorder.hpp"
 
 namespace lpomp::npb {
 namespace {
@@ -255,6 +259,149 @@ TEST(IrregularGenerators, KernelClassParamsAreWellFormed) {
     const ChaseParams cp = pc_params(k);
     EXPECT_GE(cp.elements, 1);
     EXPECT_GE(cp.total_hops, 1);
+  }
+}
+
+// The GUPS kernel's fixed stream seed (src/npb/gups.cpp). Pinned here: the
+// index stream is part of the trace stream identity, so changing it must
+// fail this suite.
+constexpr std::uint64_t kGupsSeed = 0x6C706F6D'47555053ULL;
+
+struct GupsRecording {
+  NpbResult result;
+  trace::Trace trace;
+};
+
+GupsRecording record_gups(unsigned threads) {
+  trace::TraceRecorder recorder(threads);
+  core::RuntimeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.sim = core::SimConfig{sim::ProcessorSpec::opteron270(), {}, 0x5eedULL};
+  cfg.trace_sink = &recorder;
+  GupsRecording rec;
+  rec.result = run_kernel(Kernel::GUPS, Klass::S, cfg);
+  rec.trace = recorder.finish({});
+  return rec;
+}
+
+/// Thread `tid`'s recorded access events: every event but compute charges
+/// and segment markers.
+std::vector<trace::Event> touches_of(const trace::Trace& tr, unsigned tid) {
+  std::vector<trace::Event> out;
+  for (const trace::Event& e : tr.streams[tid]) {
+    if (e.kind != trace::Event::Kind::compute &&
+        e.kind != trace::Event::Kind::segment) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+// Each thread of a GUPS run makes, in order: a load then a store at
+// gups_index(k) for every k of the stream landing in its own slice (in
+// stream order), one load per word of its slice (the popcount scan), the
+// same load/store pairs again (the undo pass), and one load per word of
+// its slice (the verify scan). Nothing else reaches the simulator.
+TEST(GupsStream, EachThreadTouchesItsOwnedUpdatesInStreamOrder) {
+  const GupsParams prm = gups_params(Klass::S);
+  const auto words = static_cast<std::uint64_t>(prm.table_words);
+  for (const unsigned nt : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    const GupsRecording rec = record_gups(nt);
+    ASSERT_TRUE(rec.result.verified) << rec.result.verification_detail;
+    ASSERT_EQ(rec.trace.streams.size(), nt);
+
+    // The table's base address, from thread 0's first update.
+    std::uint64_t first_owned = 0;
+    const core::StaticRange own0 = core::static_partition(
+        0, static_cast<core::index_t>(words), 0, nt);
+    while (static_cast<core::index_t>(gups_index(kGupsSeed, first_owned,
+                                                 words)) >= own0.end) {
+      ++first_owned;
+    }
+    const std::vector<trace::Event> t0 = touches_of(rec.trace, 0);
+    ASSERT_FALSE(t0.empty());
+    const vaddr_t base =
+        t0.front().addr - 8 * gups_index(kGupsSeed, first_owned, words);
+
+    std::int64_t applied_sum = 0;
+    for (unsigned tid = 0; tid < nt; ++tid) {
+      SCOPED_TRACE("tid=" + std::to_string(tid));
+      const core::StaticRange own = core::static_partition(
+          0, static_cast<core::index_t>(words), tid, nt);
+      const auto at = [&](std::uint64_t i) { return base + 8 * i; };
+      std::vector<trace::Event> pass;
+      for (std::int64_t k = 0; k < prm.updates; ++k) {
+        const std::uint64_t idx =
+            gups_index(kGupsSeed, static_cast<std::uint64_t>(k), words);
+        if (static_cast<core::index_t>(idx) < own.begin ||
+            static_cast<core::index_t>(idx) >= own.end) {
+          continue;
+        }
+        pass.push_back(trace::Event::touch_ev(at(idx), PageKind::small4k,
+                                              Access::load));
+        pass.push_back(trace::Event::touch_ev(at(idx), PageKind::small4k,
+                                              Access::store));
+      }
+      std::vector<trace::Event> scan;
+      for (core::index_t i = own.begin; i < own.end; ++i) {
+        scan.push_back(trace::Event::touch_ev(
+            at(static_cast<std::uint64_t>(i)), PageKind::small4k,
+            Access::load));
+      }
+      std::vector<trace::Event> expected = pass;
+      expected.insert(expected.end(), scan.begin(), scan.end());
+      expected.insert(expected.end(), pass.begin(), pass.end());
+      expected.insert(expected.end(), scan.begin(), scan.end());
+
+      const std::vector<trace::Event> got = touches_of(rec.trace, tid);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expected[i]) << "event " << i;
+      }
+      applied_sum += static_cast<std::int64_t>(pass.size() / 2);
+    }
+    EXPECT_EQ(applied_sum, prm.updates);
+    EXPECT_NE(rec.result.verification_detail.find(
+                  "applied=" + std::to_string(prm.updates) + "/"),
+              std::string::npos)
+        << rec.result.verification_detail;
+  }
+}
+
+// Each pass charges the whole stream's index generation as compute on
+// every thread, and each scan one cycle per word of the slice: the same
+// four charges, in order, at every width.
+TEST(GupsStream, ComputeChargesFollowTheStreamAndTheSlice) {
+  const GupsParams prm = gups_params(Klass::S);
+  for (const unsigned nt : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    const GupsRecording rec = record_gups(nt);
+    for (unsigned tid = 0; tid < nt; ++tid) {
+      const core::StaticRange own =
+          core::static_partition(0, prm.table_words, tid, nt);
+      std::vector<std::uint64_t> charges;
+      for (const trace::Event& e : rec.trace.streams[tid]) {
+        if (e.kind == trace::Event::Kind::compute) charges.push_back(e.arg);
+      }
+      const auto slice = static_cast<std::uint64_t>(own.size());
+      const auto stream = static_cast<std::uint64_t>(2 * prm.updates);
+      EXPECT_EQ(charges, (std::vector<std::uint64_t>{stream, slice, stream,
+                                                     slice}))
+          << "tid=" << tid;
+    }
+  }
+}
+
+// Numerics alone, with no simulator attached, at every width the host
+// tests reach, including more threads than any modelled platform has.
+TEST(GupsStream, VerifiesAtEveryWidth) {
+  for (const unsigned nt : {1u, 2u, 3u, 4u, 8u}) {
+    core::RuntimeConfig cfg;
+    cfg.num_threads = nt;
+    const NpbResult r = run_kernel(Kernel::GUPS, Klass::S, cfg);
+    EXPECT_TRUE(r.verified) << "threads=" << nt << ": "
+                            << r.verification_detail;
   }
 }
 

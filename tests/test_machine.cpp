@@ -33,6 +33,26 @@ TEST_F(MachineTest, PlacementSpreadsSocketsFirst) {
   }
 }
 
+// end_parallel combines each core's threads at its SMT context 0, so that
+// context must be the core's lowest thread id on every platform and width.
+TEST_F(MachineTest, SmtContextZeroIsEachCoresLowestThread) {
+  for (const ProcessorSpec& spec :
+       {ProcessorSpec::opteron270(), ProcessorSpec::xeon_ht(),
+        ProcessorSpec::modern()}) {
+    for (unsigned n = 1; n <= spec.max_threads(); ++n) {
+      Machine m(spec, CostModel{}, space_, n);
+      for (unsigned t = 0; t < n; ++t) {
+        bool lowest = true;
+        for (unsigned u = 0; u < t; ++u) {
+          if (m.placement(u).same_core(m.placement(t))) lowest = false;
+        }
+        EXPECT_EQ(m.placement(t).smt == 0, lowest)
+            << spec.name << " " << n << "T, thread " << t;
+      }
+    }
+  }
+}
+
 TEST_F(MachineTest, FourThreadsUseDistinctCores) {
   Machine m(ProcessorSpec::opteron270(), CostModel{}, space_, 4);
   for (unsigned a = 0; a < 4; ++a) {
