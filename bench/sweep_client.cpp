@@ -37,12 +37,17 @@ int main(int argc, char** argv) {
                       "seed", "per-task-seeds", "repeat", "json", "quiet"},
                      bench::kStrategyKeys);
 
+  // A round-trip deadline of at least 1 ms and at most a day.
+  const auto timeout = [&opts](std::uint64_t def_ms) {
+    return std::chrono::milliseconds(static_cast<std::int64_t>(
+        opts.get_unsigned("timeout-ms", def_ms, 86'400'000, /*min=*/1)));
+  };
+
   if (opts.get_flag("stats")) {
+    const std::chrono::milliseconds deadline = timeout(10000);
     try {
       serve::SweepClient client(opts.get("shm", "/lpomp-sweep"));
-      std::cout << client.stats(std::chrono::milliseconds(
-                       opts.get_int("timeout-ms", 10000)))
-                << "\n";
+      std::cout << client.stats(deadline) << "\n";
     } catch (const std::exception& e) {
       std::cerr << "sweep_client: " << e.what() << "\n";
       return 2;
@@ -57,7 +62,7 @@ int main(int argc, char** argv) {
   request.threads.clear();
   for (const std::string& t : split_list(opts.get("threads", "1,2,4,8"))) {
     request.threads.push_back(static_cast<unsigned>(Options::to_unsigned(
-        "threads", t, std::numeric_limits<unsigned>::max())));
+        "threads", t, std::numeric_limits<unsigned>::max(), /*min=*/1)));
   }
   request.page_kinds = opts.get_names("pages", "4KB,2MB", page_kind_from_name,
                                       kLayoutPageKinds);
@@ -67,9 +72,9 @@ int main(int argc, char** argv) {
   request.per_task_seeds = opts.get_flag("per-task-seeds");
   request.strategy = bench::strategy_from(opts);
 
-  const long repeat = std::max<long>(1, opts.get_int("repeat", 1));
-  const std::chrono::milliseconds deadline(
-      opts.get_int("timeout-ms", 120000));
+  const std::uint64_t repeat =
+      opts.get_unsigned("repeat", 1, 100000, /*min=*/1);
+  const std::chrono::milliseconds deadline = timeout(120000);
 
   try {
     (void)request.to_spec();  // a bad platform or policy exits 2 here
@@ -77,7 +82,7 @@ int main(int argc, char** argv) {
     std::string response;
     double min_us = 0.0;
     double total_us = 0.0;
-    for (long i = 0; i < repeat; ++i) {
+    for (std::uint64_t i = 0; i < repeat; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
       response = client.submit(request, deadline);
       const double us = std::chrono::duration<double, std::micro>(

@@ -15,11 +15,12 @@ constexpr const char kRequestMagic[] = "lpomp-req-v1";
 constexpr const char kStatsRequest[] = "lpomp-req-v1;stats=1";
 
 std::uint64_t parse_u64(const std::string& text, const char* field,
-                        std::uint64_t max = UINT64_MAX) {
+                        std::uint64_t max = UINT64_MAX, std::uint64_t min = 0) {
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size() || value > max) {
+  if (ec != std::errc{} || ptr != text.data() + text.size() || value > max ||
+      value < min) {
     throw WireError(std::string("bad ") + field + " '" + text + "'");
   }
   return value;
@@ -123,7 +124,8 @@ SweepRequest decode_request(const std::string& text) {
       request.threads = parse_list<unsigned>(
           value,
           [](const std::string& t) {
-            return static_cast<unsigned>(parse_u64(t, "threads", UINT_MAX));
+            return static_cast<unsigned>(
+                parse_u64(t, "threads", UINT_MAX, /*min=*/1));
           },
           "threads");
     } else if (key == "pages") {

@@ -5,6 +5,11 @@
 // §4.3 estimate). The absolute values shift absolute run times; the
 // page-size and SMT *effects* under study come from event counts produced
 // by the structural models (TLBs, caches, page tables).
+//
+// No simulated thread reads these costs: ThreadSim only counts events, and
+// sim::Machine weighs the counts with them once per region
+// (ThreadCounters::exec_cycles/stall_cycles in sim/counters.hpp), so no
+// count depends on the cost model.
 #pragma once
 
 #include "support/types.hpp"
@@ -14,7 +19,7 @@ namespace lpomp::sim {
 struct CostModel {
   double clock_ghz = 2.0;
 
-  /// Execution (non-stall) cycles charged per instrumented memory access:
+  /// Execution (non-stall) cycles per instrumented memory access:
   /// the memory instruction itself plus its surrounding address arithmetic.
   cycles_t exec_per_access = 1;
 
@@ -61,7 +66,8 @@ struct CostModel {
     return static_cast<double>(cycles) / (clock_ghz * 1e9);
   }
 
-  /// Memory stall with `threads` active sharers of the memory system.
+  /// Memory stall with `threads` active sharers of the memory system; a
+  /// Machine of n threads costs every DRAM read of its run at this with n.
   cycles_t contended_mem_stall(unsigned threads) const {
     const double factor =
         1.0 + mem_contention_alpha * static_cast<double>(threads - 1);

@@ -33,6 +33,8 @@ Machine::Machine(ProcessorSpec spec, CostModel cost,
   LPOMP_CHECK_MSG(nthreads >= 1, "machine needs at least one thread");
   LPOMP_CHECK_MSG(nthreads <= spec_.total_contexts(),
                   "more threads than hardware contexts on " + spec_.name);
+  // Every thread of the run shares the memory system for its whole length.
+  mem_stall_ = cost_.contended_mem_stall(nthreads);
 
   placements_.reserve(nthreads);
   for (unsigned t = 0; t < nthreads; ++t) {
@@ -56,14 +58,13 @@ Machine::Machine(ProcessorSpec spec, CostModel cost,
     }
 
     threads_.emplace_back(
-        cost_, space, slice_tlb(spec_.itlb, core_sharers),
+        space, slice_tlb(spec_.itlb, core_sharers),
         slice_tlb(spec_.l1_dtlb, core_sharers),
         spec_.l2_dtlb ? std::optional<tlb::Tlb::Config>(
                             slice_tlb(*spec_.l2_dtlb, core_sharers))
                       : std::nullopt,
         spec_.l1d.shared_slice(core_sharers),
         spec_.l2.shared_slice(l2_sharers), seed + 0x9e37 * (t + 1));
-    threads_.back().set_active_threads(nthreads);
     if (!paging.is_native()) threads_.back().set_paging(paging);
     if (spec_.pwc.present()) threads_.back().set_pwc(spec_.pwc);
   }
@@ -84,9 +85,7 @@ void Machine::begin_parallel() {
   LPOMP_CHECK_MSG(!in_parallel_, "nested parallel regions are not simulated");
   if (sink_ != nullptr) sink_->on_boundary(BoundaryKind::begin_parallel);
   // Serial phase since the last boundary ran on the master thread.
-  const ThreadCounters serial =
-      threads_[0].counters().minus(serial_mark_);
-  total_cycles_ += serial.total_cycles();
+  total_cycles_ += cycles(threads_[0].counters().minus(serial_mark_));
 
   for (unsigned t = 0; t < threads_.size(); ++t) {
     region_start_[t] = threads_[t].counters();
@@ -112,10 +111,11 @@ void Machine::end_parallel() {
     for (unsigned u = t; u < threads_.size(); ++u) {
       if (!placements_[u].same_core(placements_[t])) continue;
       const ThreadCounters d = threads_[u].counters().minus(region_start_[u]);
-      exec_sum += d.exec_cycles;
-      longest = std::max(longest, d.total_cycles());
+      const cycles_t total = cycles(d);
+      exec_sum += d.exec_cycles(cost_);
+      longest = std::max(longest, total);
       long_stalls += d.long_stalls;
-      if (d.total_cycles() > 0) ++active;
+      if (total > 0) ++active;
     }
     if (active > 1) {
       // Two contexts share the core's front end: their combined issue
@@ -143,8 +143,7 @@ void Machine::end_parallel() {
 void Machine::end_run() {
   LPOMP_CHECK_MSG(!in_parallel_, "end_run inside a parallel region");
   if (sink_ != nullptr) sink_->on_boundary(BoundaryKind::end_run);
-  const ThreadCounters serial = threads_[0].counters().minus(serial_mark_);
-  total_cycles_ += serial.total_cycles();
+  total_cycles_ += cycles(threads_[0].counters().minus(serial_mark_));
   serial_mark_ = threads_[0].counters();
 }
 

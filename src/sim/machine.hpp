@@ -7,7 +7,10 @@
 // per core — "Single thread per core is used upto 4 threads. Two threads
 // per core are used at eight threads."
 //
-// Time model (DESIGN.md §6):
+// Time model (DESIGN.md §6): threads only count events; the machine costs
+// them here, once per region, as exec(d) = ThreadCounters::exec_cycles and
+// total(d) = exec(d) + ThreadCounters::stall_cycles at the DRAM latency
+// contended by all of the machine's threads. Then
 //   run time = Σ serial-phase cycles (master thread)
 //            + Σ over parallel regions [ max over cores(core time) + barrier ]
 // where, for a core running SMT threads with region deltas d_t,
@@ -88,8 +91,15 @@ class Machine {
   void set_trace_sink(TraceSink* sink);
 
  private:
+  /// Cycles of a thread's counts (or a delta of them) under this machine's
+  /// costs.
+  cycles_t cycles(const ThreadCounters& c) const {
+    return c.total_cycles(cost_, mem_stall_);
+  }
+
   ProcessorSpec spec_;
   CostModel cost_;
+  cycles_t mem_stall_ = 0;  ///< DRAM latency contended by nthreads sharers
   std::vector<ThreadSim> threads_;
   std::vector<Placement> placements_;
   std::vector<ThreadCounters> region_start_;  // snapshots at begin_parallel

@@ -2,30 +2,15 @@
 
 namespace lpomp::sim {
 
-ThreadCounters& ThreadCounters::operator+=(const ThreadCounters& o) {
-  for_each_field([](const char*, count_t& x, count_t y) { x += y; }, *this, o);
-  return *this;
-}
-
-ThreadCounters ThreadCounters::minus(const ThreadCounters& o) const {
-  ThreadCounters d;
-  for_each_field(
-      [](const char*, count_t& dx, count_t x, count_t y) { dx = x - y; }, d,
-      *this, o);
-  return d;
-}
-
-ThreadSim::ThreadSim(const CostModel& cm, const mem::AddressSpace& space,
-                     tlb::Tlb::Config itlb, tlb::Tlb::Config l1_dtlb,
+ThreadSim::ThreadSim(const mem::AddressSpace& space, tlb::Tlb::Config itlb,
+                     tlb::Tlb::Config l1_dtlb,
                      std::optional<tlb::Tlb::Config> l2_dtlb,
                      cache::CacheGeometry l1d, cache::CacheGeometry l2,
                      std::uint64_t seed)
-    : cm_(&cm),
-      space_(&space),
+    : space_(&space),
       tlbs_(std::move(itlb), std::move(l1_dtlb), std::move(l2_dtlb)),
       l1d_("l1d", l1d),
       l2_("l2", l2),
-      contended_mem_stall_(cm.mem_stall),
       rng_(seed) {}
 
 void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
@@ -40,7 +25,6 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
   ThreadCounters& c = counters_;
   ++c.accesses;
   if (is_store) ++c.stores;
-  c.exec_cycles += cm_->exec_per_access;
 
   bool long_stall = false;
 
@@ -51,7 +35,6 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
     case tlb::DtlbHit::l2:
       ++c.dtlb_l1_misses;
       ++c.dtlb_l2_hits;
-      c.stall_cycles += cm_->dtlb_l2_hit_stall;
       break;
     case tlb::DtlbHit::walk: {
       ++c.dtlb_l1_misses;
@@ -79,15 +62,14 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
       // 64 B line), so sequential streams walk cheaply while scattered
       // access patterns pay real memory latency for cold table entries.
       for (unsigned l = first; l < walk.levels_touched; ++l) {
-        c.stall_cycles += cm_->walk_level_stall;
         // A line that is its set's newest is a hit that changes no LRU
         // order, so it needs no restamp (cache::LruSets).
         const vaddr_t pte = walk.entry_addr[l];
         if (l1d_.mru_hit(pte) || l1d_.access(pte, false)) continue;
         if (l2_.access(pte, false)) {
-          c.stall_cycles += cm_->l2_hit_stall;
+          ++c.pte_l2_hits;
         } else {
-          c.stall_cycles += contended_mem_stall_;
+          ++c.pte_mem_misses;
         }
       }
       if (pwc.present() && walk.levels_touched > 1) {
@@ -102,22 +84,16 @@ void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
   }
 
   // --- data caches --------------------------------------------------------
-  if (l1d_.access(addr, is_store)) {
-    c.stall_cycles += cm_->l1_hit_stall;
-  } else {
+  if (!l1d_.access(addr, is_store)) {
     ++c.l1d_misses;
-    if (l2_.access(addr, is_store)) {
-      c.stall_cycles += cm_->l2_hit_stall;
-    } else {
+    if (!l2_.access(addr, is_store)) {
       ++c.l2d_misses;
       // The hardware stream prefetcher hides sequential-line misses within
       // a page; the first line of every new page — and any non-unit-stride
       // access — pays the full (contended) DRAM latency.
       if (prefetcher_covers(addr >> 6, tr.vpn)) {
         ++c.prefetch_covered;
-        c.stall_cycles += cm_->prefetched_stall;
       } else {
-        c.stall_cycles += contended_mem_stall_;
         long_stall = true;
       }
     }
@@ -264,7 +240,6 @@ void ThreadSim::instruction_jump() {
   ++counters_.itlb_lookups;
   if (!tlbs_.instr_access(vpn, code_kind_)) {
     ++counters_.itlb_misses;
-    counters_.stall_cycles += cm_->itlb_miss_stall;
   }
 }
 

@@ -1,6 +1,8 @@
 // Per-simulated-thread accounting engine: every instrumented data access of
 // an application thread flows through here, probing that thread's view of
-// the TLB and cache hierarchy and accumulating execution and stall cycles.
+// the TLB and cache hierarchy and counting the events it causes. The engine
+// knows no cycle costs: sim::Machine turns the counts into execution and
+// stall cycles (ThreadCounters::exec_cycles/stall_cycles, sim/counters.hpp).
 //
 // Sharing model: hardware structures that several simulated threads share
 // (the DTLB/L1 under SMT, the Xeon's chip-wide L2) are represented as
@@ -40,7 +42,7 @@
 #include "cache/cache.hpp"
 #include "mem/address_space.hpp"
 #include "paging/policy.hpp"
-#include "sim/cost_model.hpp"
+#include "sim/counters.hpp"
 #include "sim/trace_sink.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
@@ -48,68 +50,13 @@
 
 namespace lpomp::sim {
 
-/// Cumulative event and cycle counts for one simulated thread.
-struct ThreadCounters {
-  cycles_t exec_cycles = 0;   ///< issue/compute cycles (overlappable by SMT)
-  cycles_t stall_cycles = 0;  ///< memory-system stall cycles
-
-  count_t accesses = 0;
-  count_t stores = 0;
-  count_t l1d_misses = 0;
-  count_t l2d_misses = 0;            ///< misses to memory
-  count_t dtlb_l1_misses = 0;
-  count_t dtlb_l2_hits = 0;
-  count_t dtlb_walks[kPageKindCount] = {0, 0, 0};  ///< full DTLB misses, by PageKind
-  count_t walk_levels = 0;           ///< page-table levels traversed
-  count_t pwc_hits = 0;              ///< walk levels skipped via the PWC
-  count_t itlb_lookups = 0;
-  count_t itlb_misses = 0;
-  count_t prefetch_covered = 0;      ///< L2 misses hidden by the stream prefetcher
-  count_t long_stalls = 0;           ///< uncovered L2-miss or page-walk events
-
-  cycles_t total_cycles() const { return exec_cycles + stall_cycles; }
-  count_t dtlb_walk_total() const {
-    return dtlb_walks[0] + dtlb_walks[1] + dtlb_walks[2];
-  }
-
-  ThreadCounters& operator+=(const ThreadCounters& o);
-  /// Element-wise difference (for region deltas); *this must dominate o.
-  ThreadCounters minus(const ThreadCounters& o) const;
-
-  /// The one list of fields: calls f(name, c.field...) once per counter, in
-  /// declaration order, with that field of each of `cs`. Every element-wise
-  /// operation loops over it, so a new counter is a field above plus one
-  /// line here.
-  template <class F, class... Cs>
-  static void for_each_field(F&& f, Cs&... cs) {
-    f("exec_cycles", cs.exec_cycles...);
-    f("stall_cycles", cs.stall_cycles...);
-    f("accesses", cs.accesses...);
-    f("stores", cs.stores...);
-    f("l1d_misses", cs.l1d_misses...);
-    f("l2d_misses", cs.l2d_misses...);
-    f("dtlb_l1_misses", cs.dtlb_l1_misses...);
-    f("dtlb_l2_hits", cs.dtlb_l2_hits...);
-    f("dtlb_walks_4k", cs.dtlb_walks[0]...);
-    f("dtlb_walks_2m", cs.dtlb_walks[1]...);
-    f("dtlb_walks_1g", cs.dtlb_walks[2]...);
-    f("walk_levels", cs.walk_levels...);
-    f("pwc_hits", cs.pwc_hits...);
-    f("itlb_lookups", cs.itlb_lookups...);
-    f("itlb_misses", cs.itlb_misses...);
-    f("prefetch_covered", cs.prefetch_covered...);
-    f("long_stalls", cs.long_stalls...);
-  }
-};
-
 class ThreadSim {
  public:
-  /// `space` must outlive the ThreadSim; page-walk costs are derived from
+  /// `space` must outlive the ThreadSim; page-walk events are derived from
   /// real walks of its page table. TLB/cache configs are the (possibly
   /// sharing-sliced) structures this thread sees.
-  ThreadSim(const CostModel& cm, const mem::AddressSpace& space,
-            tlb::Tlb::Config itlb, tlb::Tlb::Config l1_dtlb,
-            std::optional<tlb::Tlb::Config> l2_dtlb,
+  ThreadSim(const mem::AddressSpace& space, tlb::Tlb::Config itlb,
+            tlb::Tlb::Config l1_dtlb, std::optional<tlb::Tlb::Config> l2_dtlb,
             cache::CacheGeometry l1d, cache::CacheGeometry l2,
             std::uint64_t seed);
 
@@ -136,7 +83,7 @@ class ThreadSim {
   /// Charge pure compute work (FP arithmetic etc.) that does not touch memory.
   void add_compute(cycles_t cycles) {
     if (sink_ != nullptr) sink_->on_compute(trace_tid_, cycles);
-    counters_.exec_cycles += cycles;
+    counters_.compute_cycles += cycles;
   }
 
   /// Attach (or detach, with nullptr) an access-trace sink. Every subsequent
@@ -154,12 +101,6 @@ class ThreadSim {
   /// working set). See DESIGN.md §6.
   void attach_code(vaddr_t base, std::size_t size, PageKind kind,
                    count_t jump_period, double cold_fraction);
-
-  /// Set the number of threads actively sharing the memory system (for the
-  /// contention-inflated DRAM latency).
-  void set_active_threads(unsigned n) {
-    contended_mem_stall_ = cm_->contended_mem_stall(n);
-  }
 
   /// Install a paging-policy overlay (see paging/policy.hpp). The default
   /// native overlay is the identity and reproduces pre-policy behaviour
@@ -275,8 +216,6 @@ class ThreadSim {
   void credit_line_run(count_t n, bool is_store) {
     counters_.accesses += n;
     if (is_store) counters_.stores += n;
-    counters_.exec_cycles += n * cm_->exec_per_access;
-    counters_.stall_cycles += n * cm_->l1_hit_stall;
     // A hit on its set's newest entry changes no LRU state, so the TLB and
     // the cache need no update (see cache::LruSets).
     if (jump_period_ != 0) until_jump_ -= n;
@@ -294,7 +233,6 @@ class ThreadSim {
     c.dtlb_l1_misses += n;
     c.dtlb_walks[static_cast<std::size_t>(memo_.kind)] += n;
     c.walk_levels += n * levels;
-    c.stall_cycles += n * levels * cm_->walk_level_stall;
     c.long_stalls += n;  // a full TLB miss is a long stall
   }
 
@@ -314,13 +252,11 @@ class ThreadSim {
   /// already has it in flight. Misses (re)allocate a stream slot.
   bool prefetcher_covers(std::uint64_t line_addr, std::uint64_t page_id);
 
-  const CostModel* cm_;
   const mem::AddressSpace* space_;
   paging::PagingModel paging_;  ///< translation overlay; identity by default
   tlb::TlbHierarchy tlbs_;
   cache::Cache l1d_;
   cache::Cache l2_;
-  cycles_t contended_mem_stall_;
 
   // Instruction-stream model state.
   vaddr_t code_base_ = 0;

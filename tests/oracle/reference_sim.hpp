@@ -6,7 +6,9 @@
 // hints, no bulk credits. Each entry point accounts exactly one event at a
 // time. The production ThreadSim must produce counter-for-counter identical
 // results; test_sim_differential drives randomized access streams through
-// both and asserts equality after every stream.
+// both and asserts equality after every stream. It also charges each
+// event's cycles as the event happens, and the harness checks that the
+// cycles production derives from its counts equal those.
 //
 // One deliberate, provably observation-equivalent simplification:
 //
@@ -365,7 +367,7 @@ class RefThreadSim {
     ++c.accesses;
     const bool is_store = access == Access::store;
     if (is_store) ++c.stores;
-    c.exec_cycles += cm_->exec_per_access;
+    exec_cycles_ += cm_->exec_per_access;
 
     bool long_stall = false;
 
@@ -376,7 +378,7 @@ class RefThreadSim {
       case tlb::DtlbHit::l2:
         ++c.dtlb_l1_misses;
         ++c.dtlb_l2_hits;
-        c.stall_cycles += cm_->dtlb_l2_hit_stall;
+        stall_cycles_ += cm_->dtlb_l2_hit_stall;
         break;
       case tlb::DtlbHit::walk: {
         ++c.dtlb_l1_misses;
@@ -393,13 +395,15 @@ class RefThreadSim {
         }
         c.walk_levels += walk.levels_touched - first;
         for (unsigned l = first; l < walk.levels_touched; ++l) {
-          c.stall_cycles += cm_->walk_level_stall;
+          stall_cycles_ += cm_->walk_level_stall;
           const vaddr_t pte = walk.entry_addr[l];
           if (l1d_.access(pte, false)) continue;
           if (l2_.access(pte, false)) {
-            c.stall_cycles += cm_->l2_hit_stall;
+            ++c.pte_l2_hits;
+            stall_cycles_ += cm_->l2_hit_stall;
           } else {
-            c.stall_cycles += contended_mem_stall_;
+            ++c.pte_mem_misses;
+            stall_cycles_ += contended_mem_stall_;
           }
         }
         if (pwc.present() && walk.levels_touched > 1) {
@@ -411,18 +415,18 @@ class RefThreadSim {
     }
 
     if (l1d_.access(addr, is_store)) {
-      c.stall_cycles += cm_->l1_hit_stall;
+      stall_cycles_ += cm_->l1_hit_stall;
     } else {
       ++c.l1d_misses;
       if (l2_.access(addr, is_store)) {
-        c.stall_cycles += cm_->l2_hit_stall;
+        stall_cycles_ += cm_->l2_hit_stall;
       } else {
         ++c.l2d_misses;
         if (prefetcher_covers(addr >> 6, tr.vpn)) {
           ++c.prefetch_covered;
-          c.stall_cycles += cm_->prefetched_stall;
+          stall_cycles_ += cm_->prefetched_stall;
         } else {
-          c.stall_cycles += contended_mem_stall_;
+          stall_cycles_ += contended_mem_stall_;
           long_stall = true;
         }
       }
@@ -450,7 +454,10 @@ class RefThreadSim {
     }
   }
 
-  void add_compute(cycles_t cycles) { counters_.exec_cycles += cycles; }
+  void add_compute(cycles_t cycles) {
+    counters_.compute_cycles += cycles;
+    exec_cycles_ += cycles;
+  }
 
   void attach_code(vaddr_t base, std::size_t size, PageKind kind,
                    count_t jump_period, double cold_fraction) {
@@ -476,6 +483,13 @@ class RefThreadSim {
   void flush_tlbs() { tlbs_.flush_all(); }
 
   const sim::ThreadCounters& counters() const { return counters_; }
+  /// Cycles charged event by event as each cause occurs, apart from the
+  /// counters: ThreadCounters::exec_cycles/stall_cycles must derive the
+  /// same totals from the counts alone.
+  cycles_t exec_cycles() const { return exec_cycles_; }
+  cycles_t stall_cycles() const { return stall_cycles_; }
+  /// The DRAM latency of the active-thread count last set.
+  cycles_t contended_mem_stall() const { return contended_mem_stall_; }
   const RefTlbHierarchy& tlbs() const { return tlbs_; }
   const RefCache& l1d() const { return l1d_; }
   const RefCache& l2() const { return l2_; }
@@ -498,7 +512,7 @@ class RefThreadSim {
     ++counters_.itlb_lookups;
     if (!tlbs_.instr_access(vpn, code_kind_)) {
       ++counters_.itlb_misses;
-      counters_.stall_cycles += cm_->itlb_miss_stall;
+      stall_cycles_ += cm_->itlb_miss_stall;
     }
   }
 
@@ -549,6 +563,8 @@ class RefThreadSim {
 
   Rng rng_;
   sim::ThreadCounters counters_;
+  cycles_t exec_cycles_ = 0;
+  cycles_t stall_cycles_ = 0;
 };
 
 /// True when every counter of `a` equals `b`'s; writes " name=a vs b" to
@@ -564,6 +580,30 @@ inline bool diff_counters(const sim::ThreadCounters& a,
       },
       a, b);
   return same;
+}
+
+/// A cost model unlike the default in every constant, with the cycle costs
+/// pairwise distinct primes and none zero, so a term of the cycle
+/// derivation that is dropped, doubled or charged at another cause's cost
+/// changes the result. Its contended DRAM latency at 1 and 4 threads (211,
+/// 293) is distinct from every constant too.
+inline sim::CostModel prime_costs() {
+  sim::CostModel cm;
+  cm.clock_ghz = 2.4;
+  cm.exec_per_access = 3;
+  cm.l1_hit_stall = 5;
+  cm.l2_hit_stall = 13;
+  cm.mem_stall = 211;
+  cm.prefetched_stall = 29;
+  cm.dtlb_l2_hit_stall = 23;
+  cm.walk_level_stall = 7;
+  cm.itlb_miss_stall = 199;
+  cm.mem_contention_alpha = 0.13;
+  cm.smt_flush = 101;
+  cm.smt_issue_factor = 1.37;
+  cm.barrier_base = 2003;
+  cm.barrier_per_thread = 797;
+  return cm;
 }
 
 }  // namespace lpomp::oracle

@@ -133,8 +133,8 @@ TEST_F(AllocatorTest, InstrumentedAccessorReportsTraffic) {
   SharedAllocator alloc(space_, nullptr, PageKind::small4k, MiB(1), "pool");
   SharedArray<double> arr(alloc, 16, "inst");
 
-  sim::CostModel cm;
-  sim::ThreadSim sim(cm, space_, {"i", {8, 8}, {2, 2}, {0, 0}},
+  const sim::CostModel cm;
+  sim::ThreadSim sim(space_, {"i", {8, 8}, {2, 2}, {0, 0}},
                      {"d", {8, 8}, {2, 2}, {0, 0}}, std::nullopt, {KiB(4), 64, 2},
                      {KiB(64), 64, 4}, 1);
   Accessor<double> view = arr.accessor(&sim);
@@ -146,7 +146,8 @@ TEST_F(AllocatorTest, InstrumentedAccessorReportsTraffic) {
   view.touch_only(0, Access::load);
   EXPECT_EQ(sim.counters().accesses, 3u);
   view.compute(7);
-  EXPECT_GE(sim.counters().exec_cycles, 7u);
+  EXPECT_EQ(sim.counters().compute_cycles, 7u);
+  EXPECT_EQ(sim.counters().exec_cycles(cm), 3 * cm.exec_per_access + 7);
 }
 
 }  // namespace

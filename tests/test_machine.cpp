@@ -2,6 +2,14 @@
 // fork-join time accounting and the SMT models.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/runtime.hpp"
+#include "npb/cg.hpp"
+#include "npb/npb.hpp"
+#include "oracle/reference_sim.hpp"
+#include "paging/policy.hpp"
 #include "sim/machine.hpp"
 
 namespace lpomp::sim {
@@ -229,6 +237,55 @@ TEST_F(MachineTest, SecondsUsesClock) {
   m.thread(0).add_compute(2'000'000'000ull);
   m.end_run();
   EXPECT_DOUBLE_EQ(m.seconds(), 1.0);
+}
+
+/// Counts and cycles of CG.S run through a Runtime's Machine.
+struct CgRun {
+  ThreadCounters totals;
+  cycles_t cycles = 0;
+};
+
+CgRun run_cg_s(const ProcessorSpec& spec, unsigned threads,
+               const paging::PolicySpec& policy, const CostModel& cost) {
+  core::RuntimeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.paging = policy;
+  cfg.shared_pool_bytes = npb::pool_bytes_for(npb::Kernel::CG, npb::Klass::S);
+  cfg.sim = core::SimConfig{spec, cost, 0x5eedULL};
+  core::Runtime rt(cfg);
+  const npb::CodeModel code = npb::code_model(npb::Kernel::CG);
+  rt.attach_code_model(
+      static_cast<std::size_t>(npb::binary_bytes(npb::Kernel::CG)),
+      code.jump_period, code.cold_fraction, cfg.code_page_kind);
+  npb::run_cg(rt, npb::Klass::S);
+  rt.finish_seconds();
+  return CgRun{rt.machine()->totals(), rt.machine()->total_cycles()};
+}
+
+// Costs only weigh counts: no count depends on the CostModel. Changing every
+// constant leaves each counter of the run as it was and moves its time.
+// Covers the Xeon at 8 threads (SMT pairs, flush-on-switch) and the modern
+// platform's page-walk cache under THP.
+TEST(MachineCosts, CountsDoNotDependOnCostModel) {
+  paging::PolicySpec thp;
+  thp.policy = paging::Policy::thp;
+  struct Point {
+    ProcessorSpec spec;
+    unsigned threads;
+    paging::PolicySpec policy;
+  };
+  for (const Point& p : {Point{ProcessorSpec::xeon_ht(), 8, {}},
+                         Point{ProcessorSpec::modern(), 4, thp}}) {
+    const std::string label = p.spec.name + "/" + p.policy.name();
+    const CgRun base = run_cg_s(p.spec, p.threads, p.policy, CostModel{});
+    const CgRun primed =
+        run_cg_s(p.spec, p.threads, p.policy, oracle::prime_costs());
+    std::ostringstream os;
+    EXPECT_TRUE(oracle::diff_counters(primed.totals, base.totals, os))
+        << label << os.str();
+    EXPECT_GT(base.totals.accesses, 0u) << label;
+    EXPECT_NE(primed.cycles, base.cycles) << label;
+  }
 }
 
 }  // namespace

@@ -281,6 +281,29 @@ TEST(ServeWire, RejectsRemovedStrategies) {
   }
 }
 
+// A zero thread count is rejected in the doorway: the sweep would skip its
+// points and still report success.
+TEST(ServeWire, RejectsZeroThreadCount) {
+  const std::string good = serve::encode_request(small_request());
+  const std::size_t pos = good.find("threads=1,2");
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* threads : {"threads=0", "threads=1,0", "threads=0,2"}) {
+    std::string text = good;
+    text.replace(pos, 11, threads);
+    try {
+      serve::decode_request(text);
+      ADD_FAILURE() << threads << " was accepted";
+    } catch (const serve::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad threads '0'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::string one = good;
+  one.replace(pos, 11, "threads=1");
+  EXPECT_EQ(serve::decode_request(one).threads, std::vector<unsigned>{1});
+}
+
 TEST(ServeWire, ErrorResponseDocument) {
   const exec::JsonValue doc =
       exec::json_parse(serve::encode_error_response("boom \"quoted\""));

@@ -10,13 +10,16 @@
 //          no MRU filters, no probe hints, no bulk credits).
 //
 // After every stream, every counter — ThreadCounters plus the TLB and
-// cache structure stats — must agree across all three. The generator mixes
-// strides crossing 4 KB and 2 MB boundaries, page-kind mixes, periodic
-// multi-slot blocks (a stencil kernel's per-point neighbour cycle),
-// interleaved arrays in different sets and pages (CG's gather loop), data
-// lines aimed at the L1D sets of a walk's PTE lines, TLB flushes (SMT
-// context switches on pre-ASID hardware), and in-place superpage
-// promotion; streams run on both of the paper's platforms.
+// cache structure stats — must agree across all three, and the execution
+// and stall cycles that fast and slow derive from their counts must equal
+// the cycles ref charged event by event, at 1 and at 4 active threads.
+// The generator mixes strides crossing 4 KB and 2 MB boundaries,
+// page-kind mixes, periodic multi-slot blocks (a stencil kernel's
+// per-point neighbour cycle), interleaved arrays in different sets and
+// pages (CG's gather loop), data lines aimed at the L1D sets of a walk's
+// PTE lines, TLB flushes (SMT context switches on pre-ASID hardware), and
+// in-place superpage promotion; streams run on both of the paper's
+// platforms.
 //
 // Reproduction: every failure message carries the platform, variant,
 // stream index, and the per-stream seed. LPOMP_DIFF_SEED overrides the
@@ -96,8 +99,8 @@ Trio make_trio(const sim::ProcessorSpec& spec, const sim::CostModel& cm,
   const cache::CacheGeometry l1d = spec.l1d.shared_slice(core_sharers);
   const cache::CacheGeometry l2 = spec.l2.shared_slice(l2_sharers);
   return Trio{
-      sim::ThreadSim(cm, space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed),
-      sim::ThreadSim(cm, space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed),
+      sim::ThreadSim(space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed),
+      sim::ThreadSim(space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed),
       oracle::RefThreadSim(cm, space, itlb, l1_dtlb, l2_dtlb, l1d, l2, seed)};
 }
 
@@ -122,8 +125,25 @@ bool diff_cache(const cache::Cache& a, const oracle::RefCache& b,
   return false;
 }
 
+/// Cycles derived from `c` under `cm` against the reference's charged ones.
+bool diff_cycles(const sim::ThreadCounters& c, const sim::CostModel& cm,
+                 const oracle::RefThreadSim& ref, std::ostream& os) {
+  const cycles_t exec = c.exec_cycles(cm);
+  const cycles_t stall = c.stall_cycles(cm, ref.contended_mem_stall());
+  bool same = true;
+  if (exec != ref.exec_cycles()) {
+    os << " exec_cycles=" << exec << " vs " << ref.exec_cycles();
+    same = false;
+  }
+  if (stall != ref.stall_cycles()) {
+    os << " stall_cycles=" << stall << " vs " << ref.stall_cycles();
+    same = false;
+  }
+  return same;
+}
+
 /// Full three-way comparison; returns a description of every divergence.
-::testing::AssertionResult trio_converged(Trio& t) {
+::testing::AssertionResult trio_converged(Trio& t, const sim::CostModel& cm) {
   std::ostringstream os;
   bool same = true;
 
@@ -135,6 +155,8 @@ bool diff_cache(const cache::Cache& a, const oracle::RefCache& b,
   for (auto [sim_ptr, label] :
        {std::pair<sim::ThreadSim*, const char*>{&t.fast, "fast"},
         std::pair<sim::ThreadSim*, const char*>{&t.slow, "slow"}}) {
+    os << " [" << label << " derived vs ref cycles]";
+    same &= diff_cycles(sim_ptr->counters(), cm, t.ref, os);
     os << " [" << label << " vs ref l1 dtlb]";
     same &= diff_tlb(sim_ptr->tlbs().l1d(), t.ref.tlbs().l1d(), os);
     os << " [" << label << " vs ref itlb]";
@@ -229,7 +251,9 @@ struct Layout {
 void run_platform(const sim::ProcessorSpec& spec,
                   const paging::PolicySpec* policy = nullptr,
                   int streams_override = 0) {
-  const sim::CostModel cm;
+  // No cost is zero (the default charges L1 hits nothing), so every term
+  // of the derivation shows in the cycles compared.
+  const sim::CostModel cm = oracle::prime_costs();
   const std::uint64_t seed0 = base_seed();
   const int streams = streams_override > 0 ? streams_override : stream_count();
   Layout lay;
@@ -255,7 +279,6 @@ void run_platform(const sim::ProcessorSpec& spec,
     for (sim::ThreadSim* s : {&t.fast, &t.slow}) {
       s->attach_code(kCodeBase, kCodeSize, PageKind::small4k, jump_period,
                      0.15);
-      s->set_active_threads(active[v]);
       if (policy != nullptr) s->set_paging(*policy);
       if (spec.pwc.present()) s->set_pwc(spec.pwc);
     }
@@ -571,7 +594,7 @@ void run_platform(const sim::ProcessorSpec& spec,
     }
 
     for (unsigned v = 0; v < 2; ++v) {
-      ASSERT_TRUE(trio_converged(trios[v]))
+      ASSERT_TRUE(trio_converged(trios[v], cm))
           << "platform=" << spec.name
           << " policy=" << (policy != nullptr ? policy->name() : "native")
           << " variant=" << v
@@ -870,10 +893,9 @@ TEST(SimDifferential, DefaultFastPathToggle) {
   {
     mem::PhysMem pm{MiB(16)};
     mem::AddressSpace space{pm};
-    const sim::CostModel cm;
     const sim::ProcessorSpec spec = sim::ProcessorSpec::opteron270();
-    sim::ThreadSim s(cm, space, spec.itlb, spec.l1_dtlb, spec.l2_dtlb,
-                     spec.l1d, spec.l2, 1);
+    sim::ThreadSim s(space, spec.itlb, spec.l1_dtlb, spec.l2_dtlb, spec.l1d,
+                     spec.l2, 1);
     EXPECT_FALSE(s.fast_path());
     s.set_fast_path(true);
     EXPECT_TRUE(s.fast_path());

@@ -1,11 +1,14 @@
-// Unit tests for the per-thread simulation engine: cycle accounting, TLB
-// and cache event generation, page-walk cost through the data caches, the
-// stream prefetcher, and the instruction-stream model.
+// Unit tests for the per-thread simulation engine: TLB and cache event
+// generation, page-walk PTE reads through the data caches, the stream
+// prefetcher, the instruction-stream model, and the derivation of cycles
+// from the counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mem/address_space.hpp"
 #include "oracle/reference_sim.hpp"
@@ -22,7 +25,7 @@ class ThreadSimTest : public ::testing::Test {
   }
 
   ThreadSim make_sim() {
-    return ThreadSim(cm_, space_, {"itlb", {32, 32}, {8, 8}, {0, 0}},
+    return ThreadSim(space_, {"itlb", {32, 32}, {8, 8}, {0, 0}},
                      {"l1d", {32, 32}, {8, 8}, {0, 0}},
                      tlb::Tlb::Config{"l2d", {512, 4}, {0, 0}, {0, 0}},
                      {KiB(64), 64, 2}, {MiB(1), 64, 16}, 0x5eed);
@@ -40,7 +43,7 @@ TEST_F(ThreadSimTest, CountsAccessesAndStores) {
   t.touch(small_.base + 8, PageKind::small4k, Access::store);
   EXPECT_EQ(t.counters().accesses, 2u);
   EXPECT_EQ(t.counters().stores, 1u);
-  EXPECT_EQ(t.counters().exec_cycles, 2 * cm_.exec_per_access);
+  EXPECT_EQ(t.counters().exec_cycles(cm_), 2 * cm_.exec_per_access);
 }
 
 TEST_F(ThreadSimTest, FirstTouchWalksFourLevels) {
@@ -120,10 +123,11 @@ TEST_F(ThreadSimTest, CacheHitsAfterFirstLineTouch) {
 TEST_F(ThreadSimTest, StallsGrowWithMisses) {
   ThreadSim t = make_sim();
   t.touch(small_.base, PageKind::small4k, Access::load);
-  const cycles_t first = t.counters().stall_cycles;
+  const cycles_t first = t.counters().stall_cycles(cm_, cm_.mem_stall);
   EXPECT_GT(first, 0u);  // walk + memory miss
   t.touch(small_.base, PageKind::small4k, Access::load);
-  EXPECT_EQ(t.counters().stall_cycles, first);  // all-hit second access
+  // All-hit second access.
+  EXPECT_EQ(t.counters().stall_cycles(cm_, cm_.mem_stall), first);
 }
 
 TEST_F(ThreadSimTest, PrefetcherCoversSequentialStreams) {
@@ -183,32 +187,47 @@ TEST_F(ThreadSimTest, DescendingStreamsCoveredToo) {
 
 TEST_F(ThreadSimTest, WalkCostUsesCachedPtes) {
   ThreadSim t = make_sim();
-  // Touch two pages whose PTEs share one PTE cache line (adjacent pages):
-  // the second walk's table loads should hit the data cache, so its stall
-  // is much cheaper than the first (which missed to memory).
+  // A cold 4 KB walk reads its four PTE lines from memory.
   t.touch(small_.base, PageKind::small4k, Access::load);
-  const cycles_t after_first = t.counters().stall_cycles;
+  const ThreadCounters first = t.counters();
+  EXPECT_EQ(first.walk_levels, 4u);
+  EXPECT_EQ(first.pte_mem_misses, 4u);
+  EXPECT_EQ(first.pte_l2_hits, 0u);
+  // The adjacent page's PTE shares the first one's line (8 entries per
+  // line), and the upper levels are the same entries: its walk hits all
+  // four lines in L1, so it pays only the walker's per-level overhead on
+  // top of its own data line's memory miss.
   t.touch(small_.base + kSmallPageSize, PageKind::small4k, Access::load);
-  const cycles_t second_walk_cost =
-      t.counters().stall_cycles - after_first;
-  // The second access pays: cached-PTE walk + its own data-memory miss.
-  EXPECT_LT(second_walk_cost,
-            cm_.contended_mem_stall(1) + 4 * cm_.walk_level_stall +
-                cm_.l2_hit_stall * 4 + cm_.mem_stall);
-  EXPECT_EQ(t.counters().dtlb_walk_total(), 2u);
+  const ThreadCounters second = t.counters().minus(first);
+  EXPECT_EQ(second.dtlb_walk_total(), 1u);
+  EXPECT_EQ(second.walk_levels, 4u);
+  EXPECT_EQ(second.pte_mem_misses, 0u);
+  EXPECT_EQ(second.pte_l2_hits, 0u);
+  EXPECT_EQ(second.l2d_misses, 1u);
+  EXPECT_EQ(second.prefetch_covered, 0u);
+  EXPECT_EQ(second.stall_cycles(cm_, cm_.mem_stall),
+            4 * cm_.walk_level_stall + cm_.mem_stall);
 }
 
+// Contention is the DRAM latency the counts are costed at: the same counts
+// cost more at 4 active threads by exactly (uncovered L2 misses + PTE
+// memory misses) × the latency's increase.
 TEST_F(ThreadSimTest, ContentionInflatesMemoryStalls) {
-  ThreadSim a = make_sim();
-  ThreadSim b = make_sim();
-  b.set_active_threads(4);
+  ThreadSim t = make_sim();
   // Random far-apart touches (no prefetch, all memory misses).
   for (int i = 0; i < 8; ++i) {
     const vaddr_t addr = small_.base + static_cast<vaddr_t>(i) * 5 * 4096;
-    a.touch(addr, PageKind::small4k, Access::load);
-    b.touch(addr, PageKind::small4k, Access::load);
+    t.touch(addr, PageKind::small4k, Access::load);
   }
-  EXPECT_GT(b.counters().stall_cycles, a.counters().stall_cycles);
+  const ThreadCounters& c = t.counters();
+  const cycles_t mem1 = cm_.contended_mem_stall(1);
+  const cycles_t mem4 = cm_.contended_mem_stall(4);
+  ASSERT_GT(mem4, mem1);
+  const count_t dram_reads =
+      c.l2d_misses - c.prefetch_covered + c.pte_mem_misses;
+  EXPECT_GE(dram_reads, 8u);
+  EXPECT_EQ(c.stall_cycles(cm_, mem4) - c.stall_cycles(cm_, mem1),
+            dram_reads * (mem4 - mem1));
 }
 
 TEST_F(ThreadSimTest, TouchRunEquivalentToLoop) {
@@ -219,9 +238,12 @@ TEST_F(ThreadSimTest, TouchRunEquivalentToLoop) {
     b.touch(small_.base + i * sizeof(double), PageKind::small4k,
             Access::load);
   }
-  EXPECT_EQ(a.counters().accesses, b.counters().accesses);
-  EXPECT_EQ(a.counters().stall_cycles, b.counters().stall_cycles);
-  EXPECT_EQ(a.counters().l1d_misses, b.counters().l1d_misses);
+  std::ostringstream os;
+  EXPECT_TRUE(oracle::diff_counters(a.counters(), b.counters(), os))
+      << os.str();
+  EXPECT_EQ(a.counters().accesses, 100u);
+  EXPECT_EQ(a.counters().stall_cycles(cm_, cm_.mem_stall),
+            b.counters().stall_cycles(cm_, cm_.mem_stall));
 }
 
 TEST_F(ThreadSimTest, CodeModelGeneratesItlbTraffic) {
@@ -255,8 +277,9 @@ TEST_F(ThreadSimTest, HotCodeMostlyHitsItlb) {
 TEST_F(ThreadSimTest, ComputeAddsExecOnly) {
   ThreadSim t = make_sim();
   t.add_compute(123);
-  EXPECT_EQ(t.counters().exec_cycles, 123u);
-  EXPECT_EQ(t.counters().stall_cycles, 0u);
+  EXPECT_EQ(t.counters().compute_cycles, 123u);
+  EXPECT_EQ(t.counters().exec_cycles(cm_), 123u);
+  EXPECT_EQ(t.counters().stall_cycles(cm_, cm_.mem_stall), 0u);
 }
 
 // Every field, set through the visitor to a distinct value, survives +=,
@@ -288,7 +311,9 @@ TEST(ThreadCounters, PlusAndMinusRoundTrip) {
         EXPECT_EQ(r, i) << name;
       },
       sum, back);
-  EXPECT_EQ(sum.total_cycles(), sum.exec_cycles + sum.stall_cycles);
+  const CostModel cm = oracle::prime_costs();
+  EXPECT_EQ(sum.total_cycles(cm, cm.mem_stall),
+            sum.exec_cycles(cm) + sum.stall_cycles(cm, cm.mem_stall));
 
   std::ostringstream none;
   EXPECT_TRUE(oracle::diff_counters(back, a, none)) << none.str();
@@ -303,6 +328,74 @@ TEST(ThreadCounters, PlusAndMinusRoundTrip) {
         --x;
       },
       a);
+}
+
+// The cycle derivation charges each cause exactly once, at its own cost.
+// Each cause raises the counters one such event raises (an L2 hit is also
+// an access and an L1 miss); with every cost a distinct prime, a dropped,
+// doubled or mis-weighted term shows under the cause's name. Every counter
+// must appear in a cause or among those that cost nothing, so a new one
+// has to be classified here.
+TEST(ThreadCounters, DerivationChargesEachCauseOnce) {
+  const CostModel cm = oracle::prime_costs();
+  const cycles_t mem = 331;  // a prime no other cost equals
+  struct Cause {
+    const char* name;
+    std::vector<std::string> raises;
+    cycles_t exec;
+    cycles_t stall;
+  };
+  const std::vector<Cause> causes = {
+      {"data L1 hit", {"accesses"}, cm.exec_per_access, cm.l1_hit_stall},
+      {"data L2 hit", {"accesses", "l1d_misses"}, cm.exec_per_access,
+       cm.l2_hit_stall},
+      {"uncovered L2 miss", {"accesses", "l1d_misses", "l2d_misses"},
+       cm.exec_per_access, mem},
+      {"prefetch-covered L2 miss",
+       {"accesses", "l1d_misses", "l2d_misses", "prefetch_covered"},
+       cm.exec_per_access, cm.prefetched_stall},
+      {"PTE line L2 hit", {"pte_l2_hits"}, 0, cm.l2_hit_stall},
+      {"PTE line memory miss", {"pte_mem_misses"}, 0, mem},
+      {"L2 DTLB hit", {"dtlb_l1_misses", "dtlb_l2_hits"}, 0,
+       cm.dtlb_l2_hit_stall},
+      {"walk level", {"walk_levels"}, 0, cm.walk_level_stall},
+      {"ITLB miss", {"itlb_lookups", "itlb_misses"}, 0, cm.itlb_miss_stall},
+      {"compute cycle", {"compute_cycles"}, 1, 0},
+  };
+  const std::vector<std::string> free = {
+      "stores",        "dtlb_l1_misses", "dtlb_walks_4k", "dtlb_walks_2m",
+      "dtlb_walks_1g", "pwc_hits",       "itlb_lookups",  "long_stalls"};
+
+  auto raised = [](const std::vector<std::string>& names) {
+    ThreadCounters c;
+    ThreadCounters::for_each_field(
+        [&](const char* name, count_t& x) {
+          x += static_cast<count_t>(
+              std::count(names.begin(), names.end(), name));
+        },
+        c);
+    return c;
+  };
+  std::set<std::string> classified(free.begin(), free.end());
+  for (const Cause& cause : causes) {
+    const ThreadCounters c = raised(cause.raises);
+    EXPECT_EQ(c.exec_cycles(cm), cause.exec) << cause.name;
+    EXPECT_EQ(c.stall_cycles(cm, mem), cause.stall) << cause.name;
+    EXPECT_EQ(c.total_cycles(cm, mem), cause.exec + cause.stall)
+        << cause.name;
+    classified.insert(cause.raises.begin(), cause.raises.end());
+  }
+  for (const std::string& name : free) {
+    const ThreadCounters c = raised({name});
+    EXPECT_EQ(c.exec_cycles(cm), 0u) << name;
+    EXPECT_EQ(c.stall_cycles(cm, mem), 0u) << name;
+  }
+  ThreadCounters any;
+  ThreadCounters::for_each_field(
+      [&](const char* name, count_t) {
+        EXPECT_TRUE(classified.count(name)) << name << " is unclassified";
+      },
+      any);
 }
 
 }  // namespace

@@ -318,10 +318,9 @@ TEST(TraceFraming, LiveEntryPointsReportSingleEvents) {
   mem::PhysMem pm{MiB(32)};
   mem::AddressSpace space{pm};
   const mem::Region r = space.map_region(MiB(2), PageKind::small4k, "data");
-  const sim::CostModel cm;
   const sim::ProcessorSpec spec = sim::ProcessorSpec::opteron270();
-  sim::ThreadSim ts(cm, space, spec.itlb, spec.l1_dtlb, spec.l2_dtlb,
-                    spec.l1d, spec.l2, 1);
+  sim::ThreadSim ts(space, spec.itlb, spec.l1_dtlb, spec.l2_dtlb, spec.l1d,
+                    spec.l2, 1);
   trace::TraceRecorder rec(1);
   ts.set_trace_sink(&rec, 0);
 
