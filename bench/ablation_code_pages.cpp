@@ -4,6 +4,9 @@
 // measured ITLB miss rate is already so low (Figure 3) that it is not worth
 // pursuing. This bench runs both placements and confirms the decision: the
 // end-to-end difference is lost in the noise floor.
+//
+// The points are the Figure 5 grid on 4 KB data pages, each run twice
+// through the scheduler: code on 4 KB pages, then on one 2 MB page.
 #include "bench/bench_common.hpp"
 
 using namespace lpomp;
@@ -21,22 +24,29 @@ int main(int argc, char** argv) {
   TextTable table({"Application", "ITLB misses (4KB code)",
                    "ITLB misses (2MB code)", "time (4KB code)",
                    "time (2MB code)", "speedup"});
-  for (npb::Kernel k : bench::kernels_from(opts)) {
-    core::RuntimeConfig small_code =
-        bench::make_config(opteron, 4, PageKind::small4k);
-    core::RuntimeConfig large_code = small_code;
-    large_code.code_page_kind = PageKind::large2m;
+  exec::SweepSpec spec = exec::SweepSpec::figure5(klass, 4);
+  spec.kernels = bench::kernels_from(opts);
+  spec.page_kinds = {PageKind::small4k};
+  // Each point as (4KB code, 2MB code), adjacent in task order.
+  std::vector<exec::RunTask> tasks;
+  for (const exec::RunTask& task : spec.expand()) {
+    tasks.push_back(task);
+    tasks.push_back(task);
+    tasks.back().code_page_kind = PageKind::large2m;
+  }
+  const exec::SweepResult result = exec::Scheduler().run(tasks);
+  bench::require_all_verified(result);
 
-    const npb::NpbResult rs = npb::run_kernel(k, klass, small_code);
-    const npb::NpbResult rl = npb::run_kernel(k, klass, large_code);
-    table.add_row(
-        {npb::kernel_name(k),
-         std::to_string(rs.profile.count(prof::ProfileReport::kItlbMiss)),
-         std::to_string(rl.profile.count(prof::ProfileReport::kItlbMiss)),
-         format_seconds(rs.simulated_seconds),
-         format_seconds(rl.simulated_seconds),
-         format_percent((rs.simulated_seconds - rl.simulated_seconds) /
-                        rs.simulated_seconds)});
+  for (std::size_t i = 0; i < result.records.size(); i += 2) {
+    const exec::RunRecord& rs = result.records[i];
+    const exec::RunRecord& rl = result.records[i + 1];
+    table.add_row({rs.kernel, std::to_string(rs.itlb_misses),
+                   std::to_string(rl.itlb_misses),
+                   format_seconds(rs.simulated_seconds),
+                   format_seconds(rl.simulated_seconds),
+                   format_percent((rs.simulated_seconds -
+                                   rl.simulated_seconds) /
+                                  rs.simulated_seconds)});
   }
   table.print();
   std::cout << "\nA 2MB code page removes the (already tiny) ITLB misses but "

@@ -21,7 +21,7 @@ using namespace lpomp;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"klass", "kernels"}, bench::kSchedulerKeys,
-                     bench::kJsonKeys, bench::kStrategyKeys);
+                     bench::kJsonKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
   // SP, the kernel §4.4 discusses, unless --kernels= names another.
   const npb::Kernel kernel = opts.get("kernels", "").empty()
@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
   }
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
-  const exec::SweepResult result =
-      scheduler.run(tasks, bench::strategy_from(opts));
+  const exec::SweepResult result = scheduler.run(tasks);
   bench::require_all_verified(result);
 
   const double t4_4k = result.records[0].simulated_seconds;

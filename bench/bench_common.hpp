@@ -1,8 +1,9 @@
-// Shared plumbing for the paper-reproduction bench harnesses: platform
-// selection, runtime-config construction, and result formatting. Every
+// Shared plumbing for the paper-reproduction bench harnesses: axis and
+// scheduler options, sweep verification, and result formatting. Every
 // harness runs with sensible defaults (`for b in build/bench/*; do $b; done`
 // regenerates every table/figure) and honours --klass= / --kernels= /
-// LPOMP_* environment overrides.
+// LPOMP_* environment overrides. A driver's grid points run as RunTasks
+// through exec::Scheduler.
 #pragma once
 
 #include <algorithm>
@@ -29,11 +30,6 @@ namespace lpomp::bench {
 /// Read by paging_from.
 inline constexpr std::string_view kPagingKeys[] = {
     "paging", "thp-seed", "thp-frag", "thp-growth", "thp-interval"};
-/// Read by strategy_from and reject_removed_flags: the removed flags are
-/// known keys, so they still exit 2 with their own message.
-inline constexpr std::string_view kStrategyKeys[] = {
-    "strategy",    "no-trace",       "no-multilane",
-    "no-analytic", "trace-store-mb", "topology"};
 /// Read by scheduler_config.
 inline constexpr std::string_view kSchedulerKeys[] = {"workers", "store-dir"};
 /// Read by write_json.
@@ -115,70 +111,11 @@ inline std::vector<npb::Kernel> kernels_from(const Options& opts) {
   return out;
 }
 
-/// Runtime config for one simulated run.
-inline core::RuntimeConfig make_config(const sim::ProcessorSpec& spec,
-                                       unsigned threads, PageKind kind) {
-  core::RuntimeConfig cfg;
-  cfg.num_threads = threads;
-  cfg.page_kind = kind;
-  cfg.sim = core::SimConfig{spec, sim::CostModel{}, 0x5eedULL};
-  return cfg;
-}
-
-/// One kernel run; aborts loudly if the kernel fails verification, since a
-/// wrong answer invalidates the timing.
-inline npb::NpbResult run_checked(npb::Kernel kernel, npb::Klass klass,
-                                  const sim::ProcessorSpec& spec,
-                                  unsigned threads, PageKind kind) {
-  npb::NpbResult r =
-      npb::run_kernel(kernel, klass, make_config(spec, threads, kind));
-  if (!r.verified) {
-    std::cerr << "VERIFICATION FAILED: " << npb::kernel_name(kernel) << "."
-              << npb::klass_name(klass) << " (" << spec.name << ", "
-              << page_kind_name(kind) << ", " << threads
-              << "T): " << r.verification_detail << "\n";
-    std::exit(2);
-  }
-  return r;
-}
-
 inline std::string improvement(double t4k, double t2m) {
   return format_percent((t4k - t2m) / t4k);
 }
 
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
-
-/// Exits 2 on the flags removed with the replay tiers (--no-trace,
-/// --no-multilane, --no-analytic, --trace-store-mb) and with the socket
-/// shapes (--topology), and on a --strategy= / LPOMP_STRATEGY other than
-/// live or auto.
-inline void reject_removed_flags(const Options& opts) {
-  for (const char* flag :
-       {"no-trace", "no-multilane", "no-analytic", "trace-store-mb"}) {
-    if (!opts.get(flag, "").empty()) {
-      std::cerr << "--" << flag << " was removed with the replay tiers "
-                << "(valid strategies: " << exec::kStrategies.list() << ")\n";
-      std::exit(2);
-    }
-  }
-  if (!opts.get("topology", "").empty()) {
-    std::cerr << "--topology was removed: size the sweep with --workers=N\n";
-    std::exit(2);
-  }
-  const std::string name = opts.get("strategy", "auto");
-  if (!exec::strategy_from_name(name)) {
-    std::cerr << "unknown --strategy=" << name
-              << " (valid: " << exec::kStrategies.list() << ")\n";
-    std::exit(2);
-  }
-}
-
-/// The sweep's execution strategy from --strategy=live|auto (default auto;
-/// both run every uncached grid point live).
-inline exec::Strategy strategy_from(const Options& opts) {
-  reject_removed_flags(opts);
-  return *exec::strategy_from_name(opts.get("strategy", "auto"));
-}
 
 /// --workers= / LPOMP_WORKERS: grid points that always run at once (narrow
 /// points may add more, see exec::WidthGate), 0 → one per host core. A
@@ -202,9 +139,8 @@ inline exec::Scheduler::Config scheduler_config(const Options& opts) {
   return cfg;
 }
 
-/// Aborts loudly if any run of the sweep failed or mis-verified — the
-/// engine-level analogue of run_checked (a wrong answer invalidates the
-/// timing, so no table is printed from a bad sweep).
+/// Aborts loudly if any run of the sweep failed or mis-verified (a wrong
+/// answer invalidates the timing, so no table is printed from a bad sweep).
 inline void require_all_verified(const exec::SweepResult& result) {
   for (const exec::RunRecord& r : result.records) {
     if (!r.ok) {

@@ -24,8 +24,7 @@ using namespace lpomp;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"klass", "kernels"}, bench::kPagingKeys,
-                     bench::kSchedulerKeys, bench::kJsonKeys,
-                     bench::kStrategyKeys);
+                     bench::kSchedulerKeys, bench::kJsonKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
@@ -38,8 +37,7 @@ int main(int argc, char** argv) {
   const bool paging_axis = bench::add_paging_axis(opts, spec);
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
-  const exec::SweepResult result =
-      scheduler.run(spec, bench::strategy_from(opts));
+  const exec::SweepResult result = scheduler.run(spec);
   bench::require_all_verified(result);
 
   std::cout << "Figure 4: Scalability with "

@@ -16,8 +16,7 @@ using namespace lpomp;
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"klass", "kernels", "threads"}, bench::kPagingKeys,
-                     bench::kSchedulerKeys, bench::kJsonKeys,
-                     bench::kStrategyKeys);
+                     bench::kSchedulerKeys, bench::kJsonKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
   const auto threads = static_cast<unsigned>(opts.get_unsigned(
       "threads", 4, sim::ProcessorSpec::opteron270().max_threads(), 1));
@@ -31,8 +30,7 @@ int main(int argc, char** argv) {
   const bool paging_axis = bench::add_paging_axis(opts, spec);
 
   exec::Scheduler scheduler(bench::scheduler_config(opts));
-  const exec::SweepResult result =
-      scheduler.run(spec, bench::strategy_from(opts));
+  const exec::SweepResult result = scheduler.run(spec);
   bench::require_all_verified(result);
 
   const std::string opteron = sim::ProcessorSpec::opteron270().name;

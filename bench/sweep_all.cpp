@@ -9,9 +9,9 @@
 //     extra — the content-keyed cache serves them);
 //   * Figure 3 — aggregate ITLB miss rate at 4 threads (negligible).
 //
-// Every uncached grid point runs live (--strategy=live|auto, both the same
-// path). --store-dir= layers the disk-persistent result store under the
-// cache (the same store the sweep daemon serves from).
+// Every uncached grid point runs live. --store-dir= layers the
+// disk-persistent result store under the cache (the same store the sweep
+// daemon serves from).
 //
 // --json-out=BENCH_sweep.json writes the machine-readable perf summary CI
 // trends: cold/warm wall-clock, warm cache-hit rate, and a per-run
@@ -26,20 +26,17 @@
 // produces byte-identical files — the scheduler's determinism guarantee.
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
-#include "serve/client.hpp"
 
 using namespace lpomp;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  opts.require_known({"klass", "kernels", "json-out", "shm"},
-                     bench::kPagingKeys, bench::kSchedulerKeys,
-                     bench::kJsonKeys, bench::kStrategyKeys);
+  opts.require_known({"klass", "kernels", "json-out"}, bench::kPagingKeys,
+                     bench::kSchedulerKeys, bench::kJsonKeys);
   const npb::Klass klass = bench::klass_from(opts, "R");
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
-  const exec::Strategy strategy = bench::strategy_from(opts);
   const bool host = opts.get_flag("json-host");
 
   // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis.
@@ -48,10 +45,9 @@ int main(int argc, char** argv) {
   exec::Scheduler scheduler(bench::scheduler_config(opts));
   std::cout << "sweep_all: " << spec.expand().size()
             << " runs over the Figure 4 grid (class " << npb::klass_name(klass)
-            << "), " << scheduler.workers() << " workers, strategy "
-            << exec::strategy_name(strategy) << "\n";
+            << "), " << scheduler.workers() << " workers\n";
 
-  const exec::SweepResult cold = scheduler.run(spec, strategy);
+  const exec::SweepResult cold = scheduler.run(spec);
   bench::require_all_verified(cold);
   std::cout << "cold sweep: " << cold.completed() << "/"
             << cold.records.size() << " runs in "
@@ -61,7 +57,7 @@ int main(int argc, char** argv) {
 
   // Warm rerun over the identical grid: every task must be served from the
   // result cache with counters identical to the cold pass.
-  const exec::SweepResult warm = scheduler.run(spec, strategy);
+  const exec::SweepResult warm = scheduler.run(spec);
   bool identical = warm.records.size() == cold.records.size();
   for (std::size_t i = 0; identical && i < warm.records.size(); ++i) {
     identical = warm.records[i].same_result(cold.records[i]);
@@ -175,29 +171,11 @@ int main(int argc, char** argv) {
   // reference.
   const std::string bench_path = opts.get("json-out", "");
   if (!bench_path.empty()) {
-    // The admission-queue peak is daemon-side state: sweep_all itself runs
-    // unqueued, so without --shm= the field reports 0 for schema parity.
-    // With --shm=NAME it probes the live daemon's ring via the stats
-    // request and reports the real high-water mark.
-    std::uint64_t queue_depth_peak = 0;
-    const std::string shm = opts.get("shm", "");
-    if (!shm.empty()) {
-      try {
-        serve::SweepClient stats_client(shm);
-        const exec::JsonValue doc = exec::json_parse(stats_client.stats());
-        queue_depth_peak =
-            doc.at("stats").at("queue_depth_peak").as_uint64();
-      } catch (const std::exception& e) {
-        std::cerr << "warning: stats probe of --shm=" << shm
-                  << " failed: " << e.what() << "\n";
-      }
-    }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v7");
+    b.field("schema", "lpomp-bench-sweep-v8");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
-    b.field("strategy", exec::strategy_name(strategy));
     b.key("paging");
     b.begin_array();
     for (const paging::PolicySpec& p : spec.paging_policies) {
@@ -220,7 +198,6 @@ int main(int argc, char** argv) {
     b.field("bytes_written",
             cold.store.bytes_written + warm.store.bytes_written);
     b.end_object();
-    b.field("admission_queue_depth_peak", queue_depth_peak);
     b.field("peak_tasks_in_flight", cold.peak_tasks_in_flight);
     b.field("peak_host_threads", cold.peak_host_threads);
     b.key("runs_detail");

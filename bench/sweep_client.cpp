@@ -5,7 +5,6 @@
 //                [--pages=4KB,2MB] [--code-pages=4KB]
 //                [--paging=native,hugetlb2m,huge1g,thp] [--seed=N]
 //                [--per-task-seeds]
-//                [--strategy=live|auto]
 //                [--repeat=1] [--timeout-ms=120000] [--json=FILE] [--quiet]
 //   sweep_client --stats [--shm=/lpomp-sweep]
 //
@@ -34,8 +33,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   opts.require_known({"stats", "shm", "timeout-ms", "kernels", "klass",
                       "platforms", "threads", "pages", "code-pages", "paging",
-                      "seed", "per-task-seeds", "repeat", "json", "quiet"},
-                     bench::kStrategyKeys);
+                      "seed", "per-task-seeds", "repeat", "json", "quiet"});
 
   // A round-trip deadline of at least 1 ms and at most a day.
   const auto timeout = [&opts](std::uint64_t def_ms) {
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
   request.paging = split_list(opts.get("paging", "native"));
   request.base_seed = opts.get_unsigned("seed", 0x5eed);
   request.per_task_seeds = opts.get_flag("per-task-seeds");
-  request.strategy = bench::strategy_from(opts);
 
   const std::uint64_t repeat =
       opts.get_unsigned("repeat", 1, 100000, /*min=*/1);

@@ -32,15 +32,13 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  opts.require_known({"shm", "slots", "slot-mb"}, bench::kSchedulerKeys,
-                     bench::kStrategyKeys);
+  opts.require_known({"shm", "slots", "slot-mb"}, bench::kSchedulerKeys);
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");
   // At most 1024 slots of 1 GB each: checked before any ring is created.
   cfg.slots = static_cast<std::uint32_t>(opts.get_unsigned("slots", 8, 1024));
   cfg.slot_bytes = MiB(opts.get_unsigned("slot-mb", 1, 1024));
-  bench::reject_removed_flags(opts);
   cfg.scheduler = bench::scheduler_config(opts);
 
   try {

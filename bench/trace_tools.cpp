@@ -145,8 +145,7 @@ BenchEntry bench_one(const exec::RunTask& task, int repeat) {
 /// replay_over_live is a same-host ratio, so CI gates on it.
 int cmd_bench(const Options& opts) {
   opts.require_known(
-      {"kernels", "klass", "threads", "pages", "repeat", "json-out"},
-      bench::kStrategyKeys);
+      {"kernels", "klass", "threads", "pages", "repeat", "json-out"});
   const std::vector<npb::Kernel> kernels = opts.get_names(
       "kernels", "CG", npb::kernel_from_name, npb::kKernels);
   const std::vector<npb::Klass> klasses =
@@ -227,7 +226,6 @@ int cmd_bench(const Options& opts) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv, 1);  // the subcommand
-  bench::reject_removed_flags(opts);
   if (!opts.positional().empty() && opts.positional().front() == "bench") {
     return cmd_bench(opts);
   }

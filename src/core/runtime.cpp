@@ -21,14 +21,6 @@ std::size_t auto_pool_pages(const RuntimeConfig& cfg) {
 
 }  // namespace
 
-std::size_t runtime_phys_bytes(const RuntimeConfig& cfg) {
-  return auto_phys_bytes(cfg);
-}
-
-std::size_t runtime_hugetlb_pool_pages(const RuntimeConfig& cfg) {
-  return auto_pool_pages(cfg);
-}
-
 Runtime::Runtime(RuntimeConfig config)
     : config_(config), barrier_(config_.num_threads) {
   phys_ = std::make_unique<mem::PhysMem>(auto_phys_bytes(config_));

@@ -82,14 +82,6 @@ struct RuntimeConfig {
   sim::TraceSink* trace_sink = nullptr;
 };
 
-/// Simulated physical-memory size a Runtime built from `cfg` would use
-/// (cfg.phys_mem_bytes, or the automatic pool-derived sizing). Exposed so a
-/// replay substrate can reproduce the live run's memory layout exactly.
-std::size_t runtime_phys_bytes(const RuntimeConfig& cfg);
-
-/// Hugetlbfs pool pages a large2m Runtime built from `cfg` would preallocate.
-std::size_t runtime_hugetlb_pool_pages(const RuntimeConfig& cfg);
-
 class Runtime;
 
 /// Per-thread handle passed to parallel-region bodies.

@@ -24,7 +24,7 @@
 //
 // Every uncached task runs live: probe the LRU/disk store, run the kernel
 // with the simulator attached, commit. The Strategy axis (strategy.hpp) is
-// kept as the wire/CLI spelling of that one path.
+// kept as the wire spelling of that one path.
 //
 // Each distinct simulation runs once. A task whose paging policy is the
 // identity on its layout (base4k on 4 KB pages, hugetlb2m on 2 MB pages;

@@ -2,7 +2,8 @@
 //
 // Every uncached grid point runs live: the kernel executes with the machine
 // simulator attached, and its record is committed to the result cache. The
-// enum survives as the wire and CLI spelling of that one path:
+// enum survives as the wire spelling of that one path (no driver takes a
+// strategy option; perfbench and the daemon's requests still name one):
 //
 //   live      every task runs the full kernel, no traces involved
 //   auto      the scheduler's choice (today: live)
@@ -21,7 +22,7 @@ namespace lpomp::exec {
 
 enum class Strategy { Live, Auto };
 
-/// The name table of the CLI/wire spelling, in enum order.
+/// The name table of the wire spelling, in enum order.
 inline constexpr NameTable<Strategy, 2> kStrategies{"strategy",
                                                     {"live", "auto"}};
 

@@ -1,6 +1,5 @@
 #include "trace/replay.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,67 +10,6 @@
 
 namespace lpomp::trace {
 namespace {
-
-/// The memory substrate of a replay: physical memory, address space and
-/// the startup-preallocated shared pool, built with exactly the
-/// construction sequence core::Runtime uses so every recorded virtual
-/// address translates as it did live.
-///
-/// The text mapping is *not* materialised: the instruction-stream model
-/// only probes the ITLB by page number (never the page table), so only the
-/// base address the live mapping would have received matters, and
-/// AddressSpace::peek_region_base supplies it without spending frames.
-class ReplaySubstrate {
- public:
-  ReplaySubstrate(npb::Kernel kernel, npb::Klass klass, PageKind page_kind) {
-    // Mirror core::Runtime's construction sequence (PhysMem → AddressSpace
-    // → hugetlbfs mount + image file → pool mapping) with the same
-    // automatic sizing, so frame assignment and page-table layout match
-    // the recording run's exactly.
-    core::RuntimeConfig cfg;
-    cfg.page_kind = page_kind;
-    cfg.shared_pool_bytes = npb::pool_bytes_for(kernel, klass);
-
-    phys_ = std::make_unique<mem::PhysMem>(core::runtime_phys_bytes(cfg));
-    space_ = std::make_unique<mem::AddressSpace>(*phys_);
-    mem::FrameSource* source = nullptr;
-    if (page_kind == PageKind::large2m) {
-      hugetlbfs_ = std::make_unique<mem::HugeTlbFs>(
-          *phys_, core::runtime_hugetlb_pool_pages(cfg));
-      hugetlbfs_->create_file("lpomp_shared_image", cfg.shared_pool_bytes);
-      source = hugetlbfs_.get();
-    }
-    alloc_ = std::make_unique<core::SharedAllocator>(
-        *space_, source, page_kind, cfg.shared_pool_bytes, "shared_image");
-  }
-
-  ~ReplaySubstrate() {
-    // Same teardown order as core::Runtime: pool pages back to their
-    // source, then the image file, then the mount.
-    alloc_.reset();
-    if (hugetlbfs_) hugetlbfs_->unlink_file("lpomp_shared_image");
-    hugetlbfs_.reset();
-    space_.reset();
-    phys_.reset();
-  }
-
-  ReplaySubstrate(const ReplaySubstrate&) = delete;
-  ReplaySubstrate& operator=(const ReplaySubstrate&) = delete;
-
-  const mem::AddressSpace& space() const { return *space_; }
-
-  /// Base address the live run's text mapping would occupy for this code
-  /// page kind.
-  vaddr_t code_base(PageKind code_kind) const {
-    return space_->peek_region_base(code_kind);
-  }
-
- private:
-  std::unique_ptr<mem::PhysMem> phys_;
-  std::unique_ptr<mem::AddressSpace> space_;
-  std::unique_ptr<mem::HugeTlbFs> hugetlbfs_;
-  std::unique_ptr<core::SharedAllocator> alloc_;
-};
 
 void apply_boundary(sim::Machine& machine, sim::BoundaryKind kind) {
   switch (kind) {
@@ -104,15 +42,24 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
   }
 
   try {
-    const ReplaySubstrate substrate(kernel, klass, trace.meta.page_kind);
-    sim::Machine machine(config_.spec, config_.cost, substrate.space(),
-                         nthreads, config_.seed, config_.paging);
+    // The runtime a live run of the recorded configuration builds (physical
+    // memory, address space, hugetlbfs pool, shared image, text mapping),
+    // so every recorded virtual address translates as it did live. Its
+    // team never runs: the streams drive the machine directly.
+    core::RuntimeConfig cfg;
+    cfg.num_threads = nthreads;
+    cfg.page_kind = trace.meta.page_kind;
+    cfg.shared_pool_bytes = npb::pool_bytes_for(kernel, klass);
+    cfg.code_page_kind = config_.code_page_kind;
+    cfg.paging = config_.paging;
+    cfg.sim = core::SimConfig{config_.spec, config_.cost, config_.seed};
+    cfg.trace_sink = config_.resink;
+    core::Runtime rt(cfg);
     const npb::CodeModel cm = npb::code_model(kernel);
-    machine.attach_code_all(
-        substrate.code_base(config_.code_page_kind),
-        static_cast<std::size_t>(npb::binary_bytes(kernel)),
-        config_.code_page_kind, cm.jump_period, cm.cold_fraction);
-    if (config_.resink != nullptr) machine.set_trace_sink(config_.resink);
+    rt.attach_code_model(static_cast<std::size_t>(npb::binary_bytes(kernel)),
+                         cm.jump_period, cm.cold_fraction,
+                         config_.code_page_kind);
+    sim::Machine& machine = *rt.machine();
 
     // Walk each thread's stream up to its next segment event, then apply
     // the global boundary — the exact order the recording run's Machine
@@ -159,6 +106,8 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
       }
     }
 
+    // The trace's own end_run boundary has been applied: read the time
+    // directly (finish_seconds would send the resink a second end_run).
     ReplayOutcome out;
     out.simulated_seconds = machine.seconds();
     out.profile = prof::ProfileReport::from_machine(

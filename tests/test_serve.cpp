@@ -692,7 +692,7 @@ TEST(ServeWire, StatsRequestMarker) {
 
 // Stats round trip against a live daemon: after one sweep the telemetry a
 // client reads over the ring reports that request and a nonzero admission
-// peak — the probe `sweep_all --shm=` uses for admission_queue_depth_peak.
+// peak — what `sweep_client --stats` prints.
 TEST(ServeService, StatsRoundTrip) {
   const std::string name = shm_name("stats");
 
