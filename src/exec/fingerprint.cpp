@@ -148,7 +148,7 @@ std::string cache_key(const RunTask& task) {
 }
 
 std::optional<std::string> shared_key(const RunTask& task) {
-  const paging::PolicySpec canonical = task.paging.on_layout(task.page_kind);
+  const paging::PolicySpec canonical = task.simulated_paging();
   if (canonical == task.paging) return std::nullopt;
   RunTask same = task;
   same.paging = canonical;

@@ -26,8 +26,8 @@ namespace lpomp::exec {
 std::string cache_key(const RunTask& task);
 
 /// The cache key of the simulation `task` runs: cache_key of `task` with
-/// its policy replaced by PolicySpec::on_layout(task.page_kind). nullopt
-/// when that leaves the policy as it is, so cache_key(task) is that key.
+/// its policy replaced by task.simulated_paging(). nullopt when that leaves
+/// the policy as it is, so cache_key(task) is that key.
 /// Tasks with equal simulation keys have equal outcomes.
 std::optional<std::string> shared_key(const RunTask& task);
 

@@ -26,11 +26,12 @@
 // with the simulator attached, commit. The Strategy axis (strategy.hpp) is
 // kept as the wire spelling of that one path.
 //
-// Each distinct simulation runs once. A task whose paging policy is the
-// identity on its layout (base4k on 4 KB pages, hugetlb2m on 2 MB pages;
-// see shared_key) takes the result of the native task with the same
-// simulation, relabelled as its own record and committed under its own
-// key.
+// Each distinct simulation runs once. A task whose paging policy acts on
+// its shared pool as another policy does (base4k on 4 KB pages and
+// hugetlb2m on 2 MB pages are native; thp is hugetlb2m when every 2 MB
+// chunk of the pool is promoted and base4k when none is; see shared_key)
+// takes the result of the task with that policy, relabelled as its own
+// record and committed under its own key.
 //
 // This core is deliberately front-end-free: no CLI parsing, no stdout, no
 // benchmark assumptions. The benches and the sweep daemon (src/serve) are

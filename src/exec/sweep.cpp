@@ -19,12 +19,17 @@ std::string RunTask::label() const {
   return s;
 }
 
+paging::PolicySpec RunTask::simulated_paging() const {
+  const mem::Region pool = npb::pool_region(kernel, klass, page_kind);
+  return paging.on_region(page_kind, pool.base, pool.length);
+}
+
 core::RuntimeConfig RunTask::runtime_config() const {
   core::RuntimeConfig cfg;
   cfg.num_threads = threads;
   cfg.page_kind = page_kind;
   cfg.code_page_kind = code_page_kind;
-  cfg.paging = paging.on_layout(page_kind);
+  cfg.paging = simulated_paging();
   cfg.sim = core::SimConfig{spec, cost, seed};
   return cfg;
 }

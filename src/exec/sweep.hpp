@@ -54,10 +54,15 @@ struct RunTask {
   /// when a non-native paging policy is set).
   std::string label() const;
 
+  /// The overlay this task's run simulates: its policy as it acts on the
+  /// shared pool (PolicySpec::on_region over npb::pool_region). A base4k
+  /// task on 4 KB pages gets native, and a thp task whose pool is promoted
+  /// chunk by chunk gets hugetlb2m (native on 2 MB pages).
+  paging::PolicySpec simulated_paging() const;
+
   /// The simulated-runtime configuration this task runs under (no trace
-  /// sink attached). Its overlay is the policy as it acts on the task's
-  /// layout (PolicySpec::on_layout), so a base4k task on 4 KB pages runs
-  /// the native translate path.
+  /// sink attached), with simulated_paging() as its overlay, so a task the
+  /// rule maps runs the canonical overlay's translate path.
   core::RuntimeConfig runtime_config() const;
 };
 

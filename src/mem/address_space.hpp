@@ -84,11 +84,15 @@ class AddressSpace {
 
   count_t promotions() const { return promotions_; }
 
-  /// Base address the *next* map_region of this kind would receive. Lets a
-  /// replay substrate compute the VA a region (e.g. the text mapping) would
-  /// occupy without actually materialising its page-table entries.
-  vaddr_t peek_region_base(PageKind kind) const {
-    return next_base_[static_cast<std::size_t>(kind)];
+  /// Base of the arena regions of `kind` grow from: the address the first
+  /// map_region of that kind in a fresh space receives.
+  static constexpr vaddr_t arena_base(PageKind kind) {
+    switch (kind) {
+      case PageKind::small4k: return kSmallArenaBase;
+      case PageKind::large2m: return kLargeArenaBase;
+      case PageKind::huge1g: break;
+    }
+    return vaddr_t{1} << 40;
   }
 
   std::vector<Region> regions() const;
@@ -125,8 +129,9 @@ class AddressSpace {
   // Indexed by PageKind. Layouts only ever use the first two arenas; the
   // huge1g slot exists so kind-indexed bookkeeping stays in bounds (the
   // paging-policy overlay produces huge1g *translations*, never mappings).
-  vaddr_t next_base_[kPageKindCount] = {kSmallArenaBase, kLargeArenaBase,
-                                        vaddr_t{1} << 40};
+  vaddr_t next_base_[kPageKindCount] = {arena_base(PageKind::small4k),
+                                        arena_base(PageKind::large2m),
+                                        arena_base(PageKind::huge1g)};
   std::size_t mapped_bytes_[kPageKindCount] = {0, 0, 0};
   count_t promotions_ = 0;
 };

@@ -154,4 +154,11 @@ std::size_t pool_bytes_for(Kernel kernel, Klass klass) {
   return static_cast<std::size_t>(data + data / 8 + MiB(4));
 }
 
+mem::Region pool_region(Kernel kernel, Klass klass, PageKind layout) {
+  const std::size_t psize = page_size(layout);
+  const std::size_t bytes = pool_bytes_for(kernel, klass);
+  return {mem::AddressSpace::arena_base(layout),
+          (bytes + psize - 1) / psize * psize, layout, {}};
+}
+
 }  // namespace lpomp::npb

@@ -13,12 +13,19 @@
 #include "npb/params.hpp"
 #include "npb/pc.hpp"
 #include "npb/sp.hpp"
+#include "support/error.hpp"
 
 namespace lpomp::npb {
 
 NpbResult run_kernel(Kernel kernel, Klass klass, core::RuntimeConfig config) {
   config.shared_pool_bytes = pool_bytes_for(kernel, klass);
   core::Runtime rt(config);
+  // PolicySpec::on_region picks a run's overlay from pool_region; a
+  // runtime that mapped the pool elsewhere would make that choice wrong.
+  const mem::Region pool = pool_region(kernel, klass, config.page_kind);
+  LPOMP_CHECK_MSG(rt.shared_allocator().region_base() == pool.base &&
+                      rt.shared_allocator().capacity() == pool.length,
+                  "shared pool is not at npb::pool_region");
 
   const CodeModel cm = code_model(kernel);
   rt.attach_code_model(static_cast<std::size_t>(binary_bytes(kernel)),

@@ -110,4 +110,11 @@ NpbResult run_kernel(Kernel kernel, Klass klass, core::RuntimeConfig config);
 /// Shared-pool bytes a kernel/class needs (inventory + runtime slack).
 std::size_t pool_bytes_for(Kernel kernel, Klass klass);
 
+/// The region run_kernel maps the shared pool at on a `layout` run: the
+/// pool is the first mapping of its arena, so it starts at the arena base
+/// and spans pool_bytes_for rounded up to the layout's page size. It is the
+/// run's only data region (the paging-policy overlay's region rule keys on
+/// it; DESIGN.md §11). The name is left empty.
+mem::Region pool_region(Kernel kernel, Klass klass, PageKind layout);
+
 }  // namespace lpomp::npb

@@ -48,11 +48,25 @@ bool PagingModel::thp_promoted(std::uint64_t chunk) const {
   return promoted;
 }
 
-PolicySpec PolicySpec::on_layout(PageKind layout) const {
+PolicySpec PolicySpec::on_region(PageKind layout, vaddr_t base,
+                                 std::size_t bytes) const {
+  LPOMP_CHECK_MSG(bytes > 0, "paging rule over an empty region");
+  PolicySpec spec = *this;
+  if (policy == Policy::thp) {
+    const PagingModel model(*this);
+    const std::uint64_t first = base >> kLargePageShift;
+    const std::uint64_t last = (base + bytes - 1) >> kLargePageShift;
+    std::uint64_t promoted = 0;
+    for (std::uint64_t c = first; c <= last; ++c) {
+      promoted += model.thp_promoted(c) ? 1 : 0;
+    }
+    if (promoted == last - first + 1) spec = PolicySpec{Policy::hugetlb2m, {}};
+    if (promoted == 0) spec = PolicySpec{Policy::base4k, {}};
+  }
   const bool forces_layout =
-      (policy == Policy::base4k && layout == PageKind::small4k) ||
-      (policy == Policy::hugetlb2m && layout == PageKind::large2m);
-  return forces_layout ? PolicySpec{} : *this;
+      (spec.policy == Policy::base4k && layout == PageKind::small4k) ||
+      (spec.policy == Policy::hugetlb2m && layout == PageKind::large2m);
+  return forces_layout ? PolicySpec{} : spec;
 }
 
 PagingModel::PagingModel(const PolicySpec& spec)

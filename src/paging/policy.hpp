@@ -98,13 +98,17 @@ struct PolicySpec {
   bool is_native() const { return policy == Policy::native; }
   const char* name() const { return policy_name(policy); }
 
-  /// This policy as it acts on accesses to a region laid out with `layout`
-  /// pages: base4k over 4 KB and hugetlb2m over 2 MB are native there;
-  /// every other pair comes back unchanged. The rule is exact. For both
-  /// pairs PagingModel::translate returns {addr >> page_shift(layout),
-  /// layout}, which is what native returns, and PagingModel::walk returns
-  /// the real walk unchanged because the effective kind is the layout.
-  PolicySpec on_layout(PageKind layout) const;
+  /// This policy as it acts on accesses to [base, base + bytes), a region
+  /// laid out with `layout` pages (DESIGN.md §11). First, thp is hugetlb2m
+  /// there when every 2 MB chunk the region overlaps is promoted, and
+  /// base4k when none is. Then base4k over 4 KB and hugetlb2m over 2 MB
+  /// are native. Every other case comes back unchanged. The rule is exact:
+  /// for a promoted chunk thp's translation is {addr >> 21, large2m},
+  /// hugetlb2m's, and for an unpromoted one {addr >> 12, small4k},
+  /// base4k's; a policy that forces the layout's own size translates as
+  /// native does, and PagingModel::walk depends only on the address, the
+  /// layout and the effective kind. `bytes` must be positive.
+  PolicySpec on_region(PageKind layout, vaddr_t base, std::size_t bytes) const;
 
   bool operator==(const PolicySpec&) const = default;
 };

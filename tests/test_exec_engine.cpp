@@ -514,6 +514,71 @@ TEST(SharedRuns, PerTaskSeedsShareNothing) {
   EXPECT_EQ(result.shared_runs, 0u);
 }
 
+/// perfbench's paging-S grid: CG, MG and GUPS at class S on the Opteron
+/// and the modern core, 1 and 2 threads, 4 KB pages, all five policies.
+SweepSpec paging_s_sweep() {
+  SweepSpec spec = small_sweep();
+  spec.kernels = {npb::Kernel::CG, npb::Kernel::MG, npb::Kernel::GUPS};
+  spec.platforms = {sim::ProcessorSpec::opteron270(),
+                    sim::ProcessorSpec::modern()};
+  spec.page_kinds = {PageKind::small4k};
+  spec.paging_policies = {
+      policy_of(paging::Policy::native), policy_of(paging::Policy::base4k),
+      policy_of(paging::Policy::hugetlb2m), policy_of(paging::Policy::huge1g),
+      policy_of(paging::Policy::thp)};
+  return spec;
+}
+
+// Every class-S pool of the grid is promoted chunk by chunk under the
+// default ThpParams, so each thp task takes its hugetlb2m point's run, as
+// each base4k task takes its native point's: 36 of 60 tasks run.
+TEST(SharedRuns, PromotedThpPoolsTakeTheirHugetlb2mPointsRun) {
+  const SweepSpec spec = paging_s_sweep();
+  const std::vector<RunTask> tasks = spec.expand();
+  ASSERT_EQ(tasks.size(), 60u);
+  Scheduler engine({.workers = 2});
+  std::atomic<int> runs{0};
+  engine.set_task_runner(counting(runs, Scheduler::execute_task));
+  const SweepResult result = engine.run(spec);
+
+  EXPECT_EQ(runs.load(), 36);
+  EXPECT_EQ(result.shared_runs, 24u);
+  int thp_tasks = 0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].paging.policy != paging::Policy::thp) continue;
+    ++thp_tasks;
+    const RunRecord& r = result.records[i];
+    EXPECT_TRUE(r.ok) << tasks[i].label();
+    EXPECT_EQ(r.key_digest, digest_hex(cache_key(tasks[i])))
+        << tasks[i].label();
+    const SweepResult lone = Scheduler({.workers = 1}).run({tasks[i]});
+    EXPECT_TRUE(r.same_result(lone.records.front())) << tasks[i].label();
+  }
+  EXPECT_EQ(thp_tasks, 12);
+}
+
+// CG.W's 4 KB pool spans seven 2 MB chunks, six of them promoted: its thp
+// task keeps its own simulation.
+TEST(SharedRuns, PartlyPromotedThpPoolIsNotShared) {
+  RunTask task;
+  task.kernel = npb::Kernel::CG;
+  task.klass = npb::Klass::W;
+  task.page_kind = PageKind::small4k;
+  task.paging = policy_of(paging::Policy::thp);
+  EXPECT_EQ(task.simulated_paging(), task.paging);
+  EXPECT_FALSE(shared_key(task));
+
+  const mem::Region pool =
+      npb::pool_region(task.kernel, task.klass, task.page_kind);
+  const paging::PagingModel model(task.paging);
+  const std::uint64_t first = pool.base >> kLargePageShift;
+  const std::uint64_t last = (pool.base + pool.length - 1) >> kLargePageShift;
+  int promoted = 0;
+  for (std::uint64_t c = first; c <= last; ++c) promoted += model.thp_promoted(c);
+  EXPECT_EQ(last - first + 1, 7u);
+  EXPECT_EQ(promoted, 6);
+}
+
 /// One task per entry of `widths` (team threads), each with its own seed so
 /// every task has its own cache key.
 std::vector<RunTask> tasks_of_widths(const std::vector<unsigned>& widths) {

@@ -6,11 +6,11 @@
 // view of a 2 MB layout), the deterministic THP fragmentation model
 // (seed-keyed reproducibility, sawtooth probabilities), the page-walk
 // cache's hit/LRU/flush behaviour (and exact LRU against a model), the
-// fingerprint's conditional paging segment, the identity-on-layout rule the
-// scheduler shares runs by (checked against real overlay runs of every
-// kernel), and the end-to-end guarantee the subsystem was built around: one
-// grid point per policy is bit-identical under all four execution
-// strategies.
+// fingerprint's conditional paging segment, the identity rule over a run's
+// pool the scheduler shares runs by (checked against real overlay runs of
+// every kernel), and the end-to-end guarantee the subsystem was built
+// around: one grid point per policy is bit-identical under all four
+// execution strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -359,9 +359,32 @@ INSTANTIATE_TEST_SUITE_P(
                       PwcCase{12, 2, 4},    // non-power-of-two sets
                       PwcCase{32, 4, 5}));
 
-// --- identity on layout -----------------------------------------------------
+// --- identity on layout and region ------------------------------------------
+
+constexpr vaddr_t chunk_base(std::uint64_t chunk) {
+  return chunk << kLargePageShift;
+}
+
+/// The first chunk c at which `thp` promotes chunks c and c + 1 but not
+/// c + 2.
+std::uint64_t two_promoted_then_not(const paging::PolicySpec& thp) {
+  const paging::PagingModel model(thp);
+  for (std::uint64_t c = 0; c < 4096; ++c) {
+    if (model.thp_promoted(c) && model.thp_promoted(c + 1) &&
+        !model.thp_promoted(c + 2)) {
+      return c;
+    }
+  }
+  ADD_FAILURE() << "no promoted, promoted, unpromoted chunk run";
+  return 0;
+}
 
 TEST(PagingPolicy, OnLayoutMapsOnlyTheLayoutsOwnSizeToNative) {
+  // A region whose chunks thp promotes only in part, so thp stays thp.
+  const paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  const std::uint64_t c = two_promoted_then_not(thp);
+  const vaddr_t base = chunk_base(c);
+  const std::size_t bytes = 3 * kLargePageSize;
   for (const paging::Policy p :
        {paging::Policy::native, paging::Policy::base4k,
         paging::Policy::hugetlb2m, paging::Policy::huge1g,
@@ -370,14 +393,84 @@ TEST(PagingPolicy, OnLayoutMapsOnlyTheLayoutsOwnSizeToNative) {
       const bool forced =
           (p == paging::Policy::base4k && layout == PageKind::small4k) ||
           (p == paging::Policy::hugetlb2m && layout == PageKind::large2m);
-      EXPECT_EQ(make_policy(p).on_layout(layout),
+      EXPECT_EQ(make_policy(p).on_region(layout, base, bytes),
                 forced ? paging::PolicySpec{} : make_policy(p))
           << paging::policy_name(p) << " on " << page_kind_name(layout);
     }
   }
+  paging::PolicySpec reseeded = thp;
+  reseeded.thp.frag_seed ^= 1;
+  const std::uint64_t d = two_promoted_then_not(reseeded);
+  EXPECT_EQ(reseeded.on_region(PageKind::large2m, chunk_base(d), bytes),
+            reseeded);  // parameters kept
+  EXPECT_THROW(thp.on_region(PageKind::small4k, base, 0), std::logic_error);
+}
+
+TEST(PagingPolicy, OnRegionMapsAPromotedThpRegionToHugetlb2m) {
+  const paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  const paging::PolicySpec hugetlb2m = make_policy(paging::Policy::hugetlb2m);
+  const std::uint64_t c = two_promoted_then_not(thp);
+  // Chunks c and c + 1, ending exactly where the unpromoted c + 2 begins.
+  EXPECT_EQ(thp.on_region(PageKind::small4k, chunk_base(c),
+                          2 * kLargePageSize),
+            hugetlb2m);
+  EXPECT_EQ(thp.on_region(PageKind::large2m, chunk_base(c),
+                          2 * kLargePageSize),
+            paging::PolicySpec{});
+  // A region that starts inside chunk c.
+  EXPECT_EQ(thp.on_region(PageKind::small4k, chunk_base(c) + 3 * kSmallPageSize,
+                          2 * kLargePageSize - 3 * kSmallPageSize),
+            hugetlb2m);
+  // One page of a promoted chunk.
+  EXPECT_EQ(thp.on_region(PageKind::small4k,
+                          chunk_base(c + 1) + 7 * kSmallPageSize,
+                          kSmallPageSize),
+            hugetlb2m);
+}
+
+TEST(PagingPolicy, OnRegionKeepsThpOverOneUnpromotedChunk) {
+  const paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  const std::uint64_t c = two_promoted_then_not(thp);
+  for (const PageKind layout : {PageKind::small4k, PageKind::large2m}) {
+    EXPECT_EQ(thp.on_region(layout, chunk_base(c), 3 * kLargePageSize), thp)
+        << page_kind_name(layout);
+    // One byte into the unpromoted chunk is enough.
+    EXPECT_EQ(thp.on_region(layout, chunk_base(c), 2 * kLargePageSize + 1),
+              thp)
+        << page_kind_name(layout);
+  }
+}
+
+TEST(PagingPolicy, OnRegionMapsAnUnpromotedThpRegionToBase4k) {
   paging::PolicySpec thp = make_policy(paging::Policy::thp);
-  thp.thp.frag_seed ^= 1;
-  EXPECT_EQ(thp.on_layout(PageKind::large2m), thp);  // parameters kept
+  // One page of the unpromoted chunk c + 2.
+  const std::uint64_t c = two_promoted_then_not(thp);
+  EXPECT_EQ(thp.on_region(PageKind::large2m,
+                          chunk_base(c + 2) + 5 * kSmallPageSize,
+                          kSmallPageSize),
+            make_policy(paging::Policy::base4k));
+
+  // Fragmentation 1 everywhere: no chunk is promoted.
+  thp.thp.frag_base = 1.0;
+  const mem::Region pool =
+      npb::pool_region(npb::Kernel::CG, npb::Klass::S, PageKind::large2m);
+  EXPECT_EQ(thp.on_region(PageKind::large2m, pool.base, pool.length),
+            make_policy(paging::Policy::base4k));
+  EXPECT_EQ(thp.on_region(PageKind::small4k, chunk_base(c), 5 * kLargePageSize),
+            paging::PolicySpec{});  // base4k is native on 4 KB
+}
+
+TEST(PagingPolicy, OnRegionWithoutFragmentationIsNativeOnTwoMb) {
+  paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  thp.thp.frag_base = 0.0;
+  thp.thp.frag_growth = 0.0;
+  thp.thp.frag_seed ^= 1;  // the mapped policy carries no thp parameters
+  const mem::Region pool =
+      npb::pool_region(npb::Kernel::MG, npb::Klass::W, PageKind::large2m);
+  EXPECT_EQ(thp.on_region(PageKind::large2m, pool.base, pool.length),
+            paging::PolicySpec{});
+  EXPECT_EQ(thp.on_region(PageKind::small4k, pool.base, pool.length),
+            make_policy(paging::Policy::hugetlb2m));
 }
 
 /// A class-S run with `policy` installed as given: the RuntimeConfig is
@@ -393,42 +486,57 @@ npb::NpbResult run_overlay(npb::Kernel kernel, const sim::ProcessorSpec& spec,
   return npb::run_kernel(kernel, npb::Klass::S, cfg);
 }
 
+/// Checksum, simulated seconds and every profile event of `got` equal
+/// those of `want`.
+void expect_same_run(const npb::NpbResult& got, const npb::NpbResult& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.checksum, want.checksum) << label;
+  EXPECT_EQ(got.simulated_seconds, want.simulated_seconds) << label;
+  const std::vector<prof::Event>& g = got.profile.events();
+  const std::vector<prof::Event>& w = want.profile.events();
+  ASSERT_EQ(g.size(), w.size()) << label;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].name, w[i].name) << label;
+    EXPECT_EQ(g[i].count, w[i].count) << label << " " << w[i].name;
+  }
+}
+
+const sim::ProcessorSpec kProofPlatforms[] = {sim::ProcessorSpec::opteron270(),
+                                              sim::ProcessorSpec::xeon_ht(),
+                                              sim::ProcessorSpec::modern()};
+
+std::string proof_label(const sim::ProcessorSpec& spec, unsigned threads,
+                        PageKind layout, const paging::PolicySpec& policy) {
+  return spec.name + "/" + std::to_string(threads) + "T/" +
+         page_kind_name(layout) + "/" + policy.name();
+}
+
 class IdentityOnLayout : public ::testing::TestWithParam<npb::Kernel> {};
 
-// The proof obligation of PolicySpec::on_layout, which lets the scheduler
-// serve a task from its native point's run: every (policy, layout) pair it
-// maps to native gives native's checksum, simulated seconds and every
-// profile event when the real overlay runs.
+// The proof obligation of PolicySpec::on_region where it gives native,
+// which lets the scheduler serve a task from its native point's run: every
+// (policy, layout) pair it maps to native over the class-S pool gives
+// native's checksum, simulated seconds and every profile event when the
+// real overlay runs.
 TEST_P(IdentityOnLayout, PoliciesMappedToNativeRunNativesSimulation) {
   const npb::Kernel kernel = GetParam();
   int checked = 0;
-  for (const sim::ProcessorSpec& spec :
-       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht(),
-        sim::ProcessorSpec::modern()}) {
+  for (const sim::ProcessorSpec& spec : kProofPlatforms) {
     for (const unsigned threads : {1u, 2u, 4u}) {
       for (const PageKind layout : {PageKind::small4k, PageKind::large2m}) {
+        const mem::Region pool =
+            npb::pool_region(kernel, npb::Klass::S, layout);
         const npb::NpbResult native =
             run_overlay(kernel, spec, threads, layout, {});
         for (const paging::Policy p :
              {paging::Policy::base4k, paging::Policy::hugetlb2m,
               paging::Policy::huge1g, paging::Policy::thp}) {
           const paging::PolicySpec policy = make_policy(p);
-          if (!policy.on_layout(layout).is_native()) continue;
-          const std::string label =
-              spec.name + "/" + std::to_string(threads) + "T/" +
-              page_kind_name(layout) + "/" + policy.name();
-          const npb::NpbResult r =
-              run_overlay(kernel, spec, threads, layout, policy);
-          EXPECT_EQ(r.checksum, native.checksum) << label;
-          EXPECT_EQ(r.simulated_seconds, native.simulated_seconds) << label;
-          const std::vector<prof::Event>& got = r.profile.events();
-          const std::vector<prof::Event>& want = native.profile.events();
-          ASSERT_EQ(got.size(), want.size()) << label;
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].name, want[i].name) << label;
-            EXPECT_EQ(got[i].count, want[i].count)
-                << label << " " << want[i].name;
+          if (!policy.on_region(layout, pool.base, pool.length).is_native()) {
+            continue;
           }
+          expect_same_run(run_overlay(kernel, spec, threads, layout, policy),
+                          native, proof_label(spec, threads, layout, policy));
           ++checked;
         }
       }
@@ -439,6 +547,43 @@ TEST_P(IdentityOnLayout, PoliciesMappedToNativeRunNativesSimulation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, IdentityOnLayout,
+                         ::testing::ValuesIn(npb::all_kernels()),
+                         [](const auto& info) {
+                           return std::string(npb::kernel_name(info.param));
+                         });
+
+class IdentityOnRegion : public ::testing::TestWithParam<npb::Kernel> {};
+
+// The proof obligation of PolicySpec::on_region for thp: wherever the rule
+// maps thp over the class-S pool to another policy, the real thp overlay,
+// installed by hand, gives that policy's checksum, simulated seconds and
+// every profile event.
+TEST_P(IdentityOnRegion, ThpMappedToAnotherPolicyRunsThatPolicysSimulation) {
+  const npb::Kernel kernel = GetParam();
+  const paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  int checked = 0;
+  for (const sim::ProcessorSpec& spec : kProofPlatforms) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const PageKind layout : {PageKind::small4k, PageKind::large2m}) {
+        const mem::Region pool =
+            npb::pool_region(kernel, npb::Klass::S, layout);
+        const paging::PolicySpec mapped =
+            thp.on_region(layout, pool.base, pool.length);
+        if (mapped == thp) continue;
+        expect_same_run(run_overlay(kernel, spec, threads, layout, thp),
+                        run_overlay(kernel, spec, threads, layout, mapped),
+                        proof_label(spec, threads, layout, thp) + " as " +
+                            mapped.name());
+        ++checked;
+      }
+    }
+  }
+  // Every class-S pool is promoted chunk by chunk on 4 KB pages under the
+  // default parameters, at every platform and width.
+  EXPECT_GE(checked, 3 * 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, IdentityOnRegion,
                          ::testing::ValuesIn(npb::all_kernels()),
                          [](const auto& info) {
                            return std::string(npb::kernel_name(info.param));

@@ -826,14 +826,10 @@ TEST(SimDifferential, BatchedReplayMatchesPerEventReplay) {
   const int streams = replay_stream_count();
 
   // Pool base per page kind: the substrate maps the shared pool first, so
-  // it lands at the arena base a fresh address space reports.
-  vaddr_t base_of[2];
-  {
-    mem::PhysMem pm{MiB(4)};
-    mem::AddressSpace probe{pm};
-    base_of[0] = probe.peek_region_base(PageKind::small4k);
-    base_of[1] = probe.peek_region_base(PageKind::large2m);
-  }
+  // it lands at its arena's base.
+  const vaddr_t base_of[2] = {
+      mem::AddressSpace::arena_base(PageKind::small4k),
+      mem::AddressSpace::arena_base(PageKind::large2m)};
   const std::size_t window =
       std::min(npb::pool_bytes_for(*npb::kernel_from_name("CG"),
                                    *npb::klass_from_name("S")),

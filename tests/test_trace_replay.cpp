@@ -239,14 +239,9 @@ TEST(TraceReplay, RejectsImpossibleReplay) {
 // A well-framed trace whose events the simulator cannot accept surfaces as
 // a TraceError naming the simulator's check, not as a bare logic_error.
 TEST(TraceReplay, RejectsEventsTheSimulatorRejects) {
-  // The replay substrate maps the shared pool first, so it starts at the
-  // arena base a fresh address space reports.
-  vaddr_t pool_base = 0;
-  {
-    mem::PhysMem pm{MiB(4)};
-    mem::AddressSpace probe{pm};
-    pool_base = probe.peek_region_base(PageKind::small4k);
-  }
+  // The replay substrate maps the shared pool first, so it starts at its
+  // arena's base.
+  const vaddr_t pool_base = mem::AddressSpace::arena_base(PageKind::small4k);
   auto one_touch = [](vaddr_t addr, PageKind kind) {
     trace::Trace t;
     t.meta.kernel = "CG";
