@@ -185,8 +185,10 @@ BENCHMARK(BM_ThreadSimTouchWalkRandom);
 
 // CG's a[k] * p[col[k]] shape: element k of three unit-stride arrays on
 // different pages, one touch each per iteration, so no two consecutive
-// touches share a line or a page.
-void BM_ThreadSimTouchInterleaved(benchmark::State& state) {
+// touches share a line or a page. Under 4 KB pages each touch is an L1 DTLB
+// hit on a page that is not the bank's newest; under huge1g on the Opteron
+// each is a walk of the remembered 1 GiB page.
+void touch_interleaved(benchmark::State& state, bool huge1g) {
   mem::PhysMem pm(MiB(128));
   mem::AddressSpace space(pm);
   const mem::Region r = space.map_region(MiB(48), PageKind::small4k, "data");
@@ -196,6 +198,11 @@ void BM_ThreadSimTouchInterleaved(benchmark::State& state) {
                        space, 1);
   machine.begin_parallel();
   sim::ThreadSim& t = machine.thread(0);
+  if (huge1g) {
+    paging::PolicySpec spec;
+    spec.policy = paging::Policy::huge1g;
+    t.set_paging(spec);
+  }
   vaddr_t off = 0;
   for (auto _ : state) {
     for (const vaddr_t a : arrays) {
@@ -205,7 +212,16 @@ void BM_ThreadSimTouchInterleaved(benchmark::State& state) {
   }
   machine.end_parallel();
 }
+
+void BM_ThreadSimTouchInterleaved(benchmark::State& state) {
+  touch_interleaved(state, false);
+}
 BENCHMARK(BM_ThreadSimTouchInterleaved);
+
+void BM_ThreadSimTouchInterleavedWalk(benchmark::State& state) {
+  touch_interleaved(state, true);
+}
+BENCHMARK(BM_ThreadSimTouchInterleavedWalk);
 
 void BM_BuddyAllocFree2MB(benchmark::State& state) {
   mem::PhysMem pm(MiB(256));

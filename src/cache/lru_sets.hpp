@@ -23,7 +23,9 @@
 // exactly one slot, so a verified hint is the scan's hit without the scan:
 // hints never change an outcome, stale ones are harmless. find() and
 // access() check the global filter and then the verified hint inline; only
-// a real scan of the set is out of line.
+// a real scan of the set is out of line. find_hinted() is those two inline
+// checks alone: a caller that can take the scan's path later (a full
+// access()) probes for a hit at no cost when the hint misses.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +57,13 @@ class LruSets {
     if (mru_ == tag) [[likely]] return true;
     const std::size_t hint = hint_of(tag);
     return hint_hit(tag, hint) || find_scan(tag, hint);
+  }
+
+  /// find() without the scan: true when `tag` is the global filter's tag
+  /// or its verified hint's, stamped as find() stamps it; otherwise false,
+  /// changing nothing, even when the set holds `tag`.
+  bool find_hinted(std::uint64_t tag) {
+    return mru_ == tag || hint_hit(tag, hint_of(tag));
   }
 
   /// find-or-fill in one scan: true on a hit (stamped as find() does);

@@ -197,20 +197,29 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
   WidthGate gate(workers_, widest, host_threads());
 
-  // The first task of each simulation key runs in the first round; the
-  // others wait for the second, when that run's record is in the cache.
+  // One task of each simulation key runs in the first round: the first
+  // task that simulates it under its own key, or, when the grid has none,
+  // the first task that takes it. The others wait for the second round,
+  // when that run's record is in the cache, so which task runs does not
+  // depend on where the policy list puts a derived policy.
   std::vector<std::string> keys(tasks.size());
   std::vector<std::optional<std::string>> shared(tasks.size());
   std::vector<std::size_t> first_round;
   std::vector<std::size_t> second_round;
   {
-    std::unordered_set<std::string_view> simulations;
+    std::unordered_set<std::string_view> canonical;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       keys[i] = cache_key(tasks[i]);
       shared[i] = shared_key(tasks[i]);
-      const std::string& simulation = shared[i] ? *shared[i] : keys[i];
-      (simulations.insert(simulation).second ? first_round : second_round)
-          .push_back(i);
+      if (!shared[i]) canonical.insert(keys[i]);
+    }
+    std::unordered_set<std::string_view> claimed;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const bool runs =
+          shared[i] ? !canonical.contains(*shared[i]) &&
+                          claimed.insert(*shared[i]).second
+                    : claimed.insert(keys[i]).second;
+      (runs ? first_round : second_round).push_back(i);
     }
   }
   std::atomic<std::size_t> shared_runs{0};

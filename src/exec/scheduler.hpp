@@ -146,11 +146,13 @@ class Scheduler {
   /// within min(P × W, H).
   ///
   /// One run per distinct simulation: a first round of drainers takes
-  /// only the first task of each simulation key (shared_key, else
-  /// cache_key). A second round, started after the first joins, takes the
-  /// rest: each probes its own key, then its simulation's key, and runs
-  /// itself only when both miss (the first task failed, or the LRU
-  /// evicted its record and there is no disk store).
+  /// one task of each simulation key (shared_key, else cache_key), the
+  /// first whose own key it is, or the first that shares it when no task
+  /// of the list has it as its own key. A second round, started after the
+  /// first joins, takes the rest: each probes its own key, then its
+  /// simulation's key, and runs itself only when both miss (the first
+  /// task failed, or the LRU evicted its record and there is no disk
+  /// store).
   SweepResult run(const SweepSpec& spec, Strategy strategy = Strategy::Auto);
   SweepResult run(const std::vector<RunTask>& tasks,
                   Strategy strategy = Strategy::Auto);

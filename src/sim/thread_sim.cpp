@@ -16,12 +16,6 @@ ThreadSim::ThreadSim(const mem::AddressSpace& space, tlb::Tlb::Config itlb,
 void ThreadSim::touch_impl(vaddr_t addr, PageKind kind, Access access,
                            paging::Translation tr) {
   const bool is_store = access == Access::store;
-  if (walk_credit_ok(addr, kind, tr) && fast_path_ &&
-      (jump_period_ == 0 || until_jump_ > 1)) {
-    credit_walk_run(1, is_store);
-    return;
-  }
-
   ThreadCounters& c = counters_;
   ++c.accesses;
   if (is_store) ++c.stores;
@@ -149,8 +143,9 @@ void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
   const bool is_store = access == Access::store;
   std::uint64_t i = 0;
   while (i < n) {
-    // Lead access of a line segment: full per-event semantics (TLB walk,
-    // cache fill, prefetcher, jump countdown — whatever applies).
+    // Lead access of a line segment: account_one's inline credit, or else
+    // the full per-event semantics (TLB walk, cache fill, prefetcher, jump
+    // countdown — whatever applies).
     const vaddr_t a =
         addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) * stride);
     const paging::Translation tr = paging_.translate(a, kind);

@@ -15,21 +15,24 @@
 // A live kernel and a trace replay make the same calls, and an attached
 // TraceSink observes each call once, in the framing it was made with.
 //
-// Fast path (DESIGN.md §7): touch/touch_run/touch_strided batch the
-// accesses of a cache-line segment into closed-form bulk updates whenever
-// the per-event outcome is *provably* one that changes no state, with no
-// pending instruction jump. There are two such outcomes: a TLB hit (the
-// translation is the newest entry of its L1 DTLB set and the line the
-// newest of its L1 cache set), and a walk that changes nothing (no data TLB
-// level holds the effective kind, there is no page-walk cache, the walk is
-// the remembered one and the data line and every PTE line are the newest
-// of their L1 sets). The bulk update is constructed to be bit-identical to
-// issuing the events one at a time — every ProfileReport counter is a
-// paper-facing result, so the fast path is only legal because tests/oracle's
-// differential harness proves counter-for-counter equality against a naive
-// single-step reference simulator. set_fast_path(false) degrades every
-// entry point to the per-event touch_impl loop (the reference configuration
-// used for golden generation and the oracle).
+// Fast path (DESIGN.md §7): touch/touch_run/touch_strided credit an access,
+// and batch the rest of its cache-line segment, in closed form whenever the
+// per-event outcome is *provably* one that changes no state but a stamp the
+// credit makes itself, with no pending instruction jump. There are two such
+// outcomes: a TLB hit (the line is the newest of its L1 cache set and the
+// translation is found by its L1 DTLB bank's filter or verified hint, which
+// stamps it; a segment's followers then find it the bank's newest), and a
+// walk that changes nothing (no data TLB level holds the effective kind,
+// there is no page-walk cache, the walk is the remembered one and the data
+// line and every PTE line are the newest of their L1 sets). Both are
+// decided inline in account_one; touch_impl is the per-event reference
+// semantics and nothing else. The credits are constructed to be
+// bit-identical to issuing the events one at a time — every ProfileReport
+// counter is a paper-facing result, so the fast path is only legal because
+// tests/oracle's differential harness proves counter-for-counter equality
+// against a naive single-step reference simulator. set_fast_path(false)
+// degrades every entry point to the per-event touch_impl loop (the
+// reference configuration used for golden generation and the oracle).
 //
 // Walk memo (DESIGN.md §11): the thread keeps its last policy-adjusted
 // walk, keyed by effective vpn, effective kind, layout kind and the page
@@ -136,11 +139,11 @@ class ThreadSim {
   const cache::Cache& l2() const { return l2_; }
 
  private:
-  /// The accounting body of touch(), given the access's effective
-  /// translation `tr` (paging_.translate(addr, kind)); the public entry
-  /// points layer trace reporting on top (touch_run reports one run event,
-  /// then accounts each element through here so the machine-model behaviour
-  /// is unchanged).
+  /// The per-event reference semantics of one access, given its effective
+  /// translation `tr` (paging_.translate(addr, kind)): every probe, fill,
+  /// walk and counter. Reached from account_one when no closed-form credit
+  /// applies, and for every access when the fast path is off; the public
+  /// entry points layer trace reporting on top.
   void touch_impl(vaddr_t addr, PageKind kind, Access access,
                   paging::Translation tr);
 
@@ -183,27 +186,36 @@ class ThreadSim {
     return true;
   }
 
-  /// One access, translated to `tr`, with the single-event fast path: when
-  /// tr.vpn is the newest entry of its L1 DTLB set, addr's line is the
-  /// newest line of its L1 cache set, and no instruction jump is due, the
-  /// whole touch_impl reduces to the closed-form credit below. Proof: the
-  /// TLB probe returns DtlbHit::l1 and the cache probe returns true (a
-  /// set's newest tag is held), neither changes which entry any later
-  /// probe evicts (restamping a set's newest entry keeps every relative
-  /// order within the set), there is no long stall, and the jump counter
-  /// just decrements. The check holds per set, so on the cache side an
+  /// One access, translated to `tr`, with the single-event fast path
+  /// (DESIGN.md §7). When no instruction jump is due and addr's line is the
+  /// newest line of its L1 cache set, touch_impl reduces to a closed-form
+  /// credit in two cases:
+  ///  * tr.vpn is its L1 DTLB bank's filter or verified hint
+  ///    (TlbHierarchy::data_hint_hit, which stamps the entry as
+  ///    touch_impl's TLB probe would): an L1 TLB hit, credit_line_run(1);
+  ///  * walk_credit_ok(): a walk that changes nothing, credit_walk_run(1).
+  /// Proof: in touch_impl the cache probe would hit its set's newest line,
+  /// whose restamp keeps every relative order within the set; there is no
+  /// other state change but the jump countdown, which the credit
+  /// decrements. Only the cache's global MRU filter would differ, and no
+  /// outcome reads it. A hint miss changes nothing and goes to touch_impl,
+  /// whose probe scans the bank. The line check holds per set, so an
   /// interleaved loop (CG's a[k] * p[col[k]], a stencil's planes) passes
-  /// whenever its streams' lines sit in different L1 sets. The TLB side
-  /// does not split that way: every modelled L1 DTLB bank is fully
-  /// associative (one set per page size, DESIGN §7), so the translation
-  /// passes only when the previous access at that page size was on the
-  /// same page — common under 2 MB and 1 GiB pages, rare under 4 KB.
+  /// whenever its streams' lines sit in different L1 sets; the hint holds
+  /// for any page the bank keeps, so under 4 KB pages the loop passes even
+  /// though another page is always the bank's newest.
   void account_one(vaddr_t addr, PageKind kind, Access access,
                    paging::Translation tr) {
     if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1) &&
-        tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(addr)) {
-      credit_line_run(1, access == Access::store);
-      return;
+        l1d_.mru_hit(addr)) {
+      if (tlbs_.data_hint_hit(tr.vpn, tr.kind)) {
+        credit_line_run(1, access == Access::store);
+        return;
+      }
+      if (walk_credit_ok(addr, kind, tr)) {
+        credit_walk_run(1, access == Access::store);
+        return;
+      }
     }
     touch_impl(addr, kind, access, tr);
   }

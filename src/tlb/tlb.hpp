@@ -94,6 +94,15 @@ class Tlb {
     return b && b->access(vpn);
   }
 
+  /// lookup() without the bank scan (cache::LruSets::find_hinted): true on
+  /// a hit in the bank's filter or verified hint, stamped as lookup()
+  /// stamps it; otherwise false, changing nothing, even when the bank
+  /// holds `vpn`.
+  bool lookup_hinted(vpn_t vpn, PageKind kind) {
+    auto& b = banks_[static_cast<std::size_t>(kind)];
+    return b && b->find_hinted(vpn);
+  }
+
   /// True when `vpn` is the newest entry of its set in the bank (see
   /// cache::LruSets::mru_hit) — the bulk fast path's precondition for a
   /// guaranteed hit, which then needs no update at all.

@@ -43,6 +43,14 @@ class TlbHierarchy {
     return l1d_.mru_hit(vpn, kind);
   }
 
+  /// data_access()'s L1 hit without the L1 bank scan (Tlb::lookup_hinted):
+  /// true, with the entry stamped as data_access() stamps it, when `vpn`
+  /// is the bank's filter or verified hint; otherwise false, changing
+  /// nothing, and data_access() decides the outcome.
+  bool data_hint_hit(vpn_t vpn, PageKind kind) {
+    return l1d_.lookup_hinted(vpn, kind);
+  }
+
   /// Probes for an instruction translation; returns true on a hit and fills
   /// on a miss.
   bool instr_access(vpn_t vpn, PageKind kind) {

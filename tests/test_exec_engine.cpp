@@ -557,6 +557,55 @@ TEST(SharedRuns, PromotedThpPoolsTakeTheirHugetlb2mPointsRun) {
   EXPECT_EQ(thp_tasks, 12);
 }
 
+// Which task of a simulation runs does not depend on where the policy list
+// puts a derived policy: with base4k before native, or thp before
+// hugetlb2m, the canonical task still runs in the first round and the
+// derived one takes its run, so each order runs and shares as much as the
+// canonical order and gives the same records.
+TEST(SharedRuns, PolicyOrderDoesNotChangeWhatIsShared) {
+  using paging::Policy;
+  struct Outcome {
+    int runs = 0;
+    std::size_t shared = 0;
+    std::map<std::string, RunRecord> by_key;  ///< key digest → record
+  };
+  const auto run_in_order = [](const std::vector<Policy>& order) {
+    SweepSpec spec = paging_s_sweep();
+    spec.paging_policies.clear();
+    for (Policy p : order) spec.paging_policies.push_back(policy_of(p));
+    Scheduler engine({.workers = 2});
+    std::atomic<int> runs{0};
+    engine.set_task_runner(counting(runs, Scheduler::execute_task));
+    const SweepResult result = engine.run(spec);
+    Outcome out{runs.load(), result.shared_runs, {}};
+    for (const RunRecord& r : result.records) out.by_key[r.key_digest] = r;
+    return out;
+  };
+  const std::vector<std::pair<std::vector<Policy>, std::vector<Policy>>>
+      orders = {
+          {{Policy::native, Policy::base4k, Policy::hugetlb2m, Policy::huge1g,
+            Policy::thp},
+           {Policy::thp, Policy::huge1g, Policy::hugetlb2m, Policy::base4k,
+            Policy::native}},
+          {{Policy::native, Policy::base4k}, {Policy::base4k, Policy::native}},
+          {{Policy::hugetlb2m, Policy::thp}, {Policy::thp, Policy::hugetlb2m}},
+      };
+  for (const auto& [canonical, reversed] : orders) {
+    const Outcome want = run_in_order(canonical);
+    const Outcome got = run_in_order(reversed);
+    const std::string label = paging::policy_name(reversed.front());
+    EXPECT_GT(want.shared, 0u) << label;
+    EXPECT_EQ(got.runs, want.runs) << label;
+    EXPECT_EQ(got.shared, want.shared) << label;
+    ASSERT_EQ(got.by_key.size(), want.by_key.size()) << label;
+    for (const auto& [key, record] : want.by_key) {
+      const auto it = got.by_key.find(key);
+      ASSERT_NE(it, got.by_key.end()) << label << " " << key;
+      EXPECT_TRUE(it->second.same_result(record)) << label << " " << key;
+    }
+  }
+}
+
 // CG.W's 4 KB pool spans seven 2 MB chunks, six of them promoted: its thp
 // task keeps its own simulation.
 TEST(SharedRuns, PartlyPromotedThpPoolIsNotShared) {

@@ -248,26 +248,22 @@ struct Layout {
   }
 };
 
-void run_platform(const sim::ProcessorSpec& spec,
-                  const paging::PolicySpec* policy = nullptr,
-                  int streams_override = 0) {
-  // No cost is zero (the default charges L1 hits nothing), so every term
-  // of the derivation shows in the cycles compared.
-  const sim::CostModel cm = oracle::prime_costs();
-  const std::uint64_t seed0 = base_seed();
-  const int streams = streams_override > 0 ? streams_override : stream_count();
-  Layout lay;
-
-  // Two sharing variants per platform, sliced the way Machine slices them:
-  // solo, and a fully loaded core (SMT co-residents on the TLBs/L1, chip
-  // co-residents on a shared L2).
+/// Two sharing variants of `spec`, sliced the way Machine slices them:
+/// solo, and a fully loaded core (SMT co-residents on the TLBs/L1, chip
+/// co-residents on a shared L2), each with the instruction-stream model on
+/// and `policy` (native when null) installed.
+std::vector<Trio> make_variants(const sim::ProcessorSpec& spec,
+                                const sim::CostModel& cm,
+                                const mem::AddressSpace& space,
+                                const paging::PolicySpec* policy,
+                                std::uint64_t seed0) {
   std::vector<Trio> trios;
   std::vector<unsigned> active = {1, 4};
   for (unsigned v = 0; v < 2; ++v) {
     const unsigned core_sharers = v == 0 ? 1 : 2;
     const unsigned l2_sharers =
         v == 0 ? 1 : (spec.l2_shared_per_chip ? 4 : 2);
-    trios.push_back(make_trio(spec, cm, lay.space, core_sharers, l2_sharers,
+    trios.push_back(make_trio(spec, cm, space, core_sharers, l2_sharers,
                               seed0 + 0x9e37 * (v + 1)));
     Trio& t = trios.back();
     t.slow.set_fast_path(false);
@@ -288,6 +284,19 @@ void run_platform(const sim::ProcessorSpec& spec,
     if (policy != nullptr) t.ref.set_paging(*policy);
     if (spec.pwc.present()) t.ref.set_pwc(spec.pwc);
   }
+  return trios;
+}
+
+void run_platform(const sim::ProcessorSpec& spec,
+                  const paging::PolicySpec* policy = nullptr,
+                  int streams_override = 0) {
+  // No cost is zero (the default charges L1 hits nothing), so every term
+  // of the derivation shows in the cycles compared.
+  const sim::CostModel cm = oracle::prime_costs();
+  const std::uint64_t seed0 = base_seed();
+  const int streams = streams_override > 0 ? streams_override : stream_count();
+  Layout lay;
+  std::vector<Trio> trios = make_variants(spec, cm, lay.space, policy, seed0);
 
   std::ostringstream corpus;
   for (int stream = 0; stream < streams; ++stream) {
@@ -660,6 +669,90 @@ TEST(SimDifferential, Huge1gWalkCreditBoundariesMatchReference) {
   sim::ProcessorSpec opteron_pwc = sim::ProcessorSpec::opteron270();
   opteron_pwc.pwc = sim::ProcessorSpec::modern().pwc;
   run_platform(opteron_pwc, &spec, policy_stream_count());
+}
+
+// A TLB hit found by the L1 DTLB bank's hint is credited inline, and the
+// credit must stamp the entry as the per-event probe does: the stamp is
+// what keeps the entry from being the bank's LRU victim later. On the
+// Opteron's 32-entry bank, each page touched 512 B in: page 0, page 1
+// (neither its line nor the PTE lines its walk reads share page 0's L1D
+// set, so page 0's line stays its set's newest), page 0 again (the inline
+// hint hit), pages 2-32 (the last evicts the LRU entry: page 1, since page
+// 0 was stamped), then page 0, which hits. A credit that skipped the stamp
+// would evict page 0 instead and miss on it once more.
+TEST(SimDifferential, InlineHintHitStampsItsEntry) {
+  const sim::ProcessorSpec spec = sim::ProcessorSpec::opteron270();
+  const sim::CostModel cm = oracle::prime_costs();
+  Layout lay;
+  Trio t = make_trio(spec, cm, lay.space, 1, 1, base_seed());
+  t.slow.set_fast_path(false);
+  const auto page = [&](unsigned p) {
+    return lay.small.base + p * KiB(4) + 512;
+  };
+  std::vector<vaddr_t> addrs = {page(0), page(1), page(0)};
+  for (unsigned p = 2; p <= 32; ++p) addrs.push_back(page(p));
+  addrs.push_back(page(0));
+  for (const vaddr_t a : addrs) {
+    t.fast.touch(a, PageKind::small4k, Access::load);
+    t.slow.touch(a, PageKind::small4k, Access::load);
+    t.ref.touch(a, PageKind::small4k, Access::load);
+  }
+  EXPECT_EQ(t.ref.counters().dtlb_l1_misses, 33u);
+  EXPECT_TRUE(trio_converged(t, cm));
+}
+
+// Randomized revisits of more distinct 4 KB pages than the solo L1 DTLB
+// holds: half the touches return to one of the last few pages, which the
+// bank's hint then finds while another page is its newest, and the rest
+// spread over all the pages, so the bank keeps evicting and an entry's
+// stamp decides which page goes. Each page keeps one line, so a revisited
+// line is often still the newest of its L1D set and the hint hit is
+// credited inline.
+void run_revisits(const sim::ProcessorSpec& spec, int streams) {
+  const sim::CostModel cm = oracle::prime_costs();
+  const std::uint64_t seed0 = base_seed() ^ 0x4E715;
+  Layout lay;
+  std::vector<Trio> trios = make_variants(spec, cm, lay.space, nullptr, seed0);
+  const std::uint64_t entries = spec.l1_dtlb.small4k.entries;
+  const std::uint64_t region_pages = lay.promo.length / KiB(4);
+  for (int stream = 0; stream < streams; ++stream) {
+    const std::uint64_t seed =
+        seed0 ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(stream + 1));
+    Rng gen(seed);
+    const std::uint64_t pages = entries + 1 + gen.next_below(entries);
+    const vaddr_t first =
+        lay.promo.base + gen.next_below(region_pages - pages + 1) * KiB(4);
+    std::vector<vaddr_t> addr(pages);
+    for (std::uint64_t p = 0; p < pages; ++p) {
+      addr[p] = first + p * KiB(4) + 8 * gen.next_below(KiB(4) / 8);
+    }
+    std::vector<std::uint64_t> recent(1 + gen.next_below(4), 0);
+    const std::uint64_t touches = 200 + gen.next_below(800);
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      const std::uint64_t p = gen.next_below(2) == 0
+                                  ? recent[gen.next_below(recent.size())]
+                                  : gen.next_below(pages);
+      recent[i % recent.size()] = p;
+      const Access access =
+          gen.next_below(4) == 0 ? Access::store : Access::load;
+      for (Trio& t : trios) {
+        t.fast.touch(addr[p], PageKind::small4k, access);
+        t.slow.touch(addr[p], PageKind::small4k, access);
+        t.ref.touch(addr[p], PageKind::small4k, access);
+      }
+    }
+    for (unsigned v = 0; v < 2; ++v) {
+      ASSERT_TRUE(trio_converged(trios[v], cm))
+          << "platform=" << spec.name << " variant=" << v
+          << " stream=" << stream << " stream_seed=0x" << std::hex << seed
+          << std::dec;
+    }
+  }
+}
+
+TEST(SimDifferential, RevisitsBeyondL1DtlbCapacityMatchReference) {
+  run_revisits(sim::ProcessorSpec::opteron270(), 300);
+  run_revisits(sim::ProcessorSpec::xeon_ht(), 100);
 }
 
 // --- replay fast path ---------------------------------------------------------
