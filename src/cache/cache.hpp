@@ -56,8 +56,8 @@ class Cache {
   }
 
   /// True when `addr`'s line is the newest line of its set (and an access to
-  /// it is therefore a guaranteed hit with no LRU side effects — the bulk
-  /// fast path's precondition; see LruSets::mru_hit).
+  /// it is therefore a guaranteed hit with no LRU side effects — the cache
+  /// half of ThreadSim's closed-form credit rule; see LruSets::mru_hit).
   bool mru_hit(vaddr_t addr) const {
     return tags_.mru_hit(addr >> line_shift_);
   }

@@ -47,8 +47,6 @@ Runtime::Runtime(RuntimeConfig config)
         config_.sim->seed, config_.paging);
     machine_->set_trace_sink(config_.trace_sink);
   }
-
-  team_ = std::make_unique<Team>(config_.num_threads, barrier_);
 }
 
 Runtime::~Runtime() {
@@ -64,6 +62,9 @@ Runtime::~Runtime() {
 }
 
 void Runtime::parallel(const std::function<void(ThreadCtx&)>& body) {
+  // The team's workers start with the first region, so a runtime that
+  // never opens one (a trace replay's) starts no host thread.
+  if (!team_) team_ = std::make_unique<Team>(config_.num_threads, barrier_);
   if (machine_) machine_->begin_parallel();
   team_->run([this, &body](unsigned tid) {
     ThreadCtx ctx(*this, tid, machine_ ? &machine_->thread(tid) : nullptr);

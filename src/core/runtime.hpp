@@ -182,9 +182,12 @@ class Runtime {
   mem::PhysMem& phys_mem() { return *phys_; }
   mem::HugeTlbFs* hugetlb() { return hugetlbfs_.get(); }
   SharedAllocator& shared_allocator() { return *alloc_; }
-  Team& team() { return *team_; }
 
  private:
+  friend class ThreadCtx;
+  /// The team of the running region (ThreadCtx's barrier and reductions).
+  Team& team() { return *team_; }
+
   RuntimeConfig config_;
   std::unique_ptr<mem::PhysMem> phys_;
   std::unique_ptr<mem::AddressSpace> space_;
@@ -192,7 +195,7 @@ class Runtime {
   std::unique_ptr<SharedAllocator> alloc_;
   std::unique_ptr<sim::Machine> machine_;
   SenseBarrier barrier_;
-  std::unique_ptr<Team> team_;
+  std::unique_ptr<Team> team_;  ///< built by the first parallel()
   std::optional<mem::Region> text_region_;
 };
 

@@ -129,61 +129,35 @@ bool ThreadSim::prefetcher_covers(std::uint64_t line_addr,
 
 void ThreadSim::run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
                           PageKind kind, Access access) {
-  if (!fast_path_) {
-    // Reference configuration: the naive per-event loop, exactly as the
-    // entry points behaved before the fast path existed.
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const vaddr_t a =
-          addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) * stride);
-      touch_impl(a, kind, access, paging_.translate(a, kind));
-    }
-    return;
-  }
-
-  const bool is_store = access == Access::store;
   std::uint64_t i = 0;
   while (i < n) {
-    // Lead access of a line segment: account_one's inline credit, or else
-    // the full per-event semantics (TLB walk, cache fill, prefetcher, jump
-    // countdown — whatever applies).
     const vaddr_t a =
         addr + static_cast<vaddr_t>(static_cast<std::int64_t>(i) * stride);
-    const paging::Translation tr = paging_.translate(a, kind);
-    account_one(a, kind, access, tr);
-    ++i;
-    if (i >= n) break;
-
-    // Closed-form count of followers that stay on the lead's 64-byte line
-    // (the model hardwires 64-byte lines: see the addr >> 6 prefetcher
-    // probe). A 64-byte line never straddles a page, so same line implies
-    // same vpn.
-    std::uint64_t f;
+    // Accesses left on a's 64-byte line, a's own included (the model
+    // hardwires 64-byte lines: see the addr >> 6 prefetcher probe). A line
+    // never straddles a 4 KB page, so they all share a's effective
+    // translation under any paging policy.
+    std::uint64_t m;
     if (stride == 0) {
-      f = n - i;
+      m = n - i;
     } else if (stride > 0) {
-      f = (63 - (a & 63)) / static_cast<std::uint64_t>(stride);
+      m = 1 + (63 - (a & 63)) / static_cast<std::uint64_t>(stride);
     } else {
-      f = (a & 63) / (0 - static_cast<std::uint64_t>(stride));
+      m = 1 + (a & 63) / (0 - static_cast<std::uint64_t>(stride));
     }
-    if (f > n - i) f = n - i;
-    // The jump-triggering access must run through touch_impl; keep the bulk
-    // strictly before the countdown reaches zero.
-    if (jump_period_ != 0 && f >= until_jump_) f = until_jump_ - 1;
-    if (f == 0) continue;
-
-    // Every precondition is checked before anything is applied, so a
-    // failed check costs nothing and the slow path resumes exactly where
-    // the bulk would have started. A 64-byte line sits inside one 4 KB
-    // page, so every follower shares the lead's effective translation
-    // under any paging policy.
-    if (tlbs_.data_mru_hit(tr.vpn, tr.kind) && l1d_.mru_hit(a)) {
-      credit_line_run(f, is_store);
-    } else if (walk_credit_ok(a, kind, tr)) {
-      credit_walk_run(f, is_store);
+    if (m > n - i) m = n - i;
+    // Stop short of the access that fires the jump; once that one is next,
+    // credit() declines it and touch_impl fires the jump.
+    if (jump_period_ != 0 && m >= until_jump_ && until_jump_ > 1) {
+      m = until_jump_ - 1;
+    }
+    const paging::Translation tr = paging_.translate(a, kind);
+    if (credit(a, kind, tr, m, access)) {
+      i += m;
     } else {
-      continue;
+      touch_impl(a, kind, access, tr);
+      ++i;
     }
-    i += f;
   }
 }
 

@@ -15,24 +15,26 @@
 // A live kernel and a trace replay make the same calls, and an attached
 // TraceSink observes each call once, in the framing it was made with.
 //
-// Fast path (DESIGN.md §7): touch/touch_run/touch_strided credit an access,
-// and batch the rest of its cache-line segment, in closed form whenever the
-// per-event outcome is *provably* one that changes no state but a stamp the
-// credit makes itself, with no pending instruction jump. There are two such
+// Fast path (DESIGN.md §7): one rule, credit(), decides for every entry
+// point whether accesses are credited in closed form. touch asks it for one
+// access; touch_run/touch_strided ask it, from each position, for all the
+// accesses left on that cache line. It credits them when the per-event
+// outcome is *provably* one that changes no state but a stamp the credit
+// makes itself, with no instruction jump coming due. There are two such
 // outcomes: a TLB hit (the line is the newest of its L1 cache set and the
 // translation is found by its L1 DTLB bank's filter or verified hint, which
-// stamps it; a segment's followers then find it the bank's newest), and a
-// walk that changes nothing (no data TLB level holds the effective kind,
-// there is no page-walk cache, the walk is the remembered one and the data
-// line and every PTE line are the newest of their L1 sets). Both are
-// decided inline in account_one; touch_impl is the per-event reference
-// semantics and nothing else. The credits are constructed to be
-// bit-identical to issuing the events one at a time — every ProfileReport
-// counter is a paper-facing result, so the fast path is only legal because
-// tests/oracle's differential harness proves counter-for-counter equality
-// against a naive single-step reference simulator. set_fast_path(false)
-// degrades every entry point to the per-event touch_impl loop (the
-// reference configuration used for golden generation and the oracle).
+// stamps it), and a walk that changes nothing (no data TLB level holds the
+// effective kind, there is no page-walk cache, the walk is the remembered
+// one and the data line and every PTE line are the newest of their L1
+// sets). When the rule declines, touch_impl runs one access; it is the
+// per-event reference semantics and nothing else. The credits are
+// constructed to be bit-identical to issuing the events one at a time —
+// every ProfileReport counter is a paper-facing result, so the fast path is
+// only legal because tests/oracle's differential harness proves
+// counter-for-counter equality against a naive single-step reference
+// simulator. set_fast_path(false) makes the rule decline every access, so
+// every entry point runs touch_impl per event (the reference configuration
+// used for golden generation and the oracle).
 //
 // Walk memo (DESIGN.md §11): the thread keeps its last policy-adjusted
 // walk, keyed by effective vpn, effective kind, layout kind and the page
@@ -69,7 +71,8 @@ class ThreadSim {
   /// backed by pages of `kind`.
   void touch(vaddr_t addr, PageKind kind, Access access) {
     if (sink_ != nullptr) sink_->on_touch(trace_tid_, addr, kind, access);
-    account_one(addr, kind, access, paging_.translate(addr, kind));
+    const paging::Translation tr = paging_.translate(addr, kind);
+    if (!credit(addr, kind, tr, 1, access)) touch_impl(addr, kind, access, tr);
   }
 
   /// Account `n` sequential 8-byte element accesses starting at `addr`
@@ -141,9 +144,9 @@ class ThreadSim {
  private:
   /// The per-event reference semantics of one access, given its effective
   /// translation `tr` (paging_.translate(addr, kind)): every probe, fill,
-  /// walk and counter. Reached from account_one when no closed-form credit
-  /// applies, and for every access when the fast path is off; the public
-  /// entry points layer trace reporting on top.
+  /// walk and counter. Reached when credit() declines, which it does for
+  /// every access when the fast path is off; the public entry points layer
+  /// trace reporting on top.
   void touch_impl(vaddr_t addr, PageKind kind, Access access,
                   paging::Translation tr);
 
@@ -167,92 +170,51 @@ class ThreadSim {
            memo_.generation == space_->page_table().generation();
   }
 
-  /// True when an access to `addr` (layout `kind`, translated to `tr`) is a
-  /// walk that changes no state: tr.kind is walk-only (no data TLB level
-  /// holds it, no PWC), the memo holds its walk, and the data line and
-  /// every PTE line are the newest of their L1 sets, so each probe is a hit
-  /// that needs no restamp. Every check reads state the access would leave
-  /// unchanged, so it also holds for any number of repeats. The caller
-  /// checks the instruction-jump countdown.
-  bool walk_credit_ok(vaddr_t addr, PageKind kind,
-                      paging::Translation tr) const {
-    if (!tlbs_.walk_only(tr.kind) || !memo_matches(kind, tr) ||
+  /// The closed-form credit rule (DESIGN.md §7), the only one: credits `n`
+  /// accesses to `addr`'s line, translated to `tr`, and returns true when
+  /// the fast path is on, `n` is below the jump countdown (no jump comes
+  /// due) and `addr`'s line is the newest of its L1 set, and either
+  ///  * tr.vpn is its L1 DTLB bank's filter or verified hint
+  ///    (TlbHierarchy::data_hint_hit, which stamps the entry as
+  ///    touch_impl's TLB probe would): n L1 TLB hits; or
+  ///  * tr.kind is walk-only (no data TLB level holds it, no PWC), the memo
+  ///    holds its walk and every PTE line of that walk is the newest of its
+  ///    L1 set: n walks that each hit L1 on every line.
+  /// Otherwise it returns false and changes nothing; the caller then runs
+  /// touch_impl. Proof: touch_impl would hit the set's newest line, whose
+  /// restamp keeps every relative order within the set, and the TLB hit's
+  /// stamp is the hint probe's, after which the entry is the bank's filter
+  /// (the walk probes fill nothing); only the jump countdown changes
+  /// besides, and the credit decrements it. No outcome reads the cache's
+  /// global MRU filter, the one other difference. Every check reads state
+  /// the credited accesses leave as they found it, so crediting n is
+  /// crediting one n times.
+  bool credit(vaddr_t addr, PageKind kind, paging::Translation tr, count_t n,
+              Access access) {
+    if (!fast_path_ || (jump_period_ != 0 && n >= until_jump_) ||
         !l1d_.mru_hit(addr)) {
       return false;
     }
-    for (unsigned l = 0; l < memo_.walk.levels_touched; ++l) {
-      if (!l1d_.mru_hit(memo_.walk.entry_addr[l])) return false;
+    ThreadCounters& c = counters_;
+    if (!tlbs_.data_hint_hit(tr.vpn, tr.kind)) {
+      if (!tlbs_.walk_only(tr.kind) || !memo_matches(kind, tr)) return false;
+      for (unsigned l = 0; l < memo_.walk.levels_touched; ++l) {
+        if (!l1d_.mru_hit(memo_.walk.entry_addr[l])) return false;
+      }
+      c.dtlb_l1_misses += n;
+      c.dtlb_walks[static_cast<std::size_t>(tr.kind)] += n;
+      c.walk_levels += n * memo_.walk.levels_touched;
+      c.long_stalls += n;  // a full TLB miss is a long stall
     }
+    c.accesses += n;
+    if (access == Access::store) c.stores += n;
+    if (jump_period_ != 0) until_jump_ -= n;
     return true;
   }
 
-  /// One access, translated to `tr`, with the single-event fast path
-  /// (DESIGN.md §7). When no instruction jump is due and addr's line is the
-  /// newest line of its L1 cache set, touch_impl reduces to a closed-form
-  /// credit in two cases:
-  ///  * tr.vpn is its L1 DTLB bank's filter or verified hint
-  ///    (TlbHierarchy::data_hint_hit, which stamps the entry as
-  ///    touch_impl's TLB probe would): an L1 TLB hit, credit_line_run(1);
-  ///  * walk_credit_ok(): a walk that changes nothing, credit_walk_run(1).
-  /// Proof: in touch_impl the cache probe would hit its set's newest line,
-  /// whose restamp keeps every relative order within the set; there is no
-  /// other state change but the jump countdown, which the credit
-  /// decrements. Only the cache's global MRU filter would differ, and no
-  /// outcome reads it. A hint miss changes nothing and goes to touch_impl,
-  /// whose probe scans the bank. The line check holds per set, so an
-  /// interleaved loop (CG's a[k] * p[col[k]], a stencil's planes) passes
-  /// whenever its streams' lines sit in different L1 sets; the hint holds
-  /// for any page the bank keeps, so under 4 KB pages the loop passes even
-  /// though another page is always the bank's newest.
-  void account_one(vaddr_t addr, PageKind kind, Access access,
-                   paging::Translation tr) {
-    if (fast_path_ && (jump_period_ == 0 || until_jump_ > 1) &&
-        l1d_.mru_hit(addr)) {
-      if (tlbs_.data_hint_hit(tr.vpn, tr.kind)) {
-        credit_line_run(1, access == Access::store);
-        return;
-      }
-      if (walk_credit_ok(addr, kind, tr)) {
-        credit_walk_run(1, access == Access::store);
-        return;
-      }
-    }
-    touch_impl(addr, kind, access, tr);
-  }
-
-  /// Closed-form accounting for `n` accesses that are each a guaranteed
-  /// L1-TLB + L1-cache hit on its set's newest entry, with no jump firing
-  /// (caller-checked preconditions, including n ≤ until_jump_ - 1 when the
-  /// code model is on). Bit-identical to n touch_impl calls taking that
-  /// path.
-  void credit_line_run(count_t n, bool is_store) {
-    counters_.accesses += n;
-    if (is_store) counters_.stores += n;
-    // A hit on its set's newest entry changes no LRU state, so the TLB and
-    // the cache need no update (see cache::LruSets).
-    if (jump_period_ != 0) until_jump_ -= n;
-  }
-
-  /// Closed-form accounting for `n` accesses that each pass
-  /// walk_credit_ok() with no jump firing (n ≤ until_jump_ - 1 when the
-  /// code model is on): each is an L1 DTLB miss and a walk of the memo's
-  /// levels whose PTE reads and data read all hit L1. Bit-identical to n
-  /// touch_impl calls.
-  void credit_walk_run(count_t n, bool is_store) {
-    credit_line_run(n, is_store);
-    ThreadCounters& c = counters_;
-    const count_t levels = memo_.walk.levels_touched;
-    c.dtlb_l1_misses += n;
-    c.dtlb_walks[static_cast<std::size_t>(memo_.kind)] += n;
-    c.walk_levels += n * levels;
-    c.long_stalls += n;  // a full TLB miss is a long stall
-  }
-
-  /// Shared body of touch_run/touch_strided: `n` accesses at
-  /// `addr`, `addr + stride`, ... Leads each cache-line segment through
-  /// account_one, then bulk-credits the followers that provably stay on the
-  /// lead's line (falling back per event at every line/page boundary, MRU
-  /// transition, or jump point).
+  /// Shared body of touch_run/touch_strided: `n` accesses at `addr`,
+  /// `addr + stride`, ... From each position it credits the accesses left
+  /// on that 64-byte line at once, or else runs one touch_impl.
   void run_elems(vaddr_t addr, std::uint64_t n, std::int64_t stride,
                  PageKind kind, Access access);
 

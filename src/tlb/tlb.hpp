@@ -103,14 +103,6 @@ class Tlb {
     return b && b->find_hinted(vpn);
   }
 
-  /// True when `vpn` is the newest entry of its set in the bank (see
-  /// cache::LruSets::mru_hit) — the bulk fast path's precondition for a
-  /// guaranteed hit, which then needs no update at all.
-  bool mru_hit(vpn_t vpn, PageKind kind) const {
-    const auto& b = banks_[static_cast<std::size_t>(kind)];
-    return b && b->mru_hit(vpn);
-  }
-
   /// Install a translation (evicting the set's LRU victim if full).
   /// No-op if the level has no entries for this kind.
   void insert(vpn_t vpn, PageKind kind);

@@ -37,16 +37,11 @@ class TlbHierarchy {
     return data_access_miss(vpn, kind);
   }
 
-  /// True when `vpn` is the newest entry of its L1 DTLB set — the bulk
-  /// fast path's guarantee of a DtlbHit::l1 outcome.
-  bool data_mru_hit(vpn_t vpn, PageKind kind) const {
-    return l1d_.mru_hit(vpn, kind);
-  }
-
   /// data_access()'s L1 hit without the L1 bank scan (Tlb::lookup_hinted):
   /// true, with the entry stamped as data_access() stamps it, when `vpn`
   /// is the bank's filter or verified hint; otherwise false, changing
-  /// nothing, and data_access() decides the outcome.
+  /// nothing, and data_access() decides the outcome. The TLB half of
+  /// ThreadSim's closed-form credit rule.
   bool data_hint_hit(vpn_t vpn, PageKind kind) {
     return l1d_.lookup_hinted(vpn, kind);
   }
@@ -80,8 +75,8 @@ class TlbHierarchy {
 
   /// True when every data access of `kind` walks and its probes change no
   /// TLB or PWC state: no data level can hold the kind, and there is no
-  /// PWC (the Opteron under huge1g). The bulk walk credit's precondition
-  /// on the translation structures (DESIGN.md §7).
+  /// PWC (the Opteron under huge1g). The walk credit's precondition on the
+  /// translation structures (DESIGN.md §7).
   bool walk_only(PageKind kind) const {
     return (walk_only_kinds_ >> static_cast<unsigned>(kind)) & 1u;
   }

@@ -44,8 +44,9 @@ ReplayOutcome ReplayDriver::run(const Trace& trace) const {
   try {
     // The runtime a live run of the recorded configuration builds (physical
     // memory, address space, hugetlbfs pool, shared image, text mapping),
-    // so every recorded virtual address translates as it did live. Its
-    // team never runs: the streams drive the machine directly.
+    // so every recorded virtual address translates as it did live. It opens
+    // no parallel region, so it starts no team thread: the streams drive
+    // the machine directly.
     core::RuntimeConfig cfg;
     cfg.num_threads = nthreads;
     cfg.page_kind = trace.meta.page_kind;

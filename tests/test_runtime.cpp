@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 
 #include "core/parallel_for.hpp"
 #include "core/runtime.hpp"
@@ -51,6 +53,23 @@ TEST(Runtime, ParallelRunsOnAllThreads) {
     EXPECT_EQ(ctx.nthreads(), 4u);
   });
   EXPECT_EQ(mask.load(), 0b1111u);
+}
+
+// Host threads of this process, one directory each under /proc/self/task.
+std::ptrdiff_t host_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(Runtime, TeamStartsWithTheFirstParallelRegion) {
+  const std::ptrdiff_t before = host_threads();
+  Runtime rt(small_config(4, PageKind::small4k, true));
+  rt.attach_code_model(MiB(1), 1000, 0.1);
+  EXPECT_EQ(host_threads(), before);  // no region opened: no team yet
+  rt.parallel([](ThreadCtx&) {});
+  EXPECT_EQ(host_threads(), before + 3);  // the master is tid 0
+  rt.parallel([](ThreadCtx&) {});
+  EXPECT_EQ(host_threads(), before + 3);  // one team for every region
 }
 
 TEST(Runtime, AllocArrayZeroed) {
