@@ -117,9 +117,9 @@ inline std::string improvement(double t4k, double t2m) {
 
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
 
-/// --workers= / LPOMP_WORKERS: grid points that always run at once (narrow
-/// points may add more, see exec::WidthGate), 0 → one per host core. A
-/// negative count throws OptionError.
+/// --workers= / LPOMP_WORKERS: grid points that always run at once (a grid
+/// of multi-threaded points runs more, see exec::Scheduler::drainers), 0 →
+/// one per host core. A negative count throws OptionError.
 inline unsigned workers_from(const Options& opts) {
   const long workers = opts.get_int("workers", 0);
   if (workers < 0) {

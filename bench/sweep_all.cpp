@@ -198,8 +198,6 @@ int main(int argc, char** argv) {
     b.field("bytes_written",
             cold.store.bytes_written + warm.store.bytes_written);
     b.end_object();
-    b.field("peak_tasks_in_flight", cold.peak_tasks_in_flight);
-    b.field("peak_host_threads", cold.peak_host_threads);
     b.key("runs_detail");
     b.begin_array();
     for (const exec::RunRecord& r : cold.records) {

@@ -1,5 +1,6 @@
 #include "cache/lru_sets.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -16,7 +17,8 @@ LruSets::LruSets(std::size_t entries, unsigned ways, std::size_t hint_slots)
   LPOMP_CHECK_MSG(entries <= std::numeric_limits<std::uint32_t>::max(),
                   "slot indices must fit the 32-bit hint table");
   LPOMP_CHECK(std::has_single_bit(hint_slots));
-  slots_.assign(entries, Slot{});
+  tags_.assign(entries, kEmpty);
+  stamps_.assign(entries, 0);
   sets_ = entries / ways;  // sets need not be 2^k (modulo fallback)
   newest_.assign(static_cast<std::size_t>(sets_), kEmpty);
   pow2_sets_ = std::has_single_bit(sets_);
@@ -29,11 +31,11 @@ bool LruSets::find_scan(std::uint64_t tag, std::size_t hint) {
   const std::size_t set = set_of(tag);
   const std::size_t base = set * ways_;
   for (std::size_t i = base; i < base + ways_; ++i) {
-    if (slots_[i].tag == tag) {
+    if (tags_[i] == tag) {
       stamp(i, tag, set, hint);
       return true;
     }
-    if (slots_[i].tag == kEmpty) break;
+    if (tags_[i] == kEmpty) break;
   }
   return false;
 }
@@ -43,37 +45,52 @@ bool LruSets::access_scan(std::uint64_t tag, std::size_t hint) {
   const std::size_t base = set * ways_;
   std::size_t victim = base;
   // The oldest stamp so far stays in a register and is kept by selects, not
-  // branches: comparing against slots_[victim] would chain every step on a
+  // branches: comparing against stamps_[victim] would chain every step on a
   // load through the previous choice, and a branch on stamps mispredicts
   // under random streams.
-  std::uint64_t oldest = ~std::uint64_t{0};
+  std::uint32_t oldest = kClockMax;
   for (std::size_t i = base; i < base + ways_; ++i) {
-    if (slots_[i].tag == tag) {
+    if (tags_[i] == tag) {
       stamp(i, tag, set, hint);
       return true;
     }
-    if (slots_[i].tag == kEmpty) {
+    if (tags_[i] == kEmpty) {
       victim = i;
       break;
     }
-    const bool older = slots_[i].last_use < oldest;
+    const bool older = stamps_[i] < oldest;
     victim = older ? i : victim;
-    oldest = older ? slots_[i].last_use : oldest;
+    oldest = older ? stamps_[i] : oldest;
   }
-  slots_[victim].tag = tag;
+  tags_[victim] = tag;
   stamp(victim, tag, set, hint);
   return false;
 }
 
+void LruSets::renumber() {
+  // A slot's new stamp is 1 + the number of older slots in its set.
+  std::vector<std::uint32_t> ranks(ways_);
+  for (std::size_t base = 0; base < stamps_.size(); base += ways_) {
+    for (unsigned a = 0; a < ways_; ++a) {
+      ranks[a] = 1;
+      for (unsigned b = 0; b < ways_; ++b) {
+        ranks[a] += stamps_[base + b] < stamps_[base + a] ? 1 : 0;
+      }
+    }
+    std::copy(ranks.begin(), ranks.end(), stamps_.begin() + base);
+  }
+  clock_ = ways_;
+}
+
 void LruSets::flush() {
-  for (Slot& s : slots_) s.tag = kEmpty;
+  for (std::uint64_t& t : tags_) t = kEmpty;
   newest_.assign(newest_.size(), kEmpty);
   mru_ = kEmpty;
 }
 
 std::size_t LruSets::occupancy() const {
   std::size_t n = 0;
-  for (const Slot& s : slots_) n += s.tag != kEmpty ? 1 : 0;
+  for (const std::uint64_t t : tags_) n += t != kEmpty ? 1 : 0;
   return n;
 }
 

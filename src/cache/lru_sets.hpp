@@ -1,12 +1,14 @@
 // Set-associative true-LRU tag store: the one engine behind the TLB banks,
 // the data caches and the page-walk cache.
 //
-// Layout: `entries` 16-byte slots, set-major, each a {tag, last_use} pair
-// whose empty tag is the kEmpty sentinel. Every stamp draws a unique
-// timestamp from a private clock, so the LRU victim of a full set is
-// always well defined. Valid slots form a prefix of each set (a fill takes
-// the first empty slot and only flush() empties slots, all at once), so a
-// scan stops at the first empty slot.
+// Layout: `entries` slots, set-major: 8-byte tags (kEmpty when empty) and
+// 4-byte stamps in two arrays. Every stamp draws a unique timestamp from a
+// private 32-bit clock, so the LRU victim of a full set is well defined;
+// before the clock wraps, each set's stamps are renumbered by rank, which
+// keeps the order within every set, all that victim selection reads. Valid
+// slots form a prefix of each set (a fill takes the first empty slot and
+// only flush() empties slots, all at once), so a scan stops at the first
+// empty slot.
 //
 // LRU rule: every stamp — a hint hit, a scan hit, a fill of a present tag
 // or a fill of a victim — records the stamped tag as its set's newest and
@@ -84,10 +86,9 @@ class LruSets {
   std::size_t occupancy() const;
 
  private:
-  struct Slot {
-    std::uint64_t tag = kEmpty;
-    std::uint64_t last_use = 0;
-  };
+  friend class LruSetsTestAccess;  // sets the clock near its wrap
+
+  static constexpr std::uint32_t kClockMax = ~std::uint32_t{0};
 
   /// Index of `tag`'s set.
   std::size_t set_of(std::uint64_t tag) const {
@@ -101,7 +102,8 @@ class LruSets {
   /// timestamp and points both MRU filters and `tag`'s hint at it.
   void stamp(std::size_t i, std::uint64_t tag, std::size_t set,
              std::size_t hint) {
-    slots_[i].last_use = ++clock_;
+    if (clock_ == kClockMax) [[unlikely]] renumber();
+    stamps_[i] = ++clock_;
     mru_ = tag;
     newest_[set] = tag;
     hints_[hint] = static_cast<std::uint32_t>(i);
@@ -110,22 +112,26 @@ class LruSets {
   /// Stamps `tag` and returns true when its hint slot `hint` holds it.
   bool hint_hit(std::uint64_t tag, std::size_t hint) {
     const std::uint32_t i = hints_[hint];
-    if (slots_[i].tag != tag) return false;
+    if (tags_[i] != tag) return false;
     stamp(i, tag, set_of(tag), hint);
     return true;
   }
 
   bool find_scan(std::uint64_t tag, std::size_t hint);
   bool access_scan(std::uint64_t tag, std::size_t hint);
+  /// Replaces each set's stamps by their ranks and restarts the clock
+  /// after the largest.
+  void renumber();
 
   std::uint64_t mru_ = kEmpty;  ///< the last tag stamped, in any set
-  std::vector<Slot> slots_;  // sets_ * ways_, set-major
+  std::vector<std::uint64_t> tags_;    // sets_ * ways_, set-major
+  std::vector<std::uint32_t> stamps_;  // each slot's last use, same order
   std::vector<std::uint64_t> newest_;  ///< per set: its newest tag or kEmpty
   unsigned ways_;
   std::uint64_t sets_;
   std::uint64_t set_mask_;  ///< sets_ - 1 when sets_ is a power of two
   bool pow2_sets_;
-  std::uint64_t clock_ = 0;
+  std::uint32_t clock_ = 0;
   std::size_t hint_mask_;
   std::vector<std::uint32_t> hints_;
 };

@@ -50,9 +50,6 @@ Runtime::Runtime(RuntimeConfig config)
 }
 
 Runtime::~Runtime() {
-  // Team joins its workers first (it is destroyed before the structures the
-  // workers might reference).
-  team_.reset();
   machine_.reset();
   alloc_.reset();  // returns pool pages to the hugetlbfs / buddy
   if (hugetlbfs_) hugetlbfs_->unlink_file("lpomp_shared_image");
@@ -62,8 +59,8 @@ Runtime::~Runtime() {
 }
 
 void Runtime::parallel(const std::function<void(ThreadCtx&)>& body) {
-  // The team's workers start with the first region, so a runtime that
-  // never opens one (a trace replay's) starts no host thread.
+  // The team maps its fiber stacks with the first region, so a runtime
+  // that never opens one (a trace replay's) maps none.
   if (!team_) team_ = std::make_unique<Team>(config_.num_threads, barrier_);
   if (machine_) machine_->begin_parallel();
   team_->run([this, &body](unsigned tid) {

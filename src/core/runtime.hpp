@@ -29,7 +29,6 @@
 #include <optional>
 
 #include "core/allocator.hpp"
-#include "core/barrier.hpp"
 #include "core/shared_array.hpp"
 #include "core/team.hpp"
 #include "mem/hugetlbfs.hpp"
@@ -159,7 +158,8 @@ class Runtime {
     return SharedArray<T>(*alloc_, count, label);
   }
 
-  /// Runs `body` on all threads of the team (a parallel region).
+  /// Runs `body` on all threads of the team (a parallel region), as fibers
+  /// on the calling host thread (core::Team).
   void parallel(const std::function<void(ThreadCtx&)>& body);
 
   /// Maps the application "binary" (size in bytes) and arms the

@@ -8,7 +8,6 @@
 // everything inside timed parallel regions should go through an Accessor.
 #pragma once
 
-#include <cstring>
 #include <type_traits>
 
 #include "core/allocator.hpp"
@@ -110,14 +109,14 @@ class SharedArray {
   SharedArray() = default;
 
   /// Carves `count` elements from the allocator (the runtime wraps this as
-  /// Runtime::alloc_array).
+  /// Runtime::alloc_array). They read zero: the pool is fresh anonymous
+  /// memory that is never handed out twice, so only the pages the kernel
+  /// writes become resident.
   SharedArray(SharedAllocator& alloc, std::size_t count,
               const std::string& label)
       : block_(alloc.allocate(count * sizeof(T), alignof(T) < 64 ? 64 : alignof(T),
                               label)),
-        count_(count) {
-    std::memset(block_.host, 0, block_.bytes);
-  }
+        count_(count) {}
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }

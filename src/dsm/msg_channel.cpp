@@ -1,6 +1,6 @@
 #include "dsm/msg_channel.hpp"
 
-#include <thread>
+#include "core/team.hpp"
 
 namespace lpomp::dsm {
 
@@ -28,9 +28,7 @@ bool MsgChannel::try_send(unsigned from, unsigned to, const void* data,
 
 void MsgChannel::send(unsigned from, unsigned to, const void* data,
                       std::size_t len) {
-  while (!try_send(from, to, data, len)) {
-    std::this_thread::yield();
-  }
+  while (!try_send(from, to, data, len)) core::Team::yield();
 }
 
 MsgChannel::Received& MsgChannel::Received::operator=(Received&& o) noexcept {
@@ -74,7 +72,7 @@ std::optional<MsgChannel::Received> MsgChannel::try_recv(unsigned to,
 MsgChannel::Received MsgChannel::recv(unsigned to, unsigned from) {
   while (true) {
     if (auto msg = try_recv(to, from)) return std::move(*msg);
-    std::this_thread::yield();
+    core::Team::yield();
   }
 }
 

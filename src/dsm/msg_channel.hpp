@@ -6,7 +6,9 @@
 //
 // Here the "processes" are the runtime's threads, and the mailbox lives in
 // process memory; the protocol (flag-based SPSC rings, single copy,
-// in-place receive) is the same. mpi::Communicator owns one per world and
+// in-place receive) is the same. A blocked send or receive waits with
+// core::Team::yield(): it lets the team's next fiber run, or yields the
+// host thread outside a team. mpi::Communicator owns one per world and
 // carries its headers and flow control over it.
 #pragma once
 
@@ -38,7 +40,7 @@ class MsgChannel {
   /// Returns false when all 32 slots are in flight.
   bool try_send(unsigned from, unsigned to, const void* data, std::size_t len);
 
-  /// Blocking send: spins (with yields) until a slot frees up.
+  /// Blocking send: waits (core::Team::yield) until a slot frees up.
   void send(unsigned from, unsigned to, const void* data, std::size_t len);
 
   /// A received message, readable in place; releasing frees the slot for the

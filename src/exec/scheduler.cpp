@@ -1,5 +1,7 @@
 #include "exec/scheduler.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -43,6 +45,17 @@ DiskResultStore::Stats stats_delta(const DiskResultStore::Stats& after,
 }
 
 }  // namespace
+
+unsigned host_threads() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
 
 std::size_t SweepResult::completed() const {
   std::size_t n = 0;
@@ -121,8 +134,6 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("store_quarantined", store.quarantined);
     w.field("store_bytes_read", store.bytes_read);
     w.field("store_bytes_written", store.bytes_written);
-    w.field("peak_tasks_in_flight", peak_tasks_in_flight);
-    w.field("peak_host_threads", peak_host_threads);
     w.field("shared_runs", static_cast<std::uint64_t>(shared_runs));
   }
   w.end_object();
@@ -195,7 +206,7 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   result.records.resize(tasks.size());
   unsigned widest = 1;
   for (const RunTask& t : tasks) widest = std::max(widest, t.threads);
-  WidthGate gate(workers_, widest, host_threads());
+  const std::size_t drainer_cap = drainers(workers_, widest, host_threads());
 
   // One task of each simulation key runs in the first round: the first
   // task that simulates it under its own key, or, when the grid has none,
@@ -225,29 +236,25 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   std::atomic<std::size_t> shared_runs{0};
   // Each drainer takes the next index of the round and writes that task's
   // pre-assigned slot, so the result order is the task order whatever
-  // thread runs it. Drainers beyond what the gate admits would only wait
-  // in it; the calling thread is one of them. A round joins its drainers
-  // before it returns.
+  // thread runs it. The calling thread is one of them. A round joins its
+  // drainers before it returns.
   const auto run_round = [&](const std::vector<std::size_t>& round) {
     std::atomic<std::size_t> next{0};
     const auto drain = [&] {
       for (std::size_t j = next++; j < round.size(); j = next++) {
         const std::size_t i = round[j];
         result.records[i] =
-            run_one(tasks[i], keys[i], shared[i], gate, shared_runs);
+            run_one(tasks[i], keys[i], shared[i], shared_runs);
       }
     };
-    const std::size_t drainers =
-        std::min<std::size_t>(round.size(), gate.max_in_flight());
+    const std::size_t started = std::min(round.size(), drainer_cap);
     std::vector<std::jthread> threads;
-    for (std::size_t k = 1; k < drainers; ++k) threads.emplace_back(drain);
+    for (std::size_t k = 1; k < started; ++k) threads.emplace_back(drain);
     drain();
   };
   run_round(first_round);
   run_round(second_round);
   result.shared_runs = shared_runs;
-  result.peak_tasks_in_flight = gate.peak_tasks();
-  result.peak_host_threads = gate.peak_host_threads();
 
   result.wall_ms = ms_since(t0);
   result.cache = stats_delta(cache_.stats(), before);
@@ -259,9 +266,8 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
 
 RunRecord Scheduler::run_one(const RunTask& task, const std::string& key,
                              const std::optional<std::string>& shared,
-                             WidthGate& gate,
                              std::atomic<std::size_t>& shared_runs) {
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   if (std::optional<RunRecord> hit = probe(key)) {
     hit->wall_ms = ms_since(t0);
     return *hit;
@@ -280,11 +286,6 @@ RunRecord Scheduler::run_one(const RunTask& task, const std::string& key,
       return *hit;
     }
   }
-  // wall_ms covers the probe and the run, not the wait for admission.
-  const double probe_ms = ms_since(t0);
-  const unsigned width = std::max(1u, task.threads);
-  gate.enter(width);
-  t0 = std::chrono::steady_clock::now();
   RunRecord record;
   try {
     record = runner_(task);
@@ -297,12 +298,18 @@ RunRecord Scheduler::run_one(const RunTask& task, const std::string& key,
     record.ok = false;
     record.error = "unknown exception";
   }
-  gate.leave(width);
   record.cache_hit = false;
   record.store_hit = false;
-  record.wall_ms = probe_ms + ms_since(t0);
+  record.wall_ms = ms_since(t0);
   if (record.ok) commit(key, record);
   return record;
+}
+
+unsigned Scheduler::drainers(unsigned workers, unsigned widest,
+                             unsigned host_threads) {
+  const std::uint64_t budget =
+      std::min(std::uint64_t{workers} * widest, std::uint64_t{host_threads});
+  return static_cast<unsigned>(std::max(std::uint64_t{workers}, budget));
 }
 
 RunRecord Scheduler::base_record(const RunTask& task) {

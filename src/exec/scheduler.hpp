@@ -2,8 +2,9 @@
 //
 // Takes a declarative SweepSpec (or an explicit task list), expands it into
 // independent RunTasks, and runs them on threads started for that sweep
-// alone: each takes the next task index from one shared counter, and the
-// width gate bounds how many run at once. Each task constructs its own
+// alone: each takes the next task index from one shared counter and runs
+// one task at a time, its simulated threads as fibers on that host thread
+// (core::Team). Each task constructs its own
 // Runtime/AddressSpace/Machine inside npb::run_kernel, so results are
 // bit-identical to a serial loop regardless of worker count, scheduling
 // order, or execution Strategy — the determinism the paper reproduction
@@ -57,7 +58,6 @@
 #include "exec/result_cache.hpp"
 #include "exec/strategy.hpp"
 #include "exec/sweep.hpp"
-#include "exec/width_gate.hpp"
 
 namespace lpomp::exec {
 
@@ -69,10 +69,6 @@ struct SweepResult {
   ResultCache::Stats cache;        ///< LRU activity of THIS sweep only
   DiskResultStore::Stats store;    ///< disk-store activity of THIS sweep only
   Strategy strategy = Strategy::Auto;  ///< as requested for this sweep
-  /// Most live runs in flight at once, and most host threads they asked
-  /// for (the sum of their team widths); see Scheduler::run.
-  unsigned peak_tasks_in_flight = 0;
-  std::uint64_t peak_host_threads = 0;
   /// Records that took another task's run (see Scheduler::run); their
   /// cache_hit and store_hit are false.
   std::size_t shared_runs = 0;
@@ -102,11 +98,15 @@ struct SweepResult {
   std::string summary_json(bool include_host = true) const;
 };
 
+/// The CPUs in the calling thread's affinity mask (`taskset -c 0` counts
+/// one), else std::thread::hardware_concurrency(), else 1.
+unsigned host_threads();
+
 class Scheduler {
  public:
   struct Config {
-    /// Live runs that always start at once (P); narrow ones may add more,
-    /// see run(). 0 → one per CPU the process may use (host_threads()).
+    /// Live runs that always start at once (P; see drainers()). 0 → one
+    /// per CPU the process may use (host_threads()).
     unsigned workers = 0;
     std::size_t cache_capacity = 4096;
     /// Root directory of the disk-persistent result store; empty → no
@@ -134,16 +134,10 @@ class Scheduler {
   /// the host summary; every strategy runs the same live path.
   ///
   /// In each round, the calling thread and min(round's tasks,
-  /// WidthGate::max_in_flight()) − 1 threads started for it take task
-  /// indices in grid order from one counter; all are joined before the
-  /// round ends, so a one-task sweep runs on the caller and an idle
-  /// scheduler holds no threads.
-  ///
-  /// Live runs are admitted by team width (WidthGate): with P =
-  /// workers(), W = the widest task's `threads` and H = host_threads()
-  /// (the CPUs in the affinity mask), a run of width w starts while fewer
-  /// than P runs are in flight, or while the in-flight widths plus w stay
-  /// within min(P × W, H).
+  /// drainers()) − 1 threads started for it take task indices in grid
+  /// order from one counter; all are joined before the round ends, so a
+  /// one-task sweep runs on the caller and an idle scheduler holds no
+  /// threads.
   ///
   /// One run per distinct simulation: a first round of drainers takes
   /// one task of each simulation key (shared_key, else cache_key), the
@@ -156,6 +150,11 @@ class Scheduler {
   SweepResult run(const SweepSpec& spec, Strategy strategy = Strategy::Auto);
   SweepResult run(const std::vector<RunTask>& tasks,
                   Strategy strategy = Strategy::Auto);
+
+  /// Tasks a sweep runs at once, one host thread each: max(P, min(P × W,
+  /// H)) for P workers, widest team W and H host threads (DESIGN.md §10).
+  static unsigned drainers(unsigned workers, unsigned widest,
+                           unsigned host_threads);
 
   /// The default runner: one full simulated kernel run. Aborting on
   /// verification failure is the caller's policy; the record carries
@@ -178,7 +177,7 @@ class Scheduler {
   /// differs), and only on two misses run the task. A hit on `shared` is
   /// relabelled, committed under `key` and counted in `shared_runs`.
   RunRecord run_one(const RunTask& task, const std::string& key,
-                    const std::optional<std::string>& shared, WidthGate& gate,
+                    const std::optional<std::string>& shared,
                     std::atomic<std::size_t>& shared_runs);
 
   Config config_;

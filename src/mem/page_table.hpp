@@ -75,12 +75,13 @@ class PageTable {
   }
 
  private:
+  /// 8 bytes, as on x86-64, so a node's 512 entries take one host page.
   struct Entry {
-    bool present = false;
-    bool leaf = false;
+    std::uint64_t present : 1 = 0;
+    std::uint64_t leaf : 1 = 0;
     // For a leaf: physical page address. For an interior entry: index of
     // the child node.
-    std::uint64_t value = 0;
+    std::uint64_t value : 62 = 0;
   };
   /// frames_ value of a freed node slot, awaiting reuse.
   static constexpr paddr_t kFreeSlot = ~paddr_t{0};

@@ -215,7 +215,7 @@ TEST(Scheduler, ZeroWorkersMeansOnePerHostThread) {
 }
 
 // host_threads() counts the CPUs the process may use, not the machine's:
-// under a one-CPU mask (`taskset -c 0`) the gate budgets one host thread
+// under a one-CPU mask (`taskset -c 0`) a sweep budgets one host thread
 // and `workers = 0` picks one worker. The test narrows its own thread's
 // mask and restores it afterwards.
 TEST(Scheduler, HostThreadsFollowTheAffinityMask) {
@@ -487,8 +487,8 @@ TEST(SharedRuns, FailedNativeRunLeavesBase4kToRunItself) {
 
 TEST(SharedRuns, EvictedFirstRunLeavesBase4kToRunItself) {
   // Capacity 1: the second native run evicts the first before the base4k
-  // task of the first point probes for it. Every task is 1T, so the width
-  // gate admits one run at a time and the two native runs finish in task
+  // task of the first point probes for it. Every task is 1T, so one
+  // worker runs one task at a time and the two native runs finish in task
   // order (a 2T task would let both run at once and finish in either).
   Scheduler engine({.workers = 1, .cache_capacity = 1});
   std::atomic<int> runs{0};
@@ -640,24 +640,19 @@ std::vector<RunTask> tasks_of_widths(const std::vector<unsigned>& widths) {
   return tasks;
 }
 
-/// Counting TaskRunner state: live runs and host threads in flight, their
-/// peaks, and executions per task seed. A run holds `hold` so runs
-/// overlap; it first waits (at most 5 s) until `meet` runs have been in
-/// flight at once, which makes "more than one run at a time" a
-/// deterministic outcome rather than a race.
+/// Counting TaskRunner state: live runs in flight, their peak, and
+/// executions per task seed. A run holds `hold` so runs overlap; it first
+/// waits (at most 5 s) until `meet` runs have been in flight at once, which
+/// makes "that many runs at a time" a deterministic outcome rather than a
+/// race.
 struct InFlight {
-  unsigned workers = 1;                 ///< P of the scheduler under test
-  unsigned budget = 0;                  ///< min(P × W, H) of the sweep
   unsigned meet = 1;
   std::chrono::milliseconds hold{2};
 
   std::mutex mutex;
   std::condition_variable cv;
   unsigned tasks = 0;
-  unsigned host_threads = 0;
   unsigned peak_tasks = 0;
-  unsigned peak_host_threads = 0;
-  bool over_budget = false;  ///< more than P runs while over the budget
   std::map<std::uint64_t, int> runs;
 
   Scheduler::TaskRunner runner() {
@@ -665,11 +660,8 @@ struct InFlight {
       {
         std::unique_lock lock(mutex);
         ++tasks;
-        host_threads += task.threads;
         ++runs[task.seed];
         peak_tasks = std::max(peak_tasks, tasks);
-        peak_host_threads = std::max(peak_host_threads, host_threads);
-        if (tasks > workers && host_threads > budget) over_budget = true;
         cv.notify_all();
         cv.wait_for(lock, std::chrono::seconds(5),
                     [this] { return peak_tasks >= meet; });
@@ -678,7 +670,6 @@ struct InFlight {
       {
         std::lock_guard lock(mutex);
         --tasks;
-        host_threads -= task.threads;
       }
       return fake_runner(task);
     };
@@ -699,68 +690,71 @@ void expect_each_once_in_order(const std::vector<RunTask>& tasks,
   }
 }
 
-// No sweep asks for more host threads than P runs of its widest team, and
-// runs beyond P only start within min(P × W, H).
+// The drainer rule: P points at once, or one per host thread up to
+// min(P × W, H). The Figure-4 default (P = H = 4, W = 8) keeps P; the
+// paging-S shape (P = 2, W = 2, H = 4) runs four; more workers than host
+// threads keep P, the floor when H < P.
+TEST(Admission, DrainersAreWorkersOrTheBudget) {
+  EXPECT_EQ(Scheduler::drainers(4, 8, 4), 4u);
+  EXPECT_EQ(Scheduler::drainers(2, 2, 4), 4u);
+  EXPECT_EQ(Scheduler::drainers(8, 1, 4), 8u);
+  EXPECT_EQ(Scheduler::drainers(1, 2, 4), 2u);
+  EXPECT_EQ(Scheduler::drainers(1, 1, 4), 1u);
+  EXPECT_EQ(Scheduler::drainers(2, 8, 1), 2u);
+  EXPECT_EQ(Scheduler::drainers(3, 4, 2), 3u);
+}
+
+// Each point runs its team on one host thread, so the points in flight are
+// the sweep's host threads: never more than P × W, and exactly the
+// drainers when the grid has as many points.
 TEST(Admission, HostThreadsNeverExceedWorkersTimesWidest) {
   const std::vector<RunTask> tasks =
       tasks_of_widths({1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1});
+  const unsigned cap = Scheduler::drainers(2, 2, host_threads());
   InFlight state;
-  state.workers = 2;
-  state.budget = std::min(2u * 2u, host_threads());
+  state.meet = cap;
   Scheduler engine({.workers = 2});
   engine.set_task_runner(state.runner());
 
   const SweepResult result = engine.run(tasks);
   expect_each_once_in_order(tasks, result, state);
-  EXPECT_LE(state.peak_host_threads, 2u * 2u);
-  EXPECT_FALSE(state.over_budget);
-  EXPECT_LE(result.peak_host_threads, 2u * 2u);
-  EXPECT_GE(result.peak_tasks_in_flight, state.peak_tasks);
+  EXPECT_EQ(state.peak_tasks, cap);
+  EXPECT_LE(state.peak_tasks, 2u * 2u);
 }
 
 // At one worker, a sweep whose widest team is 4T runs its 1T points side
-// by side on a multi-core host: those host threads are already budgeted.
-// The 4T point is served from the cache, so it sets W without queueing
-// ahead of the 1T runs (a queued 4T run would rightly hold them back).
+// by side on a multi-core host: the host threads of one 4T team. The 4T
+// point is served from the cache, so it only sets W.
 TEST(Admission, NarrowRunsShareTheHostAtOneWorker) {
-  const unsigned host = host_threads();
   const std::vector<RunTask> tasks = tasks_of_widths({1, 1, 1, 1, 1, 1, 4});
+  const unsigned cap = Scheduler::drainers(1, 4, host_threads());
   InFlight state;
-  state.workers = 1;
-  state.budget = std::min(4u, host);
   Scheduler engine({.workers = 1});
   engine.set_task_runner(state.runner());
   engine.run(std::vector<RunTask>{tasks.back()});
 
-  state.meet = host > 1 ? 2 : 1;
+  state.meet = cap;
   const SweepResult result = engine.run(tasks);
   EXPECT_EQ(result.cache_hits(), 1u);
   expect_each_once_in_order(tasks, result, state);
-  EXPECT_FALSE(state.over_budget);
-  if (host > 1) {
-    EXPECT_GE(state.peak_tasks, 2u);
-    EXPECT_GE(result.peak_tasks_in_flight, 2u);
-  } else {
-    EXPECT_EQ(result.peak_tasks_in_flight, 1u);
-  }
-  EXPECT_LE(result.peak_host_threads, 4u);
+  EXPECT_EQ(state.peak_tasks, cap);
+  EXPECT_LE(state.peak_tasks, 4u);
 }
 
-// Wide teams are not capped at the host's threads: two 4T runs at two
-// workers still run at once, as they did before admission by width.
+// Wide points are not capped at the host's threads: two workers run at
+// least two 4T points at once even on a one-CPU host.
 TEST(Admission, WideRunsStillFillEveryWorker) {
   const std::vector<RunTask> tasks = tasks_of_widths({4, 4, 4, 4});
+  const unsigned cap = Scheduler::drainers(2, 4, host_threads());
   InFlight state;
-  state.workers = 2;
-  state.budget = std::min(2u * 4u, host_threads());
-  state.meet = 2;
+  state.meet = std::min(cap, 4u);
   Scheduler engine({.workers = 2});
   engine.set_task_runner(state.runner());
 
   const SweepResult result = engine.run(tasks);
   expect_each_once_in_order(tasks, result, state);
-  EXPECT_EQ(result.peak_tasks_in_flight, 2u);
-  EXPECT_EQ(result.peak_host_threads, 8u);
+  EXPECT_GE(state.peak_tasks, 2u);
+  EXPECT_EQ(state.peak_tasks, std::min(cap, 4u));
 }
 
 // A wide point queued among many narrow ones at one worker still runs.
@@ -770,85 +764,12 @@ TEST(Admission, WideTaskQueuedBehindNarrowOnesStillRuns) {
   widths.insert(widths.end(), 8, 1);
   const std::vector<RunTask> tasks = tasks_of_widths(widths);
   InFlight state;
-  state.workers = 1;
-  state.budget = std::min(4u, host_threads());
   Scheduler engine({.workers = 1});
   engine.set_task_runner(state.runner());
 
   const SweepResult result = engine.run(tasks);
   expect_each_once_in_order(tasks, result, state);
-  EXPECT_FALSE(state.over_budget);
-}
-
-/// Polls `done` for up to 5 s.
-template <typename Pred>
-bool eventually(Pred done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-// The paging-S shape (P = 2, W = 2, H = 4): four 1T runs fit at once, and
-// a fifth waits until one leaves.
-TEST(WidthGate, AdmitsNarrowRunsUpToTheBudget) {
-  WidthGate gate(/*workers=*/2, /*widest=*/2, /*host_threads=*/4);
-  EXPECT_EQ(gate.max_in_flight(), 4u);
-  for (int i = 0; i < 4; ++i) gate.enter(1);
-  EXPECT_EQ(gate.peak_tasks(), 4u);
-  EXPECT_EQ(gate.peak_host_threads(), 4u);
-
-  std::thread fifth([&] {
-    gate.enter(1);
-    gate.leave(1);
-  });
-  ASSERT_TRUE(eventually([&] { return gate.queued() == 1; }));
-  gate.leave(1);
-  fifth.join();
-  EXPECT_EQ(gate.peak_tasks(), 4u);
-  for (int i = 0; i < 3; ++i) gate.leave(1);
-}
-
-// The most runs at once: P, or one per budgeted host thread. The Figure-4
-// default (P = H = 4, W = 8) keeps P; more workers than host threads keep
-// P; a 1-worker 1T/2T sweep may pair its 1T runs.
-TEST(WidthGate, MaxInFlightIsWorkersOrTheBudget) {
-  EXPECT_EQ(WidthGate(4, 8, 4).max_in_flight(), 4u);
-  EXPECT_EQ(WidthGate(8, 1, 4).max_in_flight(), 8u);
-  EXPECT_EQ(WidthGate(1, 2, 4).max_in_flight(), 2u);
-  EXPECT_EQ(WidthGate(1, 1, 4).max_in_flight(), 1u);
-  EXPECT_EQ(WidthGate(2, 8, 1).max_in_flight(), 2u);
-}
-
-// A wide run waiting for a slot is not overtaken by a narrow run that
-// arrived after it, even though the narrow one alone would fit.
-TEST(WidthGate, WaitingWideRunIsNotOvertakenByLaterNarrowRuns) {
-  WidthGate gate(/*workers=*/1, /*widest=*/2, /*host_threads=*/2);
-  gate.enter(1);  // one run in flight: P reached, one host thread spare
-
-  std::atomic<int> order{0};
-  int wide_at = -1;
-  int narrow_at = -1;
-  std::thread wide([&] {
-    gate.enter(2);  // 1 + 2 > 2: waits for the running run to leave
-    wide_at = order++;
-    gate.leave(2);
-  });
-  ASSERT_TRUE(eventually([&] { return gate.queued() == 1; }));
-  std::thread narrow([&] {
-    gate.enter(1);  // 1 + 1 <= 2 would fit, but the wide run came first
-    narrow_at = order++;
-    gate.leave(1);
-  });
-  ASSERT_TRUE(eventually([&] { return gate.queued() == 2; }));
-  gate.leave(1);
-  wide.join();
-  narrow.join();
-  EXPECT_EQ(wide_at, 0);
-  EXPECT_EQ(narrow_at, 1);
+  EXPECT_LE(state.peak_tasks, Scheduler::drainers(1, 4, host_threads()));
 }
 
 TEST(Json, WriterEscapesAndNestsDeterministically) {

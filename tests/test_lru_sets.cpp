@@ -15,6 +15,19 @@
 #include "support/rng.hpp"
 
 namespace lpomp::cache {
+
+/// Moves an engine's private clock forward, so a test reaches its 32-bit
+/// wrap in a few steps. Moving it forward keeps every stamp unique.
+class LruSetsTestAccess {
+ public:
+  static void advance_clock(LruSets& s, std::uint32_t to) {
+    ASSERT_GE(to, s.clock_);
+    s.clock_ = to;
+  }
+  static std::uint32_t clock(const LruSets& s) { return s.clock_; }
+  static constexpr std::uint32_t kClockMax = LruSets::kClockMax;
+};
+
 namespace {
 
 class ExactLru {
@@ -85,12 +98,18 @@ void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.name; }
 
 class LruSetsProperty : public ::testing::TestWithParam<EngineCase> {};
 
-TEST_P(LruSetsProperty, MatchesExactLruModel) {
-  const EngineCase c = GetParam();
+/// Runs 30000 random operations on `engine` and on the exact model, and
+/// checks every outcome. Every `wrap_every` steps (0: never) the engine's
+/// clock jumps to a few stamps short of its wrap.
+void check_against_model(const EngineCase& c, unsigned wrap_every) {
   LruSets engine(c.entries, c.ways, c.hint_slots);
   ExactLru model(c.entries, c.ways);
   Rng rng(c.seed);
   for (int i = 0; i < 30000; ++i) {
+    if (wrap_every != 0 && i % wrap_every == 0) {
+      LruSetsTestAccess::advance_clock(engine,
+                                       LruSetsTestAccess::kClockMax - 40);
+    }
     const std::uint64_t tag = 3 + c.stride * rng.next_below(c.tags);
     const std::uint64_t op = rng.next_below(100);
     if (op < 30) {
@@ -119,6 +138,16 @@ TEST_P(LruSetsProperty, MatchesExactLruModel) {
     ASSERT_EQ(engine.occupancy(), model.occupancy()) << "step " << i;
   }
   ASSERT_LE(engine.occupancy(), c.entries);
+}
+
+TEST_P(LruSetsProperty, MatchesExactLruModel) {
+  check_against_model(GetParam(), 0);
+}
+
+// Each set's stamps are renumbered by rank before the 32-bit clock wraps;
+// crossing the wrap every 500 steps must change no outcome.
+TEST_P(LruSetsProperty, MatchesExactLruModelAcrossClockWraps) {
+  check_against_model(GetParam(), 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,6 +203,23 @@ TEST(LruSets, FlushEmptiesEverySlotAndTheFilter) {
   EXPECT_FALSE(s.mru_hit(7));
   EXPECT_FALSE(s.mru_hit(6));
   EXPECT_FALSE(s.find(7));
+}
+
+TEST(LruSets, ClockWrapRenumbersEachSetByRank) {
+  // One set of four ways, filled a, b, c, d, then a restamped: LRU order
+  // b < c < d < a. The next stamp crosses the wrap.
+  LruSets s(4, 4, 256);
+  for (const std::uint64_t t : {1, 2, 3, 4, 1}) s.fill(t);
+  LruSetsTestAccess::advance_clock(s, LruSetsTestAccess::kClockMax);
+  s.fill(5);  // evicts b, the oldest, after the renumbering
+  EXPECT_EQ(LruSetsTestAccess::clock(s), 5u);  // ranks 1..4, then 5
+  EXPECT_FALSE(s.find(2));
+  s.fill(6);  // evicts c
+  EXPECT_FALSE(s.find(3));
+  EXPECT_TRUE(s.find(4));
+  EXPECT_TRUE(s.find(1));
+  EXPECT_TRUE(s.find(5));
+  EXPECT_TRUE(s.find(6));
 }
 
 TEST(LruSets, RejectsInvalidGeometry) {

@@ -1,14 +1,18 @@
 // Tests for the Runtime facade: construction with both page sizes, the
-// fork-join API, single/master, reductions, simulation attachment and
-// accounting.
+// fork-join API and the host threads it starts, single/master, reductions,
+// simulation attachment and accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <iterator>
+#include <mutex>
+#include <vector>
 
 #include "core/parallel_for.hpp"
 #include "core/runtime.hpp"
+#include "exec/scheduler.hpp"
 
 namespace lpomp::core {
 namespace {
@@ -61,15 +65,60 @@ std::ptrdiff_t host_threads() {
                        std::filesystem::directory_iterator{});
 }
 
+// The team runs its threads as fibers on the caller, so a 4T runtime
+// starts no host thread, in its first region or any later one.
 TEST(Runtime, TeamStartsWithTheFirstParallelRegion) {
   const std::ptrdiff_t before = host_threads();
   Runtime rt(small_config(4, PageKind::small4k, true));
   rt.attach_code_model(MiB(1), 1000, 0.1);
-  EXPECT_EQ(host_threads(), before);  // no region opened: no team yet
+  std::ptrdiff_t inside = 0;
+  rt.parallel([&](ThreadCtx& ctx) {
+    ctx.barrier();
+    if (ctx.tid() == 3) inside = host_threads();
+  });
+  EXPECT_EQ(inside, before);
   rt.parallel([](ThreadCtx&) {});
-  EXPECT_EQ(host_threads(), before + 3);  // the master is tid 0
-  rt.parallel([](ThreadCtx&) {});
-  EXPECT_EQ(host_threads(), before + 3);  // one team for every region
+  EXPECT_EQ(host_threads(), before);
+}
+
+// A sweep shaped like the paging-S benchmark (P = 2 workers, 1T and 2T
+// points) holds at most its drainers, the calling thread included: the
+// points' teams add none.
+TEST(Runtime, PagingSweepHoldsNoMoreThreadsThanItsDrainers) {
+  exec::SweepSpec spec;
+  spec.kernels = {npb::Kernel::CG, npb::Kernel::GUPS};
+  spec.klass = npb::Klass::S;
+  spec.platforms = {sim::ProcessorSpec::opteron270(),
+                    sim::ProcessorSpec::modern()};
+  spec.threads = {1, 2};
+  exec::Scheduler engine({.workers = 2});
+  // A first sweep that starts a drainer, so helper threads the process
+  // starts with its first thread (a sanitizer's) are counted in `before`.
+  std::vector<exec::RunTask> two(2);
+  two[1].seed = 1;
+  engine.set_task_runner(exec::Scheduler::base_record);
+  engine.run(two);
+  const std::ptrdiff_t before = host_threads();
+  std::mutex mutex;
+  std::ptrdiff_t peak = 0;
+  const auto sample = [&] {
+    const std::ptrdiff_t now = host_threads();
+    std::lock_guard lock(mutex);
+    peak = std::max(peak, now);
+  };
+  engine.set_task_runner([&](const exec::RunTask& task) {
+    sample();
+    exec::RunRecord record = exec::Scheduler::execute_task(task);
+    sample();
+    return record;
+  });
+  const exec::SweepResult result = engine.run(spec);
+  EXPECT_EQ(result.completed(), 16u);
+  const unsigned drainers =
+      exec::Scheduler::drainers(2, 2, exec::host_threads());
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, before + static_cast<std::ptrdiff_t>(drainers) - 1);
+  EXPECT_EQ(host_threads(), before);
 }
 
 TEST(Runtime, AllocArrayZeroed) {
